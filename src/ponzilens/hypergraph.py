@@ -5,8 +5,10 @@ contract graph contains its state-variable nodes, a synthetic @external sink
 node, and one hypernode graph per function; each function graph contains the
 function's local, parameter, and builtin nodes.
 
-Identity is by path. NodeId(("C", "x")) is the state variable x of contract
-C (shared by every function that touches it, including through inheritance);
+Identity is by path. NodeId(("C", "x")) is the state variable x declared by
+contract C, shared by every function that touches it, derived contracts
+included: `model.Names` resolves state variables and called functions along
+each contract's C3 linearization, most-derived first, as Solidity does;
 NodeId(("C", "f", "v")) is a local/parameter/builtin v inside C.f;
 GraphId(("C", "f")) is the hypernode of function f. Edges connect any mix of
 basic nodes and hypernodes except hypernode-to-hypernode, and each edge is
@@ -27,16 +29,10 @@ Edge construction per lowered statement:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import NoSpan, UnknownGraph
-from .model import (
-    ContractModel,
-    FunctionModel,
-    Scope,
-    VarRef,
-    state_owner,
-)
+from .model import ContractModel, Names, Scope, VarRef
 
 EXTERNAL_SINK = "@external"
 
@@ -87,7 +83,6 @@ class HypernodeGraph:
         self.source_text = source_text
         self._members: dict[GraphId, dict[Endpoint, None]] = {ROOT: {}}
         self._edges: dict[GraphId, dict[Edge, None]] = {ROOT: {}}
-        self._edge_owner: dict[Edge, GraphId] = {}
         self.span_map: dict[Endpoint, tuple[int, int]] = {}
         self.diagnostics: list[str] = []
 
@@ -127,10 +122,7 @@ class HypernodeGraph:
             if x != y:
                 break
             common += 1
-        owner = GraphId(pa[:common])
-        edge = (a, b)
-        self._edges[owner][edge] = None
-        self._edge_owner[edge] = owner
+        self._edges[GraphId(pa[:common])][(a, b)] = None
 
     def finalize(self) -> "HypernodeGraph":
         """Sort members and edges for order-independent, repeatable output."""
@@ -178,12 +170,6 @@ class HypernodeGraph:
             out.extend(self._edges[gid])
         return tuple(out)
 
-    def edge_owner(self, edge: Edge) -> GraphId:
-        try:
-            return self._edge_owner[edge]
-        except KeyError:
-            raise UnknownGraph(f"edge {edge} not in graph") from None
-
     def nodes(self) -> tuple[NodeId, ...]:
         out = [
             ep
@@ -210,37 +196,12 @@ class HypernodeGraph:
         return self.source_text[off : off + length]
 
 
-def function_node_id(
-    models_by_name: Mapping[str, ContractModel],
-    contract: str,
-    function: str,
-    ref: VarRef,
-) -> NodeId:
+def function_node_id(names: Names, contract: str, function: str, ref: VarRef) -> NodeId:
     """The canonical node identity a variable reference resolves to."""
     if ref.scope == Scope.STATE:
-        owner = state_owner(models_by_name, contract, ref.name) or contract
+        owner, _ = names.state(contract, ref.name) or (contract, None)
         return NodeId((owner, ref.name))
     return NodeId((contract, function, ref.name))
-
-
-def resolve_callee(
-    models_by_name: Mapping[str, ContractModel], contract: str, name: str
-) -> str | None:
-    """Owning contract of a directly-called function name, through bases."""
-    seen: set[str] = set()
-    queue = [contract]
-    while queue:
-        current = queue.pop(0)
-        if current in seen:
-            continue
-        seen.add(current)
-        m = models_by_name.get(current)
-        if m is None:
-            continue
-        if any(f.name == name for f in m.functions):
-            return current
-        queue.extend(m.inherits)
-    return None
 
 
 def build(
@@ -256,7 +217,7 @@ def build(
     edges are sorted at finalize time and identities are path-based.
     """
     models = list(models)
-    by_name = {m.name: m for m in models}
+    names = Names(models)
     h = HypernodeGraph(source_text)
 
     # Registration pass: graphs first, then nodes, so every edge target
@@ -268,15 +229,8 @@ def build(
             h.add_graph(GraphId((m.name, f.name)), span=f.source_span)
 
     def state_node(contract: str, ref: VarRef) -> NodeId:
-        nid = function_node_id(by_name, contract, "", ref)
-        owner_model = by_name.get(nid.path[0])
-        span = None
-        if owner_model is not None:
-            for v in owner_model.state_vars:
-                if v.name == ref.name:
-                    span = v.source_span
-                    break
-        return h.add_node(nid, span=span)
+        owner, decl = names.state(contract, ref.name) or (contract, None)
+        return h.add_node(NodeId((owner, ref.name)), span=decl.source_span if decl else None)
 
     def external_node(contract: str) -> NodeId:
         return h.add_node(NodeId((contract, EXTERNAL_SINK)))
@@ -311,7 +265,7 @@ def build(
                     if site.external:
                         target = external_node(m.name)
                     else:
-                        owner = resolve_callee(by_name, m.name, site.name)
+                        owner = names.function(m.name, site.name)
                         if owner is None:
                             target = external_node(m.name)
                             h.diagnostics.append(

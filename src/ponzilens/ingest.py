@@ -22,7 +22,9 @@ explorer responses).
 
 from __future__ import annotations
 
+import email.utils
 import json
+import math
 import os
 import re
 import shutil
@@ -426,6 +428,19 @@ def _flatten_explorer_source(raw: str) -> str:
     return raw
 
 
+def _retry_after_seconds(value: str | None) -> float:
+    """Seconds a Retry-After header asks for, given as delta-seconds or as an
+    HTTP date; never negative, and 1.0 when absent or unreadable."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        try:
+            seconds = email.utils.parsedate_to_datetime(value).timestamp() - time.time()
+        except (TypeError, ValueError):
+            return 1.0
+    return max(seconds, 0.0) if math.isfinite(seconds) else 1.0
+
+
 def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
     """Fetch verified source for `address` from an explorer API.
 
@@ -461,7 +476,7 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
             last_error = NetworkError(f"explorer request failed: {exc}")
             continue
         if resp.status_code == 429:
-            retry_after = float(resp.headers.get("Retry-After", 1.0))
+            retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
             last_error = RateLimited("explorer returned HTTP 429", retry_after)
             continue
         if resp.status_code >= 500:

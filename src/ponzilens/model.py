@@ -9,8 +9,10 @@ nothing finer is kept.
 Resolution rules:
   * locals and parameters resolve within the function (locals are collected
     up front, so use-before-declaration still resolves);
-  * state variables resolve through the inheritance chain declared in the
-    same unit;
+  * state variables and called functions resolve through the contract's C3
+    linearization (Solidity's order, most-derived first, so the rightmost
+    base wins), restricted to contracts declared in the same unit; within
+    one contract the first declaration of a name wins;
   * the only builtin references modeled are msg.sender and msg.value; other
     environment reads (msg.data, tx.origin, block.*) carry no taint and are
     dropped;
@@ -32,9 +34,10 @@ the function that carries the modifier.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import MalformedAst
 from .ingest import SourceUnit
@@ -186,29 +189,96 @@ class ContractModel:
     source_span: tuple[int, int] = (0, 0)
 
 
-def state_owner(
-    models_by_name: Mapping[str, ContractModel], contract: str, name: str
-) -> str | None:
-    """The contract whose declaration a state-variable name resolves to.
+def linearize(models_by_name: Mapping[str, ContractModel]) -> dict[str, tuple[str, ...]]:
+    """Solidity's C3 linearization of every contract, most-derived first.
 
-    Walks the inheritance chain breadth-first starting at `contract`,
-    restricted to contracts present in the same unit. None when the name is
-    not a known state variable anywhere on the chain.
+    `contract C is A, B` gives (C, B, A, ...): the rightmost base is the
+    most derived. Bases not declared in the unit are skipped. An explicit
+    stack replaces recursion, so base chains of any depth are fine. Raises
+    MalformedAst on a cyclic or inconsistent hierarchy.
     """
-    seen: set[str] = set()
-    queue = [contract]
-    while queue:
-        current = queue.pop(0)
-        if current in seen:
-            continue
-        seen.add(current)
-        m = models_by_name.get(current)
-        if m is None:
-            continue
-        if any(v.name == name for v in m.state_vars):
-            return current
-        queue.extend(m.inherits)
-    return None
+    bases = {
+        name: [b for b in reversed(m.inherits) if b in models_by_name]
+        for name, m in models_by_name.items()
+    }
+    lin: dict[str, tuple[str, ...]] = {}
+    entered: set[str] = set()
+    for root in bases:
+        stack = [root]
+        while stack:
+            name = stack[-1]
+            todo = [b for b in bases[name] if b not in lin]
+            if name in lin:
+                stack.pop()
+            elif todo:
+                # An entered but unfinished base is an ancestor on this path.
+                if entered.intersection(todo):
+                    raise MalformedAst(f"cyclic inheritance through {name!r}")
+                entered.add(name)
+                stack += todo
+            else:
+                merged = _c3_merge([lin[b] for b in bases[name]] + [tuple(bases[name])], name)
+                lin[name] = (name, *merged)
+                stack.pop()
+    return lin
+
+
+def _c3_merge(seqs: list[tuple[str, ...]], contract: str) -> tuple[str, ...]:
+    """C3's merge: repeatedly take the first head that is in no tail."""
+    if len(seqs) == 2:  # one base: its linearization is already merged
+        return seqs[0]
+    stacks = [list(reversed(s)) for s in seqs]
+    in_tails = Counter(x for s in stacks for x in s[:-1])
+    out: list[str] = []
+    while any(stacks):
+        pick = next((s[-1] for s in stacks if s and not in_tails[s[-1]]), None)
+        if pick is None:
+            raise MalformedAst(f"no consistent linearization for {contract!r}")
+        out.append(pick)
+        for s in stacks:
+            if s and s[-1] == pick:
+                s.pop()
+                if s:
+                    in_tails[s[-1]] -= 1
+    return tuple(out)
+
+
+class Names:
+    """Which contract declares a name, seen from each contract of one unit.
+
+    Holds one linearization per contract, from `ContractModel.inherits`, and
+    each contract's own declarations (the first of a name wins). A lookup
+    takes the first declaring contract on the linearization and is memoized
+    per (contract, name). The tables snapshot the models at construction.
+    """
+
+    def __init__(self, models: Iterable[ContractModel]):
+        self.models = {m.name: m for m in models}
+        self.linearization = linearize(self.models)
+        self._own_state = {
+            c: {v.name: v for v in reversed(m.state_vars)} for c, m in self.models.items()
+        }
+        self._own_functions = {c: {f.name for f in m.functions} for c, m in self.models.items()}
+        self._state_memo: dict[tuple[str, str], str | None] = {}
+        self._function_memo: dict[tuple[str, str], str | None] = {}
+
+    def _owner(
+        self, memo: dict, own: Mapping[str, Container[str]], contract: str, name: str
+    ) -> str | None:
+        key = (contract, name)
+        if key not in memo:
+            lin = self.linearization.get(contract, ())
+            memo[key] = next((c for c in lin if name in own[c]), None)
+        return memo[key]
+
+    def state(self, contract: str, name: str) -> tuple[str, VariableDecl] | None:
+        """(declaring contract, declaration) of a state variable, or None."""
+        owner = self._owner(self._state_memo, self._own_state, contract, name)
+        return None if owner is None else (owner, self._own_state[owner][name])
+
+    def function(self, contract: str, name: str) -> str | None:
+        """The contract declaring a directly-called function, or None."""
+        return self._owner(self._function_memo, self._own_functions, contract, name)
 
 
 def span_of(node: dict) -> tuple[int, int]:
@@ -266,13 +336,13 @@ class _FnContext:
     def __init__(
         self,
         contract: str,
-        models_by_name: Mapping[str, ContractModel],
+        names: Names,
         params: set[str],
         locals_: set[str],
         source_text: str,
     ):
         self.contract = contract
-        self.models_by_name = models_by_name
+        self.names = names
         self.params = params
         self.locals = locals_
         self.source_text = source_text
@@ -282,7 +352,7 @@ class _FnContext:
             return VarRef(Scope.LOCAL, name)
         if name in self.params:
             return VarRef(Scope.PARAM, name)
-        if state_owner(self.models_by_name, self.contract, name) is not None:
+        if self.names.state(self.contract, name) is not None:
             return VarRef(Scope.STATE, name)
         return None
 
@@ -406,7 +476,7 @@ def _analyze_call_head(
         name = callee.get("name", "")
         if name in _BUILTIN_CALLS or not name:
             return None
-        if name in ctx.models_by_name:
+        if name in ctx.names.models:
             return None  # contract-type cast, not a call
         ref = ctx.resolve(name)
         if ref is not None:
@@ -539,19 +609,6 @@ def _textual_reads(node: dict, ctx: _FnContext) -> set[VarRef]:
 
 class _Placeholder:
     """Sentinel marking the `_;` position inside a lowered modifier body."""
-
-
-def _collect_local_names(node: object, into: set[str]) -> None:
-    if isinstance(node, dict):
-        if node.get("nodeType") == "VariableDeclarationStatement":
-            for d in node.get("declarations") or []:
-                if isinstance(d, dict) and d.get("name"):
-                    into.add(d["name"])
-        for value in node.values():
-            _collect_local_names(value, into)
-    elif isinstance(node, list):
-        for item in node:
-            _collect_local_names(item, into)
 
 
 def _collect_local_decls(node: object, into: list[VariableDecl], seen: set[str]) -> None:
@@ -770,27 +827,14 @@ def _lower_body(
 
 
 def _modifier_map(
-    contract_nodes: Mapping[str, dict], models_by_name: Mapping[str, ContractModel],
-    contract: str,
+    members: Mapping[str, list[dict]], linearization: Sequence[str]
 ) -> dict[str, dict]:
-    """Modifier definitions visible from `contract`, nearest override first."""
+    """Modifier definitions visible from a contract, nearest override first."""
     found: dict[str, dict] = {}
-    seen: set[str] = set()
-    queue = [contract]
-    while queue:
-        current = queue.pop(0)
-        if current in seen:
-            continue
-        seen.add(current)
-        cnode = contract_nodes.get(current)
-        if cnode is None:
-            continue
-        for member in cnode.get("nodes") or []:
+    for contract in linearization:
+        for member in members[contract]:
             if member.get("nodeType") == "ModifierDefinition" and member.get("name"):
                 found.setdefault(member["name"], member)
-        m = models_by_name.get(current)
-        if m:
-            queue.extend(m.inherits)
     return found
 
 
@@ -799,7 +843,7 @@ def _inline_modifiers(
     body_stmts: list,
     ctx_factory,
     modifiers: Mapping[str, dict],
-    contract_names: frozenset[str],
+    contract_names: Container[str],
 ) -> list[Statement]:
     """Wrap lowered body statements with each modifier's pre/post halves."""
     result = [s for s in body_stmts if not isinstance(s, _Placeholder)]
@@ -837,15 +881,22 @@ def _inline_modifiers(
     return result
 
 
+def _members(node: dict) -> list[dict]:
+    """A node's `nodes` list; MalformedAst unless every entry is an object."""
+    members = node.get("nodes") or []
+    if not isinstance(members, list) or not all(isinstance(m, dict) for m in members):
+        raise MalformedAst(f"{node.get('nodeType')} has a non-object member")
+    return members
+
+
 def lower(unit: SourceUnit) -> list[ContractModel]:
     """Lower a unit's AST into contract models in source order."""
     root = source_unit_node(unit)
     contract_nodes_list = [
-        n for n in root.get("nodes") or [] if n.get("nodeType") == "ContractDefinition"
+        n for n in _members(root) if n.get("nodeType") == "ContractDefinition"
     ]
     models: list[ContractModel] = []
-    models_by_name: dict[str, ContractModel] = {}
-    contract_nodes: dict[str, dict] = {}
+    contract_members: dict[str, list[dict]] = {}
 
     # First pass: declarations, so cross-contract resolution sees every
     # contract of the unit regardless of order.
@@ -858,7 +909,8 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
                 inherits.append(bn["name"])
         state_vars = []
         events = []
-        for member in cnode.get("nodes") or []:
+        members = _members(cnode)
+        for member in members:
             mt = member.get("nodeType")
             if mt == "VariableDeclaration" and member.get("name"):
                 state_vars.append(
@@ -878,34 +930,30 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
             source_span=span_of(cnode),
         )
         models.append(model)
-        models_by_name[name] = model
-        contract_nodes[name] = cnode
+        contract_members[name] = members
 
-    contract_names = frozenset(models_by_name)
+    names = Names(models)
 
     # Second pass: function bodies.
     for model in models:
-        cnode = contract_nodes[model.name]
-        modifiers = _modifier_map(contract_nodes, models_by_name, model.name)
-        for member in cnode.get("nodes") or []:
+        modifiers = _modifier_map(contract_members, names.linearization[model.name])
+        for member in contract_members[model.name]:
             if member.get("nodeType") != "FunctionDefinition":
                 continue
             fname = _function_name(member, model.name)
             params = _param_decls(member, "parameters")
             returns = _param_decls(member, "returnParameters")
-            local_names: set[str] = set()
-            _collect_local_names(member.get("body"), local_names)
-            local_names |= {r.name for r in returns}
             local_decls: list[VariableDecl] = []
             _collect_local_decls(member.get("body"), local_decls, set())
             for r in returns:
                 if r.name not in {d.name for d in local_decls}:
                     local_decls.append(r)
+            local_names = {d.name for d in local_decls}
 
             def ctx_factory(extra_locals: set[str] = frozenset()):
                 return _FnContext(
                     contract=model.name,
-                    models_by_name=models_by_name,
+                    names=names,
                     params={p.name for p in params},
                     locals_=set(local_names) | set(extra_locals),
                     source_text=unit.source_text,
@@ -914,7 +962,7 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
             ctx = ctx_factory()
             body_stmts = _lower_body(member, ctx)
             statements = _inline_modifiers(
-                member, body_stmts, ctx_factory, modifiers, contract_names
+                member, body_stmts, ctx_factory, modifiers, names.models
             )
             model.functions.append(
                 FunctionModel(

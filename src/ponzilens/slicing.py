@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import NoSpan
 from .hypergraph import GraphId, HypernodeGraph, NodeId, function_node_id
-from .model import ContractModel, FunctionModel, Scope, VarRef, function_refs
+from .model import CTOR_NAME, ContractModel, FunctionModel, Names, Scope, function_refs
 from .taint import TaintSubgraph, tainted_state_vars
 
 HEADER_MARK = "// --- contract context ---"
@@ -62,32 +62,16 @@ def select_functions(
     include_constructors: bool = True,
 ) -> list[str]:
     """Qualified names of taint-adjacent functions, in source order."""
-    by_name = {m.name: m for m in models}
+    names = Names(models)
     tainted_vars = {ep for ep in t.tainted if isinstance(ep, NodeId)}
-    tainted_state = tainted_state_vars(t, h)
-
-    def chain(contract: str) -> set[str]:
-        seen: set[str] = set()
-        queue = [contract]
-        while queue:
-            c = queue.pop(0)
-            if c in seen:
-                continue
-            seen.add(c)
-            m = by_name.get(c)
-            if m:
-                queue.extend(m.inherits)
-        return seen
+    tainted_owners = {s.path[0] for s in tainted_state_vars(t, h)}
 
     selected: list[str] = []
     for m, f in _ordered_functions(models):
-        nodes = {
-            function_node_id(by_name, m.name, f.name, ref) for ref in function_refs(f)
-        }
+        nodes = {function_node_id(names, m.name, f.name, ref) for ref in function_refs(f)}
         keep = bool(nodes & tainted_vars) or GraphId((m.name, f.name)) in t.tainted
-        if not keep and include_constructors and f.name == "@ctor":
-            visible = chain(m.name)
-            keep = any(s.path[0] in visible for s in tainted_state)
+        if not keep and include_constructors and f.name == CTOR_NAME:
+            keep = not tainted_owners.isdisjoint(names.linearization[m.name])
         if keep:
             selected.append(f.qualified_name)
     return selected
@@ -100,7 +84,7 @@ def _header_block(
     slice_texts: dict[str, str],
 ) -> str:
     """Contract-level declarations the selected functions lean on."""
-    by_name = {m.name: m for m in models}
+    names = Names(models)
     decls: list[tuple[tuple[int, int], str]] = []
     seen_spans: set[tuple[int, int]] = set()
 
@@ -108,7 +92,7 @@ def _header_block(
     for m, f in selected_pairs:
         for ref in function_refs(f):
             if ref.scope == Scope.STATE:
-                state_refs.add(function_node_id(by_name, m.name, f.name, ref))
+                state_refs.add(function_node_id(names, m.name, f.name, ref))
     for nid in state_refs:
         span = h.span_map.get(nid)
         if span is None or span in seen_spans:

@@ -34,15 +34,12 @@ class TaintSubgraph:
 
     tainted: every endpoint (basic node or hypernode) reached from the
     sources, sources included. taint_edges: every edge whose tail is
-    tainted; by fixed-point closure their heads are tainted too. coverage:
-    the graphs propagation touched, meaning graphs that own a traversed
-    edge plus every hypernode that itself became tainted.
+    tainted; by fixed-point closure their heads are tainted too.
     """
 
     id: GraphId
     tainted: frozenset[Endpoint]
     taint_edges: frozenset[Edge]
-    coverage: frozenset[GraphId]
 
 
 def default_sources(h: HypernodeGraph) -> frozenset[NodeId]:
@@ -70,14 +67,10 @@ def tpa(h: HypernodeGraph, sources: frozenset[NodeId] | set[NodeId]) -> TaintSub
                 tainted.add(head)
                 stack.append(head)
 
-    taint_edges = frozenset(e for e in h.all_edges() if e[0] in tainted)
-    coverage = {ep for ep in tainted if isinstance(ep, GraphId)}
-    coverage.update(h.edge_owner(e) for e in taint_edges)
     return TaintSubgraph(
         id=h.root,
         tainted=frozenset(tainted),
-        taint_edges=taint_edges,
-        coverage=frozenset(coverage),
+        taint_edges=frozenset(e for e in h.all_edges() if e[0] in tainted),
     )
 
 

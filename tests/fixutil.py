@@ -18,6 +18,7 @@ FIXTURE_NAMES = (
     "init_rule",
     "legacy",
     "mini_token",
+    "multi_base",
     "pool",
     "simple_ponzi",
     "two_contracts",

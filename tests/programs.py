@@ -230,6 +230,37 @@ def inherit() -> tuple[str, dict]:
     return build_unit("inherit", [base, child])
 
 
+def multi_base() -> tuple[str, dict]:
+    """Multiple inheritance: both bases declare x and f, and Solidity's C3
+    order (rightmost base most derived) binds the child's uses to B."""
+    bases = [
+        Contract(
+            name,
+            [
+                StateVar("uint", "x"),
+                Fn("f", [("uint", "v")], [SAssign(Id("x"), "=", Id("v"))]),
+            ],
+        )
+        for name in ("A", "B")
+    ]
+    child = Contract(
+        "C",
+        [
+            Fn(
+                "go",
+                [],
+                [
+                    SAssign(Id("x"), "=", _msg("value")),
+                    SExpr(Call(Id("f"), [_msg("value")])),
+                ],
+                mutability="payable",
+            ),
+        ],
+        bases=["A", "B"],
+    )
+    return build_unit("multi_base", [*bases, child])
+
+
 def vaulted() -> tuple[str, dict]:
     """Inline assembly lowered as an opaque statement with textual reads."""
     contract = Contract(
@@ -318,6 +349,7 @@ REGISTRY = {
     "init_rule": init_rule,
     "two_contracts": two_contracts,
     "inherit": inherit,
+    "multi_base": multi_base,
     "vaulted": vaulted,
     "gated": gated,
     "hollow": hollow,

@@ -10,6 +10,7 @@ import pytest
 
 import fixutil
 import ponzilens.detect as detect_mod
+from astgen import Contract, Fn, Id, Member, SAssign, StateVar, build_unit
 from ponzilens.detect import (
     API_KEY_ENV,
     BACKEND_LOCAL,
@@ -43,7 +44,7 @@ from ponzilens.errors import (
     EmptyInput,
     UnparseableVerdict,
 )
-from ponzilens.ingest import SourceUnit
+from ponzilens.ingest import SourceUnit, load_ast
 
 
 def _artifacts(name: str, mode: str = MODE_FULL):
@@ -612,3 +613,47 @@ def test_detect_contract_run_accounting():
     assert report.tokens_total == sum(
         r.input_tokens + r.output_tokens for r in report.runs
     )
+
+
+def _hierarchy_unit(bases: dict[str, list[str]]) -> SourceUnit:
+    """Contracts with the given `is` lists; the first declares x and the
+    last writes msg.value into it through the hierarchy."""
+    first, last = list(bases)[0], list(bases)[-1]
+    pay = Fn("pay", [], [SAssign(Id("x"), "=", Member(Id("msg"), "value"))], mutability="payable")
+    members: dict[str, list] = {name: [] for name in bases}
+    members[first].append(StateVar("uint", "x"))
+    members[last].append(pay)
+    contracts = [Contract(name, members[name], bases=bases[name]) for name in bases]
+    return load_ast(build_unit("hostile", contracts)[1])
+
+
+def _non_object_member() -> SourceUnit:
+    doc = fixutil.load_doc("simple_ponzi")
+    (entry,) = doc["sources"].values()
+    entry["ast"]["nodes"][-1]["nodes"].append(7)
+    return load_ast(doc)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["deep_chain", "self_base", "cyclic_bases", "inconsistent_bases", "non_object_member"],
+)
+def test_detect_contract_hostile_ast_is_reported_not_raised(case):
+    units = {
+        "deep_chain": lambda: _hierarchy_unit(
+            {"C0": [], **{f"C{i}": [f"C{i - 1}"] for i in range(1, 3000)}}
+        ),
+        "self_base": lambda: _hierarchy_unit({"A": ["A"]}),
+        "cyclic_bases": lambda: _hierarchy_unit({"A": ["C"], "B": ["A"], "C": ["B"]}),
+        # Solidity wants X before A in `is`, since A already derives from X.
+        "inconsistent_bases": lambda: _hierarchy_unit({"X": [], "A": ["X"], "C": ["A", "X"]}),
+        "non_object_member": _non_object_member,
+    }
+    report = detect_contract(units[case](), LlmConfig(), repeats=1)
+    if case == "deep_chain":
+        assert report.error is None
+        assert report.final_verdict is not None
+        assert report.slice_stats["functions_selected"] == 1
+    else:
+        assert report.error is not None and report.error["phase"] == "static"
+        assert report.runs == []

@@ -14,10 +14,9 @@ from ponzilens.hypergraph import (
     NodeId,
     build,
     function_node_id,
-    resolve_callee,
 )
 from ponzilens.ingest import load_ast
-from ponzilens.model import Scope, VarRef, lower
+from ponzilens.model import Names, Scope, VarRef, lower
 
 
 def _graph(name: str, implicit_flow: bool = False):
@@ -27,9 +26,8 @@ def _graph(name: str, implicit_flow: bool = False):
 
 
 def _edge_strs(h: HypernodeGraph) -> set[tuple[str, str, tuple[str, ...]]]:
-    return {
-        (str(a), str(b), h.edge_owner((a, b)).path) for a, b in h.all_edges()
-    }
+    """(tail, head, path of the graph storing the edge) for every edge."""
+    return {(str(a), str(b), gid.path) for gid in h.graphs() for a, b in h.edges(gid)}
 
 
 def test_three_level_nesting():
@@ -105,8 +103,7 @@ def test_edge_owner_is_lowest_common_graph():
 def test_call_argument_edge_targets_hypernode():
     h, _ = _graph("caller")
     arg_edge = (NodeId(("Caller", "take", "msg.value")), GraphId(("Caller", "stash")))
-    assert arg_edge in h.all_edges()
-    assert h.edge_owner(arg_edge) == GraphId(("Caller",))
+    assert arg_edge in h.edges(GraphId(("Caller",)))
 
 
 def test_call_result_edge_leaves_hypernode():
@@ -140,7 +137,7 @@ def test_unresolved_call_routes_to_sink_with_diagnostic():
 
 def test_cross_contract_isolation():
     h, _ = _graph("two_contracts")
-    owners = {h.edge_owner(e).path for e in h.all_edges()}
+    owners = {gid.path for gid in h.graphs() if h.edges(gid)}
     assert owners == {("Alpha",), ("Beta",)}
 
 
@@ -190,7 +187,7 @@ def test_unregistered_parent_or_endpoint_raises():
     with pytest.raises(UnknownGraph):
         h.members(GraphId(("Z",)))
     with pytest.raises(UnknownGraph):
-        h.edge_owner((n, n))
+        h.edges(GraphId(("Z",)))
 
 
 def test_graph_of_returns_members_and_edges():
@@ -198,7 +195,7 @@ def test_graph_of_returns_members_and_edges():
     gid, members, edges = h.graph_of(GraphId(("Caller",)))
     assert gid == GraphId(("Caller",))
     assert GraphId(("Caller", "stash")) in members
-    assert all(h.edge_owner(e) == gid for e in edges)
+    assert edges and all(a.path[0] == b.path[0] == "Caller" for a, b in edges)
 
 
 def test_rebuild_is_deterministic():
@@ -221,20 +218,32 @@ def test_source_slice_exact_and_nospan():
 
 def test_function_node_id_resolution():
     _, models = _graph("inherit")
-    by_name = {m.name: m for m in models}
+    names = Names(models)
     state = VarRef(scope=Scope.STATE, name="reserve")
     local = VarRef(scope=Scope.LOCAL, name="take")
-    assert function_node_id(by_name, "Child", "drain", state) == NodeId(("Base", "reserve"))
-    assert function_node_id(by_name, "Base", "put", state) == NodeId(("Base", "reserve"))
-    assert function_node_id(by_name, "Child", "drain", local) == NodeId(("Child", "drain", "take"))
+    assert function_node_id(names, "Child", "drain", state) == NodeId(("Base", "reserve"))
+    assert function_node_id(names, "Base", "put", state) == NodeId(("Base", "reserve"))
+    assert function_node_id(names, "Child", "drain", local) == NodeId(("Child", "drain", "take"))
 
 
-def test_resolve_callee_walks_bases():
+def test_names_function_walks_bases():
     _, models = _graph("inherit")
-    by_name = {m.name: m for m in models}
-    assert resolve_callee(by_name, "Child", "put") == "Base"
-    assert resolve_callee(by_name, "Base", "put") == "Base"
-    assert resolve_callee(by_name, "Child", "missing") is None
+    names = Names(models)
+    assert names.function("Child", "put") == "Base"
+    assert names.function("Base", "put") == "Base"
+    assert names.function("Child", "missing") is None
+
+
+def test_rightmost_base_wins_under_multiple_inheritance():
+    # contract C is A, B: Solidity linearizes C, B, A, so both the state
+    # variable and the called function come from B.
+    h, _ = _graph("multi_base")
+    assert _edge_strs(h) == {
+        ("C.go.msg.value", "B.x", ()),
+        ("C.go.msg.value", "B.f", ()),
+        ("A.f.v", "A.x", ("A",)),
+        ("B.f.v", "B.x", ("B",)),
+    }
 
 
 def test_hollow_unit_builds_empty_graphs():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import email.utils
 import json
 import threading
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -33,6 +35,7 @@ from ponzilens.ingest import (
     serialize_ast,
     version_tuple,
 )
+from ponzilens.model import lower
 
 GOOD_ADDRESS = "0x" + "ab" * 20
 
@@ -130,6 +133,14 @@ def test_load_ast_error_taxonomy():
         load_ast({"sources": {"a.sol": {"ast": {"nodeType": "Block"}}}})
     with pytest.raises(MalformedAst):
         load_ast({"sources": {"a.sol": {"ast": {"nodeType": "SourceUnit"}}}})
+    # A well-formed document whose contract has a non-object member fails
+    # at lowering, with the same error type.
+    doc = fixutil.load_doc("simple_ponzi")
+    (entry,) = doc["sources"].values()
+    contract = entry["ast"]["nodes"][-1]
+    contract["nodes"].append(7)
+    with pytest.raises(MalformedAst, match="non-object member"):
+        lower(load_ast(doc))
 
 
 def test_load_source_unit_sol_and_json(tmp_path):
@@ -332,6 +343,16 @@ def test_fetch_retries_http_429_honoring_retry_after(explorer, monkeypatch):
     assert unit.source_text == "contract R {}"
     assert len(_Handler.seen) == 2
     assert 0.25 in sleeps
+
+    # An HTTP-date value is honoured too, capped like a delta-seconds one.
+    later = datetime.now(timezone.utc) + timedelta(seconds=60)
+    before = len(sleeps)
+    _Handler.script = [
+        (429, {"Retry-After": email.utils.format_datetime(later, usegmt=True)}, b""),
+        (200, {}, _ok_body("contract R {}")),
+    ]
+    fetch_verified_source(GOOD_ADDRESS, _cfg(explorer))
+    assert 5.0 in sleeps[before:]
 
 
 def test_fetch_retries_rate_limit_reply_text(explorer, monkeypatch):

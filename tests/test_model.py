@@ -17,7 +17,17 @@ from astgen import (
     build_unit,
 )
 from ponzilens.ingest import load_ast
-from ponzilens.model import Kind, Scope, VarRef, def_use_table, lower
+from ponzilens.model import (
+    ContractModel,
+    Kind,
+    Names,
+    Scope,
+    VarRef,
+    VariableDecl,
+    def_use_table,
+    linearize,
+    lower,
+)
 
 
 def _sv(name: str) -> VarRef:
@@ -288,3 +298,46 @@ def test_expression_statement_with_nested_call_argument():
     by_name = {c.name: c.arg_reads for c in s.calls}
     assert by_name["h"] == frozenset({_sv("x")})
     assert _sv("x") in by_name["g"]
+
+
+def _hierarchy(**bases: str) -> dict[str, ContractModel]:
+    """Contract models from name="Base1 Base2" (Solidity `is` order)."""
+    return {n: ContractModel(n, inherits=b.split()) for n, b in bases.items()}
+
+
+def _python_mro(models: dict[str, ContractModel], name: str) -> tuple[str, ...]:
+    """Python's C3 MRO with each base list reversed, as a reference."""
+    classes: dict[str, type] = {}
+
+    def cls(n: str) -> type:
+        if n not in classes:
+            bases = tuple(cls(b) for b in reversed(models[n].inherits)) or (object,)
+            classes[n] = type(n, bases, {})
+        return classes[n]
+
+    return tuple(c.__name__ for c in cls(name).__mro__ if c is not object)
+
+
+def test_linearization_is_c3_with_rightmost_base_most_derived():
+    models = _hierarchy(
+        O="", A="O", B="O", C="O", D="O", E="O",
+        K1="C B A", K2="E B D", K3="A D", Z="K3 K2 K1",
+        Diamond="A B",
+    )
+    lin = linearize(models)
+    assert lin["Diamond"] == ("Diamond", "B", "A", "O")
+    assert lin["Z"] == ("Z", "K1", "K2", "K3", "D", "A", "B", "C", "E", "O")
+    for name in models:
+        assert lin[name] == _python_mro(models, name), name
+    # Bases declared outside the unit are skipped.
+    assert linearize(_hierarchy(A="Ownable", B="A Missing")) == {
+        "A": ("A",),
+        "B": ("B", "A"),
+    }
+
+
+def test_first_declaration_wins_within_one_contract():
+    first, second = VariableDecl("x", "uint"), VariableDecl("x", "address")
+    names = Names([ContractModel("K", state_vars=[first, second])])
+    assert names.state("K", "x") == ("K", first)
+    assert names.state("K", "y") is None

@@ -117,7 +117,6 @@ def test_quotes_and_backslashes_round_trip():
         id=h.root,
         tainted=frozenset({a, b}),
         taint_edges=frozenset({(a, b)}),
-        coverage=frozenset(),
     )
     doc = to_dot(t, h)
     g = dotcheck.parse_dot(doc.text)

@@ -33,6 +33,7 @@ def test_selection_on_fixtures():
     assert _selected("mini_token") == ["MiniToken.@ctor", "MiniToken.transfer"]
     assert _selected("two_contracts") == ["Alpha.keep"]
     assert _selected("inherit") == ["Base.put", "Child.drain"]
+    assert _selected("multi_base") == ["B.f", "C.go"]
     assert _selected("vaulted") == ["Vaulted.lock"]
     assert _selected("legacy") == ["Legacy.@ctor"]
     assert _selected("hollow") == []

@@ -53,13 +53,6 @@ def test_simple_ponzi_taint_edges_are_tail_tainted():
         assert a not in t.tainted
 
 
-def test_simple_ponzi_coverage():
-    t, _ = _taint("simple_ponzi")
-    assert t.coverage == frozenset(
-        {GraphId(("SimplePonzi",)), GraphId(("SimplePonzi", "enter"))}
-    )
-
-
 def test_implicit_flow_taints_guard_dependent_writes():
     t_plain, _ = _taint("simple_ponzi")
     t_guarded, _ = _taint("simple_ponzi", implicit_flow=True)
@@ -79,7 +72,6 @@ def test_constructor_sender_taints_owner():
         "Gated.sweep.msg.sender",
     }
     assert _paths(tainted_state_vars(t, h)) == {"Gated.owner", "Gated.pot"}
-    assert t.coverage == frozenset({GraphId(("Gated",))})
 
 
 def test_call_taints_callee_hypernode_not_its_locals():
@@ -89,9 +81,6 @@ def test_call_taints_callee_hypernode_not_its_locals():
     # Argument binding stops at the hypernode; stash locals stay clean.
     assert NodeId(("Caller", "stash", "v")) not in t.tainted
     assert NodeId(("Caller", "vault")) not in t.tainted
-    assert t.coverage == frozenset(
-        {GraphId(("Caller",)), GraphId(("Caller", "stash"))}
-    )
 
 
 def test_inheritance_taint_crosses_contracts():
@@ -103,9 +92,6 @@ def test_inheritance_taint_crosses_contracts():
         "Child.drain.take",
     }
     assert _paths(tainted_state_vars(t, h)) == {"Base.reserve"}
-    assert t.coverage == frozenset(
-        {ROOT, GraphId(("Base",)), GraphId(("Child",))}
-    )
 
 
 def test_unrelated_functions_stay_clean():
@@ -126,7 +112,6 @@ def test_no_sources_means_nothing_tainted():
     t = tpa(h, default_sources(h))
     assert t.tainted == frozenset()
     assert t.taint_edges == frozenset()
-    assert t.coverage == frozenset()
 
 
 def test_unknown_sources_are_ignored():
@@ -145,9 +130,6 @@ def test_matches_naive_closure_on_random_graphs():
         got = tpa(h, sources)
         assert set(got.tainted) == want_t
         assert set(got.taint_edges) == want_e
-        want_cov = {ep for ep in want_t if isinstance(ep, GraphId)}
-        want_cov |= {h.edge_owner(e) for e in want_e}
-        assert set(got.coverage) == want_cov
 
 
 def test_result_independent_of_edge_insertion_order():
@@ -159,4 +141,3 @@ def test_result_independent_of_edge_insertion_order():
         second = tpa(shuffled, sources)
         assert first.tainted == second.tainted
         assert first.taint_edges == second.taint_edges
-        assert first.coverage == second.coverage
