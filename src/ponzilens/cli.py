@@ -368,6 +368,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         _MODE_ALIASES[args.mode],
         args.repeats,
         journal=reports_path,
+        templates=TemplateSet(args.template_dir),
     )
     metrics = compute_metrics(manifest, reports)
     overhead = aggregate_overhead(reports)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -74,7 +75,11 @@ def estimate_tokens(text: str) -> int:
 
 
 class TemplateSet:
-    """Versioned prompt templates, from a directory or the packaged set."""
+    """Versioned prompt templates, from a directory or the packaged set.
+
+    Each template is read at most once per instance, so every contract of
+    a batch sharing one set sees the same text.
+    """
 
     ANALYSIS_FULL = "analysis_full_v1"
     ANALYSIS_CODE = "analysis_code_v1"
@@ -83,15 +88,17 @@ class TemplateSet:
 
     def __init__(self, directory: str | Path | None = None):
         self._dir = Path(directory) if directory else None
+        self._loaded: dict[str, str] = {}
+        self._lock = threading.Lock()  # batch workers share one set
 
     def load(self, stem: str) -> str:
-        if self._dir is not None:
-            path = self._dir / f"{stem}.txt"
-            if path.exists():
-                return path.read_text()
-        return (
-            resources.files("ponzilens.templates").joinpath(f"{stem}.txt").read_text()
-        )
+        with self._lock:
+            if stem not in self._loaded:
+                path = self._dir / f"{stem}.txt" if self._dir is not None else None
+                if path is None or not path.exists():
+                    path = resources.files("ponzilens.templates").joinpath(f"{stem}.txt")
+                self._loaded[stem] = path.read_text()
+            return self._loaded[stem]
 
 
 @dataclass(frozen=True)
@@ -554,13 +561,7 @@ def detect_contract(
             # so an untainted contract still gets a verdict instead of an
             # error; the recorded slice_stats keep the honest zero.
             if unit.source_text.strip():
-                bundle = SliceBundle(
-                    selected=(),
-                    combined_text=unit.source_text,
-                    per_function={},
-                    header="",
-                    stats=art.bundle.stats,
-                )
+                bundle = _raw_bundle(unit.source_text)
         analysis_prompt = build_analysis_prompt(bundle, art.dot, mode, templates)
         definition = default_ponzi_definition(templates)
         report.template_version = (

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .detect import DetectionReport, LlmConfig, MODE_FULL, MODES, detect_contract
+from .detect import DetectionReport, LlmConfig, MODE_FULL, MODES, TemplateSet, detect_contract
 from .errors import LabelMismatch, PonzilensError
 from .ingest import FetchConfig, SourceUnit, fetch_verified_source, is_address, load_source_unit
 
@@ -149,6 +149,7 @@ def run_batch(
     journal: str | Path | None = None,
     fetch_cfg: FetchConfig | None = None,
     on_report: Callable[[DetectionReport], None] | None = None,
+    templates: TemplateSet | None = None,
 ) -> list[DetectionReport]:
     """Detect every manifest entry, resuming from the journal when present.
 
@@ -156,12 +157,14 @@ def run_batch(
     per contract: a contract whose load or pipeline fails yields an error
     report, and the batch continues. Each finished report is journaled and
     flushed to disk before the on_report callback fires, so interrupting the
-    callback can never lose a finished contract.
+    callback can never lose a finished contract. Every contract is prompted
+    from one `templates` set (default: the packaged templates).
 
     Returns reports in manifest order.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    templates = templates or TemplateSet()
     done = read_journal(journal) if journal else {}
     done = {k: v for k, v in done.items() if k in manifest.labels()}
     todo = [e for e in manifest.entries if e.id not in done]
@@ -193,7 +196,7 @@ def run_batch(
                 template_version="",
                 error={"phase": "ingest", "message": str(exc)},
             )
-        return detect_contract(unit, cfg, mode, repeats)
+        return detect_contract(unit, cfg, mode, repeats, templates=templates)
 
     try:
         if cfg.concurrency_limit <= 1:

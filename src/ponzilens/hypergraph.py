@@ -16,6 +16,11 @@ stored in the lowest graph that contains both endpoints, so sibling-function
 flows through shared state naturally land in the contract graph and
 cross-contract flows land at the root.
 
+`build` is the one place where a variable reference becomes a node: it binds
+each reference of a function once and records, per function hypernode, the
+set of nodes bound (`HypernodeGraph.refs`), next to the unit's name table
+(`HypernodeGraph.names`). Slicing reads both instead of resolving again.
+
 Edge construction per lowered statement:
   * use u, def d       ->  u -> d
   * call g(args..)     ->  arg -> hypernode(g) for each argument read, and
@@ -85,6 +90,10 @@ class HypernodeGraph:
         self._edges: dict[GraphId, dict[Edge, None]] = {ROOT: {}}
         self.span_map: dict[Endpoint, tuple[int, int]] = {}
         self.diagnostics: list[str] = []
+        # Set by `build`: the unit's name table, and per function hypernode
+        # the nodes its statements' variable references were bound to.
+        self.names: Names | None = None
+        self.refs: dict[GraphId, frozenset[NodeId]] = {}
 
     # --- construction -----------------------------------------------------
 
@@ -160,10 +169,6 @@ class HypernodeGraph:
             raise UnknownGraph(f"no graph {gid}")
         return tuple(self._edges[gid])
 
-    def graph_of(self, gid: GraphId) -> tuple[GraphId, frozenset[Endpoint], frozenset[Edge]]:
-        """(id, members, edges) of one graph; raises UnknownGraph."""
-        return (gid, frozenset(self.members(gid)), frozenset(self.edges(gid)))
-
     def all_edges(self) -> tuple[Edge, ...]:
         out: list[Edge] = []
         for gid in sorted(self._edges, key=endpoint_key):
@@ -179,14 +184,6 @@ class HypernodeGraph:
         ]
         return tuple(sorted(out, key=endpoint_key))
 
-    def endpoints(self) -> frozenset[Endpoint]:
-        eps: set[Endpoint] = set()
-        for gid, members in self._members.items():
-            if gid != ROOT:
-                eps.add(gid)
-            eps.update(members)
-        return frozenset(eps)
-
     def source_slice(self, ep: Endpoint) -> str:
         """Exact source text of an element's recorded span."""
         span = self.span_map.get(ep)
@@ -194,14 +191,6 @@ class HypernodeGraph:
             raise NoSpan(f"no source span recorded for {ep}")
         off, length = span
         return self.source_text[off : off + length]
-
-
-def function_node_id(names: Names, contract: str, function: str, ref: VarRef) -> NodeId:
-    """The canonical node identity a variable reference resolves to."""
-    if ref.scope == Scope.STATE:
-        owner, _ = names.state(contract, ref.name) or (contract, None)
-        return NodeId((owner, ref.name))
-    return NodeId((contract, function, ref.name))
 
 
 def build(
@@ -214,11 +203,12 @@ def build(
 
     Deterministic: node and edge sets depend only on the models, never on
     dict iteration order or statement shuffling, because membership and
-    edges are sorted at finalize time and identities are path-based.
+    edges are sorted at finalize time, identities are path-based, and a
+    node's span is a function of its identity.
     """
     models = list(models)
-    names = Names(models)
     h = HypernodeGraph(source_text)
+    h.names = names = Names(models)
 
     # Registration pass: graphs first, then nodes, so every edge target
     # (including forward references to later functions) already exists.
@@ -227,10 +217,6 @@ def build(
     for m in models:
         for f in m.functions:
             h.add_graph(GraphId((m.name, f.name)), span=f.source_span)
-
-    def state_node(contract: str, ref: VarRef) -> NodeId:
-        owner, decl = names.state(contract, ref.name) or (contract, None)
-        return h.add_node(NodeId((owner, ref.name)), span=decl.source_span if decl else None)
 
     def external_node(contract: str) -> NodeId:
         return h.add_node(NodeId((contract, EXTERNAL_SINK)))
@@ -241,25 +227,29 @@ def build(
             decl_spans = {d.name: d.source_span for d in f.params}
             decl_spans.update({d.name: d.source_span for d in f.locals})
 
-            def node_of(ref: VarRef, m=m, f=f, decl_spans=decl_spans) -> NodeId:
+            def node_of(ref: VarRef) -> NodeId:
                 if ref.scope == Scope.STATE:
-                    return state_node(m.name, ref)
+                    owner, decl = names.state(m.name, ref.name) or (m.name, None)
+                    return h.add_node(
+                        NodeId((owner, ref.name)), span=decl.source_span if decl else None
+                    )
                 nid = NodeId((m.name, f.name, ref.name))
                 return h.add_node(nid, span=decl_spans.get(ref.name))
 
+            # The one binding of each variable this function references.
+            node: dict[VarRef, NodeId] = {}
             for stmt in f.statements:
+                reads = stmt.uses | stmt.guard_uses if implicit_flow else stmt.uses
                 # Every referenced variable becomes a node even when the
                 # statement has no defs (guards, returns, bare sends), so
                 # source reads stay visible to taint propagation.
-                for ref in sorted(stmt.defs | stmt.uses):
-                    node_of(ref)
-                for u in sorted(stmt.uses):
-                    for d in sorted(stmt.defs):
-                        h.add_edge(node_of(u), node_of(d))
-                if implicit_flow:
-                    for g in sorted(stmt.guard_uses):
-                        for d in sorted(stmt.defs):
-                            h.add_edge(node_of(g), node_of(d))
+                for ref in stmt.defs.union(reads, *(site.arg_reads for site in stmt.calls)):
+                    if ref not in node:
+                        node[ref] = node_of(ref)
+                defs = [node[d] for d in stmt.defs]
+                for u in reads:
+                    for d in defs:
+                        h.add_edge(node[u], d)
                 for site in stmt.calls:
                     target: Endpoint
                     if site.external:
@@ -273,9 +263,12 @@ def build(
                             )
                         else:
                             target = GraphId((owner, site.name))
-                    for u in sorted(site.arg_reads):
-                        h.add_edge(node_of(u), target)
+                    for u in site.arg_reads:
+                        h.add_edge(node[u], target)
                     if isinstance(target, GraphId):
-                        for d in sorted(stmt.defs):
-                            h.add_edge(target, node_of(d))
+                        for d in defs:
+                            h.add_edge(target, d)
+            # Overloads share one hypernode, so their references unite.
+            gid = GraphId((m.name, f.name))
+            h.refs[gid] = h.refs.get(gid, frozenset()).union(node.values())
     return h.finalize()

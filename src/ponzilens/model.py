@@ -671,7 +671,7 @@ def _lower_statement(
         )
 
     if nt in ("Block", "UncheckedBlock"):
-        for child in node.get("statements") or []:
+        for child in _objects(node, "statements"):
             _lower_statement(child, ctx, out, guards)
         return
 
@@ -793,9 +793,11 @@ def _lower_statement(
 
 def _param_decls(node: dict, key: str) -> list[VariableDecl]:
     plist = node.get(key) or {}
+    if not isinstance(plist, dict):
+        raise MalformedAst(f"{node.get('nodeType')} has a non-object {key}")
     decls = []
-    for p in plist.get("parameters") or []:
-        if isinstance(p, dict) and p.get("name"):
+    for p in _objects(plist, "parameters"):
+        if p.get("name"):
             decls.append(
                 VariableDecl(name=p["name"], type_name=_type_text(p), source_span=span_of(p))
             )
@@ -847,7 +849,7 @@ def _inline_modifiers(
 ) -> list[Statement]:
     """Wrap lowered body statements with each modifier's pre/post halves."""
     result = [s for s in body_stmts if not isinstance(s, _Placeholder)]
-    for inv in reversed(fn_node.get("modifiers") or []):
+    for inv in reversed(_objects(fn_node, "modifiers")):
         mname = inv.get("modifierName", {})
         name = mname.get("name") if isinstance(mname, dict) else None
         if not name or name in contract_names:
@@ -881,19 +883,20 @@ def _inline_modifiers(
     return result
 
 
-def _members(node: dict) -> list[dict]:
-    """A node's `nodes` list; MalformedAst unless every entry is an object."""
-    members = node.get("nodes") or []
-    if not isinstance(members, list) or not all(isinstance(m, dict) for m in members):
-        raise MalformedAst(f"{node.get('nodeType')} has a non-object member")
-    return members
+def _objects(node: dict, key: str) -> list[dict]:
+    """A node's list under `key` (absent is empty); MalformedAst unless it is
+    a list whose every entry is an object."""
+    items = node.get(key) or []
+    if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+        raise MalformedAst(f"{node.get('nodeType')} has a non-object member in {key!r}")
+    return items
 
 
 def lower(unit: SourceUnit) -> list[ContractModel]:
     """Lower a unit's AST into contract models in source order."""
     root = source_unit_node(unit)
     contract_nodes_list = [
-        n for n in _members(root) if n.get("nodeType") == "ContractDefinition"
+        n for n in _objects(root, "nodes") if n.get("nodeType") == "ContractDefinition"
     ]
     models: list[ContractModel] = []
     contract_members: dict[str, list[dict]] = {}
@@ -909,7 +912,7 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
                 inherits.append(bn["name"])
         state_vars = []
         events = []
-        members = _members(cnode)
+        members = _objects(cnode, "nodes")
         for member in members:
             mt = member.get("nodeType")
             if mt == "VariableDeclaration" and member.get("name"):
@@ -997,11 +1000,3 @@ def def_use_table(
             table.setdefault(v, ([], []))[1].append(i)
     return {v: (tuple(d), tuple(u)) for v, (d, u) in sorted(table.items())}
 
-
-def function_refs(fn: FunctionModel) -> frozenset[VarRef]:
-    """All variables defined or used anywhere in the function."""
-    refs: set[VarRef] = set()
-    for stmt in fn.statements:
-        refs |= stmt.defs
-        refs |= stmt.uses
-    return frozenset(refs)

@@ -7,6 +7,11 @@ state variable visible to their contract: initialization logic frames how
 the tainted state is used even when the constructor itself never touches a
 tainted name.
 
+Which node a function's variable reference denotes is decided once, by
+`hypergraph.build`; slicing reads that binding from the graph
+(`HypernodeGraph.refs` per function hypernode, and the linearizations in
+`HypernodeGraph.names`) rather than resolving names again.
+
 Slices are whole functions, taken verbatim from the source span, combined in
 source order and separated by blank lines. Contract-level declarations
 (state variables, events) referenced by the selected functions are collected
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NoSpan
-from .hypergraph import GraphId, HypernodeGraph, NodeId, function_node_id
-from .model import CTOR_NAME, ContractModel, FunctionModel, Names, Scope, function_refs
+from .hypergraph import GraphId, HypernodeGraph
+from .model import CTOR_NAME, ContractModel, FunctionModel
 from .taint import TaintSubgraph, tainted_state_vars
 
 HEADER_MARK = "// --- contract context ---"
@@ -61,38 +66,35 @@ def select_functions(
     *,
     include_constructors: bool = True,
 ) -> list[str]:
-    """Qualified names of taint-adjacent functions, in source order."""
-    names = Names(models)
-    tainted_vars = {ep for ep in t.tainted if isinstance(ep, NodeId)}
+    """Qualified names of taint-adjacent functions, in source order.
+
+    `h` must come from `hypergraph.build` over the same models.
+    """
     tainted_owners = {s.path[0] for s in tainted_state_vars(t, h)}
 
     selected: list[str] = []
     for m, f in _ordered_functions(models):
-        nodes = {function_node_id(names, m.name, f.name, ref) for ref in function_refs(f)}
-        keep = bool(nodes & tainted_vars) or GraphId((m.name, f.name)) in t.tainted
+        gid = GraphId((m.name, f.name))
+        keep = gid in t.tainted or not t.tainted.isdisjoint(h.refs[gid])
         if not keep and include_constructors and f.name == CTOR_NAME:
-            keep = not tainted_owners.isdisjoint(names.linearization[m.name])
+            keep = not tainted_owners.isdisjoint(h.names.linearization[m.name])
         if keep:
             selected.append(f.qualified_name)
     return selected
 
 
 def _header_block(
-    selected_pairs: list[tuple[ContractModel, FunctionModel]],
+    gids: list[GraphId],
     h: HypernodeGraph,
     models: Sequence[ContractModel],
     slice_texts: dict[str, str],
 ) -> str:
     """Contract-level declarations the selected functions lean on."""
-    names = Names(models)
     decls: list[tuple[tuple[int, int], str]] = []
     seen_spans: set[tuple[int, int]] = set()
 
-    state_refs: set[NodeId] = set()
-    for m, f in selected_pairs:
-        for ref in function_refs(f):
-            if ref.scope == Scope.STATE:
-                state_refs.add(function_node_id(names, m.name, f.name, ref))
+    # Contract-level nodes are the two-component paths: state variables.
+    state_refs = {nid for gid in gids for nid in h.refs[gid] if len(nid.path) == 2}
     for nid in state_refs:
         span = h.span_map.get(nid)
         if span is None or span in seen_spans:
@@ -144,6 +146,7 @@ def combine_slices(
             ordered.append(fid)
 
     per_function: dict[str, str] = {}
+    sliced: list[GraphId] = []
     skipped: list[str] = []
     for fid in ordered:
         contract, _, fname = fid.partition(".")
@@ -157,15 +160,10 @@ def combine_slices(
             skipped.append(fid)
             continue
         per_function[fid] = text
+        sliced.append(gid)
 
     combined_text = "\n\n".join(per_function[fid] for fid in ordered if fid in per_function)
-    selected_pairs = [
-        (m, f)
-        for m in models
-        for f in m.functions
-        if f.qualified_name in per_function
-    ]
-    header = _header_block(selected_pairs, h, models, per_function)
+    header = _header_block(sliced, h, models, per_function)
     total = sum(len(m.functions) for m in models)
     stats = SliceStats(
         functions_total=total,

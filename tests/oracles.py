@@ -113,39 +113,39 @@ def rebuild_shuffled(
     return h
 
 
-def _state_owner(models: dict[str, ContractModel], contract: str, name: str) -> str:
-    """First contract in the linearized-by-BFS inheritance chain declaring name."""
-    seen: list[str] = []
-    queue = [contract]
-    while queue:
-        cur = queue.pop(0)
-        if cur in seen or cur not in models:
-            continue
-        seen.append(cur)
-        queue.extend(models[cur].inherits)
-    for cname in seen:
-        if any(v.name == name for v in models[cname].state_vars):
-            return cname
-    return contract
+def _linearizations(models: dict[str, ContractModel]) -> dict[str, list[str]]:
+    """Solidity's C3 order of every contract, most-derived first, taken from
+    Python's MRO.
 
+    `contract C is A, B` becomes `class C(B, A)`: Solidity's rightmost base
+    is the most derived, Python's leftmost. Bases outside the unit are
+    skipped.
+    """
+    classes: dict[str, type] = {}
 
-def _chain(models: dict[str, ContractModel], contract: str) -> set[str]:
-    seen: set[str] = set()
-    queue = [contract]
-    while queue:
-        cur = queue.pop(0)
-        if cur in seen or cur not in models:
-            continue
-        seen.add(cur)
-        queue.extend(models[cur].inherits)
-    return seen
+    def cls(name: str) -> type:
+        if name not in classes:
+            bases = [cls(b) for b in reversed(models[name].inherits) if b in models]
+            classes[name] = type(name, tuple(bases) or (object,), {})
+        return classes[name]
+
+    return {n: [c.__name__ for c in cls(n).__mro__ if c is not object] for n in models}
 
 
 def _ref_node(
-    models: dict[str, ContractModel], contract: str, fn: str, ref: VarRef
+    models: dict[str, ContractModel],
+    lin: dict[str, list[str]],
+    contract: str,
+    fn: str,
+    ref: VarRef,
 ) -> NodeId:
     if ref.scope is Scope.STATE:
-        return NodeId((_state_owner(models, contract, ref.name), ref.name))
+        # The first contract on the linearization declaring the name.
+        owner = next(
+            (c for c in lin[contract] if any(v.name == ref.name for v in models[c].state_vars)),
+            contract,
+        )
+        return NodeId((owner, ref.name))
     return NodeId((contract, fn, ref.name))
 
 
@@ -156,6 +156,7 @@ def selection_oracle(
 ) -> list[tuple[str, str]]:
     """Re-derive which (contract, function) pairs a slice must keep."""
     models = {m.name: m for m in contracts}
+    lin = _linearizations(models)
     tainted_nodes = {e for e in tainted if isinstance(e, NodeId)}
     tainted_graphs = {e for e in tainted if isinstance(e, GraphId)}
     tainted_state = {
@@ -168,12 +169,12 @@ def selection_oracle(
             refs: set[VarRef] = set()
             for stmt in f.statements:
                 refs |= stmt.defs | stmt.uses
-            nodes = {_ref_node(models, m.name, f.name, r) for r in refs}
+            nodes = {_ref_node(models, lin, m.name, f.name, r) for r in refs}
             selected = bool(nodes & tainted_nodes)
             if not selected and GraphId((m.name, f.name)) in tainted_graphs:
                 selected = True
             if not selected and include_constructors and f.name == "@ctor":
-                visible = _chain(models, m.name)
+                visible = lin[m.name]
                 selected = any(s.path[0] in visible for s in tainted_state)
             if selected:
                 keep.append((m.name, f.name, f.source_span))
@@ -191,36 +192,38 @@ def random_models(rng: random.Random) -> tuple[list[ContractModel], str]:
     """Random contract models plus a synthetic source their spans index into.
 
     Functions have random def/use sets over params, locals, state vars of
-    the visible chain, and the builtin sources; no call sites are emitted so
-    the models stay self-contained.
+    the contract and its ancestors, and the builtin sources; no call sites
+    are emitted so the models stay self-contained. A contract may list one
+    or two earlier contracts as bases, in index order, which Solidity's C3
+    accepts, and a state variable may reuse the name of an earlier
+    contract's, so which base declares a name depends on the linearization.
     """
-    n_contracts = rng.randrange(1, 4)
+    n_contracts = rng.randrange(1, 5)
     names = [f"K{i}" for i in range(n_contracts)]
     chunks: list[str] = []
     pos = 0
     contracts: list[ContractModel] = []
     state_of: dict[str, list[VariableDecl]] = {}
     inherits_of: dict[str, list[str]] = {}
+    visible_of: dict[str, set[str]] = {}  # state names of a contract and its ancestors
 
     for i, cname in enumerate(names):
-        inherits_of[cname] = [names[i - 1]] if i and rng.random() < 0.5 else []
+        n_bases = rng.choice((0, 1, 1, 2, 2)) if i else 0
+        inherits_of[cname] = [names[j] for j in sorted(rng.sample(range(i), min(n_bases, i)))]
+        taken = sorted({v.name for c in names[:i] for v in state_of[c]})
         state_of[cname] = [
-            VariableDecl(name=f"s{i}_{j}", type_name="uint")
+            VariableDecl(
+                name=rng.choice(taken) if taken and rng.random() < 0.4 else f"s{i}_{j}",
+                type_name="uint",
+            )
             for j in range(rng.randrange(0, 4))
         ]
+        visible_of[cname] = {v.name for v in state_of[cname]}.union(
+            *(visible_of[b] for b in inherits_of[cname])
+        )
 
     for i, cname in enumerate(names):
-        visible_state: list[VariableDecl] = []
-        cursor = cname
-        seen: set[str] = set()
-        queue = [cname]
-        while queue:
-            cursor = queue.pop(0)
-            if cursor in seen:
-                continue
-            seen.add(cursor)
-            visible_state.extend(state_of[cursor])
-            queue.extend(inherits_of[cursor])
+        visible_state = sorted(visible_of[cname])
 
         functions: list[FunctionModel] = []
         n_fns = rng.randrange(0, 5)
@@ -238,7 +241,7 @@ def random_models(rng: random.Random) -> tuple[list[ContractModel], str]:
                 for j in range(rng.randrange(0, 3))
             ]
             pool: list[VarRef] = list(locals_) + list(params)
-            pool += [VarRef(scope=Scope.STATE, name=v.name) for v in visible_state]
+            pool += [VarRef(scope=Scope.STATE, name=v) for v in visible_state]
             statements: list[Statement] = []
             for _ in range(rng.randrange(0, 6)):
                 k_defs = rng.randrange(0, min(3, len(pool) + 1)) if pool else 0

@@ -188,6 +188,24 @@ def test_batch_writes_reports_and_metrics(tmp_path, capsys):
     assert overhead["mean_tokens_per_run"] > 0
 
 
+def test_batch_honors_template_dir(tmp_path):
+    tdir = tmp_path / "templates"
+    tdir.mkdir()
+    (tdir / "analysis_full_v1.txt").write_text("$code\n$graph\nfunction one, function two\n")
+    common = ["--repeats", "1", "--template-dir", str(tdir)]
+    assert main(["detect", _fx("simple_ponzi"), "--out", str(tmp_path / "d"), *common]) == EXIT_OK
+    detected = json.loads((tmp_path / "d" / "simple_ponzi.report.json").read_text())
+    texts = {}
+    for name, extra in (("custom", common), ("packaged", ["--repeats", "1"])):
+        out_dir = tmp_path / name
+        assert main(["batch", _write_manifest(tmp_path), "--out", str(out_dir), *extra]) == EXIT_OK
+        rows = [json.loads(line) for line in (out_dir / "reports.jsonl").read_text().splitlines()]
+        (sp,) = [r for r in rows if r["contract_id"] == "sp"]
+        texts[name] = sp["runs"][0]["analysis_text"]
+    assert texts["custom"] == detected["runs"][0]["analysis_text"]
+    assert texts["custom"] != texts["packaged"]
+
+
 def test_metrics_command_recomputes(tmp_path, capsys):
     out_dir = tmp_path / "out"
     main(["batch", _write_manifest(tmp_path), "--out", str(out_dir), "--repeats", "1"])

@@ -86,6 +86,9 @@ def test_template_dir_override_with_fallback(tmp_path):
     (tmp_path / "analysis_code_v1.txt").write_text("CUSTOM $code END")
     ts = TemplateSet(tmp_path)
     assert ts.load(TemplateSet.ANALYSIS_CODE) == "CUSTOM $code END"
+    # Each file is read once per set: a later edit does not show.
+    (tmp_path / "analysis_code_v1.txt").write_text("EDITED $code")
+    assert ts.load(TemplateSet.ANALYSIS_CODE) == "CUSTOM $code END"
     # Stems missing from the override directory come from the package.
     assert ts.load(TemplateSet.DETECTION) == TemplateSet().load(TemplateSet.DETECTION)
 
@@ -309,6 +312,7 @@ def chat_server():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
 
 
 def _prompt(text: str = "say hi") -> PromptBundle:
@@ -634,9 +638,30 @@ def _non_object_member() -> SourceUnit:
     return load_ast(doc)
 
 
+def _hostile_function(path: tuple[str, ...], value: object) -> SourceUnit:
+    """simple_ponzi with `value` put at `path` inside its first function."""
+    doc = fixutil.load_doc("simple_ponzi")
+    (entry,) = doc["sources"].values()
+    members = entry["ast"]["nodes"][-1]["nodes"]
+    node = next(m for m in members if m.get("nodeType") == "FunctionDefinition")
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return load_ast(doc)
+
+
 @pytest.mark.parametrize(
     "case",
-    ["deep_chain", "self_base", "cyclic_bases", "inconsistent_bases", "non_object_member"],
+    [
+        "deep_chain",
+        "self_base",
+        "cyclic_bases",
+        "inconsistent_bases",
+        "non_object_member",
+        "non_object_modifier",
+        "parameter_list_as_list",
+        "statements_not_list",
+    ],
 )
 def test_detect_contract_hostile_ast_is_reported_not_raised(case):
     units = {
@@ -648,6 +673,11 @@ def test_detect_contract_hostile_ast_is_reported_not_raised(case):
         # Solidity wants X before A in `is`, since A already derives from X.
         "inconsistent_bases": lambda: _hierarchy_unit({"X": [], "A": ["X"], "C": ["A", "X"]}),
         "non_object_member": _non_object_member,
+        "non_object_modifier": lambda: _hostile_function(("modifiers",), ["onlyOwner"]),
+        "parameter_list_as_list": lambda: _hostile_function(
+            ("parameters",), [{"nodeType": "VariableDeclaration", "name": "a"}]
+        ),
+        "statements_not_list": lambda: _hostile_function(("body", "statements"), 7),
     }
     report = detect_contract(units[case](), LlmConfig(), repeats=1)
     if case == "deep_chain":

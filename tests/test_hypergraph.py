@@ -13,10 +13,9 @@ from ponzilens.hypergraph import (
     HypernodeGraph,
     NodeId,
     build,
-    function_node_id,
 )
 from ponzilens.ingest import load_ast
-from ponzilens.model import Names, Scope, VarRef, lower
+from ponzilens.model import Names, lower
 
 
 def _graph(name: str, implicit_flow: bool = False):
@@ -192,8 +191,7 @@ def test_unregistered_parent_or_endpoint_raises():
 
 def test_graph_of_returns_members_and_edges():
     h, _ = _graph("caller")
-    gid, members, edges = h.graph_of(GraphId(("Caller",)))
-    assert gid == GraphId(("Caller",))
+    members, edges = h.members(GraphId(("Caller",))), h.edges(GraphId(("Caller",)))
     assert GraphId(("Caller", "stash")) in members
     assert edges and all(a.path[0] == b.path[0] == "Caller" for a, b in edges)
 
@@ -217,13 +215,15 @@ def test_source_slice_exact_and_nospan():
 
 
 def test_function_node_id_resolution():
-    _, models = _graph("inherit")
-    names = Names(models)
-    state = VarRef(scope=Scope.STATE, name="reserve")
-    local = VarRef(scope=Scope.LOCAL, name="take")
-    assert function_node_id(names, "Child", "drain", state) == NodeId(("Base", "reserve"))
-    assert function_node_id(names, "Base", "put", state) == NodeId(("Base", "reserve"))
-    assert function_node_id(names, "Child", "drain", local) == NodeId(("Child", "drain", "take"))
+    # build binds each reference once and records the nodes per function.
+    h, _ = _graph("inherit")
+    assert set(h.refs) == {GraphId(("Base", "put")), GraphId(("Child", "drain"))}
+    drain = h.refs[GraphId(("Child", "drain"))]
+    assert NodeId(("Base", "reserve")) in drain
+    assert NodeId(("Child", "drain", "take")) in drain
+    assert NodeId(("Child", "reserve")) not in drain
+    assert NodeId(("Base", "reserve")) in h.refs[GraphId(("Base", "put"))]
+    assert h.names.linearization["Child"] == ("Child", "Base")
 
 
 def test_names_function_walks_bases():

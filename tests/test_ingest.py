@@ -270,6 +270,7 @@ def explorer():
     finally:
         server.shutdown()
         thread.join(timeout=5)
+        server.server_close()
 
 
 def _ok_body(source: str, version: str = "v0.8.19+commit.7dd6d404") -> bytes:

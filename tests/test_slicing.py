@@ -6,7 +6,9 @@ import random
 
 import fixutil
 import oracles
-from ponzilens.hypergraph import build
+from astgen import Contract, Fn, Id, Member, SAssign, StateVar, build_unit
+from ponzilens.hypergraph import GraphId, NodeId, build
+from ponzilens.ingest import load_ast
 from ponzilens.model import lower
 from ponzilens.slicing import HEADER_MARK, combine_slices, select_functions
 from ponzilens.taint import default_sources, tpa
@@ -157,3 +159,24 @@ def test_selection_matches_independent_predicate_on_random_models():
                 for c, f in oracles.selection_oracle(models, set(t.tainted), flag)
             ]
             assert got == want
+
+
+def test_overloads_share_one_hypernode_and_its_refs():
+    # Both f overloads lower to the hypernode O.f. Only f(uint) reads the
+    # tainted x; the hypernode's references are the union, so O.f is kept.
+    contract = Contract(
+        "O",
+        [
+            StateVar("uint", "x"),
+            StateVar("uint", "z"),
+            Fn("g", [], [SAssign(Id("x"), "=", Member(Id("msg"), "value"))], mutability="payable"),
+            Fn("f", [("uint", "a")], [SAssign(Id("a"), "=", Id("x"))]),
+            Fn("f", [("address", "b")], [SAssign(Id("z"), "=", Id("z"))]),
+        ],
+    )
+    u = load_ast(build_unit("overloads", [contract])[1])
+    models = lower(u)
+    h = build(models, u.source_text)
+    assert {NodeId(("O", "x")), NodeId(("O", "z"))} <= h.refs[GraphId(("O", "f"))]
+    t = tpa(h, default_sources(h))
+    assert select_functions(t, h, models) == ["O.g", "O.f", "O.f"]
