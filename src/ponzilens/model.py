@@ -18,6 +18,11 @@ Resolution rules:
     dropped;
   * identifiers that resolve to nothing are dropped.
 
+Records are slotted, and one `lower` call makes one `VarRef` per (scope,
+name) and one frozenset per distinct set of references (the empty one is the
+shared `NO_REFS`), so a lowered unit holds few objects for the garbage
+collector to walk.
+
 Calls are kept as call sites with per-call argument read sets. Names with a
 leading "." are member calls on some object (inherently external from this
 unit's point of view); plain names are candidates for in-unit resolution
@@ -99,18 +104,37 @@ _ENV_NAMESPACES = frozenset({"msg", "tx", "block", "abi", "this", "super"})
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class VarRef:
-    """A reference to one variable, identified by scope and name."""
+    """A reference to one variable, identified by scope and name.
+
+    The hash is computed once: references are hashed far more often than
+    they are made, and `lower` makes one per (scope, name).
+    """
 
     scope: Scope
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.scope, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields: a string's hash differs between processes.
+        return VarRef, (self.scope, self.name)
 
     def __str__(self) -> str:
         return f"{self.scope.value}:{self.name}"
 
 
-@dataclass(frozen=True)
+# The one empty set of references, shared by every record that has none.
+NO_REFS: frozenset[VarRef] = frozenset()
+
+
+@dataclass(frozen=True, slots=True)
 class CallSite:
     """One call expression inside a statement.
 
@@ -128,7 +152,7 @@ class CallSite:
         return self.name.startswith(".")
 
 
-@dataclass
+@dataclass(slots=True)
 class Statement:
     """One lowered statement with its def/use sets and call sites.
 
@@ -141,27 +165,27 @@ class Statement:
     uses: frozenset[VarRef]
     calls: tuple[CallSite, ...] = ()
     source_span: tuple[int, int] = (0, 0)
-    guard_uses: frozenset[VarRef] = frozenset()
+    guard_uses: frozenset[VarRef] = NO_REFS
 
     @property
     def callees(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.calls)
 
 
-@dataclass
+@dataclass(slots=True)
 class VariableDecl:
     name: str
     type_name: str = ""
     source_span: tuple[int, int] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EventDecl:
     name: str
     source_span: tuple[int, int] | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionModel:
     """One function (or constructor/fallback/receive) of one contract."""
 
@@ -179,7 +203,7 @@ class FunctionModel:
         return f"{self.contract}.{self.name}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ContractModel:
     name: str
     state_vars: list[VariableDecl] = field(default_factory=list)
@@ -330,6 +354,31 @@ class _ExprInfo:
         return self
 
 
+class _Interner:
+    """One `VarRef` per (scope, name) and one frozenset per distinct set of
+    references, for the records of one `lower` call.
+
+    It lives only as long as that call: a module-level table would keep
+    every unit's references alive and be shared by batch threads.
+    """
+
+    __slots__ = ("_refs", "_sets")
+
+    def __init__(self) -> None:
+        self._refs: dict[tuple[Scope, str], VarRef] = {}
+        self._sets: dict[frozenset[VarRef], frozenset[VarRef]] = {NO_REFS: NO_REFS}
+
+    def ref(self, scope: Scope, name: str) -> VarRef:
+        ref = self._refs.get((scope, name))
+        if ref is None:
+            ref = self._refs[scope, name] = VarRef(scope, name)
+        return ref
+
+    def refs(self, items: Iterable[VarRef]) -> frozenset[VarRef]:
+        found = frozenset(items)
+        return self._sets.setdefault(found, found)
+
+
 class _FnContext:
     """Name-resolution scope for one function body."""
 
@@ -340,20 +389,22 @@ class _FnContext:
         params: set[str],
         locals_: set[str],
         source_text: str,
+        intern: _Interner,
     ):
         self.contract = contract
         self.names = names
         self.params = params
         self.locals = locals_
         self.source_text = source_text
+        self.intern = intern
 
     def resolve(self, name: str) -> VarRef | None:
         if name in self.locals:
-            return VarRef(Scope.LOCAL, name)
+            return self.intern.ref(Scope.LOCAL, name)
         if name in self.params:
-            return VarRef(Scope.PARAM, name)
+            return self.intern.ref(Scope.PARAM, name)
         if self.names.state(self.contract, name) is not None:
-            return VarRef(Scope.STATE, name)
+            return self.intern.ref(Scope.STATE, name)
         return None
 
 
@@ -386,7 +437,7 @@ def _analyze_expression(node: object, ctx: _FnContext) -> _ExprInfo:
         base = node.get("expression")
         member = node.get("memberName", "")
         if _is_env_identifier(base, frozenset({"msg"})) and member in ("sender", "value"):
-            info.reads.add(VarRef(Scope.BUILTIN, f"msg.{member}"))
+            info.reads.add(ctx.intern.ref(Scope.BUILTIN, f"msg.{member}"))
             return info
         if isinstance(base, dict) and _is_env_identifier(base):
             return info
@@ -470,6 +521,7 @@ def _analyze_call_head(
     arg_reads: set[VarRef] = set()
     for a in arg_infos:
         arg_reads |= a.reads
+    refs = ctx.intern.refs
     nt = callee.get("nodeType")
 
     if nt == "Identifier":
@@ -483,15 +535,15 @@ def _analyze_call_head(
             # Calling through a function-typed variable: the variable is
             # read; the target is opaque.
             info.reads.add(ref)
-            return CallSite("." + name, frozenset(arg_reads))
-        return CallSite(name, frozenset(arg_reads))
+            return CallSite("." + name, refs(arg_reads))
+        return CallSite(name, refs(arg_reads))
 
     if nt == "MemberAccess":
         member = callee.get("memberName", "")
         base = callee.get("expression")
         base_info = _analyze_expression(base, ctx)
         info.merge(base_info)
-        receiver_reads = frozenset(arg_reads | base_info.reads)
+        receiver_reads = refs(arg_reads | base_info.reads)
         if member in ("send", "transfer"):
             info.transfer = True
             return CallSite("." + member, receiver_reads)
@@ -512,11 +564,11 @@ def _analyze_call_head(
         if isinstance(base, dict) and base.get("nodeType") == "Identifier" and base.get(
             "name"
         ) == "this":
-            return CallSite(member, frozenset(arg_reads))
+            return CallSite(member, refs(arg_reads))
         return CallSite("." + member, receiver_reads)
 
     if nt == "NewExpression":
-        return CallSite(".new", frozenset(arg_reads)) if arg_reads else None
+        return CallSite(".new", refs(arg_reads)) if arg_reads else None
 
     if nt == "ElementaryTypeNameExpression":
         return None
@@ -530,8 +582,8 @@ def _analyze_call_head(
         inner.calls = [c for c in inner.calls if c.name != ".call"]
         info.merge(inner)
         if inner.transfer or applied:
-            return CallSite(".call", frozenset(arg_reads | inner.reads))
-        return CallSite(".call", frozenset(arg_reads)) if arg_reads else None
+            return CallSite(".call", refs(arg_reads | inner.reads))
+        return CallSite(".call", refs(arg_reads)) if arg_reads else None
 
     info.merge(_analyze_expression(callee, ctx))
     return None
@@ -600,7 +652,7 @@ def _textual_reads(node: dict, ctx: _FnContext) -> set[VarRef]:
             found.add(ref)
     for builtin in BUILTIN_NAMES:
         if builtin in text:
-            found.add(VarRef(Scope.BUILTIN, builtin))
+            found.add(ctx.intern.ref(Scope.BUILTIN, builtin))
     return found
 
 
@@ -645,25 +697,25 @@ def _lower_statement(
     node: object,
     ctx: _FnContext,
     out: list,
-    guards: tuple[frozenset[VarRef], ...],
+    guard_uses: frozenset[VarRef],
 ) -> None:
-    """Append lowered statements (flattened) for one AST statement node."""
+    """Append lowered statements (flattened) for one AST statement node.
+
+    `guard_uses` holds the condition reads of every enclosing branch/loop.
+    """
     if not isinstance(node, dict):
         return
     nt = node.get("nodeType")
-    guard_uses = frozenset().union(*guards) if guards else frozenset()
+    refs = ctx.intern.refs
 
     def emit(kind: Kind, info: _ExprInfo, extra_defs: set[VarRef] | None = None,
              span: tuple[int, int] | None = None) -> None:
-        defs = set(info.writes)
-        if extra_defs:
-            defs |= extra_defs
-        defs = {d for d in defs if d.scope != Scope.BUILTIN}
+        defs = info.writes | extra_defs if extra_defs else info.writes
         out.append(
             Statement(
                 kind=kind,
-                defs=frozenset(defs),
-                uses=frozenset(info.reads),
+                defs=refs(d for d in defs if d.scope != Scope.BUILTIN),
+                uses=refs(info.reads),
                 calls=tuple(info.calls),
                 source_span=span if span is not None else span_of(node),
                 guard_uses=guard_uses,
@@ -672,12 +724,12 @@ def _lower_statement(
 
     if nt in ("Block", "UncheckedBlock"):
         for child in _objects(node, "statements"):
-            _lower_statement(child, ctx, out, guards)
+            _lower_statement(child, ctx, out, guard_uses)
         return
 
     if nt == "VariableDeclarationStatement":
         declared = {
-            VarRef(Scope.LOCAL, d["name"])
+            ctx.intern.ref(Scope.LOCAL, d["name"])
             for d in node.get("declarations") or []
             if isinstance(d, dict) and d.get("name")
         }
@@ -717,7 +769,7 @@ def _lower_statement(
         info = _analyze_expression(cond, ctx)
         span = span_of(cond) if isinstance(cond, dict) else span_of(node)
         emit(Kind.BRANCH, info, span=span)
-        inner = guards + (frozenset(info.reads),)
+        inner = refs(guard_uses | info.reads)
         _lower_statement(node.get("trueBody"), ctx, out, inner)
         _lower_statement(node.get("falseBody"), ctx, out, inner)
         return
@@ -727,17 +779,17 @@ def _lower_statement(
         info = _analyze_expression(cond, ctx)
         span = span_of(cond) if isinstance(cond, dict) else span_of(node)
         emit(Kind.LOOP, info, span=span)
-        inner = guards + (frozenset(info.reads),)
+        inner = refs(guard_uses | info.reads)
         _lower_statement(node.get("body"), ctx, out, inner)
         return
 
     if nt == "ForStatement":
-        _lower_statement(node.get("initializationExpression"), ctx, out, guards)
+        _lower_statement(node.get("initializationExpression"), ctx, out, guard_uses)
         cond = node.get("condition")
         info = _analyze_expression(cond, ctx)
         span = span_of(cond) if isinstance(cond, dict) else span_of(node)
         emit(Kind.LOOP, info, span=span)
-        inner = guards + (frozenset(info.reads),)
+        inner = refs(guard_uses | info.reads)
         _lower_statement(node.get("body"), ctx, out, inner)
         _lower_statement(node.get("loopExpression"), ctx, out, inner)
         return
@@ -770,11 +822,11 @@ def _lower_statement(
              "src": node.get("src")},
             ctx,
             out,
-            guards,
+            guard_uses,
         )
         for clause in node.get("clauses") or []:
             if isinstance(clause, dict):
-                _lower_statement(clause.get("block"), ctx, out, guards)
+                _lower_statement(clause.get("block"), ctx, out, guard_uses)
         return
 
     if nt == "PlaceholderStatement":
@@ -818,13 +870,11 @@ def _function_name(node: dict, contract_name: str) -> str:
     return name
 
 
-def _lower_body(
-    node: dict, ctx: _FnContext, guards: tuple[frozenset[VarRef], ...] = ()
-) -> list:
+def _lower_body(node: dict, ctx: _FnContext) -> list:
     out: list = []
     body = node.get("body")
     if isinstance(body, dict):
-        _lower_statement(body, ctx, out, guards)
+        _lower_statement(body, ctx, out, NO_REFS)
     return out
 
 
@@ -873,8 +923,8 @@ def _inline_modifiers(
             binds.append(
                 Statement(
                     kind=Kind.ASSIGN,
-                    defs=frozenset({VarRef(Scope.LOCAL, p.name)}),
-                    uses=frozenset(info.reads),
+                    defs=mctx.intern.refs((mctx.intern.ref(Scope.LOCAL, p.name),)),
+                    uses=mctx.intern.refs(info.reads),
                     calls=tuple(info.calls),
                     source_span=span_of(arg) if isinstance(arg, dict) else (0, 0),
                 )
@@ -936,6 +986,7 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
         contract_members[name] = members
 
     names = Names(models)
+    intern = _Interner()
 
     # Second pass: function bodies.
     for model in models:
@@ -960,6 +1011,7 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
                     params={p.name for p in params},
                     locals_=set(local_names) | set(extra_locals),
                     source_text=unit.source_text,
+                    intern=intern,
                 )
 
             ctx = ctx_factory()

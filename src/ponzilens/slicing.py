@@ -13,18 +13,20 @@ Which node a function's variable reference denotes is decided once, by
 `HypernodeGraph.names`) rather than resolving names again.
 
 Slices are whole functions, taken verbatim from the source span, combined in
-source order and separated by blank lines. Contract-level declarations
-(state variables, events) referenced by the selected functions are collected
-into a header block that prompt builders may prepend; the combined slice
-itself stays exactly the joined function texts.
+source order and separated by blank lines; a selected name with overloads
+contributes every overload's text, in source order. Contract-level
+declarations the selected functions lean on (the state variables they
+reference, the events they invoke) are collected into a header block that
+prompt builders may prepend; the combined slice itself stays exactly the
+joined function texts.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NoSpan
 from .hypergraph import GraphId, HypernodeGraph
 from .model import CTOR_NAME, ContractModel, FunctionModel
 from .taint import TaintSubgraph, tainted_state_vars
@@ -83,6 +85,13 @@ def select_functions(
     return selected
 
 
+def _invokes(text: str, name: str) -> bool:
+    """Whether `text` calls `name` as a whole identifier: `emit name(...)`,
+    or the bare `name(...)` that Solidity before 0.4.21 used for events. A
+    member call `x.name(...)` is not an invocation of the event."""
+    return re.search(rf"(?<![\w$.]){re.escape(name)}\s*\(", text) is not None
+
+
 def _header_block(
     gids: list[GraphId],
     h: HypernodeGraph,
@@ -105,7 +114,7 @@ def _header_block(
     all_text = "\n".join(slice_texts.values())
     for m in models:
         for ev in m.events:
-            if ev.source_span and ev.name and ev.name in all_text:
+            if ev.source_span and ev.name and _invokes(all_text, ev.name):
                 if ev.source_span in seen_spans:
                     continue
                 seen_spans.add(ev.source_span)
@@ -134,8 +143,9 @@ def combine_slices(
 ) -> SliceBundle:
     """Assemble per-function texts and the combined slice.
 
-    Duplicate ids are dropped (first occurrence wins). Functions without a
-    recorded source span cannot be sliced; they are skipped and listed in
+    Duplicate ids are dropped (first occurrence wins). An id whose function
+    (every overload of it) has no source text in its span, or that names no
+    function of the models, cannot be sliced; it is skipped and listed in
     stats.skipped rather than aborting the bundle.
     """
     ordered: list[str] = []
@@ -145,22 +155,26 @@ def combine_slices(
             seen.add(fid)
             ordered.append(fid)
 
+    # Every overload of a selected name is sliced from its own span.
+    spans: dict[str, list[tuple[int, int]]] = {fid: [] for fid in ordered}
+    for m in models:
+        for f in m.functions:
+            found = spans.get(f"{m.name}.{f.name}")
+            if found is not None:
+                found.append(f.source_span)
+
     per_function: dict[str, str] = {}
     sliced: list[GraphId] = []
     skipped: list[str] = []
     for fid in ordered:
+        texts = [h.source_text[off : off + n] for off, n in sorted(spans[fid])]
+        texts = [text for text in texts if text.strip()]
+        if not texts:
+            skipped.append(fid)
+            continue
+        per_function[fid] = "\n\n".join(texts)
         contract, _, fname = fid.partition(".")
-        gid = GraphId((contract, fname))
-        try:
-            text = h.source_slice(gid)
-        except NoSpan:
-            skipped.append(fid)
-            continue
-        if not text.strip():
-            skipped.append(fid)
-            continue
-        per_function[fid] = text
-        sliced.append(gid)
+        sliced.append(GraphId((contract, fname)))
 
     combined_text = "\n\n".join(per_function[fid] for fid in ordered if fid in per_function)
     header = _header_block(sliced, h, models, per_function)

@@ -7,23 +7,18 @@ function through a call, and edges leaving the hypernode carry the taint
 onward. Propagation only ever adds taint; nothing is removed, so the result
 is the least fixed point regardless of edge visit order.
 
-The recursion into nested graphs is run iteratively with an explicit work
-stack, so deeply nested inputs cannot exhaust the interpreter stack.
+Propagation walks the successor adjacency that `HypernodeGraph.finalize`
+builds once, over endpoint numbers, with an explicit work stack, so deeply
+nested inputs cannot exhaust the interpreter stack. Endpoint objects are
+touched only to hand back the result: the taint edges are the out-edges of
+the tainted tails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypergraph import (
-    EXTERNAL_SINK,
-    Edge,
-    Endpoint,
-    GraphId,
-    HypernodeGraph,
-    NodeId,
-    endpoint_key,
-)
+from .hypergraph import EXTERNAL_SINK, Edge, Endpoint, GraphId, HypernodeGraph, NodeId
 
 SOURCE_NAMES = ("msg.sender", "msg.value")
 
@@ -53,24 +48,22 @@ def tpa(h: HypernodeGraph, sources: frozenset[NodeId] | set[NodeId]) -> TaintSub
     Source ids not present in the graph are ignored. Output sets depend only
     on the graph's node/edge sets, not on edge insertion order.
     """
-    present = {s for s in sources if h.has(s)}
-    adjacency: dict[Endpoint, list[Endpoint]] = {}
-    for a, b in h.all_edges():
-        adjacency.setdefault(a, []).append(b)
-
-    tainted: set[Endpoint] = set(present)
-    stack: list[Endpoint] = sorted(present, key=endpoint_key)
+    endpoints, heads, start = h.adjacency()
+    tainted = {n for n in map(h.number, sources) if n is not None}
+    stack = list(tainted)
     while stack:
-        tail = stack.pop()
-        for head in adjacency.get(tail, ()):
+        n = stack.pop()
+        for head in heads[start[n] : start[n + 1]]:
             if head not in tainted:
                 tainted.add(head)
                 stack.append(head)
 
     return TaintSubgraph(
         id=h.root,
-        tainted=frozenset(tainted),
-        taint_edges=frozenset(e for e in h.all_edges() if e[0] in tainted),
+        tainted=frozenset(endpoints[n] for n in tainted),
+        taint_edges=frozenset(
+            (endpoints[a], endpoints[b]) for a in tainted for b in heads[start[a] : start[a + 1]]
+        ),
     )
 
 

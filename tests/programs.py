@@ -462,3 +462,41 @@ def tall_unit(name: str = "tall", lines: int = 500) -> tuple[str, dict]:
             )
         )
         i += 1
+
+
+def pay_help_unit(pairs: int, name: str = "wide") -> tuple[str, dict]:
+    """A wide-taint contract of `pairs` payable pay<i> functions, each adding
+    msg.value to its own state variable and calling its internal help<i>,
+    which reads that variable: the shape of the benchmark's large contracts,
+    for allocation checks."""
+    members: list = []
+    for i in range(pairs):
+        members += [
+            StateVar("uint", f"s{i}"),
+            StateVar("uint", f"r{i}"),
+            Fn(
+                f"pay{i}",
+                [],
+                [
+                    SAssign(Id(f"s{i}"), "+=", _msg("value")),
+                    SExpr(Call(Id(f"help{i}"), [Id(f"s{i}")])),
+                ],
+                mutability="payable",
+            ),
+            Fn(
+                f"help{i}",
+                [("uint", "x")],
+                [
+                    SDecl("uint", "y", Bin(Id(f"s{i}"), "+", Id("x"))),
+                    SIf(
+                        Bin(Id("y"), ">", Lit(i)),
+                        [SAssign(Id(f"r{i}"), "+=", Id("y"))],
+                        [SAssign(Id(f"r{i}"), "-=", Lit(1))],
+                    ),
+                    SReturn(Id("y")),
+                ],
+                visibility="internal",
+                returns=[("uint", "")],
+            ),
+        ]
+    return build_unit(name, [Contract("Wide", members)])

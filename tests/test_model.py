@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
+import pytest
+
 import fixutil
 from astgen import (
     Bin,
@@ -18,6 +23,7 @@ from astgen import (
 )
 from ponzilens.ingest import load_ast
 from ponzilens.model import (
+    NO_REFS,
     ContractModel,
     Kind,
     Names,
@@ -341,3 +347,43 @@ def test_first_declaration_wins_within_one_contract():
     names = Names([ContractModel("K", state_vars=[first, second])])
     assert names.state("K", "x") == ("K", first)
     assert names.state("K", "y") is None
+
+
+def _ref_sets(models: list[ContractModel]) -> list[frozenset[VarRef]]:
+    return [
+        refs
+        for m in models
+        for f in m.functions
+        for st in f.statements
+        for refs in (st.defs, st.uses, st.guard_uses, *(c.arg_reads for c in st.calls))
+    ]
+
+
+def test_lower_interns_references_and_sets_per_call():
+    u = fixutil.load_unit("simple_ponzi")
+    first, second = lower(u), lower(u)
+    sets = _ref_sets(first)
+    # One object per distinct reference, and per distinct set of them.
+    canonical_refs: dict[VarRef, VarRef] = {}
+    canonical_sets: dict[frozenset, frozenset] = {}
+    for refs in sets:
+        assert canonical_sets.setdefault(refs, refs) is refs
+        for ref in refs:
+            assert canonical_refs.setdefault(ref, ref) is ref
+    assert any(not refs for refs in sets)
+    assert all(refs is NO_REFS for refs in sets if not refs)
+    # Each call interns on its own: nothing is shared through a global.
+    later = {ref for refs in _ref_sets(second) for ref in refs}
+    assert later == set(canonical_refs)
+    assert all(ref is not canonical_refs[ref] for ref in later)
+
+
+def test_varref_keeps_value_semantics():
+    a, b = VarRef(Scope.STATE, "x"), _sv("x")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != _lv("x") and str(a) == "state:x"
+    assert repr(a) == "VarRef(scope=<Scope.STATE: 'state'>, name='x')"
+    assert sorted([_sv("b"), _lv("z"), _sv("a")]) == [_lv("z"), _sv("a"), _sv("b")]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.name = "y"
+    assert pickle.loads(pickle.dumps(a)) == a

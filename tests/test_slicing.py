@@ -6,7 +6,19 @@ import random
 
 import fixutil
 import oracles
-from astgen import Contract, Fn, Id, Member, SAssign, StateVar, build_unit
+from astgen import (
+    Call,
+    Contract,
+    EventDef,
+    Fn,
+    Id,
+    Member,
+    SAssign,
+    SEmit,
+    SExpr,
+    StateVar,
+    build_unit,
+)
 from ponzilens.hypergraph import GraphId, NodeId, build
 from ponzilens.ingest import load_ast
 from ponzilens.model import lower
@@ -180,3 +192,60 @@ def test_overloads_share_one_hypernode_and_its_refs():
     assert {NodeId(("O", "x")), NodeId(("O", "z"))} <= h.refs[GraphId(("O", "f"))]
     t = tpa(h, default_sources(h))
     assert select_functions(t, h, models) == ["O.g", "O.f", "O.f"]
+
+
+def _static(contract: Contract):
+    u = load_ast(build_unit(contract.name.lower(), [contract])[1])
+    models = lower(u)
+    h = build(models, u.source_text)
+    return u, models, h
+
+
+def test_every_overload_body_reaches_the_bundle():
+    # f(uint) reads x; the payable f(address) writes msg.value into x. The
+    # slice of O.f holds both bodies, each from its own span, in source order.
+    u, models, h = _static(
+        Contract(
+            "O",
+            [
+                StateVar("uint", "x"),
+                Fn("f", [("uint", "a")], [SAssign(Id("a"), "=", Id("x"))]),
+                Fn(
+                    "f",
+                    [("address", "b")],
+                    [SAssign(Id("x"), "=", Member(Id("msg"), "value"))],
+                    mutability="payable",
+                ),
+            ],
+        )
+    )
+    t = tpa(h, default_sources(h))
+    bundle = combine_slices(select_functions(t, h, models), h, models)
+    spans = [f.source_span for f in models[0].functions]
+    first, second = (u.source_text[o : o + n] for o, n in spans)
+    assert bundle.selected == ("O.f",)
+    assert bundle.per_function["O.f"] == first + "\n\n" + second
+    assert bundle.combined_text == first + "\n\n" + second
+    assert "x = msg.value" in bundle.combined_text
+
+
+def test_header_keeps_events_invoked_as_whole_identifiers():
+    value = Member(Id("msg"), "value")
+    _u, models, h = _static(
+        Contract(
+            "Bank",
+            [
+                StateVar("uint", "total"),
+                EventDef("Deposit", [("uint", "amount")]),
+                Fn("makeDeposit", [], [SAssign(Id("total"), "+=", value)], mutability="payable"),
+                Fn("pay", [], [SEmit("Deposit", [value])], mutability="payable"),
+                # Before Solidity 0.4.21 an event was invoked like a function.
+                Fn("legacyPay", [], [SExpr(Call(Id("Deposit"), [value]))], mutability="payable"),
+            ],
+        )
+    )
+    event = "event Deposit(uint amount);"
+    # makeDeposit contains the text "Deposit" but never invokes the event.
+    assert event not in combine_slices(["Bank.makeDeposit"], h, models).header
+    assert event in combine_slices(["Bank.pay"], h, models).header
+    assert event in combine_slices(["Bank.legacyPay"], h, models).header
