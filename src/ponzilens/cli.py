@@ -22,9 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .detect import (
-    BACKEND_LOCAL,
+    BACKEND_HTTP,
     BACKEND_MOCK,
-    BACKEND_OPENAI,
     LlmConfig,
     MODE_FULL,
     TemplateSet,
@@ -57,9 +56,11 @@ EXIT_POSITIVE = 1
 EXIT_USAGE = 2
 EXIT_PIPELINE = 3
 
+# "openai" (hosted, keyed) and "local" (self-hosted, keyless) are two
+# spellings of the one HTTP backend.
 _BACKEND_ALIASES = {
-    "openai": BACKEND_OPENAI,
-    "local": BACKEND_LOCAL,
+    "openai": BACKEND_HTTP,
+    "local": BACKEND_HTTP,
     "mock": BACKEND_MOCK,
 }
 
@@ -76,7 +77,7 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--endpoint",
         default="https://api.openai.com/v1/chat/completions",
-        help="chat-completions URL for openai/local backends (default: %(default)s)",
+        help="chat-completions URL for the HTTP backend (default: %(default)s)",
     )
     p.add_argument("--model", default="gpt-3.5-turbo", help="model name (default: %(default)s)")
     p.add_argument(

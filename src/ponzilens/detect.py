@@ -1,4 +1,4 @@
-"""Two-stage prompt protocol over pluggable chat-completion backends.
+"""Two-stage prompt protocol over a chat-completion backend.
 
 Stage one hands the model the code slice (plus, in full mode, the rendered
 taint graph) and asks for a stepwise analysis. Stage two hands the model
@@ -8,10 +8,10 @@ with ties broken toward true: for a screening tool, the expensive mistake
 is waving a scheme through.
 
 Backends:
-  * openai_compatible: POST a chat-completion payload to an HTTP endpoint
-    and read choices[0].message.content plus usage token counts;
-  * local_server: the same wire format against a self-hosted endpoint (no
-    API key required);
+  * http: POST a chat-completion payload to an endpoint, hosted (keyed, e.g.
+    GPT-3.5-turbo) or self-hosted (keyless, e.g. LLaMA 3 or Mistral), and
+    read choices[0].message.content plus usage token counts. The API key is
+    sent as a bearer token exactly when one is set;
   * mock: a deterministic offline stand-in whose reply is a pure function
     of the prompt text; it exists so end-to-end behavior is testable
     byte-for-byte without network access. Its heuristic is matched to the
@@ -29,7 +29,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from string import Template
@@ -58,10 +58,12 @@ MODE_NO_TAINT = "no_taint"
 MODE_RAW = "raw"
 MODES = (MODE_FULL, MODE_NO_TAINT, MODE_RAW)
 
-BACKEND_OPENAI = "openai_compatible"
-BACKEND_LOCAL = "local_server"
+BACKEND_HTTP = "http"
 BACKEND_MOCK = "mock"
-BACKENDS = (BACKEND_OPENAI, BACKEND_LOCAL, BACKEND_MOCK)
+BACKENDS = (BACKEND_HTTP, BACKEND_MOCK)
+# Hosted and self-hosted models speak the same protocol; both names remain
+# importable.
+BACKEND_OPENAI = BACKEND_LOCAL = BACKEND_HTTP
 
 _VERDICT_RE = re.compile(r"\b(true|false)\b", re.IGNORECASE)
 
@@ -221,6 +223,11 @@ class LlmConfig:
     def resolved_api_key(self) -> str:
         return os.environ.get(API_KEY_ENV) or self.api_key
 
+    @property
+    def model_label(self) -> str:
+        """The model name reports record; mock runs are marked as such."""
+        return f"mock:{self.model}" if self.backend == BACKEND_MOCK else self.model
+
 
 @dataclass(frozen=True)
 class Completion:
@@ -276,7 +283,7 @@ def _mock_complete(prompt: str) -> Completion:
 def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     """Run one prompt against the configured backend.
 
-    Network backends retry on transient failures (5xx, 429, transport
+    The HTTP backend retries on transient failures (5xx, 429, transport
     errors) per cfg.max_attempts/backoff; auth rejections and context
     overflows raise immediately. Token counts fall back to estimates when
     the server reports no usage.
@@ -296,13 +303,7 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     }
     headers = {"Content-Type": "application/json"}
     api_key = cfg.resolved_api_key()
-    if cfg.backend == BACKEND_OPENAI:
-        if not api_key:
-            raise AuthError(
-                f"no API key: set {API_KEY_ENV} or LlmConfig.api_key"
-            )
-        headers["Authorization"] = f"Bearer {api_key}"
-    elif api_key:
+    if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
 
     last_error: Exception | None = None
@@ -318,7 +319,10 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
             last_error = exc
             continue
         if resp.status_code in (401, 403):
-            raise AuthError(f"backend rejected credentials (HTTP {resp.status_code})")
+            hint = "" if api_key else f"; no API key was sent, set {API_KEY_ENV}"
+            raise AuthError(
+                f"backend rejected credentials (HTTP {resp.status_code}){hint}"
+            )
         if resp.status_code == 400 and "context" in resp.text.lower():
             raise ContextOverflow(resp.text[:300])
         if resp.status_code == 429 or resp.status_code >= 500:
@@ -370,15 +374,7 @@ class RunRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "analysis_text": self.analysis_text,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "wall_seconds": self.wall_seconds,
-            "cost": self.cost,
-            "error": self.error,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
@@ -401,8 +397,8 @@ class DetectionReport:
     mode: str
     model: str
     template_version: str
-    runs: list[RunRecord] = field(default_factory=list)
     final_verdict: bool | None = None
+    runs: list[RunRecord] = field(default_factory=list)
     error: dict | None = None  # {"phase": ..., "message": ...}
     slice_stats: dict | None = None
 
@@ -419,16 +415,7 @@ class DetectionReport:
         return sum(r.input_tokens + r.output_tokens for r in self.runs)
 
     def to_dict(self) -> dict:
-        return {
-            "contract_id": self.contract_id,
-            "mode": self.mode,
-            "model": self.model,
-            "template_version": self.template_version,
-            "final_verdict": self.final_verdict,
-            "runs": [r.to_dict() for r in self.runs],
-            "error": self.error,
-            "slice_stats": self.slice_stats,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectionReport":
@@ -490,7 +477,6 @@ def run_static_pipeline(
     mode: str = MODE_FULL,
     *,
     include_constructors: bool = True,
-    implicit_flow: bool = False,
     render_opts: RenderOptions | None = None,
 ) -> StaticArtifacts:
     """Lower, build, propagate, slice, and (full mode) render one unit.
@@ -503,7 +489,7 @@ def run_static_pipeline(
             raise EmptyInput("raw mode needs source text")
         return StaticArtifacts([], None, None, _raw_bundle(unit.source_text), None)
     models = lower(unit)
-    graph = build(models, unit.source_text, implicit_flow=implicit_flow)
+    graph = build(models, unit.source_text)
     taint = tpa(graph, default_sources(graph))
     selected = select_functions(
         taint, graph, models, include_constructors=include_constructors
@@ -520,7 +506,6 @@ def detect_contract(
     repeats: int = 5,
     *,
     templates: TemplateSet | None = None,
-    include_constructors: bool = True,
 ) -> DetectionReport:
     """Run the full two-stage protocol on one unit.
 
@@ -537,7 +522,7 @@ def detect_contract(
     report = DetectionReport(
         contract_id=unit.id,
         mode=mode,
-        model=cfg.model if cfg.backend != BACKEND_MOCK else f"mock:{cfg.model}",
+        model=cfg.model_label,
         template_version="",
     )
 
@@ -546,9 +531,7 @@ def detect_contract(
         if unit.ast_json is None and mode != MODE_RAW:
             compile_source(unit)
         phase = "static"
-        art = run_static_pipeline(
-            unit, mode, include_constructors=include_constructors
-        )
+        art = run_static_pipeline(unit, mode)
         report.slice_stats = {
             "functions_total": art.bundle.stats.functions_total,
             "functions_selected": art.bundle.stats.functions_selected,

@@ -20,7 +20,7 @@ import json
 import statistics
 import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -101,7 +101,11 @@ def _entry_from_row(row: dict, where: str) -> ManifestEntry:
 
 
 def read_journal(path: str | Path) -> dict[str, DetectionReport]:
-    """Reports already recorded in a line-JSON journal, keyed by id."""
+    """Reports already recorded in a line-JSON journal, keyed by id.
+
+    A line that is not a report (a torn tail write from an interrupted run,
+    or damaged JSON of any shape) is skipped.
+    """
     p = Path(path)
     done: dict[str, DetectionReport] = {}
     if not p.exists():
@@ -111,9 +115,9 @@ def read_journal(path: str | Path) -> dict[str, DetectionReport]:
             continue
         try:
             report = DetectionReport.from_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError):
-            continue  # torn tail write from an interrupted run
-        done[report.contract_id] = report
+            done[report.contract_id] = report
+        except (ValueError, LookupError, TypeError, AttributeError):
+            continue
     return done
 
 
@@ -166,7 +170,8 @@ def run_batch(
         raise ValueError(f"unknown mode {mode!r}")
     templates = templates or TemplateSet()
     done = read_journal(journal) if journal else {}
-    done = {k: v for k, v in done.items() if k in manifest.labels()}
+    labels = manifest.labels()
+    done = {k: v for k, v in done.items() if k in labels}
     todo = [e for e in manifest.entries if e.id not in done]
 
     journal_path = Path(journal) if journal else None
@@ -192,7 +197,7 @@ def run_batch(
             return DetectionReport(
                 contract_id=entry.id,
                 mode=mode,
-                model=cfg.model,
+                model=cfg.model_label,
                 template_version="",
                 error={"phase": "ingest", "message": str(exc)},
             )
@@ -243,19 +248,7 @@ class MetricsSummary:
     bac: float
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "tn": self.tn,
-            "fp": self.fp,
-            "fn": self.fn,
-            "unparseable": self.unparseable,
-            "errored": self.errored,
-            "tpr": self.tpr,
-            "tnr": self.tnr,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "bac": self.bac,
-        }
+        return asdict(self)
 
 
 def compute_metrics(
@@ -330,15 +323,7 @@ class OverheadStats:
     total_tokens: int
 
     def to_dict(self) -> dict:
-        return {
-            "contracts": self.contracts,
-            "mean_wall_seconds": self.mean_wall_seconds,
-            "std_wall_seconds": self.std_wall_seconds,
-            "mean_tokens_per_run": self.mean_tokens_per_run,
-            "mean_cost": self.mean_cost,
-            "total_cost": self.total_cost,
-            "total_tokens": self.total_tokens,
-        }
+        return asdict(self)
 
 
 def aggregate_overhead(reports: Sequence[DetectionReport]) -> OverheadStats:

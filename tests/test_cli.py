@@ -114,6 +114,29 @@ def test_detect_mock_positive(tmp_path, capsys):
     assert report.model == "mock:gpt-3.5-turbo"
 
 
+@pytest.mark.parametrize("mode", ["full", "no_taint", "raw"])
+def test_detect_report_bytes_match_golden(tmp_path, mode):
+    rc = main(
+        [
+            "detect", _fx("simple_ponzi"), "--out", str(tmp_path),
+            "--mode", mode.replace("_", "-"),
+        ]
+    )
+    assert rc == EXIT_OK
+    golden = fixutil.FIXTURES / "golden" / f"simple_ponzi.{mode}.report.json"
+    assert (tmp_path / "simple_ponzi.report.json").read_bytes() == golden.read_bytes()
+
+
+def test_backend_spellings_build_one_http_config():
+    parser = cli_mod.build_parser()
+    configs = [
+        cli_mod._llm_config(parser.parse_args(["detect", "c.sol", "--backend", name]))
+        for name in ("openai", "local")
+    ]
+    assert configs[0] == configs[1]
+    assert configs[0].backend == "http"
+
+
 def test_detect_text_verdict(tmp_path, capsys):
     rc = main(["detect", _fx("mini_token"), "--out", str(tmp_path)])
     assert rc == EXIT_OK

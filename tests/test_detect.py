@@ -16,6 +16,7 @@ from ponzilens.detect import (
     BACKEND_LOCAL,
     BACKEND_MOCK,
     BACKEND_OPENAI,
+    BACKENDS,
     MODE_FULL,
     MODE_NO_TAINT,
     MODE_RAW,
@@ -348,7 +349,7 @@ def test_local_server_round_trip_uses_reported_usage(chat_server, monkeypatch):
     assert body["messages"] == [{"role": "user", "content": "say hi"}]
     assert body["temperature"] == 0.25
     assert body["max_tokens"] == 1024
-    # local_server runs keyless: no Authorization header was sent.
+    # No key is set, so no Authorization header was sent.
     assert _ChatHandler.auth_headers == [None]
 
 
@@ -411,12 +412,24 @@ def test_malformed_completion_reply_raises(chat_server, monkeypatch):
         complete(_prompt(), _local(chat_server))
 
 
-def test_openai_backend_requires_key(chat_server, monkeypatch):
+def test_keyless_auth_rejection_names_the_key_variable(chat_server, monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
+    _ChatHandler.script = [(401, b"missing bearer token")]
     cfg = LlmConfig(backend=BACKEND_OPENAI, endpoint=chat_server, backoff=())
-    with pytest.raises(AuthError):
+    with pytest.raises(AuthError, match=API_KEY_ENV):
         complete(_prompt(), cfg)
-    assert _ChatHandler.bodies == []
+    assert _ChatHandler.auth_headers == [None]
+
+
+def test_http_backend_sends_config_key_as_bearer(chat_server, monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    _ChatHandler.script = [(200, _chat_body("fine")), (403, b"revoked")]
+    cfg = _local(chat_server, api_key="sk-cfg")
+    complete(_prompt(), cfg)
+    with pytest.raises(AuthError) as rejected:
+        complete(_prompt(), cfg)
+    assert API_KEY_ENV not in str(rejected.value)
+    assert _ChatHandler.auth_headers == ["Bearer sk-cfg"] * 2
 
 
 def test_openai_backend_sends_bearer_from_env(chat_server, monkeypatch):
@@ -438,8 +451,11 @@ def test_context_window_precheck_blocks_request(chat_server, monkeypatch):
 
 
 def test_llm_config_validation():
-    with pytest.raises(ValueError):
-        LlmConfig(backend="carrier-pigeon")
+    assert BACKENDS == ("http", "mock")
+    assert BACKEND_OPENAI == BACKEND_LOCAL == "http"
+    for retired in ("carrier-pigeon", "openai_compatible", "local_server"):
+        with pytest.raises(ValueError):
+            LlmConfig(backend=retired)
     with pytest.raises(ValueError):
         LlmConfig(concurrency_limit=0)
     with pytest.raises(ValueError):

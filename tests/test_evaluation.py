@@ -151,6 +151,25 @@ def test_read_journal_skips_torn_lines(tmp_path):
     assert done["a"].to_dict() == good.to_dict()
 
 
+@pytest.mark.parametrize(
+    "damaged",
+    [
+        "[1, 2]",
+        '"text"',
+        '{"contract_id": "a", "runs": 5}',
+        '{"contract_id": "a", "runs": [null]}',
+        '{"contract_id": "a", "runs": [{"input_tokens": "many"}]}',
+    ],
+)
+def test_read_journal_skips_valid_json_that_is_not_a_report(tmp_path, damaged):
+    p = tmp_path / "journal.jsonl"
+    good = _report("b", True)
+    p.write_text(damaged + "\n" + json.dumps(good.to_dict()) + "\n")
+    done = read_journal(p)
+    assert list(done) == ["b"]
+    assert done["b"].to_dict() == good.to_dict()
+
+
 def test_read_journal_missing_file_is_empty(tmp_path):
     assert read_journal(tmp_path / "absent.jsonl") == {}
 
@@ -255,6 +274,33 @@ def test_run_batch_isolates_per_contract_failures(tmp_path):
     assert reports[0].error is not None and reports[0].error["phase"] == "ingest"
     assert reports[0].runs == []
     assert reports[1].final_verdict is False
+
+
+def test_run_batch_ingest_failure_carries_the_batch_model_label(tmp_path):
+    manifest = _manifest(
+        ManifestEntry(id="broken", path_or_address=str(tmp_path / "no.json"), label=PONZI),
+        _entry("mt", "mini_token", CLEAN),
+    )
+    reports = run_batch(manifest, LlmConfig(), repeats=1)
+    assert reports[0].error["phase"] == "ingest"
+    assert [r.model for r in reports] == ["mock:gpt-3.5-turbo"] * 2
+
+
+def test_run_batch_resume_reads_manifest_labels_once(tmp_path, monkeypatch):
+    entries = [_entry(f"c{i}", "hollow", CLEAN) for i in range(6)]
+    journal = tmp_path / "journal.jsonl"
+    write_reports([_report(e.id, False) for e in entries[:5]], journal)
+    calls = []
+    labels = DatasetManifest.labels
+
+    def counted(self):
+        calls.append(1)
+        return labels(self)
+
+    monkeypatch.setattr(DatasetManifest, "labels", counted)
+    reports = run_batch(_manifest(*entries), LlmConfig(), repeats=1, journal=journal)
+    assert [r.contract_id for r in reports] == [e.id for e in entries]
+    assert len(calls) <= 1
 
 
 def test_run_batch_interrupt_in_callback_keeps_journal(tmp_path):
