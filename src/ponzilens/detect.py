@@ -361,6 +361,15 @@ def parse_verdict(text: str) -> bool:
 # --- reports ------------------------------------------------------------------
 
 
+def _checked(data: dict, key: str, kind: type) -> object:
+    """data[key] if it is absent, null or a `kind`; a ValueError otherwise,
+    so a damaged journal line is not read as a report."""
+    value = data.get(key)
+    if value is None or isinstance(value, kind):
+        return value
+    raise ValueError(f"{key} must be null or {kind.__name__}, not {value!r}")
+
+
 @dataclass
 class RunRecord:
     """One two-stage detection run."""
@@ -379,7 +388,7 @@ class RunRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
         return cls(
-            verdict=data.get("verdict"),
+            verdict=_checked(data, "verdict", bool),
             analysis_text=data.get("analysis_text", ""),
             input_tokens=int(data.get("input_tokens", 0)),
             output_tokens=int(data.get("output_tokens", 0)),
@@ -419,15 +428,17 @@ class DetectionReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectionReport":
+        if not isinstance(data["contract_id"], str):
+            raise ValueError(f"contract_id must be a string, not {data['contract_id']!r}")
         return cls(
             contract_id=data["contract_id"],
             mode=data.get("mode", MODE_FULL),
             model=data.get("model", ""),
             template_version=data.get("template_version", ""),
             runs=[RunRecord.from_dict(r) for r in data.get("runs", [])],
-            final_verdict=data.get("final_verdict"),
-            error=data.get("error"),
-            slice_stats=data.get("slice_stats"),
+            final_verdict=_checked(data, "final_verdict", bool),
+            error=_checked(data, "error", dict),
+            slice_stats=_checked(data, "slice_stats", dict),
         )
 
 

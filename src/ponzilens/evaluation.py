@@ -104,7 +104,8 @@ def read_journal(path: str | Path) -> dict[str, DetectionReport]:
     """Reports already recorded in a line-JSON journal, keyed by id.
 
     A line that is not a report (a torn tail write from an interrupted run,
-    or damaged JSON of any shape) is skipped.
+    damaged JSON of any shape, or JSON nested too deeply to parse) is
+    skipped, so a resume runs that contract again.
     """
     p = Path(path)
     done: dict[str, DetectionReport] = {}
@@ -116,7 +117,7 @@ def read_journal(path: str | Path) -> dict[str, DetectionReport]:
         try:
             report = DetectionReport.from_dict(json.loads(line))
             done[report.contract_id] = report
-        except (ValueError, LookupError, TypeError, AttributeError):
+        except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
             continue
     return done
 

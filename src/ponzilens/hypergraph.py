@@ -42,7 +42,9 @@ Edge construction per lowered statement:
                            when the callee resolves inside the unit
   * unresolvable call  ->  arg -> @external (per-contract sink); recorded in
                            diagnostics when the callee name looked local
-  * optional implicit flow: enclosing guard read -> d
+
+Flows are explicit only: a branch or loop condition is a statement of its
+own, and does not flow into the writes it guards.
 """
 
 from __future__ import annotations
@@ -259,9 +261,6 @@ class HypernodeGraph:
         """The registry number of an endpoint, or None when unregistered."""
         return (self._graph_no if isinstance(ep, GraphId) else self._node_no).get(ep.path)
 
-    def has(self, ep: Endpoint) -> bool:
-        return self.number(ep) is not None
-
     def _slice(self, gid: GraphId, grouped: tuple[list[int], list[int]]) -> list[int]:
         n = self._graph_no.get(gid.path) if isinstance(gid, GraphId) else None
         if n is None:
@@ -309,12 +308,7 @@ class HypernodeGraph:
         return self.source_text[off : off + length]
 
 
-def build(
-    models: Iterable[ContractModel],
-    source_text: str = "",
-    *,
-    implicit_flow: bool = False,
-) -> HypernodeGraph:
+def build(models: Iterable[ContractModel], source_text: str = "") -> HypernodeGraph:
     """Assemble the hypernode graph for one unit's contract models.
 
     Deterministic: node and edge sets depend only on the models, never on
@@ -363,16 +357,15 @@ def build(
             # The one binding of each variable this function references.
             node: dict[VarRef, NodeId] = {}
             for stmt in f.statements:
-                reads = stmt.uses | stmt.guard_uses if implicit_flow else stmt.uses
                 # Every referenced variable becomes a node even when the
                 # statement has no defs (guards, returns, bare sends), so
                 # source reads stay visible to taint propagation.
-                for refs in (stmt.defs, reads, *[site.arg_reads for site in stmt.calls]):
+                for refs in (stmt.defs, stmt.uses, *[site.arg_reads for site in stmt.calls]):
                     for ref in refs:
                         if ref not in node:
                             node[ref] = node_of(ref)
                 defs = [node[d] for d in stmt.defs]
-                for u in reads:
+                for u in stmt.uses:
                     for d in defs:
                         h.add_edge(node[u], d)
                 for site in stmt.calls:

@@ -219,9 +219,6 @@ class SolcSelector:
     def __init__(self, binaries: dict[str, str] | None = None):
         self._binaries = dict(binaries) if binaries is not None else discover_solc()
 
-    def available(self) -> dict[str, str]:
-        return dict(self._binaries)
-
     def resolve(self, constraint: str) -> tuple[str, str]:
         version = resolve_version(constraint or "", self._binaries)
         return version, self._binaries[version]
@@ -310,6 +307,8 @@ def load_ast(document: str | dict) -> SourceUnit:
             doc = json.loads(document)
         except json.JSONDecodeError as exc:
             raise JsonError(f"AST document is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise JsonError("AST document is nested too deeply to parse") from None
     else:
         doc = document
     if not isinstance(doc, dict):

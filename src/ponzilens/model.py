@@ -2,9 +2,16 @@
 
 Lowering is flow-insensitive and field-insensitive: every statement becomes
 one record with def/use sets of variable references, member and index access
-collapse onto the base variable, and control statements contribute their
-condition reads. That granularity is exactly what the data-flow graph needs;
-nothing finer is kept.
+collapse onto the base variable, and a control statement becomes one record
+of its condition reads, kept apart from the statements it guards. That
+granularity is exactly what the data-flow graph needs; nothing finer is kept.
+
+One walker per AST layer: `_lower_statement` for statements (control
+statements from one table) and `_analyze_expression` for expressions, which
+folds every sub-expression, lvalue index expressions included, into one
+accumulator per statement. The walkers recurse once per nesting level, so
+an AST nested deeper than the interpreter's recursion limit allows is
+refused with MalformedAst.
 
 Resolution rules:
   * locals and parameters resolve within the function (locals are collected
@@ -154,18 +161,13 @@ class CallSite:
 
 @dataclass(slots=True)
 class Statement:
-    """One lowered statement with its def/use sets and call sites.
-
-    guard_uses carries the condition reads of every enclosing branch/loop,
-    so implicit flows can optionally be wired in at graph-build time.
-    """
+    """One lowered statement with its def/use sets and call sites."""
 
     kind: Kind
     defs: frozenset[VarRef]
     uses: frozenset[VarRef]
     calls: tuple[CallSite, ...] = ()
     source_span: tuple[int, int] = (0, 0)
-    guard_uses: frozenset[VarRef] = NO_REFS
 
     @property
     def callees(self) -> tuple[str, ...]:
@@ -336,7 +338,12 @@ def source_unit_node(unit: SourceUnit) -> dict:
 
 
 class _ExprInfo:
-    """Reads, writes, call sites, and transfer flag of one expression."""
+    """Reads, writes, call sites, and transfer flag of one statement.
+
+    Walkers fold every sub-expression into the accumulator they are given;
+    a separate one is made only where reads must be kept apart (call
+    arguments, a member call's receiver, an applied inner call).
+    """
 
     __slots__ = ("reads", "writes", "calls", "transfer")
 
@@ -346,12 +353,11 @@ class _ExprInfo:
         self.calls: list[CallSite] = []
         self.transfer = False
 
-    def merge(self, other: "_ExprInfo") -> "_ExprInfo":
+    def merge(self, other: "_ExprInfo") -> None:
         self.reads |= other.reads
         self.writes |= other.writes
         self.calls.extend(other.calls)
         self.transfer = self.transfer or other.transfer
-        return self
 
 
 class _Interner:
@@ -408,8 +414,13 @@ class _FnContext:
         return None
 
 
-def _is_env_identifier(node: dict, names: frozenset[str] = _ENV_NAMESPACES) -> bool:
-    return node.get("nodeType") == "Identifier" and node.get("name") in names
+_MSG = frozenset({"msg"})
+
+
+def _is_env_identifier(node: object, names: frozenset[str] = _ENV_NAMESPACES) -> bool:
+    return isinstance(node, dict) and node.get("nodeType") == "Identifier" and (
+        node.get("name") in names
+    )
 
 
 def _member_chain(node: dict) -> list[str]:
@@ -421,8 +432,23 @@ def _member_chain(node: dict) -> list[str]:
     return chain
 
 
-def _analyze_expression(node: object, ctx: _FnContext) -> _ExprInfo:
-    info = _ExprInfo()
+# Expression kinds that only read their operands, walked in this order.
+_OPERANDS = {
+    "IndexAccess": ("baseExpression", "indexExpression"),
+    "IndexRangeAccess": ("baseExpression", "startExpression", "endExpression"),
+    "BinaryOperation": ("leftExpression", "rightExpression"),
+    "Conditional": ("condition", "trueExpression", "falseExpression"),
+}
+_NO_READS = frozenset({"Literal", "ElementaryTypeNameExpression", "NewExpression"})
+
+
+def _analyze_expression(
+    node: object, ctx: _FnContext, info: _ExprInfo | None = None
+) -> _ExprInfo:
+    """Fold one expression's reads, writes, call sites and transfer flag
+    into `info` (a new accumulator when None), and return it."""
+    if info is None:
+        info = _ExprInfo()
     if not isinstance(node, dict):
         return info
     nt = node.get("nodeType")
@@ -431,85 +457,53 @@ def _analyze_expression(node: object, ctx: _FnContext) -> _ExprInfo:
         ref = ctx.resolve(node.get("name", ""))
         if ref is not None:
             info.reads.add(ref)
-        return info
-
-    if nt == "MemberAccess":
+    elif nt in _OPERANDS:
+        for key in _OPERANDS[nt]:
+            _analyze_expression(node.get(key), ctx, info)
+    elif nt == "MemberAccess":
         base = node.get("expression")
         member = node.get("memberName", "")
-        if _is_env_identifier(base, frozenset({"msg"})) and member in ("sender", "value"):
+        if _is_env_identifier(base, _MSG) and member in ("sender", "value"):
             info.reads.add(ctx.intern.ref(Scope.BUILTIN, f"msg.{member}"))
-            return info
-        if isinstance(base, dict) and _is_env_identifier(base):
-            return info
-        return info.merge(_analyze_expression(base, ctx))
-
-    if nt == "IndexAccess":
-        info.merge(_analyze_expression(node.get("baseExpression"), ctx))
-        info.merge(_analyze_expression(node.get("indexExpression"), ctx))
-        return info
-
-    if nt == "IndexRangeAccess":
-        for key in ("baseExpression", "startExpression", "endExpression"):
-            info.merge(_analyze_expression(node.get(key), ctx))
-        return info
-
-    if nt == "BinaryOperation":
-        info.merge(_analyze_expression(node.get("leftExpression"), ctx))
-        info.merge(_analyze_expression(node.get("rightExpression"), ctx))
-        return info
-
-    if nt == "UnaryOperation":
+        elif not _is_env_identifier(base):
+            _analyze_expression(base, ctx, info)
+    elif nt == "FunctionCall":
+        args = _ExprInfo()
+        for arg in node.get("arguments") or []:
+            _analyze_expression(arg, ctx, args)
+        info.merge(args)
+        site = _analyze_call_head(node.get("expression"), args.reads, ctx, info)
+        if site is not None:
+            info.calls.append(site)
+    elif nt == "UnaryOperation":
         sub = node.get("subExpression")
-        info.merge(_analyze_expression(sub, ctx))
-        op = node.get("operator")
-        if op in ("++", "--", "delete"):
-            writes, _ = _lvalue_targets(sub, ctx)
-            info.writes |= writes
-        return info
-
-    if nt == "Conditional":
-        for key in ("condition", "trueExpression", "falseExpression"):
-            info.merge(_analyze_expression(node.get(key), ctx))
-        return info
-
-    if nt == "TupleExpression":
+        if node.get("operator") in ("++", "--", "delete"):
+            _write(sub, ctx, info, read=True)
+        else:
+            _analyze_expression(sub, ctx, info)
+    elif nt == "TupleExpression":
         for comp in node.get("components") or []:
-            info.merge(_analyze_expression(comp, ctx))
-        return info
-
-    if nt == "Assignment":
-        # Nested assignment used as an expression: keep both sides' flows.
-        writes, index_reads = _lvalue_targets(node.get("leftHandSide"), ctx)
-        info.writes |= writes
-        info.reads |= index_reads
-        if node.get("operator") != "=":
-            info.reads |= writes
-        info.merge(_analyze_expression(node.get("rightHandSide"), ctx))
-        return info
-
-    if nt == "FunctionCallOptions":
-        inner = _analyze_call_head(node.get("expression"), [], ctx, info)
+            _analyze_expression(comp, ctx, info)
+    elif nt == "Assignment":
+        # A missing operator is a plain `=`; a compound one reads the target.
+        _write(node.get("leftHandSide"), ctx, info, read=node.get("operator", "=") != "=")
+        _analyze_expression(node.get("rightHandSide"), ctx, info)
+    elif nt == "FunctionCallOptions":
+        inner = _analyze_call_head(node.get("expression"), set(), ctx, info)
         for opt in node.get("options") or []:
-            info.merge(_analyze_expression(opt, ctx))
+            _analyze_expression(opt, ctx, info)
         if "value" in (node.get("names") or []):
             info.transfer = True
         if inner is not None:
             info.calls.append(inner)
-        return info
-
-    if nt == "FunctionCall":
-        return _analyze_call(node, ctx)
-
-    if nt in ("Literal", "ElementaryTypeNameExpression", "NewExpression"):
-        return info
-
-    # Unknown expression kind: fall back to a textual scan of its span.
-    info.reads |= _textual_reads(node, ctx)
+    elif nt not in _NO_READS:
+        # Unknown expression kind: fall back to a textual scan of its span.
+        info.reads |= _textual_reads(node, ctx)
     return info
 
 
 def _analyze_call_head(
-    callee: object, arg_infos: list[_ExprInfo], ctx: _FnContext, info: _ExprInfo
+    callee: object, arg_reads: set[VarRef], ctx: _FnContext, info: _ExprInfo
 ) -> CallSite | None:
     """Classify a call head, folding receiver reads into `info`.
 
@@ -518,9 +512,6 @@ def _analyze_call_head(
     """
     if not isinstance(callee, dict):
         return None
-    arg_reads: set[VarRef] = set()
-    for a in arg_infos:
-        arg_reads |= a.reads
     refs = ctx.intern.refs
     nt = callee.get("nodeType")
 
@@ -541,17 +532,15 @@ def _analyze_call_head(
     if nt == "MemberAccess":
         member = callee.get("memberName", "")
         base = callee.get("expression")
+        if member in ("push", "pop"):
+            _write(base, ctx, info, read=True)
+            return None
         base_info = _analyze_expression(base, ctx)
         info.merge(base_info)
         receiver_reads = refs(arg_reads | base_info.reads)
         if member in ("send", "transfer"):
             info.transfer = True
             return CallSite("." + member, receiver_reads)
-        if member in ("push", "pop"):
-            writes, index_reads = _lvalue_targets(base, ctx)
-            info.writes |= writes
-            info.reads |= index_reads
-            return None
         if member == "value" and isinstance(base, dict):
             # Legacy x.call.value(v) chain: mark the transfer, no call site
             # until the outer call applies it.
@@ -585,59 +574,41 @@ def _analyze_call_head(
             return CallSite(".call", refs(arg_reads | inner.reads))
         return CallSite(".call", refs(arg_reads)) if arg_reads else None
 
-    info.merge(_analyze_expression(callee, ctx))
+    _analyze_expression(callee, ctx, info)
     return None
 
 
-def _analyze_call(node: dict, ctx: _FnContext) -> _ExprInfo:
-    info = _ExprInfo()
-    arg_infos = []
-    for arg in node.get("arguments") or []:
-        a = _analyze_expression(arg, ctx)
-        arg_infos.append(a)
-        info.merge(a)
-    site = _analyze_call_head(node.get("expression"), arg_infos, ctx, info)
-    if site is not None:
-        info.calls.append(site)
-    return info
+def _write(node: object, ctx: _FnContext, info: _ExprInfo, read: bool) -> None:
+    """Fold a write to the lvalue `node` into `info`.
 
-
-def _lvalue_targets(node: object, ctx: _FnContext) -> tuple[set[VarRef], set[VarRef]]:
-    """(written base variables, extra index/member reads) of an lvalue.
-
-    Builtins are never written; an unresolvable target writes nothing.
+    The base variables are written, and read too when `read`. Index
+    expressions, and an lvalue that is no variable access, fold in like any
+    expression, calls and writes included. Builtins are never written; an
+    unresolvable target writes nothing.
     """
-    writes: set[VarRef] = set()
-    reads: set[VarRef] = set()
     if not isinstance(node, dict):
-        return writes, reads
+        return
     nt = node.get("nodeType")
     if nt == "Identifier":
         ref = ctx.resolve(node.get("name", ""))
         if ref is not None:
-            writes.add(ref)
-        return writes, reads
-    if nt == "MemberAccess":
+            info.writes.add(ref)
+            if read:
+                info.reads.add(ref)
+    elif nt == "MemberAccess":
         base = node.get("expression")
-        if isinstance(base, dict) and _is_env_identifier(base):
-            return writes, reads
-        return _lvalue_targets(base, ctx)
-    if nt == "IndexAccess":
-        w, r = _lvalue_targets(node.get("baseExpression"), ctx)
-        writes |= w
-        reads |= r
-        reads |= _analyze_expression(node.get("indexExpression"), ctx).reads
-        return writes, reads
-    if nt == "TupleExpression":
+        if not _is_env_identifier(base):
+            _write(base, ctx, info, read)
+        elif read:
+            _analyze_expression(node, ctx, info)  # msg.sender or msg.value
+    elif nt == "IndexAccess":
+        _write(node.get("baseExpression"), ctx, info, read)
+        _analyze_expression(node.get("indexExpression"), ctx, info)
+    elif nt == "TupleExpression":
         for comp in node.get("components") or []:
-            if comp is None:
-                continue
-            w, r = _lvalue_targets(comp, ctx)
-            writes |= w
-            reads |= r
-        return writes, reads
-    reads |= _analyze_expression(node, ctx).reads
-    return writes, reads
+            _write(comp, ctx, info, read)
+    else:
+        _analyze_expression(node, ctx, info)
 
 
 def _textual_reads(node: dict, ctx: _FnContext) -> set[VarRef]:
@@ -693,154 +664,90 @@ def _type_text(decl: dict) -> str:
     return ""
 
 
-def _lower_statement(
-    node: object,
-    ctx: _FnContext,
-    out: list,
-    guard_uses: frozenset[VarRef],
-) -> None:
-    """Append lowered statements (flattened) for one AST statement node.
+# Control statements: the statement kind their condition is lowered as, the
+# children lowered before it (For's initialization) and those after it.
+_CONTROL = {
+    "IfStatement": (Kind.BRANCH, (), ("trueBody", "falseBody")),
+    "WhileStatement": (Kind.LOOP, (), ("body",)),
+    "DoWhileStatement": (Kind.LOOP, (), ("body",)),
+    "ForStatement": (Kind.LOOP, ("initializationExpression",), ("body", "loopExpression")),
+}
 
-    `guard_uses` holds the condition reads of every enclosing branch/loop.
-    """
+
+def _emit(out: list, ctx: _FnContext, kind: Kind, info: _ExprInfo, node: dict) -> None:
+    """Append one statement of `info`'s effects, spanning `node`."""
+    refs = ctx.intern.refs
+    calls = tuple(info.calls)
+    out.append(Statement(kind, refs(info.writes), refs(info.reads), calls, span_of(node)))
+
+
+def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
+    """Append lowered statements (flattened) for one AST statement node."""
     if not isinstance(node, dict):
         return
     nt = node.get("nodeType")
-    refs = ctx.intern.refs
-
-    def emit(kind: Kind, info: _ExprInfo, extra_defs: set[VarRef] | None = None,
-             span: tuple[int, int] | None = None) -> None:
-        defs = info.writes | extra_defs if extra_defs else info.writes
-        out.append(
-            Statement(
-                kind=kind,
-                defs=refs(d for d in defs if d.scope != Scope.BUILTIN),
-                uses=refs(info.reads),
-                calls=tuple(info.calls),
-                source_span=span if span is not None else span_of(node),
-                guard_uses=guard_uses,
-            )
-        )
-
-    if nt in ("Block", "UncheckedBlock"):
-        for child in _objects(node, "statements"):
-            _lower_statement(child, ctx, out, guard_uses)
-        return
-
-    if nt == "VariableDeclarationStatement":
-        declared = {
-            ctx.intern.ref(Scope.LOCAL, d["name"])
-            for d in node.get("declarations") or []
-            if isinstance(d, dict) and d.get("name")
-        }
-        info = _analyze_expression(node.get("initialValue"), ctx)
-        emit(Kind.DECLARE, info, extra_defs=declared)
-        return
 
     if nt == "ExpressionStatement":
         expr = node.get("expression")
-        if isinstance(expr, dict) and expr.get("nodeType") == "Assignment":
-            op = expr.get("operator", "=")
-            writes, index_reads = _lvalue_targets(expr.get("leftHandSide"), ctx)
-            info = _analyze_expression(expr.get("rightHandSide"), ctx)
-            info.reads |= index_reads
-            if op != "=":
-                info.reads |= writes
-            info.writes |= writes
-            kind = Kind.VALUE_TRANSFER if info.transfer else Kind.ASSIGN
-            emit(kind, info)
-            return
         info = _analyze_expression(expr, ctx)
-        is_call_expr = isinstance(expr, dict) and expr.get("nodeType") in (
-            "FunctionCall",
-            "FunctionCallOptions",
-        )
+        et = expr.get("nodeType") if isinstance(expr, dict) else None
         if info.transfer:
             kind = Kind.VALUE_TRANSFER
-        elif info.calls or is_call_expr:
+        elif et != "Assignment" and (info.calls or et in ("FunctionCall", "FunctionCallOptions")):
             kind = Kind.CALL
         else:
             kind = Kind.ASSIGN
-        emit(kind, info)
-        return
-
-    if nt == "IfStatement":
+        _emit(out, ctx, kind, info, node)
+    elif nt in ("Block", "UncheckedBlock"):
+        for child in _objects(node, "statements"):
+            _lower_statement(child, ctx, out)
+    elif nt in _CONTROL:
+        kind, before, after = _CONTROL[nt]
+        for key in before:
+            _lower_statement(node.get(key), ctx, out)
         cond = node.get("condition")
-        info = _analyze_expression(cond, ctx)
-        span = span_of(cond) if isinstance(cond, dict) else span_of(node)
-        emit(Kind.BRANCH, info, span=span)
-        inner = refs(guard_uses | info.reads)
-        _lower_statement(node.get("trueBody"), ctx, out, inner)
-        _lower_statement(node.get("falseBody"), ctx, out, inner)
-        return
-
-    if nt in ("WhileStatement", "DoWhileStatement"):
-        cond = node.get("condition")
-        info = _analyze_expression(cond, ctx)
-        span = span_of(cond) if isinstance(cond, dict) else span_of(node)
-        emit(Kind.LOOP, info, span=span)
-        inner = refs(guard_uses | info.reads)
-        _lower_statement(node.get("body"), ctx, out, inner)
-        return
-
-    if nt == "ForStatement":
-        _lower_statement(node.get("initializationExpression"), ctx, out, guard_uses)
-        cond = node.get("condition")
-        info = _analyze_expression(cond, ctx)
-        span = span_of(cond) if isinstance(cond, dict) else span_of(node)
-        emit(Kind.LOOP, info, span=span)
-        inner = refs(guard_uses | info.reads)
-        _lower_statement(node.get("body"), ctx, out, inner)
-        _lower_statement(node.get("loopExpression"), ctx, out, inner)
-        return
-
-    if nt == "Return":
-        info = _analyze_expression(node.get("expression"), ctx)
-        emit(Kind.RETURN, info)
-        return
-
-    if nt == "EmitStatement":
-        call = node.get("eventCall")
+        where = cond if isinstance(cond, dict) else node
+        _emit(out, ctx, kind, _analyze_expression(cond, ctx), where)
+        for key in after:
+            _lower_statement(node.get(key), ctx, out)
+    elif nt == "VariableDeclarationStatement":
         info = _ExprInfo()
-        if isinstance(call, dict):
-            for arg in call.get("arguments") or []:
-                info.merge(_analyze_expression(arg, ctx))
-        info.calls = []  # event heads are not callable targets
-        emit(Kind.EMIT, info)
-        return
-
-    if nt == "RevertStatement":
-        call = node.get("errorCall")
-        info = _analyze_expression(call, ctx) if call else _ExprInfo()
-        info.calls = []
-        emit(Kind.CALL, info)
-        return
-
-    if nt == "TryStatement":
+        for d in node.get("declarations") or []:
+            if isinstance(d, dict) and d.get("name"):
+                info.writes.add(ctx.intern.ref(Scope.LOCAL, d["name"]))
+        _analyze_expression(node.get("initialValue"), ctx, info)
+        _emit(out, ctx, Kind.DECLARE, info, node)
+    elif nt == "Return":
+        _emit(out, ctx, Kind.RETURN, _analyze_expression(node.get("expression"), ctx), node)
+    elif nt in ("EmitStatement", "RevertStatement"):
+        # Event and error heads are not callable targets, and an event's
+        # reads are its arguments'.
+        info = _ExprInfo()
+        if nt == "RevertStatement":
+            _analyze_expression(node.get("errorCall"), ctx, info)
+        elif isinstance(node.get("eventCall"), dict):
+            for arg in node["eventCall"].get("arguments") or []:
+                _analyze_expression(arg, ctx, info)
+        info.calls.clear()
+        _emit(out, ctx, Kind.EMIT if nt == "EmitStatement" else Kind.CALL, info, node)
+    elif nt == "TryStatement":
         _lower_statement(
             {"nodeType": "ExpressionStatement", "expression": node.get("externalCall"),
              "src": node.get("src")},
             ctx,
             out,
-            guard_uses,
         )
         for clause in node.get("clauses") or []:
             if isinstance(clause, dict):
-                _lower_statement(clause.get("block"), ctx, out, guard_uses)
-        return
-
-    if nt == "PlaceholderStatement":
+                _lower_statement(clause.get("block"), ctx, out)
+    elif nt == "PlaceholderStatement":
         out.append(_Placeholder())
-        return
-
-    if nt in ("Break", "Continue", "Throw"):
-        return
-
-    # InlineAssembly and anything unrecognized: opaque statement with
-    # conservatively scanned uses and no defs.
-    info = _ExprInfo()
-    info.reads = _textual_reads(node, ctx)
-    emit(Kind.OPAQUE, info)
+    elif nt not in ("Break", "Continue", "Throw"):
+        # InlineAssembly and anything unrecognized: opaque statement with
+        # conservatively scanned uses and no defs.
+        info = _ExprInfo()
+        info.reads = _textual_reads(node, ctx)
+        _emit(out, ctx, Kind.OPAQUE, info, node)
 
 
 def _param_decls(node: dict, key: str) -> list[VariableDecl]:
@@ -874,7 +781,7 @@ def _lower_body(node: dict, ctx: _FnContext) -> list:
     out: list = []
     body = node.get("body")
     if isinstance(body, dict):
-        _lower_statement(body, ctx, out, NO_REFS)
+        _lower_statement(body, ctx, out)
     return out
 
 
@@ -920,15 +827,8 @@ def _inline_modifiers(
         args = inv.get("arguments") or []
         for p, arg in zip(mparams, args):
             info = _analyze_expression(arg, mctx)
-            binds.append(
-                Statement(
-                    kind=Kind.ASSIGN,
-                    defs=mctx.intern.refs((mctx.intern.ref(Scope.LOCAL, p.name),)),
-                    uses=mctx.intern.refs(info.reads),
-                    calls=tuple(info.calls),
-                    source_span=span_of(arg) if isinstance(arg, dict) else (0, 0),
-                )
-            )
+            info.writes = {mctx.intern.ref(Scope.LOCAL, p.name)}
+            _emit(binds, mctx, Kind.ASSIGN, info, arg if isinstance(arg, dict) else {})
         result = binds + pre + result + post
     return result
 
@@ -988,50 +888,54 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
     names = Names(models)
     intern = _Interner()
 
-    # Second pass: function bodies.
-    for model in models:
-        modifiers = _modifier_map(contract_members, names.linearization[model.name])
-        for member in contract_members[model.name]:
-            if member.get("nodeType") != "FunctionDefinition":
-                continue
-            fname = _function_name(member, model.name)
-            params = _param_decls(member, "parameters")
-            returns = _param_decls(member, "returnParameters")
-            local_decls: list[VariableDecl] = []
-            _collect_local_decls(member.get("body"), local_decls, set())
-            for r in returns:
-                if r.name not in {d.name for d in local_decls}:
-                    local_decls.append(r)
-            local_names = {d.name for d in local_decls}
+    # Second pass: function bodies, nested no deeper than the recursion
+    # limit allows (see the module docstring).
+    try:
+        for model in models:
+            modifiers = _modifier_map(contract_members, names.linearization[model.name])
+            for member in contract_members[model.name]:
+                if member.get("nodeType") != "FunctionDefinition":
+                    continue
+                fname = _function_name(member, model.name)
+                params = _param_decls(member, "parameters")
+                returns = _param_decls(member, "returnParameters")
+                local_decls: list[VariableDecl] = []
+                _collect_local_decls(member.get("body"), local_decls, set())
+                for r in returns:
+                    if r.name not in {d.name for d in local_decls}:
+                        local_decls.append(r)
+                local_names = {d.name for d in local_decls}
 
-            def ctx_factory(extra_locals: set[str] = frozenset()):
-                return _FnContext(
-                    contract=model.name,
-                    names=names,
-                    params={p.name for p in params},
-                    locals_=set(local_names) | set(extra_locals),
-                    source_text=unit.source_text,
-                    intern=intern,
-                )
+                def ctx_factory(extra_locals: set[str] = frozenset()):
+                    return _FnContext(
+                        contract=model.name,
+                        names=names,
+                        params={p.name for p in params},
+                        locals_=set(local_names) | set(extra_locals),
+                        source_text=unit.source_text,
+                        intern=intern,
+                    )
 
-            ctx = ctx_factory()
-            body_stmts = _lower_body(member, ctx)
-            statements = _inline_modifiers(
-                member, body_stmts, ctx_factory, modifiers, names.models
-            )
-            model.functions.append(
-                FunctionModel(
-                    name=fname,
-                    contract=model.name,
-                    visibility=member.get("visibility", "public"),
-                    payable=member.get("stateMutability") == "payable"
-                    or bool(member.get("payable")),
-                    params=params,
-                    locals=local_decls,
-                    statements=statements,
-                    source_span=span_of(member),
+                ctx = ctx_factory()
+                body_stmts = _lower_body(member, ctx)
+                statements = _inline_modifiers(
+                    member, body_stmts, ctx_factory, modifiers, names.models
                 )
-            )
+                model.functions.append(
+                    FunctionModel(
+                        name=fname,
+                        contract=model.name,
+                        visibility=member.get("visibility", "public"),
+                        payable=member.get("stateMutability") == "payable"
+                        or bool(member.get("payable")),
+                        params=params,
+                        locals=local_decls,
+                        statements=statements,
+                        source_span=span_of(member),
+                    )
+                )
+    except RecursionError:
+        raise MalformedAst("AST nested too deeply to lower") from None
     return models
 
 

@@ -500,3 +500,38 @@ def pay_help_unit(pairs: int, name: str = "wide") -> tuple[str, dict]:
             ),
         ]
     return build_unit(name, [Contract("Wide", members)])
+
+
+def deep_doc(depth: int, statements: bool = False) -> dict:
+    """A one-function contract nested `depth` levels deep: a chain of binary
+    operations, or of if statements when `statements`. The chain is spliced
+    in as raw AST, since the builders above recurse once per level."""
+    _source, doc = build_unit(
+        "deep", [Contract("Deep", [StateVar("uint", "x"), Fn("run", [], [SReturn(Id("x"))])])]
+    )
+    body = doc["sources"]["deep.sol"]["ast"]["nodes"][-1]["nodes"][-1]["body"]
+    (ret,) = body["statements"]
+    x = dict(ret["expression"])
+    node = ret if statements else ret["expression"]
+    for _ in range(depth):
+        if statements:
+            block = {"nodeType": "Block", "statements": [node]}
+            node = {"nodeType": "IfStatement", "condition": x, "trueBody": block}
+        else:
+            node = {
+                "nodeType": "BinaryOperation",
+                "operator": "+",
+                "leftExpression": node,
+                "rightExpression": x,
+            }
+    if statements:
+        body["statements"] = [node]
+    else:
+        ret["expression"] = node
+    return doc
+
+
+def deep_json_text(depth: int) -> str:
+    """An AST document whose JSON nests `depth` arrays deep."""
+    nodes = "[" * depth + "]" * depth
+    return '{"sources": {"deep.sol": {"ast": {"nodeType": "SourceUnit", "nodes": %s}}}}' % nodes

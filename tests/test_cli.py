@@ -15,6 +15,7 @@ import dotcheck
 import fixutil
 import ponzilens
 import ponzilens.cli as cli_mod
+import programs
 from ponzilens.cli import EXIT_OK, EXIT_PIPELINE, EXIT_POSITIVE, EXIT_USAGE, main
 from ponzilens.detect import DetectionReport
 from ponzilens.ingest import SourceUnit
@@ -71,6 +72,17 @@ def test_analyze_dump_graph(tmp_path):
     ids = {tuple(g["id"]["path"]) for g in doc["graphs"]}
     assert ("Base",) in ids and ("Child",) in ids
     assert doc["tainted"]
+
+
+@pytest.mark.parametrize("name", fixutil.FIXTURE_NAMES)
+def test_analyze_dumps_match_golden(tmp_path, name):
+    # Pins the lowered IR (kinds, def/use sets, call order, spans) and the
+    # graph, byte for byte.
+    rc = main(["analyze", _fx(name), "--out", str(tmp_path), "--dump-ir", "--dump-graph"])
+    assert rc == EXIT_OK
+    for suffix in ("ir", "graph"):
+        golden = fixutil.FIXTURES / "golden" / f"{name}.{suffix}.json"
+        assert (tmp_path / f"{name}.{suffix}.json").read_bytes() == golden.read_bytes()
 
 
 def test_analyze_emit_slices(tmp_path):
@@ -169,6 +181,13 @@ def test_detect_mode_alias_and_repeats(tmp_path):
     assert report.mode == "no_taint"
     assert report.template_version == "analysis_code_v1+detection_v1"
     assert len(report.runs) == 2
+
+
+def test_detect_too_deep_a_file_is_a_pipeline_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(programs.deep_json_text(3000))
+    assert main(["detect", str(deep), "--out", str(tmp_path), "--gate"]) == EXIT_PIPELINE
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_detect_pipeline_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 import fixutil
 import ponzilens.detect as detect_mod
+import programs
 from astgen import Contract, Fn, Id, Member, SAssign, StateVar, build_unit
 from ponzilens.detect import (
     API_KEY_ENV,
@@ -539,6 +540,16 @@ def test_detect_contract_reports_are_byte_identical():
     a = json.dumps(detect_contract(unit, LlmConfig(), repeats=5).to_dict(), sort_keys=True)
     b = json.dumps(detect_contract(unit, LlmConfig(), repeats=5).to_dict(), sort_keys=True)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    ("depth", "statements"), [(3000, False), (400, True)], ids=["binary_ops", "ifs"]
+)
+def test_detect_contract_reports_too_deep_an_ast(depth, statements):
+    unit = load_ast(programs.deep_doc(depth, statements))
+    report = detect_contract(unit, LlmConfig(), repeats=1)
+    assert report.error == {"phase": "static", "message": "AST nested too deeply to lower"}
+    assert report.final_verdict is None and not report.runs
 
 
 def test_detect_contract_no_taint_template_version():

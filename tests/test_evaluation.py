@@ -8,6 +8,7 @@ import pytest
 
 import fixutil
 import ponzilens.evaluation as evaluation_mod
+import programs
 from ponzilens.detect import DetectionReport, LlmConfig, RunRecord
 from ponzilens.errors import LabelMismatch
 from ponzilens.evaluation import (
@@ -159,6 +160,13 @@ def test_read_journal_skips_torn_lines(tmp_path):
         '{"contract_id": "a", "runs": 5}',
         '{"contract_id": "a", "runs": [null]}',
         '{"contract_id": "a", "runs": [{"input_tokens": "many"}]}',
+        '{"contract_id": "a", "final_verdict": "false"}',
+        '{"contract_id": "a", "final_verdict": 0}',
+        '{"contract_id": "a", "runs": [{"verdict": "true"}]}',
+        '{"contract_id": 7}',
+        '{"contract_id": "a", "error": "boom"}',
+        '{"contract_id": "a", "slice_stats": [1]}',
+        pytest.param('{"contract_id": "a", "runs": ' + "[" * 3000 + "]" * 3000 + "}", id="deep"),
     ],
 )
 def test_read_journal_skips_valid_json_that_is_not_a_report(tmp_path, damaged):
@@ -233,6 +241,21 @@ def test_run_batch_serial_with_journal(tmp_path):
     assert [r.final_verdict for r in reports] == [True, False, False]
     assert all(len(r.runs) == 2 for r in reports)
     assert len(journal.read_text().splitlines()) == 3
+
+
+def test_run_batch_records_too_deep_a_file_as_an_ingest_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(programs.deep_json_text(3000))
+    manifest = _manifest(
+        ManifestEntry(id="deep", path_or_address=str(deep), label=CLEAN),
+        _entry("sp", "simple_ponzi", PONZI),
+    )
+    deep_report, sp = run_batch(manifest, LlmConfig(), repeats=1)
+    assert deep_report.error == {
+        "phase": "ingest",
+        "message": "AST document is nested too deeply to parse",
+    }
+    assert sp.final_verdict is True
 
 
 def test_run_batch_resumes_from_journal(tmp_path):

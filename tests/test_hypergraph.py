@@ -25,10 +25,10 @@ from ponzilens.taint import default_sources, tpa
 from programs import pay_help_unit
 
 
-def _graph(name: str, implicit_flow: bool = False):
+def _graph(name: str):
     u = fixutil.load_unit(name)
     models = lower(u)
-    return build(models, u.source_text, implicit_flow=implicit_flow), models
+    return build(models, u.source_text), models
 
 
 def _edge_strs(h: HypernodeGraph) -> set[tuple[str, str, tuple[str, ...]]]:
@@ -153,23 +153,6 @@ def test_defless_statements_still_materialize_nodes():
     h, _ = _graph("gated")
     assert NodeId(("Gated", "sweep", "msg.sender")) in h.nodes()
     assert NodeId(("Gated", "owner")) in h.members(GraphId(("Gated",)))
-
-
-def test_implicit_flow_adds_guard_edges():
-    plain, _ = _graph("simple_ponzi")
-    guarded, _ = _graph("simple_ponzi", implicit_flow=True)
-    extra = set(guarded.all_edges()) - set(plain.all_edges())
-    # The loop condition reads balance; defs inside the body pick up the
-    # guard edge only in implicit-flow mode.
-    assert (
-        NodeId(("SimplePonzi", "balance")),
-        NodeId(("SimplePonzi", "enter", "transactionAmount")),
-    ) in extra
-    assert (
-        NodeId(("SimplePonzi", "persons")),
-        NodeId(("SimplePonzi", "payoutIdx")),
-    ) in extra
-    assert set(plain.all_edges()) <= set(guarded.all_edges())
 
 
 def test_no_hypernode_to_hypernode_edges():

@@ -12,6 +12,7 @@ import pytest
 
 import fixutil
 import ponzilens.ingest as ingest
+import programs
 from ponzilens.errors import (
     AuthError,
     CompilerNotFound,
@@ -141,6 +142,11 @@ def test_load_ast_error_taxonomy():
     contract["nodes"].append(7)
     with pytest.raises(MalformedAst, match="non-object member"):
         lower(load_ast(doc))
+
+
+def test_load_ast_reports_too_deep_a_document_as_json_error():
+    with pytest.raises(JsonError, match="nested too deeply"):
+        load_ast(programs.deep_json_text(3000))
 
 
 def test_load_source_unit_sol_and_json(tmp_path):

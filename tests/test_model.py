@@ -8,19 +8,24 @@ import pickle
 import pytest
 
 import fixutil
+import programs
 from astgen import (
     Bin,
     Call,
     Contract,
     Fn,
     Id,
+    Index,
     Lit,
+    Member,
     SAssign,
     SExpr,
     SOpaque,
     StateVar,
+    Un,
     build_unit,
 )
+from ponzilens.errors import MalformedAst
 from ponzilens.ingest import load_ast
 from ponzilens.model import (
     NO_REFS,
@@ -96,15 +101,6 @@ def test_simple_ponzi_def_use_table():
     }
     # Insertion order is the sorted ref order, so dumps are reproducible.
     assert list(table) == sorted(table)
-
-
-def test_loop_body_guard_uses():
-    f = _fn("simple_ponzi", "SimplePonzi.enter")
-    guard = frozenset({_sv("balance"), _sv("payoutIdx"), _sv("persons")})
-    for idx in (8, 9, 10, 11):
-        assert f.statements[idx].guard_uses == guard
-    for idx in range(8):
-        assert not f.statements[idx].guard_uses
 
 
 def test_compound_assign_reads_lhs():
@@ -306,6 +302,104 @@ def test_expression_statement_with_nested_call_argument():
     assert _sv("x") in by_name["g"]
 
 
+def _run_statements(*body):
+    """Lowered statements of `run` in a contract with state members, next,
+    a and functions slot and f."""
+    _, doc = build_unit(
+        "lv",
+        [
+            Contract(
+                "Lv",
+                [
+                    StateVar("address[]", "members"),
+                    StateVar("uint", "next"),
+                    StateVar("uint[]", "a"),
+                    Fn("slot", [], []),
+                    Fn("f", [], []),
+                    Fn("run", [("uint", "x")], list(body)),
+                ],
+            )
+        ],
+    )
+    return next(f for f in lower(load_ast(doc))[0].functions if f.name == "run").statements
+
+
+def test_lvalue_index_keeps_its_writes():
+    # members[next++] = msg.sender;
+    target = Index(Id("members"), Un("++", Id("next"), prefix=False))
+    (s,) = _run_statements(SAssign(target, "=", Member(Id("msg"), "sender")))
+    assert s.kind is Kind.ASSIGN
+    assert s.defs == frozenset({_sv("members"), _sv("next")})
+    assert s.uses == frozenset({_sv("next"), _bv("msg.sender")})
+
+
+def test_lvalue_index_keeps_its_calls():
+    # members[slot()] = msg.sender;
+    target = Index(Id("members"), Call(Id("slot")))
+    (s,) = _run_statements(SAssign(target, "=", Member(Id("msg"), "sender")))
+    assert s.kind is Kind.ASSIGN
+    assert s.callees == ("slot",)
+    assert s.defs == frozenset({_sv("members")})
+
+
+def test_lvalue_index_call_is_recorded_once():
+    # a[f()].push(x); a[f()]++; a[f()] += x;
+    push, inc, add = _run_statements(
+        SExpr(Call(Member(Index(Id("a"), Call(Id("f"))), "push"), [Id("x")])),
+        SExpr(Un("++", Index(Id("a"), Call(Id("f"))), prefix=False)),
+        SAssign(Index(Id("a"), Call(Id("f"))), "+=", Id("x")),
+    )
+    for s in (push, inc, add):
+        assert s.callees == ("f",)
+        assert s.defs == frozenset({_sv("a")})
+        assert _sv("a") in s.uses
+
+
+@pytest.mark.parametrize(
+    ("depth", "statements"), [(3000, False), (400, True)], ids=["binary_ops", "ifs"]
+)
+def test_lowering_refuses_nesting_deeper_than_the_recursion_limit(depth, statements):
+    with pytest.raises(MalformedAst, match="nested too deeply"):
+        lower(load_ast(programs.deep_doc(depth, statements)))
+    shallow = lower(load_ast(programs.deep_doc(100, statements)))
+    assert len(shallow[0].functions[0].statements) == (101 if statements else 1)
+
+
+def test_member_access_on_a_non_object_reads_nothing():
+    # next = msg.sender; a.push(x); with both member bases replaced by
+    # non-objects.
+    _, doc = build_unit(
+        "odd",
+        [
+            Contract(
+                "Odd",
+                [
+                    StateVar("uint", "next"),
+                    StateVar("uint[]", "a"),
+                    Fn(
+                        "run",
+                        [("uint", "x")],
+                        [
+                            SAssign(Id("next"), "=", Member(Id("msg"), "sender")),
+                            SExpr(Call(Member(Id("a"), "push"), [Id("x")])),
+                            SExpr(Call(Member(Id("a"), "foo"), [Id("x")])),
+                        ],
+                    ),
+                ],
+            )
+        ],
+    )
+    body = doc["sources"]["odd.sol"]["ast"]["nodes"][-1]["nodes"][-1]["body"]
+    assign, push, call = (s["expression"] for s in body["statements"])
+    assign["rightHandSide"]["expression"] = [1]
+    push["expression"]["expression"] = None
+    call["expression"]["expression"] = "a"
+    s1, s2, s3 = lower(load_ast(doc))[0].functions[0].statements
+    assert (s1.defs, s1.uses) == (frozenset({_sv("next")}), NO_REFS)
+    assert (s2.defs, s2.uses, s2.calls) == (NO_REFS, frozenset({_pv("x")}), ())
+    assert s3.callees == (".foo",)
+
+
 def _hierarchy(**bases: str) -> dict[str, ContractModel]:
     """Contract models from name="Base1 Base2" (Solidity `is` order)."""
     return {n: ContractModel(n, inherits=b.split()) for n, b in bases.items()}
@@ -355,7 +449,7 @@ def _ref_sets(models: list[ContractModel]) -> list[frozenset[VarRef]]:
         for m in models
         for f in m.functions
         for st in f.statements
-        for refs in (st.defs, st.uses, st.guard_uses, *(c.arg_reads for c in st.calls))
+        for refs in (st.defs, st.uses, *(c.arg_reads for c in st.calls))
     ]
 
 

@@ -11,10 +11,10 @@ from ponzilens.model import lower
 from ponzilens.taint import default_sources, tainted_state_vars, tpa
 
 
-def _taint(name: str, implicit_flow: bool = False):
+def _taint(name: str):
     u = fixutil.load_unit(name)
     models = lower(u)
-    h = build(models, u.source_text, implicit_flow=implicit_flow)
+    h = build(models, u.source_text)
     return tpa(h, default_sources(h)), h
 
 
@@ -51,15 +51,6 @@ def test_simple_ponzi_taint_edges_are_tail_tainted():
     untraversed = set(h.all_edges()) - set(t.taint_edges)
     for a, _b in untraversed:
         assert a not in t.tainted
-
-
-def test_implicit_flow_taints_guard_dependent_writes():
-    t_plain, _ = _taint("simple_ponzi")
-    t_guarded, _ = _taint("simple_ponzi", implicit_flow=True)
-    cursor = NodeId(("SimplePonzi", "payoutIdx"))
-    assert cursor not in t_plain.tainted
-    assert cursor in t_guarded.tainted
-    assert t_plain.tainted <= t_guarded.tainted
 
 
 def test_constructor_sender_taints_owner():
