@@ -213,18 +213,7 @@ def discover_solc() -> dict[str, str]:
     return found
 
 
-class SolcSelector:
-    """Finds compiler binaries and applies the version-resolution policy."""
-
-    def __init__(self, binaries: dict[str, str] | None = None):
-        self._binaries = dict(binaries) if binaries is not None else discover_solc()
-
-    def resolve(self, constraint: str) -> tuple[str, str]:
-        version = resolve_version(constraint or "", self._binaries)
-        return version, self._binaries[version]
-
-
-def compile_source(unit: SourceUnit, selector: SolcSelector | None = None) -> SourceUnit:
+def compile_source(unit: SourceUnit) -> SourceUnit:
     """Compile `unit.source_text` and attach the AST document in place.
 
     Raises UnsupportedVersion before touching a compiler when the pragma is
@@ -240,8 +229,9 @@ def compile_source(unit: SourceUnit, selector: SolcSelector | None = None) -> So
             f"pragma {unit.pragma_version!r} outside supported range "
             f"{'.'.join(map(str, SUPPORTED_MIN))}..{'.'.join(map(str, SUPPORTED_MAX))}"
         )
-    selector = selector or SolcSelector()
-    version, binary = selector.resolve(unit.pragma_version or "")
+    binaries = discover_solc()
+    version = resolve_version(unit.pragma_version or "", binaries)
+    binary = binaries[version]
 
     name = f"{unit.id}.sol"
     request = {
@@ -261,7 +251,7 @@ def compile_source(unit: SourceUnit, selector: SolcSelector | None = None) -> So
         raise CompileError(f"compiler invocation failed: {exc}") from exc
     try:
         output = json.loads(proc.stdout)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CompileError(f"compiler emitted invalid JSON: {proc.stderr[:500]}") from exc
 
     diagnostics = [
@@ -294,6 +284,29 @@ def serialize_ast(unit: SourceUnit) -> str:
     return json.dumps(unit.ast_json, indent=2, sort_keys=False)
 
 
+def source_entry(doc: object) -> tuple[str, dict]:
+    """The name and entry of an AST document's one source; MalformedAst
+    unless the entry has string content and a SourceUnit root with nodes."""
+    if not isinstance(doc, dict):
+        raise MalformedAst("AST document must be a JSON object")
+    sources = doc.get("sources")
+    if not isinstance(sources, dict) or not sources:
+        raise MalformedAst("AST document has no sources entry")
+    if len(sources) > 1:
+        raise MalformedAst("multi-file documents are not supported; flatten first")
+    (name, entry), = sources.items()
+    if not isinstance(entry, dict):
+        raise MalformedAst(f"source entry {name!r} must be an object")
+    ast = entry.get("ast")
+    if not isinstance(ast, dict) or ast.get("nodeType") != "SourceUnit":
+        raise MalformedAst(f"source entry {name!r} lacks a SourceUnit root")
+    if not isinstance(ast.get("nodes"), list):
+        raise MalformedAst("SourceUnit root has no nodes list")
+    if not isinstance(entry.get("content", ""), str):
+        raise MalformedAst("source content must be a string")
+    return name, entry
+
+
 def load_ast(document: str | dict) -> SourceUnit:
     """Rebuild a SourceUnit from a serialized AST document.
 
@@ -311,24 +324,7 @@ def load_ast(document: str | dict) -> SourceUnit:
             raise JsonError("AST document is nested too deeply to parse") from None
     else:
         doc = document
-    if not isinstance(doc, dict):
-        raise MalformedAst("AST document must be a JSON object")
-    sources = doc.get("sources")
-    if not isinstance(sources, dict) or not sources:
-        raise MalformedAst("AST document has no sources entry")
-    if len(sources) > 1:
-        raise MalformedAst("multi-file documents are not supported; flatten first")
-    (name, entry), = sources.items()
-    if not isinstance(entry, dict):
-        raise MalformedAst(f"source entry {name!r} must be an object")
-    ast = entry.get("ast")
-    if not isinstance(ast, dict) or ast.get("nodeType") != "SourceUnit":
-        raise MalformedAst(f"source entry {name!r} lacks a SourceUnit root")
-    if not isinstance(ast.get("nodes"), list):
-        raise MalformedAst("SourceUnit root has no nodes list")
-    content = entry.get("content", "")
-    if not isinstance(content, str):
-        raise MalformedAst("source content must be a string")
+    name, entry = source_entry(doc)
     stem = Path(name).name
     for suffix in (".sol", ".json"):
         if stem.endswith(suffix):
@@ -337,7 +333,7 @@ def load_ast(document: str | dict) -> SourceUnit:
     return SourceUnit(
         id=stem or name,
         path_or_address=name,
-        source_text=content,
+        source_text=entry.get("content", ""),
         ast_json=doc,
         compiler_version=compiler.get("version"),
     )
@@ -414,7 +410,7 @@ def _flatten_explorer_source(raw: str) -> str:
     if payload is not None:
         try:
             obj = json.loads(payload)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             return raw
         sources = obj.get("sources", obj) if isinstance(obj, dict) else None
         if isinstance(sources, dict):
@@ -483,7 +479,7 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
             continue
         try:
             body = resp.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise JsonError(f"explorer reply is not JSON: {exc}") from exc
         result = body.get("result")
         if isinstance(result, str):

@@ -30,29 +30,32 @@ name) and one frozenset per distinct set of references (the empty one is the
 shared `NO_REFS`), so a lowered unit holds few objects for the garbage
 collector to walk.
 
-Calls are kept as call sites with per-call argument read sets. Names with a
-leading "." are member calls on some object (inherently external from this
-unit's point of view); plain names are candidates for in-unit resolution
-later. Well-known builtin callables (require, assert, keccak256, ...) and
-type conversions produce no call site at all, though their argument reads
-are kept.
+Calls are kept as call sites with per-call argument read sets, at most one
+per call. Names with a leading "." are member calls on some object
+(inherently external from this unit's point of view); plain names, `this.f`
+included, are candidates for in-unit resolution later. Value and gas
+options (`h{value: v}`, legacy `h.value(v)` and `h.gas(g)`) belong to the
+site of the h they decorate. Well-known builtin callables (require, assert,
+keccak256, ...) and type conversions produce no call site at all, though
+their argument reads are kept.
 
-Modifier bodies are inlined around the function body at the placeholder
-statement, with invocation arguments bound to modifier parameters through
-synthetic assignments, so guard reads like `msg.sender == owner` surface in
-the function that carries the modifier.
+Each modifier is lowered once per contract, in its own scope (its
+parameters and locals, then state), and inlined around the function body at
+the placeholder statement, with invocation arguments bound to modifier
+parameters through synthetic assignments, so guard reads like
+`msg.sender == owner` surface in the function that carries the modifier.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping
 
 from .errors import MalformedAst
-from .ingest import SourceUnit
+from .ingest import SourceUnit, source_entry
 
 
 class Scope(str, Enum):
@@ -161,7 +164,8 @@ class CallSite:
 
 @dataclass(slots=True)
 class Statement:
-    """One lowered statement with its def/use sets and call sites."""
+    """One lowered statement with its def/use sets and call sites. Never
+    mutated once lowered: functions share their modifiers' statements."""
 
     kind: Kind
     defs: frozenset[VarRef]
@@ -319,21 +323,6 @@ def span_of(node: dict) -> tuple[int, int]:
         return (0, 0)
 
 
-def source_unit_node(unit: SourceUnit) -> dict:
-    """The SourceUnit AST root of a unit's AST document."""
-    doc = unit.ast_json
-    if not isinstance(doc, dict):
-        raise MalformedAst("unit carries no AST document")
-    sources = doc.get("sources")
-    if not isinstance(sources, dict) or len(sources) != 1:
-        raise MalformedAst("AST document must hold exactly one source entry")
-    (entry,) = sources.values()
-    ast = entry.get("ast") if isinstance(entry, dict) else None
-    if not isinstance(ast, dict) or ast.get("nodeType") != "SourceUnit":
-        raise MalformedAst("source entry lacks a SourceUnit root")
-    return ast
-
-
 # --- expression analysis ----------------------------------------------------
 
 
@@ -341,8 +330,8 @@ class _ExprInfo:
     """Reads, writes, call sites, and transfer flag of one statement.
 
     Walkers fold every sub-expression into the accumulator they are given;
-    a separate one is made only where reads must be kept apart (call
-    arguments, a member call's receiver, an applied inner call).
+    a separate one is made only where reads must be kept apart: a call's
+    arguments, and each option and receiver that feeds a call.
     """
 
     __slots__ = ("reads", "writes", "calls", "transfer")
@@ -385,24 +374,16 @@ class _Interner:
         return self._sets.setdefault(found, found)
 
 
+@dataclass(slots=True)
 class _FnContext:
-    """Name-resolution scope for one function body."""
+    """Name-resolution scope for one function or modifier body."""
 
-    def __init__(
-        self,
-        contract: str,
-        names: Names,
-        params: set[str],
-        locals_: set[str],
-        source_text: str,
-        intern: _Interner,
-    ):
-        self.contract = contract
-        self.names = names
-        self.params = params
-        self.locals = locals_
-        self.source_text = source_text
-        self.intern = intern
+    contract: str
+    names: Names
+    params: Container[str]
+    locals: Container[str]
+    source_text: str
+    intern: _Interner
 
     def resolve(self, name: str) -> VarRef | None:
         if name in self.locals:
@@ -421,15 +402,6 @@ def _is_env_identifier(node: object, names: frozenset[str] = _ENV_NAMESPACES) ->
     return isinstance(node, dict) and node.get("nodeType") == "Identifier" and (
         node.get("name") in names
     )
-
-
-def _member_chain(node: dict) -> list[str]:
-    """Member names from the outside in, e.g. a.b.c -> ["c", "b"]."""
-    chain = []
-    while isinstance(node, dict) and node.get("nodeType") == "MemberAccess":
-        chain.append(node.get("memberName", ""))
-        node = node.get("expression")
-    return chain
 
 
 # Expression kinds that only read their operands, walked in this order.
@@ -467,14 +439,8 @@ def _analyze_expression(
             info.reads.add(ctx.intern.ref(Scope.BUILTIN, f"msg.{member}"))
         elif not _is_env_identifier(base):
             _analyze_expression(base, ctx, info)
-    elif nt == "FunctionCall":
-        args = _ExprInfo()
-        for arg in node.get("arguments") or []:
-            _analyze_expression(arg, ctx, args)
-        info.merge(args)
-        site = _analyze_call_head(node.get("expression"), args.reads, ctx, info)
-        if site is not None:
-            info.calls.append(site)
+    elif nt in ("FunctionCall", "FunctionCallOptions"):
+        _call(node, ctx, info)
     elif nt == "UnaryOperation":
         sub = node.get("subExpression")
         if node.get("operator") in ("++", "--", "delete"):
@@ -488,94 +454,99 @@ def _analyze_expression(
         # A missing operator is a plain `=`; a compound one reads the target.
         _write(node.get("leftHandSide"), ctx, info, read=node.get("operator", "=") != "=")
         _analyze_expression(node.get("rightHandSide"), ctx, info)
-    elif nt == "FunctionCallOptions":
-        inner = _analyze_call_head(node.get("expression"), set(), ctx, info)
-        for opt in node.get("options") or []:
-            _analyze_expression(opt, ctx, info)
-        if "value" in (node.get("names") or []):
-            info.transfer = True
-        if inner is not None:
-            info.calls.append(inner)
     elif nt not in _NO_READS:
         # Unknown expression kind: fall back to a textual scan of its span.
         info.reads |= _textual_reads(node, ctx)
     return info
 
 
-def _analyze_call_head(
-    callee: object, arg_reads: set[VarRef], ctx: _FnContext, info: _ExprInfo
-) -> CallSite | None:
-    """Classify a call head, folding receiver reads into `info`.
+def _call(node: dict, ctx: _FnContext, info: _ExprInfo) -> None:
+    """Fold one call into `info` and record its call site, if any. The
+    arguments fold first; an options node that no call applies has none and
+    is its own head."""
+    args = _ExprInfo()
+    for arg in node.get("arguments") or []:
+        _analyze_expression(arg, ctx, args)
+    info.merge(args)
+    head = node.get("expression") if node.get("nodeType") == "FunctionCall" else node
+    name = _callee(head, args.reads, ctx, info)
+    if name is not None:
+        info.calls.append(CallSite(name, ctx.intern.refs(args.reads)))
 
-    Returns the call site to record, or None for builtins, event heads, and
-    type conversions.
+
+def _callee(head: object, reads: set[VarRef], ctx: _FnContext, info: _ExprInfo) -> str | None:
+    """The call-site name of a call head, or None for builtins, type
+    conversions, members of other namespaces and `super.` calls.
+
+    Option layers are peeled down to the called function `h`: `h{value: v}`,
+    and the legacy `h.value(v)` and `h.gas(g)`, which are only applied when
+    `h` is a function. Their reads, and a member call's receiver reads, join
+    `reads`; every effect folds into `info`, and a value option marks a
+    transfer.
     """
-    if not isinstance(callee, dict):
+    if not isinstance(head, dict):
         return None
-    refs = ctx.intern.refs
-    nt = callee.get("nodeType")
-
+    nt = head.get("nodeType")
     if nt == "Identifier":
-        name = callee.get("name", "")
-        if name in _BUILTIN_CALLS or not name:
-            return None
-        if name in ctx.names.models:
-            return None  # contract-type cast, not a call
+        name = head.get("name", "")
+        if not name or name in _BUILTIN_CALLS or name in ctx.names.models:
+            return None  # a builtin, or a contract-type cast
         ref = ctx.resolve(name)
-        if ref is not None:
-            # Calling through a function-typed variable: the variable is
-            # read; the target is opaque.
-            info.reads.add(ref)
-            return CallSite("." + name, refs(arg_reads))
-        return CallSite(name, refs(arg_reads))
+        if ref is None:
+            return name
+        # Calling through a function-typed variable: the variable is read;
+        # the target is opaque.
+        info.reads.add(ref)
+        return "." + name
 
     if nt == "MemberAccess":
-        member = callee.get("memberName", "")
-        base = callee.get("expression")
+        member = head.get("memberName", "")
+        base = head.get("expression")
         if member in ("push", "pop"):
             _write(base, ctx, info, read=True)
             return None
-        base_info = _analyze_expression(base, ctx)
-        info.merge(base_info)
-        receiver_reads = refs(arg_reads | base_info.reads)
+        _feed(base, reads, ctx, info)
         if member in ("send", "transfer"):
             info.transfer = True
-            return CallSite("." + member, receiver_reads)
-        if member == "value" and isinstance(base, dict):
-            # Legacy x.call.value(v) chain: mark the transfer, no call site
-            # until the outer call applies it.
-            chain = _member_chain(base)
-            if chain and chain[0] == "call":
+        elif not member or _is_env_identifier(base):
+            # `this.f` calls f directly; other namespaces hold builtins.
+            return member if member and base["name"] == "this" else None
+        return "." + member
+
+    if nt == "FunctionCallOptions":
+        name = _callee(head.get("expression"), reads, ctx, info)
+        for opt in head.get("options") or []:
+            _feed(opt, reads, ctx, info)
+        if "value" in (head.get("names") or []):
+            info.transfer = True
+        return name
+
+    if nt == "FunctionCall":
+        option = head.get("expression")
+        if isinstance(option, dict) and option.get("memberName") in ("value", "gas"):
+            for arg in head.get("arguments") or []:
+                _feed(arg, reads, ctx, info)
+            if option["memberName"] == "value":
                 info.transfer = True
-                return CallSite(".call", receiver_reads)
-        if _is_env_identifier(base) or not member:
-            return None
-        if isinstance(base, dict) and base.get("nodeType") == "Identifier" and base.get(
-            "name"
-        ) == "this":
-            return CallSite(member, refs(arg_reads))
-        return CallSite("." + member, receiver_reads)
+            return _callee(option.get("expression"), reads, ctx, info)
+        # Applying a function that a call returned: the inner call is a
+        # call of its own.
+        _call(head, ctx, info)
+        return ".call" if reads else None
 
     if nt == "NewExpression":
-        return CallSite(".new", refs(arg_reads)) if arg_reads else None
+        return ".new" if reads else None
 
-    if nt == "ElementaryTypeNameExpression":
-        return None
-
-    if nt in ("FunctionCall", "FunctionCallOptions"):
-        inner = _analyze_expression(callee, ctx)
-        # The inner analysis records a ".call" site for an options clause or
-        # a legacy .call.value chain; drop it so the outer application is the
-        # single recorded site.
-        applied = any(c.name == ".call" for c in inner.calls)
-        inner.calls = [c for c in inner.calls if c.name != ".call"]
-        info.merge(inner)
-        if inner.transfer or applied:
-            return CallSite(".call", refs(arg_reads | inner.reads))
-        return CallSite(".call", refs(arg_reads)) if arg_reads else None
-
-    _analyze_expression(callee, ctx, info)
+    _analyze_expression(head, ctx, info)
     return None
+
+
+def _feed(node: object, reads: set[VarRef], ctx: _FnContext, info: _ExprInfo) -> None:
+    """Fold an expression that feeds a call into `info`, and its reads into
+    the call's `reads`."""
+    sub = _analyze_expression(node, ctx)
+    info.merge(sub)
+    reads |= sub.reads
 
 
 def _write(node: object, ctx: _FnContext, info: _ExprInfo, read: bool) -> None:
@@ -630,12 +601,18 @@ def _textual_reads(node: dict, ctx: _FnContext) -> set[VarRef]:
 # --- statement lowering -----------------------------------------------------
 
 
-class _Placeholder:
-    """Sentinel marking the `_;` position inside a lowered modifier body."""
+# Marks the `_;` position inside a lowered modifier body.
+_PLACEHOLDER = object()
 
 
-def _collect_local_decls(node: object, into: list[VariableDecl], seen: set[str]) -> None:
-    if isinstance(node, dict):
+def _local_decls(node: object, into: list[VariableDecl], seen: set[str]) -> None:
+    """Append the locals a body declares, the first of each name, in
+    document order. Only the statement positions `_lower_statement` walks
+    are visited: a declaration statement never sits inside an expression."""
+    if isinstance(node, list):
+        for item in node:
+            _local_decls(item, into, seen)
+    elif isinstance(node, dict):
         if node.get("nodeType") == "VariableDeclarationStatement":
             for d in node.get("declarations") or []:
                 if isinstance(d, dict) and d.get("name") and d["name"] not in seen:
@@ -647,11 +624,9 @@ def _collect_local_decls(node: object, into: list[VariableDecl], seen: set[str])
                             source_span=span_of(d),
                         )
                     )
-        for value in node.values():
-            _collect_local_decls(value, into, seen)
-    elif isinstance(node, list):
-        for item in node:
-            _collect_local_decls(item, into, seen)
+        for key, value in node.items():
+            if key in _NESTED:
+                _local_decls(value, into, seen)
 
 
 def _type_text(decl: dict) -> str:
@@ -672,6 +647,14 @@ _CONTROL = {
     "DoWhileStatement": (Kind.LOOP, (), ("body",)),
     "ForStatement": (Kind.LOOP, ("initializationExpression",), ("body", "loopExpression")),
 }
+
+
+# Keys that hold statements: a block's, a control statement's children, and
+# a try statement's clauses and their blocks.
+_NESTED = frozenset(
+    {"statements", "clauses", "block"}
+    | {k for _, before, after in _CONTROL.values() for k in before + after}
+)
 
 
 def _emit(out: list, ctx: _FnContext, kind: Kind, info: _ExprInfo, node: dict) -> None:
@@ -741,7 +724,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
             if isinstance(clause, dict):
                 _lower_statement(clause.get("block"), ctx, out)
     elif nt == "PlaceholderStatement":
-        out.append(_Placeholder())
+        out.append(_PLACEHOLDER)
     elif nt not in ("Break", "Continue", "Throw"):
         # InlineAssembly and anything unrecognized: opaque statement with
         # conservatively scanned uses and no defs.
@@ -777,60 +760,54 @@ def _function_name(node: dict, contract_name: str) -> str:
     return name
 
 
-def _lower_body(node: dict, ctx: _FnContext) -> list:
-    out: list = []
-    body = node.get("body")
-    if isinstance(body, dict):
-        _lower_statement(body, ctx, out)
-    return out
-
-
-def _modifier_map(
-    members: Mapping[str, list[dict]], linearization: Sequence[str]
-) -> dict[str, dict]:
-    """Modifier definitions visible from a contract, nearest override first."""
-    found: dict[str, dict] = {}
-    for contract in linearization:
-        for member in members[contract]:
-            if member.get("nodeType") == "ModifierDefinition" and member.get("name"):
-                found.setdefault(member["name"], member)
-    return found
-
-
-def _inline_modifiers(
+def _lower_function(
     fn_node: dict,
-    body_stmts: list,
-    ctx_factory,
-    modifiers: Mapping[str, dict],
-    contract_names: Container[str],
+    ctx: _FnContext,
+    members: Mapping[str, list[dict]],
+    lowered: dict[str, tuple[list[VariableDecl], list, list] | None],
 ) -> list[Statement]:
-    """Wrap lowered body statements with each modifier's pre/post halves."""
-    result = [s for s in body_stmts if not isinstance(s, _Placeholder)]
+    """A function body's statements, wrapped in each modifier's halves. A
+    modifier is lowered on its first invocation into the contract's
+    `lowered`; invocation arguments are read in the function's scope."""
+    result: list = []
+    _lower_statement(fn_node.get("body"), ctx, result)
+    result = [s for s in result if s is not _PLACEHOLDER]
     for inv in reversed(_objects(fn_node, "modifiers")):
         mname = inv.get("modifierName", {})
         name = mname.get("name") if isinstance(mname, dict) else None
-        if not name or name in contract_names:
+        if not name or name in ctx.names.models:
             continue  # base-constructor invocation, not a modifier
-        mdef = modifiers.get(name)
-        if mdef is None:
+        if name not in lowered:
+            lowered[name] = _lower_modifier(name, ctx, members)
+        if lowered[name] is None:
             continue
-        mparams = _param_decls(mdef, "parameters")
-        mctx = ctx_factory(extra_locals={p.name for p in mparams})
-        lowered = _lower_body(mdef, mctx)
-        split = next(
-            (i for i, s in enumerate(lowered) if isinstance(s, _Placeholder)),
-            len(lowered),
-        )
-        pre = [s for s in lowered[:split] if not isinstance(s, _Placeholder)]
-        post = [s for s in lowered[split + 1 :] if not isinstance(s, _Placeholder)]
+        mparams, pre, post = lowered[name]
         binds: list[Statement] = []
-        args = inv.get("arguments") or []
-        for p, arg in zip(mparams, args):
-            info = _analyze_expression(arg, mctx)
-            info.writes = {mctx.intern.ref(Scope.LOCAL, p.name)}
-            _emit(binds, mctx, Kind.ASSIGN, info, arg if isinstance(arg, dict) else {})
+        for p, arg in zip(mparams, inv.get("arguments") or []):
+            info = _analyze_expression(arg, ctx)
+            info.writes = {ctx.intern.ref(Scope.LOCAL, p.name)}
+            _emit(binds, ctx, Kind.ASSIGN, info, arg if isinstance(arg, dict) else {})
         result = binds + pre + result + post
     return result
+
+
+def _lower_modifier(
+    name: str, ctx: _FnContext, members: Mapping[str, list[dict]]
+) -> tuple[list[VariableDecl], list, list] | None:
+    """The parameters and the statements before and after the first `_;` of
+    the nearest modifier `name` on the linearization (None if none), lowered
+    in its own scope: its parameters and locals, all as locals, then state."""
+    for contract in ctx.names.linearization[ctx.contract]:
+        for mdef in members[contract]:
+            if mdef.get("nodeType") == "ModifierDefinition" and mdef.get("name") == name:
+                params = _param_decls(mdef, "parameters")
+                scope = {p.name for p in params}
+                _local_decls(mdef.get("body"), [], scope)
+                body: list = []
+                _lower_statement(mdef.get("body"), replace(ctx, params=(), locals=scope), body)
+                split = (body + [_PLACEHOLDER]).index(_PLACEHOLDER)
+                return params, body[:split], [s for s in body[split + 1 :] if s is not _PLACEHOLDER]
+    return None
 
 
 def _objects(node: dict, key: str) -> list[dict]:
@@ -844,7 +821,7 @@ def _objects(node: dict, key: str) -> list[dict]:
 
 def lower(unit: SourceUnit) -> list[ContractModel]:
     """Lower a unit's AST into contract models in source order."""
-    root = source_unit_node(unit)
+    root = source_entry(unit.ast_json)[1]["ast"]
     contract_nodes_list = [
         n for n in _objects(root, "nodes") if n.get("nodeType") == "ContractDefinition"
     ]
@@ -892,35 +869,22 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
     # limit allows (see the module docstring).
     try:
         for model in models:
-            modifiers = _modifier_map(contract_members, names.linearization[model.name])
+            lowered: dict = {}
             for member in contract_members[model.name]:
                 if member.get("nodeType") != "FunctionDefinition":
                     continue
                 fname = _function_name(member, model.name)
                 params = _param_decls(member, "parameters")
-                returns = _param_decls(member, "returnParameters")
                 local_decls: list[VariableDecl] = []
-                _collect_local_decls(member.get("body"), local_decls, set())
-                for r in returns:
-                    if r.name not in {d.name for d in local_decls}:
+                local_names: set[str] = set()
+                _local_decls(member.get("body"), local_decls, local_names)
+                for r in _param_decls(member, "returnParameters"):
+                    if r.name not in local_names:
+                        local_names.add(r.name)
                         local_decls.append(r)
-                local_names = {d.name for d in local_decls}
-
-                def ctx_factory(extra_locals: set[str] = frozenset()):
-                    return _FnContext(
-                        contract=model.name,
-                        names=names,
-                        params={p.name for p in params},
-                        locals_=set(local_names) | set(extra_locals),
-                        source_text=unit.source_text,
-                        intern=intern,
-                    )
-
-                ctx = ctx_factory()
-                body_stmts = _lower_body(member, ctx)
-                statements = _inline_modifiers(
-                    member, body_stmts, ctx_factory, modifiers, names.models
-                )
+                fn_params = {p.name for p in params}
+                ctx = _FnContext(model.name, names, fn_params, local_names, unit.source_text, intern)
+                statements = _lower_function(member, ctx, contract_members, lowered)
                 model.functions.append(
                     FunctionModel(
                         name=fname,

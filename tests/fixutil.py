@@ -20,6 +20,7 @@ FIXTURE_NAMES = (
     "mini_token",
     "multi_base",
     "pool",
+    "relay",
     "simple_ponzi",
     "two_contracts",
     "vaulted",

@@ -318,6 +318,89 @@ def gated() -> tuple[str, dict]:
     return build_unit("gated", [contract])
 
 
+def relay() -> tuple[str, dict]:
+    """Call forms with value and gas options, and modifiers with their own
+    scope: each option call is one site on its called function, `this.f`
+    is a direct call, and a modifier reads its own parameters and locals."""
+    value = _msg("value")
+    call_x = Member(Id("x"), "call")
+    deposit = Member(Member(Id("c"), "deposit"), "value")
+    gas_then_value = Member(Call(Member(call_x, "gas"), [Id("g")]), "value")
+    value_then_gas = Member(Call(Member(call_x, "value"), [value]), "gas")
+    relay = Contract(
+        "Relay",
+        [
+            StateVar("address", "x"),
+            StateVar("Bank", "c"),
+            StateVar("uint", "g"),
+            StateVar("uint", "last"),
+            Fn("f", [("uint", "v")], [SAssign(Id("last"), "=", Id("v"))]),
+            Fn(
+                "pay",
+                [],
+                [
+                    SExpr(Call(Member(Id("this"), "f"), [value])),
+                    SExpr(Call(Call(deposit, [value]), [Id("g")])),
+                    SExpr(Call(Call(gas_then_value, [value]))),
+                    SExpr(Call(Call(value_then_gas, [Id("g")]))),
+                    SExpr(Call(Call(Member(call_x, "value"), [value]))),
+                    SExpr(Call(VOpts(call_x, value), [Lit('""')])),
+                ],
+                mutability="payable",
+            ),
+        ],
+    )
+    bound = Contract(
+        "Bound",
+        [
+            StateVar("uint", "total"),
+            Modifier(
+                "atLeast",
+                [("uint", "v")],
+                [SExpr(Call(Id("require"), [Bin(value, ">=", Id("v"))])), SPlaceholder()],
+            ),
+            Fn(
+                "join",
+                [("uint", "v")],
+                [SAssign(Id("total"), "+=", value)],
+                mutability="payable",
+                modifiers=[("atLeast", [Id("v")])],
+            ),
+        ],
+    )
+    track = Contract(
+        "Track",
+        [
+            StateVar("uint", "seen"),
+            StateVar("uint", "pot"),
+            Modifier("track", [], [SAssign(Id("seen"), "=", Id("pot")), SPlaceholder()]),
+            Fn(
+                "join",
+                [],
+                [SDecl("uint", "pot", value)],
+                mutability="payable",
+                modifiers=["track"],
+            ),
+        ],
+    )
+    fee = Contract(
+        "Fee",
+        [
+            StateVar("uint", "pot"),
+            Modifier(
+                "fee",
+                [],
+                [SDecl("uint", "f", value), SAssign(Id("pot"), "=", Id("f")), SPlaceholder()],
+            ),
+            Fn("enter", [], [], mutability="payable", modifiers=["fee"]),
+        ],
+    )
+    bank = Contract("Bank", [Fn("deposit", [("uint", "n")], [], mutability="payable")])
+    return build_unit(
+        "relay", [bank, relay, bound, track, fee], pragma="^0.6.12", compiler_version="0.6.12"
+    )
+
+
 def hollow() -> tuple[str, dict]:
     """No taint anywhere: empty slice, whole-source fallback at detect time."""
     return build_unit(
@@ -352,6 +435,7 @@ REGISTRY = {
     "multi_base": multi_base,
     "vaulted": vaulted,
     "gated": gated,
+    "relay": relay,
     "hollow": hollow,
     "legacy": legacy,
 }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import email.utils
 import json
+import sys
 import threading
 from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -13,8 +14,10 @@ import pytest
 import fixutil
 import ponzilens.ingest as ingest
 import programs
+from ponzilens.detect import LlmConfig
 from ponzilens.errors import (
     AuthError,
+    CompileError,
     CompilerNotFound,
     JsonError,
     MalformedAst,
@@ -26,6 +29,7 @@ from ponzilens.ingest import (
     FetchConfig,
     RateLimiter,
     SourceUnit,
+    compile_source,
     fetch_verified_source,
     is_address,
     load_ast,
@@ -36,9 +40,11 @@ from ponzilens.ingest import (
     serialize_ast,
     version_tuple,
 )
+from ponzilens.evaluation import DatasetManifest, ManifestEntry, run_batch
 from ponzilens.model import lower
 
 GOOD_ADDRESS = "0x" + "ab" * 20
+DEEP = "[" * 3000 + "]" * 3000
 
 
 # --- pure helpers -------------------------------------------------------------
@@ -241,6 +247,31 @@ def test_flatten_bad_json_left_alone():
     assert ingest._flatten_explorer_source(raw) == raw
 
 
+def test_flatten_too_deep_json_left_alone():
+    raw = '{"sources": %s}' % DEEP
+    assert ingest._flatten_explorer_source(raw) == raw
+
+
+def test_compile_source_reports_too_deep_compiler_output_as_compile_error(tmp_path, monkeypatch):
+    # A stand-in compiler that prints its version, then deeply nested JSON.
+    solc = tmp_path / "solc"
+    solc.write_text(
+        f"#!{sys.executable}\n"
+        "import sys\n"
+        "if '--version' in sys.argv:\n"
+        "    print('Version: 0.8.19')\n"
+        "else:\n"
+        "    sys.stdin.read()\n"
+        f"    print({DEEP!r})\n"
+    )
+    solc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.delenv("SOLC_BINARY", raising=False)
+    unit = SourceUnit(id="d", source_text="pragma solidity ^0.8.19;\ncontract D {}\n")
+    with pytest.raises(CompileError, match="invalid JSON"):
+        compile_source(unit)
+
+
 # --- fetch over a real local HTTP server --------------------------------------
 
 
@@ -315,6 +346,31 @@ def test_fetch_flattens_wrapped_payload(explorer, monkeypatch):
     _Handler.script = [(200, {}, _ok_body(wrapped))]
     unit = fetch_verified_source(GOOD_ADDRESS, _cfg(explorer))
     assert unit.source_text == "// ---- file: x.sol ----\ncontract X {}"
+
+
+def test_fetch_reports_too_deep_a_reply_as_json_error(explorer, monkeypatch):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    _Handler.script = [(200, {}, ('{"result": %s}' % DEEP).encode())]
+    with pytest.raises(JsonError, match="not JSON"):
+        fetch_verified_source(GOOD_ADDRESS, _cfg(explorer))
+
+
+def test_run_batch_records_too_deep_an_explorer_reply_as_an_ingest_error(explorer, monkeypatch):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    _Handler.script = [(200, {}, ('{"result": %s}' % DEEP).encode())]
+    manifest = DatasetManifest(
+        name="t",
+        entries=[
+            ManifestEntry(id="deep", path_or_address=GOOD_ADDRESS, label="non_ponzi"),
+            ManifestEntry(
+                id="sp", path_or_address=str(fixutil.fixture_path("simple_ponzi")), label="ponzi"
+            ),
+        ],
+    )
+    deep, sp = run_batch(manifest, LlmConfig(), repeats=1, fetch_cfg=_cfg(explorer))
+    assert deep.error["phase"] == "ingest"
+    assert deep.error["message"].startswith("explorer reply is not JSON")
+    assert sp.final_verdict is True
 
 
 def test_fetch_env_key_overrides_config(explorer, monkeypatch):

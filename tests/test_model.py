@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+import astfuzz
 import fixutil
 import programs
 from astgen import (
@@ -18,14 +19,17 @@ from astgen import (
     Index,
     Lit,
     Member,
+    Modifier,
     SAssign,
     SExpr,
     SOpaque,
+    SPlaceholder,
     StateVar,
     Un,
+    VOpts,
     build_unit,
 )
-from ponzilens.errors import MalformedAst
+from ponzilens.errors import JsonError, MalformedAst
 from ponzilens.ingest import load_ast
 from ponzilens.model import (
     NO_REFS,
@@ -302,6 +306,108 @@ def test_expression_statement_with_nested_call_argument():
     assert _sv("x") in by_name["g"]
 
 
+_VALUE = Member(Id("msg"), "value")
+_CALL_X = Member(Id("x"), "call")
+
+
+def _pay_statement(expr):
+    """The lowered `expr;` in payable C.pay(), where C has state x, c and g
+    and a function f."""
+    _, doc = build_unit(
+        "pay",
+        [
+            Contract(
+                "C",
+                [
+                    StateVar("address", "x"),
+                    StateVar("Bank", "c"),
+                    StateVar("uint", "g"),
+                    Fn("f", [("uint", "v")], []),
+                    Fn("pay", [], [SExpr(expr)], mutability="payable"),
+                ],
+            )
+        ],
+    )
+    pay = next(f for f in lower(load_ast(doc))[0].functions if f.name == "pay")
+    (s,) = pay.statements
+    return s
+
+
+@pytest.mark.parametrize(
+    ("expr", "kind", "site", "reads"),
+    [
+        pytest.param(
+            Call(Member(Id("this"), "f"), [_VALUE]), Kind.CALL, "f", {_bv("msg.value")},
+            id="this_call",
+        ),
+        pytest.param(
+            Call(Call(Member(Member(Id("c"), "deposit"), "value"), [_VALUE]), [Id("g")]),
+            Kind.VALUE_TRANSFER, ".deposit", {_bv("msg.value"), _sv("c"), _sv("g")},
+            id="legacy_value_on_a_member",
+        ),
+        pytest.param(
+            Call(VOpts(Member(Id("c"), "deposit"), _VALUE), [Id("g")]),
+            Kind.VALUE_TRANSFER, ".deposit", {_bv("msg.value"), _sv("c"), _sv("g")},
+            id="options_on_a_member",
+        ),
+        pytest.param(
+            Call(Call(Member(Call(Member(_CALL_X, "gas"), [Id("g")]), "value"), [_VALUE])),
+            Kind.VALUE_TRANSFER, ".call", {_bv("msg.value"), _sv("g"), _sv("x")},
+            id="gas_then_value",
+        ),
+        pytest.param(
+            Call(Call(Member(Call(Member(_CALL_X, "value"), [_VALUE]), "gas"), [Id("g")])),
+            Kind.VALUE_TRANSFER, ".call", {_bv("msg.value"), _sv("g"), _sv("x")},
+            id="value_then_gas",
+        ),
+    ],
+)
+def test_call_options_belong_to_the_one_site_of_the_called_function(expr, kind, site, reads):
+    s = _pay_statement(expr)
+    assert s.kind is kind
+    assert [c.name for c in s.calls] == [site]
+    assert s.calls[0].arg_reads == s.uses == reads
+
+
+def test_modifier_arguments_are_read_in_the_function_scope():
+    # join(uint v) atLeast(v), where atLeast's parameter is also named v.
+    bind, guard, _body = _fn("relay", "Bound.join").statements
+    assert (bind.defs, bind.uses) == (frozenset({_lv("v")}), frozenset({_pv("v")}))
+    assert guard.uses == frozenset({_bv("msg.value"), _lv("v")})
+
+
+def test_modifier_body_resolves_in_its_own_scope():
+    # `seen = pot` in track reads the state pot, not join's local pot.
+    seen, _declare = _fn("relay", "Track.join").statements
+    assert seen.uses == frozenset({_sv("pot")})
+    # `pot = f` in fee reads fee's own local f.
+    declare, pot = _fn("relay", "Fee.enter").statements
+    assert declare.defs == frozenset({_lv("f")})
+    assert pot.uses == frozenset({_lv("f")})
+
+
+def test_functions_share_the_lowered_statements_of_a_modifier():
+    guard = SExpr(Call(Id("require"), [Bin(Member(Id("msg"), "sender"), "==", Id("owner"))]))
+    _, doc = build_unit(
+        "shared",
+        [
+            Contract(
+                "Shared",
+                [
+                    StateVar("address", "owner"),
+                    StateVar("uint", "x"),
+                    Modifier("onlyOwner", [], [guard, SPlaceholder()]),
+                    Fn("a", [], [SAssign(Id("x"), "=", Lit(1))], modifiers=["onlyOwner"]),
+                    Fn("b", [], [SAssign(Id("x"), "=", Lit(2))], modifiers=["onlyOwner"]),
+                ],
+            )
+        ],
+    )
+    a, b = lower(load_ast(doc))[0].functions
+    assert a.statements[0] is b.statements[0]
+    assert a.statements[0].uses == frozenset({_bv("msg.sender"), _sv("owner")})
+
+
 def _run_statements(*body):
     """Lowered statements of `run` in a contract with state members, next,
     a and functions slot and f."""
@@ -363,6 +469,18 @@ def test_lowering_refuses_nesting_deeper_than_the_recursion_limit(depth, stateme
         lower(load_ast(programs.deep_doc(depth, statements)))
     shallow = lower(load_ast(programs.deep_doc(100, statements)))
     assert len(shallow[0].functions[0].statements) == (101 if statements else 1)
+
+
+def test_fuzzed_documents_lower_or_are_refused():
+    lowered = 0
+    for seed in range(300):
+        try:
+            lower(load_ast(astfuzz.unit(seed)))
+        except (MalformedAst, JsonError):
+            continue
+        lowered += 1
+    # Faults are rare: most documents lower.
+    assert lowered > 200
 
 
 def test_member_access_on_a_non_object_reads_nothing():

@@ -96,6 +96,16 @@ def test_unrelated_functions_stay_clean():
     assert NodeId(("Pool", "keeper")) not in t.tainted
 
 
+def test_this_call_and_modifier_scopes_steer_taint():
+    t, h = _taint("relay")
+    # this.f(msg.value) is a direct call of Relay.f.
+    assert GraphId(("Relay", "f")) in t.tainted
+    # fee's `pot = f` reads its own local f, set from msg.value; track's
+    # `seen = pot` reads the untainted state pot, not join's local.
+    assert _paths(tainted_state_vars(t, h)) == {"Bound.total", "Fee.pot"}
+    assert NodeId(("Track", "seen")) not in t.tainted
+
+
 def test_no_sources_means_nothing_tainted():
     u = fixutil.load_unit("hollow")
     models = lower(u)
