@@ -124,7 +124,9 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="parallel contracts in batch mode (default: %(default)s)",
+        help="parallel contracts in batch mode; over HTTP each also has up to "
+        "min(repeats, 16) runs in flight, recorded in index order "
+        "(default: %(default)s)",
     )
     p.add_argument(
         "--max-output-tokens",

@@ -29,6 +29,7 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -66,6 +67,11 @@ BACKENDS = (BACKEND_HTTP, BACKEND_MOCK)
 BACKEND_OPENAI = BACKEND_LOCAL = BACKEND_HTTP
 
 _VERDICT_RE = re.compile(r"\b(true|false)\b", re.IGNORECASE)
+
+# The most two-stage chains of one contract in flight at once, so a large
+# `repeats` never starts a thread per repeat. A batch has up to
+# concurrency_limit times min(repeats, _MAX_CHAINS) requests in flight.
+_MAX_CHAINS = 16
 
 
 def estimate_tokens(text: str) -> int:
@@ -286,7 +292,8 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     The HTTP backend retries on transient failures (5xx, 429, transport
     errors) per cfg.max_attempts/backoff; auth rejections and context
     overflows raise immediately. Token counts fall back to estimates when
-    the server reports no usage.
+    the server reports no usage. A reply whose content is not a string, or
+    whose usage is not an object of integer counts, is BackendUnavailable.
     """
     if cfg.backend == BACKEND_MOCK:
         return _mock_complete(prompt.rendered)
@@ -336,13 +343,17 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
         try:
             data = resp.json()
             text = data["choices"][0]["message"]["content"]
-        except (ValueError, LookupError, TypeError) as exc:
+            usage = {} if data.get("usage") is None else data["usage"]
+            if not isinstance(text, str) or not isinstance(usage, dict):
+                raise TypeError("content must be a string and usage an object")
+            input_tokens = int(usage.get("prompt_tokens", prompt.token_estimate))
+            output_tokens = int(usage.get("completion_tokens", estimate_tokens(text)))
+        except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
             raise BackendUnavailable(f"malformed completion reply: {exc}") from exc
-        usage = data.get("usage") or {}
         return Completion(
             text=text,
-            input_tokens=int(usage.get("prompt_tokens", prompt.token_estimate)),
-            output_tokens=int(usage.get("completion_tokens", estimate_tokens(text))),
+            input_tokens=input_tokens,
+            output_tokens=output_tokens,
             wall_seconds=wall,
         )
     raise BackendUnavailable(
@@ -372,7 +383,11 @@ def _checked(data: dict, key: str, kind: type) -> object:
 
 @dataclass
 class RunRecord:
-    """One two-stage detection run."""
+    """One two-stage detection run.
+
+    wall_seconds is the backend time of the run's two calls. A report's runs
+    can be in flight together, so their sum can exceed the elapsed time.
+    """
 
     verdict: bool | None
     analysis_text: str
@@ -413,6 +428,8 @@ class DetectionReport:
 
     @property
     def wall_seconds_total(self) -> float:
+        """Backend time summed over the runs; as runs overlap, this can
+        exceed the time the contract took."""
         return sum(r.wall_seconds for r in self.runs)
 
     @property
@@ -524,6 +541,12 @@ def detect_contract(
     field with the phase that failed, and the report carries no runs. Each
     successful report carries exactly `repeats` runs; runs whose verdict
     could not be parsed keep verdict None and are excluded from the vote.
+
+    The runs are independent samples. With the http backend up to
+    min(repeats, 16) of them are in flight together, each on its own
+    connection; they are recorded in index order whatever order they finish
+    in, and when several fail, the lowest-index failure is the one reported.
+    The mock backend runs them one after another.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -565,37 +588,44 @@ def detect_contract(
         report.error = {"phase": phase, "message": str(exc)}
         return report
 
-    phase = "detect"
+    def chain(_index: int) -> RunRecord:
+        first = complete(analysis_prompt, cfg)
+        detection_prompt = build_detection_prompt(first.text, definition, templates)
+        second = complete(detection_prompt, cfg)
+        err: str | None = None
+        try:
+            verdict: bool | None = parse_verdict(second.text)
+        except UnparseableVerdict as exc:
+            verdict = None
+            err = str(exc)
+        input_tokens = first.input_tokens + second.input_tokens
+        output_tokens = first.output_tokens + second.output_tokens
+        return RunRecord(
+            verdict=verdict,
+            analysis_text=first.text,
+            input_tokens=input_tokens,
+            output_tokens=output_tokens,
+            wall_seconds=first.wall_seconds + second.wall_seconds,
+            cost=run_cost(cfg, input_tokens, output_tokens),
+            error=err,
+        )
+
     try:
-        for _ in range(repeats):
-            first = complete(analysis_prompt, cfg)
-            detection_prompt = build_detection_prompt(first.text, definition, templates)
-            second = complete(detection_prompt, cfg)
-            err: str | None = None
+        if cfg.backend == BACKEND_MOCK:
+            # The mock only computes, so threads would add nothing.
+            runs = list(map(chain, range(repeats)))
+        else:
+            pool = ThreadPoolExecutor(max_workers=min(repeats, _MAX_CHAINS))
             try:
-                verdict: bool | None = parse_verdict(second.text)
-            except UnparseableVerdict as exc:
-                verdict = None
-                err = str(exc)
-            input_tokens = first.input_tokens + second.input_tokens
-            output_tokens = first.output_tokens + second.output_tokens
-            report.runs.append(
-                RunRecord(
-                    verdict=verdict,
-                    analysis_text=first.text,
-                    input_tokens=input_tokens,
-                    output_tokens=output_tokens,
-                    wall_seconds=first.wall_seconds + second.wall_seconds,
-                    cost=run_cost(cfg, input_tokens, output_tokens),
-                    error=err,
-                )
-            )
+                # map yields in index order and raises the lowest-index error.
+                runs = list(pool.map(chain, range(repeats)))
+            finally:
+                pool.shutdown(cancel_futures=True)
     except PonzilensError as exc:
-        report.error = {"phase": phase, "message": str(exc)}
-        report.runs = []
-        report.final_verdict = None
+        report.error = {"phase": "detect", "message": str(exc)}
         return report
 
+    report.runs = runs
     report.final_verdict = majority_verdict(report.runs)
     if report.final_verdict is None and all(r.verdict is None for r in report.runs):
         report.error = {

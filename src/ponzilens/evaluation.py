@@ -158,7 +158,10 @@ def run_batch(
 ) -> list[DetectionReport]:
     """Detect every manifest entry, resuming from the journal when present.
 
-    Concurrency is bounded by cfg.concurrency_limit. Failures stay isolated
+    At most cfg.concurrency_limit contracts run at once. Over HTTP each of
+    them has up to min(repeats, 16) two-stage chains in flight (see
+    detect_contract), so a batch has up to concurrency_limit * min(repeats,
+    16) requests in flight. Failures stay isolated
     per contract: a contract whose load or pipeline fails yields an error
     report, and the batch continues. Each finished report is journaled and
     flushed to disk before the on_report callback fires, so interrupting the
@@ -312,7 +315,9 @@ class OverheadStats:
 
     Wall time and cost are summed per contract across its runs before the
     mean/std are taken; token counts are averaged per individual detection
-    run. Std is the population standard deviation.
+    run. Std is the population standard deviation. Wall time is summed
+    backend time: a contract's runs over HTTP are in flight together, so
+    mean_wall_seconds can exceed the time a contract took.
     """
 
     contracts: int

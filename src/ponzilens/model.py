@@ -448,7 +448,7 @@ def _analyze_expression(
         else:
             _analyze_expression(sub, ctx, info)
     elif nt == "TupleExpression":
-        for comp in node.get("components") or []:
+        for comp in _list(node, "components"):
             _analyze_expression(comp, ctx, info)
     elif nt == "Assignment":
         # A missing operator is a plain `=`; a compound one reads the target.
@@ -465,7 +465,7 @@ def _call(node: dict, ctx: _FnContext, info: _ExprInfo) -> None:
     arguments fold first; an options node that no call applies has none and
     is its own head."""
     args = _ExprInfo()
-    for arg in node.get("arguments") or []:
+    for arg in _list(node, "arguments"):
         _analyze_expression(arg, ctx, args)
     info.merge(args)
     head = node.get("expression") if node.get("nodeType") == "FunctionCall" else node
@@ -515,16 +515,16 @@ def _callee(head: object, reads: set[VarRef], ctx: _FnContext, info: _ExprInfo) 
 
     if nt == "FunctionCallOptions":
         name = _callee(head.get("expression"), reads, ctx, info)
-        for opt in head.get("options") or []:
+        for opt in _list(head, "options"):
             _feed(opt, reads, ctx, info)
-        if "value" in (head.get("names") or []):
+        if "value" in _list(head, "names"):
             info.transfer = True
         return name
 
     if nt == "FunctionCall":
         option = head.get("expression")
         if isinstance(option, dict) and option.get("memberName") in ("value", "gas"):
-            for arg in head.get("arguments") or []:
+            for arg in _list(head, "arguments"):
                 _feed(arg, reads, ctx, info)
             if option["memberName"] == "value":
                 info.transfer = True
@@ -576,7 +576,7 @@ def _write(node: object, ctx: _FnContext, info: _ExprInfo, read: bool) -> None:
         _write(node.get("baseExpression"), ctx, info, read)
         _analyze_expression(node.get("indexExpression"), ctx, info)
     elif nt == "TupleExpression":
-        for comp in node.get("components") or []:
+        for comp in _list(node, "components"):
             _write(comp, ctx, info, read)
     else:
         _analyze_expression(node, ctx, info)
@@ -614,7 +614,7 @@ def _local_decls(node: object, into: list[VariableDecl], seen: set[str]) -> None
             _local_decls(item, into, seen)
     elif isinstance(node, dict):
         if node.get("nodeType") == "VariableDeclarationStatement":
-            for d in node.get("declarations") or []:
+            for d in _list(node, "declarations"):
                 if isinstance(d, dict) and d.get("name") and d["name"] not in seen:
                     seen.add(d["name"])
                     into.append(
@@ -695,7 +695,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
             _lower_statement(node.get(key), ctx, out)
     elif nt == "VariableDeclarationStatement":
         info = _ExprInfo()
-        for d in node.get("declarations") or []:
+        for d in _list(node, "declarations"):
             if isinstance(d, dict) and d.get("name"):
                 info.writes.add(ctx.intern.ref(Scope.LOCAL, d["name"]))
         _analyze_expression(node.get("initialValue"), ctx, info)
@@ -709,7 +709,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         if nt == "RevertStatement":
             _analyze_expression(node.get("errorCall"), ctx, info)
         elif isinstance(node.get("eventCall"), dict):
-            for arg in node["eventCall"].get("arguments") or []:
+            for arg in _list(node["eventCall"], "arguments"):
                 _analyze_expression(arg, ctx, info)
         info.calls.clear()
         _emit(out, ctx, Kind.EMIT if nt == "EmitStatement" else Kind.CALL, info, node)
@@ -720,7 +720,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
             ctx,
             out,
         )
-        for clause in node.get("clauses") or []:
+        for clause in _list(node, "clauses"):
             if isinstance(clause, dict):
                 _lower_statement(clause.get("block"), ctx, out)
     elif nt == "PlaceholderStatement":
@@ -783,7 +783,7 @@ def _lower_function(
             continue
         mparams, pre, post = lowered[name]
         binds: list[Statement] = []
-        for p, arg in zip(mparams, inv.get("arguments") or []):
+        for p, arg in zip(mparams, _list(inv, "arguments")):
             info = _analyze_expression(arg, ctx)
             info.writes = {ctx.intern.ref(Scope.LOCAL, p.name)}
             _emit(binds, ctx, Kind.ASSIGN, info, arg if isinstance(arg, dict) else {})
@@ -810,11 +810,22 @@ def _lower_modifier(
     return None
 
 
+def _list(node: dict, key: str) -> list:
+    """A node's list under `key` (absent or null is empty); MalformedAst
+    unless it is a list."""
+    items = node.get(key)
+    if items is None:
+        return []
+    if not isinstance(items, list):
+        raise MalformedAst(f"{node.get('nodeType')} has a non-list {key!r}")
+    return items
+
+
 def _objects(node: dict, key: str) -> list[dict]:
-    """A node's list under `key` (absent is empty); MalformedAst unless it is
-    a list whose every entry is an object."""
-    items = node.get(key) or []
-    if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+    """A node's list under `key`, as `_list` reads it; MalformedAst unless
+    its every entry is an object."""
+    items = _list(node, key)
+    if not all(isinstance(i, dict) for i in items):
         raise MalformedAst(f"{node.get('nodeType')} has a non-object member in {key!r}")
     return items
 
@@ -833,7 +844,7 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
     for cnode in contract_nodes_list:
         name = cnode.get("name") or "<anonymous>"
         inherits = []
-        for base in cnode.get("baseContracts") or []:
+        for base in _list(cnode, "baseContracts"):
             bn = base.get("baseName") if isinstance(base, dict) else None
             if isinstance(bn, dict) and bn.get("name"):
                 inherits.append(bn["name"])

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
+import random
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -21,6 +26,7 @@ from ponzilens.detect import (
     MODE_FULL,
     MODE_NO_TAINT,
     MODE_RAW,
+    MODES,
     Completion,
     DetectionReport,
     LlmConfig,
@@ -46,6 +52,7 @@ from ponzilens.errors import (
     EmptyInput,
     UnparseableVerdict,
 )
+from ponzilens.evaluation import DatasetManifest, ManifestEntry, run_batch
 from ponzilens.ingest import SourceUnit, load_ast
 
 
@@ -281,7 +288,9 @@ class _ChatHandler(BaseHTTPRequestHandler):
         except json.JSONDecodeError:
             _ChatHandler.bodies.append({})
         _ChatHandler.auth_headers.append(self.headers.get("Authorization"))
-        status, body = _ChatHandler.script.pop(0)
+        self._send(*_ChatHandler.script.pop(0))
+
+    def _send(self, status: int, body: bytes) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -299,22 +308,34 @@ def _chat_body(text: str, usage: dict | None = None) -> bytes:
     return json.dumps(doc).encode()
 
 
-@pytest.fixture()
-def chat_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+class _Server(ThreadingHTTPServer):
+    request_queue_size = 64  # the chains of a contract connect at once
+
+
+@contextlib.contextmanager
+def _serve(handler: type[BaseHTTPRequestHandler]):
+    """A loopback server running `handler`; yields its base URL."""
+    server = _Server(("127.0.0.1", 0), handler)
     thread = threading.Thread(
         target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
     )
     thread.start()
-    _ChatHandler.script = []
-    _ChatHandler.bodies = []
-    _ChatHandler.auth_headers = []
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+        yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
+    assert not thread.is_alive()
+
+
+@pytest.fixture()
+def chat_server():
+    _ChatHandler.script = []
+    _ChatHandler.bodies = []
+    _ChatHandler.auth_headers = []
+    with _serve(_ChatHandler) as url:
+        yield url + "/v1/chat/completions"
 
 
 def _prompt(text: str = "say hi") -> PromptBundle:
@@ -623,6 +644,26 @@ def test_detect_contract_all_unparseable_flags_verdict_phase(chat_server, monkey
     }
 
 
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b'{"choices": [{"message": {"content": null}}]}',
+        b'{"choices": [{"message": {"content": "true"}}], "usage": 5}',
+        b'{"choices": [{"message": {"content": "true"}}], "usage": {"prompt_tokens": "abc"}}',
+        b'{"choices": [{"message": {"content": "true"}}], "usage": {"prompt_tokens": 1e999}}',
+        b"[" * 100_000 + b"]" * 100_000,
+    ],
+    ids=["null_content", "scalar_usage", "text_count", "infinite_count", "too_deep"],
+)
+def test_detect_contract_malformed_reply_is_reported_not_raised(chat_server, monkeypatch, reply):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    _ChatHandler.script = [(200, reply)]
+    report = detect_contract(fixutil.load_unit("caller"), _local(chat_server), repeats=1)
+    assert report.error["phase"] == "detect"
+    assert report.error["message"].startswith("malformed completion reply: ")
+    assert report.runs == [] and report.final_verdict is None
+
+
 def test_detect_contract_validates_arguments():
     unit = fixutil.load_unit("simple_ponzi")
     with pytest.raises(ValueError):
@@ -677,6 +718,37 @@ def _hostile_function(path: tuple[str, ...], value: object) -> SourceUnit:
     return load_ast(doc)
 
 
+def _scalar_list(key: str) -> SourceUnit:
+    """relay, plus a tuple and a try statement, with every list under `key`
+    replaced by the scalar 7."""
+    doc = fixutil.load_doc("relay")
+    (entry,) = doc["sources"].values()
+    fn = next(
+        m for c in entry["ast"]["nodes"] if c.get("nodeType") == "ContractDefinition"
+        for m in c["nodes"] if m.get("nodeType") == "FunctionDefinition"
+    )
+    fn["body"]["statements"] += [
+        {"nodeType": "ExpressionStatement",
+         "expression": {"nodeType": "TupleExpression", "components": []}},
+        {"nodeType": "TryStatement", "clauses": []},
+    ]
+    stack: list = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            if key in node:
+                node[key] = 7
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    return load_ast(doc)
+
+
+_LIST_FIELDS = (
+    "arguments", "components", "declarations", "options", "names", "clauses", "baseContracts"
+)
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -688,6 +760,7 @@ def _hostile_function(path: tuple[str, ...], value: object) -> SourceUnit:
         "non_object_modifier",
         "parameter_list_as_list",
         "statements_not_list",
+        *(f"{key}_not_list" for key in _LIST_FIELDS),
     ],
 )
 def test_detect_contract_hostile_ast_is_reported_not_raised(case):
@@ -705,6 +778,7 @@ def test_detect_contract_hostile_ast_is_reported_not_raised(case):
             ("parameters",), [{"nodeType": "VariableDeclaration", "name": "a"}]
         ),
         "statements_not_list": lambda: _hostile_function(("body", "statements"), 7),
+        **{f"{key}_not_list": lambda key=key: _scalar_list(key) for key in _LIST_FIELDS},
     }
     report = detect_contract(units[case](), LlmConfig(), repeats=1)
     if case == "deep_chain":
@@ -714,3 +788,132 @@ def test_detect_contract_hostile_ast_is_reported_not_raised(case):
     else:
         assert report.error is not None and report.error["phase"] == "static"
         assert report.runs == []
+    if case.endswith("_not_list"):
+        assert repr(case.removesuffix("_not_list")) in report.error["message"]
+
+
+# --- detect_contract over HTTP -------------------------------------------------
+
+
+class _MockChatHandler(_ChatHandler):
+    """Answers as the mock backend does, after a short random delay, and
+    keeps the most requests it had in flight at once. A request to
+    /fail/<chain>/<k> is refused with HTTP 418 once k others have been."""
+
+    lock = threading.Condition()
+    in_flight = 0
+    peak = 0
+    refused: list[str] = []
+
+    def do_POST(self):  # noqa: N802
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        cls = _MockChatHandler
+        with cls.lock:
+            cls.in_flight += 1
+            cls.peak = max(cls.peak, cls.in_flight)
+        try:
+            if self.path.startswith("/fail/"):
+                _, _, chain, k = self.path.split("/")
+                with cls.lock:
+                    cls.lock.wait_for(lambda: len(cls.refused) >= int(k), timeout=10)
+                    cls.refused.append(chain)
+                    cls.lock.notify_all()
+                status, body = 418, f"chain {chain} refused".encode()
+            else:
+                time.sleep(random.uniform(0.005, 0.03))
+                reply = detect_mod._mock_complete(json.loads(raw)["messages"][0]["content"])
+                usage = {"prompt_tokens": reply.input_tokens, "completion_tokens": reply.output_tokens}
+                status, body = 200, _chat_body(reply.text, usage)
+        finally:
+            with cls.lock:
+                cls.in_flight -= 1
+        self._send(status, body)
+
+
+@pytest.fixture()
+def mock_chat(monkeypatch):
+    """The base URL of a `_MockChatHandler` server."""
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    _MockChatHandler.in_flight = _MockChatHandler.peak = 0
+    _MockChatHandler.refused = []
+    with _serve(_MockChatHandler) as url:
+        yield url
+
+
+def _chat(url: str, **kw) -> LlmConfig:
+    return _local(url + "/v1/chat/completions", **kw)
+
+
+def _zero_walls(runs: list[dict]) -> list[dict]:
+    return [dict(run, wall_seconds=0.0) for run in runs]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", ["simple_ponzi", "mini_token"])
+def test_detect_contract_over_http_equals_mock(mock_chat, name, mode):
+    over_http = detect_contract(fixutil.load_unit(name), _chat(mock_chat), mode, repeats=5)
+    offline = detect_contract(fixutil.load_unit(name), LlmConfig(), mode, repeats=5)
+    assert over_http.error is None
+    assert _zero_walls(over_http.to_dict()["runs"]) == offline.to_dict()["runs"]
+    assert over_http.final_verdict is offline.final_verdict
+    # The chains were in flight together.
+    assert _MockChatHandler.peak >= 2
+
+
+def test_detect_contract_over_http_caps_chains_in_flight(mock_chat):
+    report = detect_contract(fixutil.load_unit("caller"), _chat(mock_chat), repeats=40)
+    assert report.error is None and len(report.runs) == 40
+    assert 2 <= _MockChatHandler.peak <= 16
+    # The pool is gone when detect_contract returns.
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
+class _IndexedPool(ThreadPoolExecutor):
+    """A pool whose workers know the index of the chain they run."""
+
+    local = threading.local()
+
+    def map(self, fn, *iterables, **kwargs):
+        def indexed(i):
+            _IndexedPool.local.index = i
+            return fn(i)
+
+        return super().map(indexed, *iterables, **kwargs)
+
+
+def test_detect_contract_over_http_reports_lowest_failing_chain(mock_chat, monkeypatch):
+    """Chain 3 is refused at once and chain 1 after it; chain 1's error is
+    the one reported."""
+    real_complete = detect_mod.complete
+
+    def routed(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
+        fail = {1: "/fail/1/1", 3: "/fail/3/0"}.get(_IndexedPool.local.index)
+        if fail and prompt.stage == "detection":
+            cfg = dataclasses.replace(cfg, endpoint=mock_chat + fail)
+        return real_complete(prompt, cfg)
+
+    monkeypatch.setattr(detect_mod, "ThreadPoolExecutor", _IndexedPool)
+    monkeypatch.setattr(detect_mod, "complete", routed)
+    report = detect_contract(fixutil.load_unit("caller"), _chat(mock_chat), repeats=5)
+    assert _MockChatHandler.refused == ["3", "1"]
+    assert report.error == {"phase": "detect", "message": "HTTP 418: chain 1 refused"}
+    assert report.runs == [] and report.final_verdict is None
+
+
+def test_run_batch_over_http_journal_is_independent_of_concurrency(mock_chat, tmp_path):
+    manifest = DatasetManifest(
+        "fixtures",
+        [ManifestEntry(n, str(fixutil.fixture_path(n)), "ponzi") for n in fixutil.FIXTURE_NAMES],
+    )
+    journals = []
+    for limit in (1, 2):
+        journal = tmp_path / f"journal{limit}.jsonl"
+        run_batch(manifest, _chat(mock_chat, concurrency_limit=limit), repeats=3, journal=journal)
+        lines = []
+        for line in journal.read_text().splitlines():
+            doc = json.loads(line)
+            doc["runs"] = _zero_walls(doc["runs"])
+            lines.append(json.dumps(doc, sort_keys=True))
+        journals.append(sorted(lines))
+    assert len(journals[0]) == len(fixutil.FIXTURE_NAMES)
+    assert journals[0] == journals[1]
