@@ -27,6 +27,7 @@ from .detect import (
     LlmConfig,
     MODE_FULL,
     TemplateSet,
+    _MAX_CHAINS,
     detect_contract,
     run_static_pipeline,
 )
@@ -125,7 +126,7 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="parallel contracts in batch mode; over HTTP each also has up to "
-        "min(repeats, 16) runs in flight, recorded in index order "
+        f"min(repeats, {_MAX_CHAINS}) runs in flight, recorded in index order "
         "(default: %(default)s)",
     )
     p.add_argument(

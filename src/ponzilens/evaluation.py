@@ -158,15 +158,15 @@ def run_batch(
 ) -> list[DetectionReport]:
     """Detect every manifest entry, resuming from the journal when present.
 
-    At most cfg.concurrency_limit contracts run at once. Over HTTP each of
-    them has up to min(repeats, 16) two-stage chains in flight (see
-    detect_contract), so a batch has up to concurrency_limit * min(repeats,
-    16) requests in flight. Failures stay isolated
-    per contract: a contract whose load or pipeline fails yields an error
-    report, and the batch continues. Each finished report is journaled and
-    flushed to disk before the on_report callback fires, so interrupting the
-    callback can never lose a finished contract. Every contract is prompted
-    from one `templates` set (default: the packaged templates).
+    At most cfg.concurrency_limit contracts run at once, each with its own
+    capped number of two-stage chains in flight (see detect_contract), so a
+    batch has up to concurrency_limit times that cap requests in flight.
+    Failures stay isolated per contract: a contract whose load or pipeline
+    fails yields an error report, and the batch continues. Each finished
+    report is journaled and flushed to disk before the on_report callback
+    fires, so interrupting the callback can never lose a finished contract.
+    Every contract is prompted from one `templates` set (default: the
+    packaged templates).
 
     Returns reports in manifest order.
     """

@@ -792,6 +792,20 @@ def test_detect_contract_hostile_ast_is_reported_not_raised(case):
         assert repr(case.removesuffix("_not_list")) in report.error["message"]
 
 
+def test_detect_contract_null_usage_counts_fall_back_to_estimates(chat_server, monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    _ChatHandler.script = [
+        (200, _chat_body("looks fine", {"prompt_tokens": None, "completion_tokens": 3})),
+        (200, _chat_body("true", {"prompt_tokens": 5, "completion_tokens": None})),
+    ]
+    report = detect_contract(fixutil.load_unit("caller"), _local(chat_server), repeats=1)
+    assert report.error is None
+    (run,) = report.runs
+    analysis_prompt = _ChatHandler.bodies[0]["messages"][0]["content"]
+    assert run.input_tokens == estimate_tokens(analysis_prompt) + 5
+    assert run.output_tokens == 3 + estimate_tokens("true")
+
+
 # --- detect_contract over HTTP -------------------------------------------------
 
 
