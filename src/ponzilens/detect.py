@@ -11,7 +11,11 @@ Backends:
   * http: POST a chat-completion payload to an endpoint, hosted (keyed, e.g.
     GPT-3.5-turbo) or self-hosted (keyless, e.g. LLaMA 3 or Mistral), and
     read choices[0].message.content plus usage token counts. The API key is
-    sent as a bearer token exactly when one is set;
+    sent as a bearer token exactly when one is set. Each request goes
+    through the standard library's urllib on a new connection, to an http or
+    https endpoint only; proxies come from HTTP_PROXY/HTTPS_PROXY/NO_PROXY,
+    and https is verified against the CA bundle requests uses (certifi's,
+    or REQUESTS_CA_BUNDLE/CURL_CA_BUNDLE when set);
   * mock: a deterministic offline stand-in whose reply is a pure function
     of the prompt text; it exists so end-to-end behavior is testable
     byte-for-byte without network access. Its heuristic is matched to the
@@ -25,17 +29,20 @@ stem, e.g. "analysis_full_v1+detection_v1".
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import re
+import ssl
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from string import Template
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import (
     AuthError,
@@ -250,8 +257,10 @@ _CLEAN_HINT = "pattern check: no participant-funded payout loop found"
 _DETECTION_MARK = "Definition of a Ponzi scheme:"
 
 _LOOP_RE = re.compile(r"\b(?:while|for)\s*\(")
+# Anchored at a word start: a match inside a word implies one from its
+# start, and an unanchored \w+ retries from every offset of a long word.
 _INDEXED_PAYOUT_RE = re.compile(
-    r"\w+\s*\[[^\]]*\]\s*(?:\.\w+)*\s*\.(?:send|transfer|call)\s*[({]"
+    r"(?<!\w)\w+\s*\[[^\]]*\]\s*(?:\.\w+)*\s*\.(?:send|transfer|call)\s*[({]"
 )
 _WRAPPED_PAYOUT_RE = re.compile(
     r"payable\s*\(\s*\w+\s*\[[^\]]*\][^)]*\)\s*\.(?:send|transfer|call)\s*[({]"
@@ -286,15 +295,77 @@ def _mock_complete(prompt: str) -> Completion:
     )
 
 
+class _HTTPSHandler(urllib.request.HTTPSHandler):
+    """Verifies TLS against the CA bundle requests would use, loaded at the
+    first https request, so a process that only talks to http endpoints
+    never loads it."""
+
+    def __init__(self) -> None:
+        # Not HTTPSHandler.__init__: from Python 3.12 on it loads a default
+        # context at once.
+        urllib.request.AbstractHTTPHandler.__init__(self)
+        self._context: ssl.SSLContext | None = None
+        self._lock = threading.Lock()
+
+    def https_open(self, req: urllib.request.Request):
+        with self._lock:
+            if self._context is None:
+                self._context = _tls_context()
+        return self.do_open(http.client.HTTPSConnection, req, context=self._context)
+
+
+def _tls_context() -> ssl.SSLContext:
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if not bundle:
+        import certifi  # requests.certs.where() is certifi's bundle
+
+        bundle = certifi.where()
+    if os.path.isdir(bundle):
+        return ssl.create_default_context(capath=bundle)
+    return ssl.create_default_context(cafile=bundle)
+
+
+_opener: urllib.request.OpenerDirector | None = None
+_opener_lock = threading.Lock()
+
+
+def _chat_opener() -> urllib.request.OpenerDirector:
+    """The one opener of the http backend, built at its first request.
+
+    It has only a proxy handler (HTTP_PROXY/HTTPS_PROXY/NO_PROXY, read from
+    the environment when it is built) and the http and https handlers: no
+    redirects are followed, and no status raises, so every reply comes back
+    as a response. urllib sends `Connection: close`, so each request has a
+    connection of its own.
+    """
+    global _opener
+    with _opener_lock:
+        if _opener is None:
+            opener = urllib.request.OpenerDirector()
+            opener.add_handler(urllib.request.ProxyHandler())
+            opener.add_handler(urllib.request.HTTPHandler())
+            opener.add_handler(_HTTPSHandler())
+            _opener = opener
+        return _opener
+
+
+def _post(url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
+    """POST `body` to `url`; the status and the whole reply body."""
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    with _chat_opener().open(request, timeout=timeout) as resp:
+        return resp.status, resp.read()
+
+
 def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     """Run one prompt against the configured backend.
 
-    The HTTP backend retries on transient failures (5xx, 429, transport
-    errors) per cfg.max_attempts/backoff; auth rejections and context
-    overflows raise immediately. Each token count falls back to its estimate
-    when the server reports no usage or a null count. A reply whose content
-    is not a string, or whose usage is not an object of integer counts, is
-    BackendUnavailable.
+    The HTTP backend sends each request through the standard library's
+    urllib on a new connection, to an http or https endpoint only. It
+    retries on transient failures (5xx, 429, transport errors) per
+    cfg.max_attempts/backoff; auth rejections and context overflows raise
+    immediately. Each token count falls back to its estimate when the server
+    reports no usage or a null count. A reply whose content is not a string,
+    or whose usage is not an object of integer counts, is BackendUnavailable.
     """
     if cfg.backend == BACKEND_MOCK:
         return _mock_complete(prompt.rendered)
@@ -303,12 +374,19 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
             f"prompt estimate {prompt.token_estimate} exceeds context window "
             f"{cfg.context_window}"
         )
+    # urllib would open file:, ftp: and data: URLs too.
+    if urlsplit(cfg.endpoint).scheme not in ("http", "https"):
+        raise BackendUnavailable(f"endpoint {cfg.endpoint!r} is not an http or https URL")
     payload = {
         "model": cfg.model,
         "messages": [{"role": "user", "content": prompt.rendered}],
         "temperature": cfg.temperature,
         "max_tokens": cfg.max_output_tokens,
     }
+    try:
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError as exc:
+        raise BackendUnavailable(f"request payload is not valid JSON: {exc}") from exc
     headers = {"Content-Type": "application/json"}
     api_key = cfg.resolved_api_key()
     if api_key:
@@ -320,29 +398,27 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
             time.sleep(cfg.backoff[min(attempt - 1, len(cfg.backoff) - 1)])
         started = time.perf_counter()
         try:
-            resp = requests.post(
-                cfg.endpoint, json=payload, headers=headers, timeout=cfg.timeout
-            )
-        except requests.RequestException as exc:
+            status, reply = _post(cfg.endpoint, body, headers, cfg.timeout)
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            # OSError covers URLError, refused connections and timeouts; a
+            # ValueError is a URL or header http.client refuses.
             last_error = exc
             continue
-        if resp.status_code in (401, 403):
-            hint = "" if api_key else f"; no API key was sent, set {API_KEY_ENV}"
-            raise AuthError(
-                f"backend rejected credentials (HTTP {resp.status_code}){hint}"
-            )
-        if resp.status_code == 400 and "context" in resp.text.lower():
-            raise ContextOverflow(resp.text[:300])
-        if resp.status_code == 429 or resp.status_code >= 500:
-            last_error = BackendUnavailable(
-                f"HTTP {resp.status_code}: {resp.text[:200]}"
-            )
-            continue
-        if resp.status_code != 200:
-            raise BackendUnavailable(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        if status != 200:
+            text = reply.decode("utf-8", "replace")
+            if status in (401, 403):
+                hint = "" if api_key else f"; no API key was sent, set {API_KEY_ENV}"
+                raise AuthError(f"backend rejected credentials (HTTP {status}){hint}")
+            if status == 400 and "context" in text.lower():
+                raise ContextOverflow(text[:300])
+            error = BackendUnavailable(f"HTTP {status}: {text[:200]}")
+            if status == 429 or status >= 500:
+                last_error = error
+                continue
+            raise error
         wall = time.perf_counter() - started
         try:
-            data = resp.json()
+            data = json.loads(reply)
             text = data["choices"][0]["message"]["content"]
             usage = {} if data.get("usage") is None else data["usage"]
             if not isinstance(text, str) or not isinstance(usage, dict):

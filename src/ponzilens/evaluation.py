@@ -162,16 +162,20 @@ def run_batch(
     capped number of two-stage chains in flight (see detect_contract), so a
     batch has up to concurrency_limit times that cap requests in flight.
     Failures stay isolated per contract: a contract whose load or pipeline
-    fails yields an error report, and the batch continues. Each finished
-    report is journaled and flushed to disk before the on_report callback
-    fires, so interrupting the callback can never lose a finished contract.
-    Every contract is prompted from one `templates` set (default: the
-    packaged templates).
+    fails yields an error report, and the batch continues. Any other
+    exception out of detect_contract, which is a defect, is reported with
+    phase "internal" and its type and message. Each finished report is
+    journaled and flushed to disk before the on_report callback fires, so
+    interrupting the callback can never lose a finished contract. Every
+    contract is prompted from one `templates` set (default: the packaged
+    templates).
 
     Returns reports in manifest order.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     templates = templates or TemplateSet()
     done = read_journal(journal) if journal else {}
     labels = manifest.labels()
@@ -195,17 +199,23 @@ def run_batch(
             on_report(report)
 
     def work(entry: ManifestEntry) -> DetectionReport:
-        try:
-            unit = unit_for_entry(entry, fetch_cfg)
-        except (PonzilensError, OSError, ValueError) as exc:
+        def failed(phase: str, message: str) -> DetectionReport:
             return DetectionReport(
                 contract_id=entry.id,
                 mode=mode,
                 model=cfg.model_label,
                 template_version="",
-                error={"phase": "ingest", "message": str(exc)},
+                error={"phase": phase, "message": message},
             )
-        return detect_contract(unit, cfg, mode, repeats, templates=templates)
+
+        try:
+            unit = unit_for_entry(entry, fetch_cfg)
+        except (PonzilensError, OSError, ValueError) as exc:
+            return failed("ingest", str(exc))
+        try:
+            return detect_contract(unit, cfg, mode, repeats, templates=templates)
+        except Exception as exc:  # a defect must not abort the batch; Ctrl-C still does
+            return failed("internal", f"{type(exc).__name__}: {exc}")
 
     try:
         if cfg.concurrency_limit <= 1:

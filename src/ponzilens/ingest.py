@@ -330,6 +330,8 @@ def load_ast(document: str | dict) -> SourceUnit:
         if stem.endswith(suffix):
             stem = stem[: -len(suffix)]
     compiler = doc.get("compiler") or {}
+    if not isinstance(compiler, dict):
+        raise MalformedAst("AST document's compiler entry must be an object")
     return SourceUnit(
         id=stem or name,
         path_or_address=name,

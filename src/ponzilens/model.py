@@ -703,15 +703,13 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
     elif nt == "Return":
         _emit(out, ctx, Kind.RETURN, _analyze_expression(node.get("expression"), ctx), node)
     elif nt in ("EmitStatement", "RevertStatement"):
-        # Event and error heads are not callable targets, and an event's
-        # reads are its arguments'.
+        # Event and error heads are not callable targets, so only the
+        # arguments are walked: their reads and call sites are the statement's.
+        call = node.get("eventCall" if nt == "EmitStatement" else "errorCall")
         info = _ExprInfo()
-        if nt == "RevertStatement":
-            _analyze_expression(node.get("errorCall"), ctx, info)
-        elif isinstance(node.get("eventCall"), dict):
-            for arg in _list(node["eventCall"], "arguments"):
+        if isinstance(call, dict):
+            for arg in _list(call, "arguments"):
                 _analyze_expression(arg, ctx, info)
-        info.calls.clear()
         _emit(out, ctx, Kind.EMIT if nt == "EmitStatement" else Kind.CALL, info, node)
     elif nt == "TryStatement":
         _lower_statement(

@@ -16,8 +16,11 @@ Names are drawn from small pools that overlap between scopes, so locals,
 parameters, modifier names and state variables shadow one another.
 
 A few nodes are faulty: a child that should be an object is a scalar or a
-list, a key is missing, a span is unreadable. Keys keep the builders' order
-in some documents and are sorted, as the compiler writes them, in others.
+list, a key is missing, a span is unreadable. After a document is built,
+any field may be reshaped, rarely: a list becomes a scalar or an object
+keyed by position, and an object becomes a scalar. Keys keep the builders'
+order in some documents and are sorted, as the compiler writes them, in
+others.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ _ENV = ("msg", "tx", "block", "abi", "this", "super")
 _BUILTINS = ("require", "assert", "keccak256", "payable", "address", "type", "revert")
 _MEMBERS = ("f", "deposit", "balance", "length", "call", "delegatecall", "value", "gas")
 _HOLES = (None, 7, "x", [], [1])
+_SCALARS = (7, "x", True)
+_RESHAPE = 0.002  # the chance that a field holding a list or an object is reshaped
 
 
 def _uint() -> dict:
@@ -416,6 +421,26 @@ class _Gen:
         })
 
 
+def _reshape(doc: dict, gen: _Gen) -> None:
+    """Reshape, rarely, each field under `doc` that holds a list or an
+    object: a list becomes a scalar or an object keyed by position, an
+    object becomes a scalar."""
+    stack: list = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            stack.extend(node)
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                if not isinstance(value, (dict, list)) or not gen.chance(_RESHAPE):
+                    continue
+                if isinstance(value, list) and gen.chance(0.5):
+                    node[key] = {str(i): item for i, item in enumerate(value)}
+                else:
+                    node[key] = gen.pick(_SCALARS)
+            stack.extend(node.values())
+
+
 def _sorted_keys(node):
     if isinstance(node, dict):
         return {k: _sorted_keys(node[k]) for k in sorted(node)}
@@ -434,5 +459,7 @@ def unit(seed: int) -> dict:
     if gen.chance(0.3):
         root = _sorted_keys(root)
     source = "".join(gen.text)
-    return {"compiler": {"version": "0.8.19"},
-            "sources": {f"fuzz{seed}.sol": {"content": source, "ast": root}}}
+    doc = {"compiler": {"version": "0.8.19"},
+           "sources": {f"fuzz{seed}.sol": {"content": source, "ast": root}}}
+    _reshape(doc, gen)
+    return doc

@@ -306,22 +306,30 @@ class SReturn(Stmt):
 
 
 class SEmit(Stmt):
+    keyword, node_type, call_key = "emit", "EmitStatement", "eventCall"
+
     def __init__(self, event: str, args: list[Expr] | tuple[Expr, ...] = ()):
         self.call = Call(Id(event), list(args))
 
     def emit(self, w: Writer, indent: int) -> dict:
         w.write(" " * indent)
         start = w.pos
-        w.write("emit ")
+        w.write(f"{self.keyword} ")
         call_node = self.call.node(w.pos)
         w.write(self.call.text)
         length = w.pos - start
         w.write(";\n")
         return {
-            "nodeType": "EmitStatement",
-            "eventCall": call_node,
+            "nodeType": self.node_type,
+            self.call_key: call_node,
             "src": f"{start}:{length}:0",
         }
+
+
+class SRevert(SEmit):
+    """`revert Err(args);` with a custom error."""
+
+    keyword, node_type, call_key = "revert", "RevertStatement", "errorCall"
 
 
 class SWhile(Stmt):

@@ -6,6 +6,9 @@ import contextlib
 import dataclasses
 import json
 import random
+import re
+import socket
+import ssl
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -272,6 +275,35 @@ def test_mock_is_deterministic():
     assert a == b
 
 
+def test_mock_payout_scan_is_linear_in_a_long_word():
+    # A 20k-character hex literal took seconds while the payout pattern was
+    # retried from every offset of the word.
+    prompt = "function f() { while (i < n) { h = 0x" + "ab" * 10_000 + "; } }"
+    started = time.perf_counter()
+    out = detect_mod._mock_complete(prompt)
+    assert time.perf_counter() - started < 0.5
+    assert "no participant-funded payout loop" in out.text
+
+
+# The payout pattern before it was anchored at a word start.
+_UNANCHORED_PAYOUT_RE = re.compile(
+    r"\w+\s*\[[^\]]*\]\s*(?:\.\w+)*\s*\.(?:send|transfer|call)\s*[({]"
+)
+
+
+def test_mock_anchored_payout_pattern_finds_what_the_unanchored_one_did(monkeypatch):
+    prompts = ["x9_members[i].send(1)", "0xab[i] .transfer(1)", "_a[i].x.call{value: 1}("]
+    mock = detect_mod._mock_complete
+    monkeypatch.setattr(detect_mod, "_mock_complete", lambda p: prompts.append(p) or mock(p))
+    for name in fixutil.FIXTURE_NAMES:
+        for mode in MODES:
+            detect_contract(fixutil.load_unit(name), LlmConfig(), mode, repeats=1)
+    assert len(prompts) > 3 * len(fixutil.FIXTURE_NAMES)
+    for prompt in prompts:
+        found = detect_mod._INDEXED_PAYOUT_RE.search(prompt) is not None
+        assert found is (_UNANCHORED_PAYOUT_RE.search(prompt) is not None), prompt
+
+
 # --- network backends over a scripted local server -------------------------
 
 
@@ -279,6 +311,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
     script: list[tuple[int, bytes]] = []
     bodies: list[dict] = []
     auth_headers: list[str | None] = []
+    connection_headers: list[str | None] = []  # of every request answered
 
     def do_POST(self):  # noqa: N802
         length = int(self.headers.get("Content-Length", 0))
@@ -291,6 +324,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         self._send(*_ChatHandler.script.pop(0))
 
     def _send(self, status: int, body: bytes) -> None:
+        _ChatHandler.connection_headers.append(self.headers.get("Connection"))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -334,6 +368,7 @@ def chat_server():
     _ChatHandler.script = []
     _ChatHandler.bodies = []
     _ChatHandler.auth_headers = []
+    _ChatHandler.connection_headers = []
     with _serve(_ChatHandler) as url:
         yield url + "/v1/chat/completions"
 
@@ -470,6 +505,143 @@ def test_context_window_precheck_blocks_request(chat_server, monkeypatch):
     with pytest.raises(ContextOverflow):
         complete(_prompt("x" * 100), cfg)
     assert _ChatHandler.bodies == []
+
+
+def test_every_request_asks_to_close_its_connection(chat_server, monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    _ChatHandler.script = [(500, b"busy"), (429, b"busy"), (200, _chat_body("ok"))]
+    assert complete(_prompt(), _local(chat_server)).text == "ok"
+    assert _ChatHandler.connection_headers == ["close"] * 3
+
+
+@pytest.mark.parametrize(
+    "status, body, error, message",
+    [
+        (500, b"\xff\xfe down", BackendUnavailable, "HTTP 500: \ufffd\ufffd down"),
+        (401, b"\xff who", AuthError, "HTTP 401"),
+        (400, b"\xff context length exceeded", ContextOverflow, "\ufffd context"),
+        (418, b"\xff", BackendUnavailable, "HTTP 418: \ufffd"),
+    ],
+)
+def test_error_body_that_is_not_utf8_maps_to_its_status(
+    chat_server, monkeypatch, status, body, error, message
+):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    _ChatHandler.script = [(status, body)] * 3
+    with pytest.raises(error, match=message) as raised:
+        complete(_prompt(), _local(chat_server, max_attempts=3))
+    assert type(raised.value) is error
+
+
+def test_redirect_is_not_followed(chat_server, monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    _ChatHandler.script = [(307, b"moved")]
+    with pytest.raises(BackendUnavailable, match="HTTP 307"):
+        complete(_prompt(), _local(chat_server, max_attempts=3))
+    assert len(_ChatHandler.bodies) == 1
+
+
+def test_unserializable_payload_is_refused_before_sending(chat_server, monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    with pytest.raises(BackendUnavailable, match="not valid JSON"):
+        complete(_prompt(), _local(chat_server, temperature=float("nan")))
+    assert _ChatHandler.bodies == []
+
+
+@pytest.mark.parametrize("scheme", ["file", "ftp", "data", "localhost"])
+def test_non_http_endpoint_is_refused_and_nothing_opened(tmp_path, monkeypatch, scheme):
+    reply = tmp_path / "reply.json"
+    reply.write_bytes(_chat_body("true"))
+    endpoint = {
+        "file": reply.as_uri(),
+        "ftp": "ftp://127.0.0.1:1/reply.json",
+        "data": "data:application/json," + _chat_body("true").decode(),
+        "localhost": "localhost:8080/v1/chat/completions",
+    }[scheme]
+    monkeypatch.setattr(detect_mod, "_post", lambda *args: pytest.fail("a request was sent"))
+    with pytest.raises(BackendUnavailable, match="not an http or https URL"):
+        complete(_prompt(), _local(endpoint, max_attempts=3))
+
+
+def _free_port() -> int:
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def test_refused_connection_is_tried_max_attempts_times(monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    dials: list[tuple] = []
+    dial = socket.create_connection
+
+    def counted(address, *args, **kwargs):
+        dials.append(address)
+        return dial(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    port = _free_port()
+    with pytest.raises(BackendUnavailable, match="after 4 attempts"):
+        complete(_prompt(), _local(f"http://127.0.0.1:{port}/v1", max_attempts=4))
+    assert dials == [("127.0.0.1", port)] * 4
+
+
+_PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+class _ProxyHandler(_ChatHandler):
+    """A forward proxy that answers every request itself."""
+
+    request_lines: list[str] = []
+
+    def do_POST(self):  # noqa: N802
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        _ProxyHandler.request_lines.append(self.requestline)
+        self._send(200, _chat_body("via proxy"))
+
+
+@pytest.fixture()
+def proxied(monkeypatch):
+    """A loopback proxy set as HTTP_PROXY, with every other proxy variable
+    cleared and the chat opener rebuilt from that environment."""
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    monkeypatch.setattr(detect_mod, "_opener", None)
+    _ProxyHandler.request_lines = []
+    with _serve(_ProxyHandler) as url:
+        monkeypatch.setenv("HTTP_PROXY", url)
+        yield monkeypatch
+
+
+def test_http_proxy_from_the_environment_carries_the_request(proxied, chat_server):
+    out = complete(_prompt(), _local(chat_server))
+    assert out.text == "via proxy"
+    # A proxy is sent the absolute URI; the endpoint itself saw nothing.
+    assert _ProxyHandler.request_lines == [f"POST {chat_server} HTTP/1.1"]
+    assert _ChatHandler.bodies == []
+
+
+def test_no_proxy_bypasses_the_proxy(proxied, chat_server):
+    proxied.setenv("NO_PROXY", "127.0.0.1")
+    _ChatHandler.script = [(200, _chat_body("direct"))]
+    assert complete(_prompt(), _local(chat_server)).text == "direct"
+    assert _ProxyHandler.request_lines == []
+
+
+def test_tls_context_is_built_at_the_first_https_request(chat_server, monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", *_PROXY_VARIABLES):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setattr(detect_mod, "_opener", None)
+    _ChatHandler.script = [(200, _chat_body("plain"))]
+    complete(_prompt(), _local(chat_server))
+    (tls,) = [h for h in detect_mod._opener.handlers if isinstance(h, detect_mod._HTTPSHandler)]
+    assert tls._context is None
+    with pytest.raises(BackendUnavailable):
+        complete(_prompt(), _local(f"https://127.0.0.1:{_free_port()}/v1"))
+    assert tls._context.verify_mode is ssl.CERT_REQUIRED and tls._context.check_hostname
 
 
 def test_llm_config_validation():
@@ -850,6 +1022,7 @@ def mock_chat(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     _MockChatHandler.in_flight = _MockChatHandler.peak = 0
     _MockChatHandler.refused = []
+    _ChatHandler.connection_headers = []
     with _serve(_MockChatHandler) as url:
         yield url
 
@@ -870,8 +1043,10 @@ def test_detect_contract_over_http_equals_mock(mock_chat, name, mode):
     assert over_http.error is None
     assert _zero_walls(over_http.to_dict()["runs"]) == offline.to_dict()["runs"]
     assert over_http.final_verdict is offline.final_verdict
-    # The chains were in flight together.
+    # The chains were in flight together, each request on a connection of
+    # its own.
     assert _MockChatHandler.peak >= 2
+    assert _ChatHandler.connection_headers == ["close"] * 10
 
 
 def test_detect_contract_over_http_caps_chains_in_flight(mock_chat):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import astfuzz
 import fixutil
 import ponzilens.evaluation as evaluation_mod
 import programs
@@ -365,6 +366,51 @@ def test_run_batch_concurrent_matches_serial():
 def test_run_batch_rejects_unknown_mode():
     with pytest.raises(ValueError):
         run_batch(_manifest(), LlmConfig(), mode="loud")
+
+
+def test_run_batch_rejects_zero_repeats():
+    with pytest.raises(ValueError):
+        run_batch(_manifest(_entry("sp", "simple_ponzi", PONZI)), LlmConfig(), repeats=0)
+
+
+@pytest.mark.parametrize("limit", [1, 2])
+def test_run_batch_reports_an_escaped_exception_as_internal(tmp_path, monkeypatch, limit):
+    real = evaluation_mod.detect_contract
+
+    def flaky(unit, *args, **kwargs):
+        if unit.id == "sp":
+            raise KeyError("lost")
+        return real(unit, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation_mod, "detect_contract", flaky)
+    manifest = _manifest(_entry("sp", "simple_ponzi", PONZI), _entry("mt", "mini_token", CLEAN))
+    journal = tmp_path / "journal.jsonl"
+    sp, mt = run_batch(manifest, LlmConfig(concurrency_limit=limit), repeats=1, journal=journal)
+    assert sp.error == {"phase": "internal", "message": "KeyError: 'lost'"}
+    assert sp.runs == [] and sp.final_verdict is None
+    assert sp.model == "mock:gpt-3.5-turbo"
+    assert mt.final_verdict is False
+    assert read_journal(journal)["sp"].to_dict() == sp.to_dict()
+
+
+def test_fuzzed_documents_never_reach_the_internal_guard(tmp_path):
+    entries = []
+    for seed in range(60):
+        path = tmp_path / f"f{seed}.json"
+        path.write_text(json.dumps(astfuzz.unit(seed)))
+        entries.append(ManifestEntry(id=f"f{seed}", path_or_address=str(path), label=CLEAN))
+    reports = run_batch(_manifest(*entries), LlmConfig(), repeats=1)
+    assert [r.error for r in reports if r.error and r.error["phase"] == "internal"] == []
+    assert sum(r.error is None for r in reports) > 40
+
+
+def test_run_batch_lets_an_interrupt_in_detection_through(monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluation_mod, "detect_contract", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(_manifest(_entry("sp", "simple_ponzi", PONZI)), LlmConfig(), repeats=1)
 
 
 # --- metrics ----------------------------------------------------------------

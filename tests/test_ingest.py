@@ -140,6 +140,11 @@ def test_load_ast_error_taxonomy():
         load_ast({"sources": {"a.sol": {"ast": {"nodeType": "Block"}}}})
     with pytest.raises(MalformedAst):
         load_ast({"sources": {"a.sol": {"ast": {"nodeType": "SourceUnit"}}}})
+    for compiler in (True, 7, "0.8.19", ["0.8.19"]):
+        doc = fixutil.load_doc("simple_ponzi")
+        doc["compiler"] = compiler
+        with pytest.raises(MalformedAst, match="compiler"):
+            load_ast(doc)
     # A well-formed document whose contract has a non-object member fails
     # at lowering, with the same error type.
     doc = fixutil.load_doc("simple_ponzi")

@@ -20,15 +20,19 @@ from astgen import (
     Lit,
     Member,
     Modifier,
+    EventDef,
     SAssign,
+    SEmit,
     SExpr,
     SOpaque,
     SPlaceholder,
+    SRevert,
     StateVar,
     Un,
     VOpts,
     build_unit,
 )
+from ponzilens.detect import run_static_pipeline
 from ponzilens.errors import JsonError, MalformedAst
 from ponzilens.ingest import load_ast
 from ponzilens.model import (
@@ -169,6 +173,33 @@ def test_emit_reads_args_without_call_site():
     assert emit.uses == frozenset({_bv("msg.sender"), _bv("msg.value")})
     assert emit.calls == ()
     assert emit.defs == frozenset()
+
+
+@pytest.mark.parametrize("stmt, kind", [(SEmit, Kind.EMIT), (SRevert, Kind.CALL)])
+def test_emit_and_revert_keep_nested_call_sites(stmt, kind):
+    # emit Ev(f(msg.value)); / revert Ev(f(msg.value)); f is a site, Ev is not.
+    _, doc = build_unit(
+        "ev",
+        [
+            Contract(
+                "E",
+                [
+                    StateVar("uint", "x"),
+                    EventDef("Ev", [("uint", "v")]),
+                    Fn("f", [("uint", "v")], [SAssign(Id("x"), "=", Id("v"))]),
+                    Fn("pay", [], [stmt("Ev", [Call(Id("f"), [Member(Id("msg"), "value")])])],
+                       mutability="payable"),
+                ],
+            )
+        ],
+    )
+    unit = load_ast(doc)
+    pay = next(f for f in lower(unit)[0].functions if f.name == "pay")
+    (s,) = pay.statements
+    assert s.kind is kind
+    assert [(c.name, c.arg_reads) for c in s.calls] == [("f", frozenset({_bv("msg.value")}))]
+    assert s.uses == frozenset({_bv("msg.value")})
+    assert "E.f" in run_static_pipeline(unit).bundle.selected
 
 
 def test_call_options_transfer_records_single_site():
@@ -481,6 +512,19 @@ def test_fuzzed_documents_lower_or_are_refused():
         lowered += 1
     # Faults are rare: most documents lower.
     assert lowered > 200
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzer_reshapes_lists_and_objects(monkeypatch, seed):
+    monkeypatch.setattr(astfuzz, "_RESHAPE", 1.0)
+    doc = {"nodes": [{"name": "a"}, 7], "body": {"statements": []}}
+    astfuzz._reshape(doc, astfuzz._Gen(seed))
+    # A list becomes a scalar or an object keyed by position, whose own
+    # object fields become scalars; an object becomes a scalar.
+    assert doc["nodes"] in astfuzz._SCALARS or (
+        doc["nodes"].keys() == {"0", "1"} and doc["nodes"]["0"] in astfuzz._SCALARS
+    )
+    assert doc["body"] in astfuzz._SCALARS
 
 
 def test_member_access_on_a_non_object_reads_nothing():
