@@ -12,10 +12,9 @@ Backends:
     GPT-3.5-turbo) or self-hosted (keyless, e.g. LLaMA 3 or Mistral), and
     read choices[0].message.content plus usage token counts. The API key is
     sent as a bearer token exactly when one is set. Each request goes
-    through the standard library's urllib on a new connection, to an http or
-    https endpoint only; proxies come from HTTP_PROXY/HTTPS_PROXY/NO_PROXY,
-    and https is verified against the CA bundle requests uses (certifi's,
-    or REQUESTS_CA_BUNDLE/CURL_CA_BUNDLE when set);
+    through the package's one transport (ponzilens.transport): urllib, a new
+    connection per request, http or https endpoints only, proxies from the
+    environment, no redirects followed;
   * mock: a deterministic offline stand-in whose reply is a pure function
     of the prompt text; it exists so end-to-end behavior is testable
     byte-for-byte without network access. Its heuristic is matched to the
@@ -29,21 +28,18 @@ stem, e.g. "analysis_full_v1+detection_v1".
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
-import ssl
 import threading
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from string import Template
-from urllib.parse import urlsplit
 
+from . import transport
 from .errors import (
     AuthError,
     BackendUnavailable,
@@ -295,72 +291,11 @@ def _mock_complete(prompt: str) -> Completion:
     )
 
 
-class _HTTPSHandler(urllib.request.HTTPSHandler):
-    """Verifies TLS against the CA bundle requests would use, loaded at the
-    first https request, so a process that only talks to http endpoints
-    never loads it."""
-
-    def __init__(self) -> None:
-        # Not HTTPSHandler.__init__: from Python 3.12 on it loads a default
-        # context at once.
-        urllib.request.AbstractHTTPHandler.__init__(self)
-        self._context: ssl.SSLContext | None = None
-        self._lock = threading.Lock()
-
-    def https_open(self, req: urllib.request.Request):
-        with self._lock:
-            if self._context is None:
-                self._context = _tls_context()
-        return self.do_open(http.client.HTTPSConnection, req, context=self._context)
-
-
-def _tls_context() -> ssl.SSLContext:
-    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-    if not bundle:
-        import certifi  # requests.certs.where() is certifi's bundle
-
-        bundle = certifi.where()
-    if os.path.isdir(bundle):
-        return ssl.create_default_context(capath=bundle)
-    return ssl.create_default_context(cafile=bundle)
-
-
-_opener: urllib.request.OpenerDirector | None = None
-_opener_lock = threading.Lock()
-
-
-def _chat_opener() -> urllib.request.OpenerDirector:
-    """The one opener of the http backend, built at its first request.
-
-    It has only a proxy handler (HTTP_PROXY/HTTPS_PROXY/NO_PROXY, read from
-    the environment when it is built) and the http and https handlers: no
-    redirects are followed, and no status raises, so every reply comes back
-    as a response. urllib sends `Connection: close`, so each request has a
-    connection of its own.
-    """
-    global _opener
-    with _opener_lock:
-        if _opener is None:
-            opener = urllib.request.OpenerDirector()
-            opener.add_handler(urllib.request.ProxyHandler())
-            opener.add_handler(urllib.request.HTTPHandler())
-            opener.add_handler(_HTTPSHandler())
-            _opener = opener
-        return _opener
-
-
-def _post(url: str, body: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes]:
-    """POST `body` to `url`; the status and the whole reply body."""
-    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
-    with _chat_opener().open(request, timeout=timeout) as resp:
-        return resp.status, resp.read()
-
-
 def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     """Run one prompt against the configured backend.
 
-    The HTTP backend sends each request through the standard library's
-    urllib on a new connection, to an http or https endpoint only. It
+    The HTTP backend sends each request through ponzilens.transport, on a
+    new connection, to an http or https endpoint only. It
     retries on transient failures (5xx, 429, transport errors) per
     cfg.max_attempts/backoff; auth rejections and context overflows raise
     immediately. Each token count falls back to its estimate when the server
@@ -374,8 +309,7 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
             f"prompt estimate {prompt.token_estimate} exceeds context window "
             f"{cfg.context_window}"
         )
-    # urllib would open file:, ftp: and data: URLs too.
-    if urlsplit(cfg.endpoint).scheme not in ("http", "https"):
+    if not transport.is_http_url(cfg.endpoint):
         raise BackendUnavailable(f"endpoint {cfg.endpoint!r} is not an http or https URL")
     payload = {
         "model": cfg.model,
@@ -398,10 +332,8 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
             time.sleep(cfg.backoff[min(attempt - 1, len(cfg.backoff) - 1)])
         started = time.perf_counter()
         try:
-            status, reply = _post(cfg.endpoint, body, headers, cfg.timeout)
-        except (OSError, ValueError, http.client.HTTPException) as exc:
-            # OSError covers URLError, refused connections and timeouts; a
-            # ValueError is a URL or header http.client refuses.
+            status, _, reply = transport.request(cfg.endpoint, body, headers, timeout=cfg.timeout)
+        except transport.ERRORS as exc:
             last_error = exc
             continue
         if status != 200:

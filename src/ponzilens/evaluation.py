@@ -163,12 +163,12 @@ def run_batch(
     batch has up to concurrency_limit times that cap requests in flight.
     Failures stay isolated per contract: a contract whose load or pipeline
     fails yields an error report, and the batch continues. Any other
-    exception out of detect_contract, which is a defect, is reported with
-    phase "internal" and its type and message. Each finished report is
-    journaled and flushed to disk before the on_report callback fires, so
-    interrupting the callback can never lose a finished contract. Every
-    contract is prompted from one `templates` set (default: the packaged
-    templates).
+    exception out of loading or detect_contract, which is a defect, is
+    reported with phase "internal" and its type and message. Each finished
+    report is journaled and flushed to disk before the on_report callback
+    fires, so interrupting the callback can never lose a finished contract.
+    Every contract is prompted from one `templates` set (default: the
+    packaged templates).
 
     Returns reports in manifest order.
     """
@@ -209,10 +209,10 @@ def run_batch(
             )
 
         try:
-            unit = unit_for_entry(entry, fetch_cfg)
-        except (PonzilensError, OSError, ValueError) as exc:
-            return failed("ingest", str(exc))
-        try:
+            try:
+                unit = unit_for_entry(entry, fetch_cfg)
+            except (PonzilensError, OSError, ValueError) as exc:
+                return failed("ingest", str(exc))
             return detect_contract(unit, cfg, mode, repeats, templates=templates)
         except Exception as exc:  # a defect must not abort the batch; Ctrl-C still does
             return failed("internal", f"{type(exc).__name__}: {exc}")

@@ -3,7 +3,8 @@
 A SourceUnit is the single entry currency of the pipeline. It can be born
 three ways: from a .sol file on disk, from a previously serialized AST
 document, or from a block-explorer lookup by address. Whatever the origin,
-downstream stages only ever see the unit.
+downstream stages only ever see the unit. Explorer lookups go through the
+package's one HTTP transport, ponzilens.transport, as chat requests do.
 
 The AST document format is a JSON object shaped like compiler standard-JSON
 output, reduced to what the pipeline needs:
@@ -35,9 +36,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
+from urllib.parse import quote_plus, urlencode, urlsplit
 
-import requests
-
+from . import transport
 from .errors import (
     AuthError,
     CompileError,
@@ -441,10 +442,15 @@ def _retry_after_seconds(value: str | None) -> float:
 def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
     """Fetch verified source for `address` from an explorer API.
 
-    The address is validated before any network traffic. The API key comes
-    from the PONZILENS_ETHERSCAN_KEY environment variable when set, falling
-    back to the config value. Rate limiting is enforced client-side on top
-    of honoring explorer rate-limit replies.
+    The address, the key and the URL's http or https scheme are checked
+    before any network traffic. The API key comes from the
+    PONZILENS_ETHERSCAN_KEY environment variable when set, falling back to
+    the config value. The request parameters follow any query string that
+    api_base_url already has. Requests go through ponzilens.transport, so
+    redirects are not followed: a 3xx is a NetworkError. Rate limiting is
+    enforced client-side on top of honoring explorer rate-limit replies;
+    429s, 5xx replies and transport failures are retried up to
+    cfg.max_attempts times. The key never appears in an error message.
     """
     if not is_address(address):
         raise ValueError(f"malformed address: {address!r}")
@@ -453,12 +459,13 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
         raise AuthError(
             f"no API key: set {ETHERSCAN_KEY_ENV} or FetchConfig.api_key"
         )
-    params = {
-        "module": "contract",
-        "action": "getsourcecode",
-        "address": address,
-        "apikey": api_key,
-    }
+    if not transport.is_http_url(cfg.api_base_url):
+        raise NetworkError(f"explorer URL {cfg.api_base_url!r} is not an http or https URL")
+    base = urlsplit(cfg.api_base_url)
+    params = urlencode(
+        {"module": "contract", "action": "getsourcecode", "address": address, "apikey": api_key}
+    )
+    url = base._replace(query=f"{base.query}&{params}" if base.query else params).geturl()
     limiter = _limiter_for(cfg)
     last_error: Exception | None = None
     retry_after: float | None = None
@@ -468,22 +475,26 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
         retry_after = None
         limiter.acquire()
         try:
-            resp = requests.get(cfg.api_base_url, params=params, timeout=cfg.timeout)
-        except requests.RequestException as exc:
-            last_error = NetworkError(f"explorer request failed: {exc}")
+            status, headers, reply = transport.request(url, timeout=cfg.timeout)
+        except transport.ERRORS as exc:
+            # An error can quote the request path, and the path holds the key.
+            reason = str(exc).replace(quote_plus(api_key), "<apikey>")
+            last_error = NetworkError(f"explorer request failed: {reason}")
             continue
-        if resp.status_code == 429:
-            retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
+        if status == 429:
+            retry_after = _retry_after_seconds(headers.get("Retry-After"))
             last_error = RateLimited("explorer returned HTTP 429", retry_after)
             continue
-        if resp.status_code >= 500:
-            last_error = NetworkError(f"explorer returned HTTP {resp.status_code}")
+        if status >= 500:
+            last_error = NetworkError(f"explorer returned HTTP {status}")
             continue
+        if 300 <= status < 400:
+            raise NetworkError(f"explorer returned HTTP {status}; redirects are not followed")
         try:
-            body = resp.json()
+            body = json.loads(reply)
         except (ValueError, RecursionError) as exc:
             raise JsonError(f"explorer reply is not JSON: {exc}") from exc
-        result = body.get("result")
+        result = body.get("result") if isinstance(body, dict) else None
         if isinstance(result, str):
             low = result.lower()
             if "rate limit" in low:
@@ -498,9 +509,13 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
         if not isinstance(result, list) or not result:
             raise NetworkError("explorer reply has no result entries")
         record = result[0]
+        if not isinstance(record, dict):
+            raise NetworkError("explorer result entry is not an object")
         raw = record.get("SourceCode", "")
         if not raw:
             raise NotVerified(f"no verified source for {address}")
+        if not isinstance(raw, str):
+            raise NetworkError("explorer SourceCode is not a string")
         source_text = _flatten_explorer_source(raw)
         return SourceUnit(
             id=address,

@@ -18,6 +18,7 @@ import pytest
 
 import fixutil
 import ponzilens.detect as detect_mod
+import ponzilens.transport as transport
 import programs
 from astgen import Contract, Fn, Id, Member, SAssign, StateVar, build_unit
 from ponzilens.detect import (
@@ -558,7 +559,7 @@ def test_non_http_endpoint_is_refused_and_nothing_opened(tmp_path, monkeypatch, 
         "data": "data:application/json," + _chat_body("true").decode(),
         "localhost": "localhost:8080/v1/chat/completions",
     }[scheme]
-    monkeypatch.setattr(detect_mod, "_post", lambda *args: pytest.fail("a request was sent"))
+    monkeypatch.setattr(transport, "request", lambda *a, **k: pytest.fail("a request was sent"))
     with pytest.raises(BackendUnavailable, match="not an http or https URL"):
         complete(_prompt(), _local(endpoint, max_attempts=3))
 
@@ -602,12 +603,12 @@ class _ProxyHandler(_ChatHandler):
 @pytest.fixture()
 def proxied(monkeypatch):
     """A loopback proxy set as HTTP_PROXY, with every other proxy variable
-    cleared and the chat opener rebuilt from that environment."""
+    cleared and the transport's opener rebuilt from that environment."""
     for name in _PROXY_VARIABLES:
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     monkeypatch.delenv(API_KEY_ENV, raising=False)
-    monkeypatch.setattr(detect_mod, "_opener", None)
+    monkeypatch.setattr(transport, "_opener", None)
     _ProxyHandler.request_lines = []
     with _serve(_ProxyHandler) as url:
         monkeypatch.setenv("HTTP_PROXY", url)
@@ -634,10 +635,10 @@ def test_tls_context_is_built_at_the_first_https_request(chat_server, monkeypatc
     for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", *_PROXY_VARIABLES):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
-    monkeypatch.setattr(detect_mod, "_opener", None)
+    monkeypatch.setattr(transport, "_opener", None)
     _ChatHandler.script = [(200, _chat_body("plain"))]
     complete(_prompt(), _local(chat_server))
-    (tls,) = [h for h in detect_mod._opener.handlers if isinstance(h, detect_mod._HTTPSHandler)]
+    (tls,) = [h for h in transport._opener.handlers if isinstance(h, transport._HTTPSHandler)]
     assert tls._context is None
     with pytest.raises(BackendUnavailable):
         complete(_prompt(), _local(f"https://127.0.0.1:{_free_port()}/v1"))

@@ -393,6 +393,34 @@ def test_run_batch_reports_an_escaped_exception_as_internal(tmp_path, monkeypatc
     assert read_journal(journal)["sp"].to_dict() == sp.to_dict()
 
 
+@pytest.mark.parametrize("limit", [1, 2])
+def test_run_batch_reports_an_exception_out_of_loading_as_internal(tmp_path, monkeypatch, limit):
+    real = evaluation_mod.load_source_unit
+
+    def flaky(path):
+        if str(path).endswith("simple_ponzi.json"):
+            raise KeyError("lost")
+        return real(path)
+
+    monkeypatch.setattr(evaluation_mod, "load_source_unit", flaky)
+    manifest = _manifest(_entry("sp", "simple_ponzi", PONZI), _entry("mt", "mini_token", CLEAN))
+    journal = tmp_path / "journal.jsonl"
+    sp, mt = run_batch(manifest, LlmConfig(concurrency_limit=limit), repeats=1, journal=journal)
+    assert sp.error == {"phase": "internal", "message": "KeyError: 'lost'"}
+    assert sp.runs == [] and sp.final_verdict is None
+    assert mt.final_verdict is False
+    assert read_journal(journal)["sp"].to_dict() == sp.to_dict()
+
+
+def test_run_batch_lets_an_interrupt_in_loading_through(monkeypatch):
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluation_mod, "load_source_unit", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(_manifest(_entry("sp", "simple_ponzi", PONZI)), LlmConfig(), repeats=1)
+
+
 def test_fuzzed_documents_never_reach_the_internal_guard(tmp_path):
     entries = []
     for seed in range(60):

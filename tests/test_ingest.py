@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import email.utils
 import json
+import os
+import socket
+import subprocess
 import sys
 import threading
 from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
 
 import fixutil
 import ponzilens.ingest as ingest
+import ponzilens.transport as transport
 import programs
 from ponzilens.detect import LlmConfig
 from ponzilens.errors import (
@@ -298,21 +305,29 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def explorer():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+@contextlib.contextmanager
+def _serve(handler: type[BaseHTTPRequestHandler]):
+    """A loopback server running `handler`; yields its base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(
         target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
     )
     thread.start()
-    _Handler.script = []
-    _Handler.seen = []
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/api"
+        yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
         thread.join(timeout=5)
         server.server_close()
+    assert not thread.is_alive()
+
+
+@pytest.fixture()
+def explorer():
+    _Handler.script = []
+    _Handler.seen = []
+    with _serve(_Handler) as url:
+        yield url + "/api"
 
 
 def _ok_body(source: str, version: str = "v0.8.19+commit.7dd6d404") -> bytes:
@@ -466,3 +481,187 @@ def test_fetch_empty_source_is_unverified(explorer, monkeypatch):
     _Handler.script = [(200, {}, _ok_body(""))]
     with pytest.raises(NotVerified):
         fetch_verified_source(GOOD_ADDRESS, _cfg(explorer))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ([], "no result entries"),
+        ({"result": [5]}, "result entry is not an object"),
+        ({"result": [{"SourceCode": 5}]}, "SourceCode is not a string"),
+    ],
+)
+def test_fetch_refuses_a_malformed_reply_shape(explorer, monkeypatch, body, message):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    _Handler.script = [(200, {}, json.dumps(body).encode())]
+    with pytest.raises(NetworkError, match=message):
+        fetch_verified_source(GOOD_ADDRESS, _cfg(explorer))
+    assert len(_Handler.seen) == 1
+
+
+def _fetched_params(path: str) -> dict[str, str]:
+    return dict(parse_qsl(urlsplit(path).query))
+
+
+def test_fetch_appends_its_parameters_to_the_base_query(explorer, monkeypatch):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    _Handler.script = [(200, {}, _ok_body("contract Q {}"))]
+    fetch_verified_source(GOOD_ADDRESS, _cfg(explorer + "?chainid=1"))
+    (path,) = _Handler.seen
+    assert urlsplit(path).path == "/api"
+    assert urlsplit(path).query.startswith("chainid=1&")
+    assert _fetched_params(path) == {
+        "chainid": "1",
+        "module": "contract",
+        "action": "getsourcecode",
+        "address": GOOD_ADDRESS,
+        "apikey": "testkey",
+    }
+
+
+def test_fetch_does_not_follow_a_redirect(explorer, monkeypatch):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    _Handler.script = [
+        (301, {"Location": "/moved"}, b""),
+        (200, {}, _ok_body("contract M {}")),
+    ]
+    with pytest.raises(NetworkError, match="HTTP 301"):
+        fetch_verified_source(GOOD_ADDRESS, _cfg(explorer, max_attempts=3))
+    assert len(_Handler.seen) == 1
+
+
+def test_fetch_refuses_a_file_base_and_sends_nothing(tmp_path, monkeypatch):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    reply = tmp_path / "api"
+    reply.write_bytes(_ok_body("contract F {}"))
+    monkeypatch.setattr(transport, "request", lambda *a, **k: pytest.fail("a request was sent"))
+    with pytest.raises(NetworkError, match="not an http or https URL"):
+        fetch_verified_source(GOOD_ADDRESS, _cfg(reply.as_uri(), max_attempts=3))
+
+
+def _free_port() -> int:
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def test_fetch_tries_a_refused_port_max_attempts_times(monkeypatch):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    dials: list[tuple] = []
+    dial = socket.create_connection
+
+    def counted(address, *args, **kwargs):
+        dials.append(address)
+        return dial(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    port = _free_port()
+    with pytest.raises(NetworkError, match="explorer request failed"):
+        fetch_verified_source(GOOD_ADDRESS, _cfg(f"http://127.0.0.1:{port}/api", max_attempts=4))
+    assert dials == [("127.0.0.1", port)] * 4
+
+
+SECRET = "SECRETKEY0123"
+
+
+@contextlib.contextmanager
+def _unreachable(kind: str):
+    """An explorer base URL whose request fails in the transport: a closed
+    port, a listener that never answers, or a path http.client refuses,
+    which it quotes in its error."""
+    if kind == "timeout":
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(4)
+            yield f"http://127.0.0.1:{listener.getsockname()[1]}/api"
+    else:
+        port = _free_port()
+        yield f"http://127.0.0.1:{port}/" + ("api" if kind == "refused" else "my api")
+
+
+@pytest.mark.parametrize("kind", ["refused", "timeout", "bad path"])
+def test_fetch_failure_message_never_carries_the_key(monkeypatch, kind):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    with _unreachable(kind) as url:
+        with pytest.raises(NetworkError) as failed:
+            fetch_verified_source(
+                GOOD_ADDRESS, _cfg(url, api_key=SECRET, timeout=0.2, max_attempts=1)
+            )
+    assert str(failed.value).startswith("explorer request failed")
+    assert SECRET not in str(failed.value)
+
+
+def test_run_batch_journals_no_explorer_key(tmp_path, monkeypatch):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    manifest = DatasetManifest(
+        name="t",
+        entries=[ManifestEntry(id="gone", path_or_address=GOOD_ADDRESS, label="non_ponzi")],
+    )
+    journal = tmp_path / "reports.jsonl"
+    with _unreachable("refused") as url:
+        (gone,) = run_batch(
+            manifest, LlmConfig(), repeats=1, journal=journal, fetch_cfg=_cfg(url, api_key=SECRET)
+        )
+    assert gone.error["phase"] == "ingest"
+    assert gone.error["message"].startswith("explorer request failed")
+    assert SECRET not in journal.read_text()
+
+
+class _ProxyHandler(BaseHTTPRequestHandler):
+    """A forward proxy that answers every request itself."""
+
+    request_lines: list[str] = []
+
+    def do_GET(self):  # noqa: N802
+        _ProxyHandler.request_lines.append(self.requestline)
+        body = _ok_body("contract P {}")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_no_proxy_bypasses_the_http_proxy(explorer, monkeypatch):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setattr(transport, "_opener", None)
+    _ProxyHandler.request_lines = []
+    with _serve(_ProxyHandler) as proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        assert fetch_verified_source(GOOD_ADDRESS, _cfg(explorer)).source_text == "contract P {}"
+        # A proxy is sent the absolute URI; the explorer itself saw nothing.
+        (line,) = _ProxyHandler.request_lines
+        assert line.startswith(f"GET {explorer}?")
+        assert _Handler.seen == []
+
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        _Handler.script = [(200, {}, _ok_body("contract D {}"))]
+        assert fetch_verified_source(GOOD_ADDRESS, _cfg(explorer)).source_text == "contract D {}"
+        assert len(_ProxyHandler.request_lines) == 1
+        assert len(_Handler.seen) == 1
+
+
+_LOADED_BY_IMPORT = """
+import sys
+before = set(sys.modules)
+import ponzilens
+print(sorted({"requests", "certifi"} & (set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_package_loads_neither_requests_nor_certifi():
+    # Compared with what the interpreter had loaded before, as a site hook
+    # may load certifi at start-up.
+    src = Path(ingest.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_IMPORT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
