@@ -40,7 +40,7 @@ from .evaluation import (
     run_batch,
     write_reports,
 )
-from .hypergraph import GraphId
+from .hypergraph import GraphId, HypernodeGraph
 from .ingest import (
     FetchConfig,
     compile_source,
@@ -48,9 +48,9 @@ from .ingest import (
     is_address,
     load_source_unit,
 )
-from .model import def_use_table
+from .model import ContractModel, FunctionModel, def_use_table
 from .render import RenderOptions, to_dot
-from .taint import tainted_state_vars
+from .taint import TaintSubgraph, tainted_state_vars
 
 EXIT_OK = 0
 EXIT_POSITIVE = 1
@@ -226,6 +226,66 @@ def _endpoint_json(ep) -> dict:
     }
 
 
+def _ref_text(f: FunctionModel, i: int) -> str:
+    return f"{f.decls[i].scope.value}:{f.decls[i].name}"
+
+
+def ir_document(models: list[ContractModel]) -> str:
+    """The `--dump-ir` file: every lowered statement and each function's
+    def/use table, as indented JSON. A reference is written `scope:name`."""
+    ir = []
+    for m in models:
+        ir.append(
+            {
+                "contract": m.name,
+                "state_vars": [v.name for v in m.state_vars],
+                "inherits": m.inherits,
+                "functions": [
+                    {
+                        "name": f.name,
+                        "visibility": f.visibility,
+                        "payable": f.payable,
+                        "statements": [
+                            {
+                                "kind": s.kind.value,
+                                "defs": sorted(_ref_text(f, v) for v in s.defs),
+                                "uses": sorted(_ref_text(f, v) for v in s.uses),
+                                "callees": list(s.callees),
+                                "span": list(s.source_span),
+                            }
+                            for s in f.statements
+                        ],
+                        "def_use": {
+                            _ref_text(f, v): {"defs": list(d), "uses": list(u)}
+                            for v, (d, u) in def_use_table(f).items()
+                        },
+                    }
+                    for f in m.functions
+                ],
+            }
+        )
+    return json.dumps(ir, indent=2) + "\n"
+
+
+def graph_document(g: HypernodeGraph, taint: TaintSubgraph) -> str:
+    """The `--dump-graph` file: every graph's members and edges, and the
+    tainted endpoints, as indented JSON."""
+    graph_doc = {
+        "graphs": [
+            {
+                "id": _endpoint_json(gid),
+                "members": [_endpoint_json(m) for m in g.members(gid)],
+                "edges": [
+                    [_endpoint_json(a), _endpoint_json(b)] for a, b in g.edges(gid)
+                ],
+            }
+            for gid in g.graphs()
+        ],
+        "tainted": [_endpoint_json(ep) for ep in sorted(taint.tainted, key=lambda e: (e.path, type(e).__name__))],
+    }
+    return json.dumps(graph_doc, indent=2) + "\n"
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     unit = load_source_unit(args.path)
     if unit.ast_json is None:
@@ -251,58 +311,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
 
     if args.dump_ir:
-        ir = []
-        for m in art.models:
-            ir.append(
-                {
-                    "contract": m.name,
-                    "state_vars": [v.name for v in m.state_vars],
-                    "inherits": m.inherits,
-                    "functions": [
-                        {
-                            "name": f.name,
-                            "visibility": f.visibility,
-                            "payable": f.payable,
-                            "statements": [
-                                {
-                                    "kind": s.kind.value,
-                                    "defs": sorted(str(v) for v in s.defs),
-                                    "uses": sorted(str(v) for v in s.uses),
-                                    "callees": list(s.callees),
-                                    "span": list(s.source_span),
-                                }
-                                for s in f.statements
-                            ],
-                            "def_use": {
-                                str(v): {"defs": list(d), "uses": list(u)}
-                                for v, (d, u) in def_use_table(f).items()
-                            },
-                        }
-                        for f in m.functions
-                    ],
-                }
-            )
         ir_path = out_dir / f"{unit.id}.ir.json"
-        ir_path.write_text(json.dumps(ir, indent=2) + "\n")
+        ir_path.write_text(ir_document(art.models))
         payload["ir"] = str(ir_path)
 
     if args.dump_graph:
-        g = art.graph
-        graph_doc = {
-            "graphs": [
-                {
-                    "id": _endpoint_json(gid),
-                    "members": [_endpoint_json(m) for m in g.members(gid)],
-                    "edges": [
-                        [_endpoint_json(a), _endpoint_json(b)] for a, b in g.edges(gid)
-                    ],
-                }
-                for gid in g.graphs()
-            ],
-            "tainted": [_endpoint_json(ep) for ep in sorted(art.taint.tainted, key=lambda e: (e.path, type(e).__name__))],
-        }
         graph_path = out_dir / f"{unit.id}.graph.json"
-        graph_path.write_text(json.dumps(graph_doc, indent=2) + "\n")
+        graph_path.write_text(graph_document(art.graph, art.taint))
         payload["graph"] = str(graph_path)
 
     if args.emit_slices:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import threading
 import time
@@ -295,12 +296,15 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     """Run one prompt against the configured backend.
 
     The HTTP backend sends each request through ponzilens.transport, on a
-    new connection, to an http or https endpoint only. It
-    retries on transient failures (5xx, 429, transport errors) per
-    cfg.max_attempts/backoff; auth rejections and context overflows raise
-    immediately. Each token count falls back to its estimate when the server
-    reports no usage or a null count. A reply whose content is not a string,
-    or whose usage is not an object of integer counts, is BackendUnavailable.
+    new connection, to an http or https endpoint only. It retries on
+    transient failures (5xx, 429, transport errors) up to cfg.max_attempts
+    times. Before each retry it sleeps a random time between 0 and the
+    attempt's cfg.backoff entry ("full jitter"), so the concurrent chains
+    of a contract do not retry in lockstep. Auth rejections and context
+    overflows raise immediately. Each token count falls back to its
+    estimate when the server reports no usage or a null count. A reply
+    whose content is not a string, or whose usage is not an object of
+    integer counts, is BackendUnavailable.
     """
     if cfg.backend == BACKEND_MOCK:
         return _mock_complete(prompt.rendered)
@@ -329,7 +333,8 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     last_error: Exception | None = None
     for attempt in range(cfg.max_attempts):
         if attempt and cfg.backoff:
-            time.sleep(cfg.backoff[min(attempt - 1, len(cfg.backoff) - 1)])
+            bound = cfg.backoff[min(attempt - 1, len(cfg.backoff) - 1)]
+            time.sleep(random.uniform(0, bound))
         started = time.perf_counter()
         try:
             status, _, reply = transport.request(cfg.endpoint, body, headers, timeout=cfg.timeout)

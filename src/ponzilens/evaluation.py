@@ -3,8 +3,10 @@
 A manifest names the corpus: one row per contract with an id, a path (or
 hex address, resolved through the explorer fetcher), and a binary label.
 run_batch drives detection across the corpus with bounded concurrency and a
-line-JSON journal: every finished report is appended and flushed before the
-next contract starts, so an interrupted batch resumes by skipping ids the
+line-JSON journal: every report is appended and flushed once its contract
+finishes. With `concurrency_limit` 1 that is before the next contract
+starts; with more, up to that many contracts run at once and reports land
+in the order they finish. An interrupted batch resumes by skipping ids the
 journal already holds.
 
 Metric conventions: ponzi is the positive class. Reports whose final

@@ -7,9 +7,7 @@ function's local, parameter, and builtin nodes.
 
 Identity is by path. NodeId(("C", "x")) is the state variable x declared by
 contract C, shared by every function that touches it, derived contracts
-included: `model.Names` resolves state variables and called functions along
-each contract's C3 linearization, most-derived first, as Solidity does;
-NodeId(("C", "f", "v")) is a local/parameter/builtin v inside C.f;
+included; NodeId(("C", "f", "v")) is a local/parameter/builtin v inside C.f;
 GraphId(("C", "f")) is the hypernode of function f. Edges connect any mix of
 basic nodes and hypernodes except hypernode-to-hypernode, and each edge is
 stored in the lowest graph that contains both endpoints, so sibling-function
@@ -30,10 +28,14 @@ successor adjacency over numbers once; queries and `taint.tpa` read that
 view. A mutation after `finalize` drops the view, and the next read builds
 it again, so it never goes stale.
 
-`build` is the one place where a variable reference becomes a node: it binds
-each reference of a function once and records, per function hypernode, the
-set of nodes bound (`HypernodeGraph.refs`), next to the unit's name table
-(`HypernodeGraph.names`). Slicing reads both instead of resolving again.
+`build` resolves nothing: `model.lower` bound every name, along each
+contract's C3 linearization as Solidity does, and recorded the node path of
+each entry of a function's declaration table and the contract declaring each
+call's target. `build` makes one node per table entry and takes the edges
+from the statements' indices. It records, per function hypernode, the set of
+nodes the function references (`HypernodeGraph.refs`), which slicing reads.
+A graph also records its source nodes (`HypernodeGraph.sources`: those named
+msg.sender or msg.value) as they are registered.
 
 Edge construction per lowered statement:
   * use u, def d       ->  u -> d
@@ -54,7 +56,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import NoSpan, UnknownGraph
-from .model import ContractModel, Names, Scope, VarRef
+from .model import BUILTIN_NAMES, ContractModel
 
 EXTERNAL_SINK = "@external"
 
@@ -160,10 +162,11 @@ class HypernodeGraph:
         self.source_text = source_text
         self.span_map: dict[Endpoint, tuple[int, int]] = {}
         self.diagnostics: list[str] = []
-        # Set by `build`: the unit's name table, and per function hypernode
-        # the nodes its statements' variable references were bound to.
-        self.names: Names | None = None
+        # Set by `build`: per function hypernode, the nodes its statements
+        # reference.
         self.refs: dict[GraphId, frozenset[NodeId]] = {}
+        # Every registered node whose last path component is a source name.
+        self.sources: set[NodeId] = set()
         # The registry: endpoints and their parent graphs by number, and
         # numbers by path, one table per kind. An edge maps to the number of
         # the graph that stores it.
@@ -202,7 +205,10 @@ class HypernodeGraph:
     def add_node(self, nid: NodeId, span: tuple[int, int] | None = None) -> NodeId:
         """Register a basic node once and return the registered id; the first
         span recorded is kept."""
-        return self._add(nid, self._node_no, span)
+        nid = self._add(nid, self._node_no, span)
+        if nid.path and nid.path[-1] in BUILTIN_NAMES:
+            self.sources.add(nid)
+        return nid
 
     def add_edge(self, a: Endpoint, b: Endpoint) -> None:
         na, nb = self.number(a), self.number(b)
@@ -314,13 +320,13 @@ def build(models: Iterable[ContractModel], source_text: str = "") -> HypernodeGr
     Deterministic: node and edge sets depend only on the models, never on
     dict iteration order or statement shuffling, because membership and
     edges are sorted at finalize time, identities are path-based, and a
-    node's span is a function of its identity. Each id is made once per
-    path: hypernodes, state nodes and the external sink are looked up, not
-    made again, by every function that touches them.
+    node's span is a function of its identity. Hypernodes and the external
+    sink are looked up, not made again, by every function that touches
+    them; a state node made again by another function resolves to the
+    registered one.
     """
     models = list(models)
     h = HypernodeGraph(source_text)
-    h.names = names = Names(models)
 
     # Registration pass: graphs first, then nodes, so every edge target
     # (including forward references to later functions) already exists.
@@ -334,45 +340,23 @@ def build(models: Iterable[ContractModel], source_text: str = "") -> HypernodeGr
             if path not in hypernode:
                 hypernode[path] = h.add_graph(GraphId(path), span=f.source_span)
 
-    # Node + edge pass.
+    # Node + edge pass. Every entry of a function's table is referenced by
+    # some statement, so it becomes a node even when no statement defines
+    # anything (guards, returns, bare sends): source reads stay visible to
+    # taint propagation.
     for m in models:
-        state_node: dict[VarRef, NodeId] = {}
         sink = NodeId((m.name, EXTERNAL_SINK))  # registered on first use
         for f in m.functions:
-            decl_spans = {d.name: d.source_span for d in f.params}
-            decl_spans.update({d.name: d.source_span for d in f.locals})
-
-            def node_of(ref: VarRef) -> NodeId:
-                if ref.scope != Scope.STATE:
-                    nid = NodeId((m.name, f.name, ref.name))
-                    return h.add_node(nid, span=decl_spans.get(ref.name))
-                nid = state_node.get(ref)
-                if nid is None:
-                    owner, decl = names.state(m.name, ref.name) or (m.name, None)
-                    nid = state_node[ref] = h.add_node(
-                        NodeId((owner, ref.name)), span=decl.source_span if decl else None
-                    )
-                return nid
-
-            # The one binding of each variable this function references.
-            node: dict[VarRef, NodeId] = {}
+            node = [h.add_node(NodeId(d.path), span=d.source_span) for d in f.decls]
             for stmt in f.statements:
-                # Every referenced variable becomes a node even when the
-                # statement has no defs (guards, returns, bare sends), so
-                # source reads stay visible to taint propagation.
-                for refs in (stmt.defs, stmt.uses, *[site.arg_reads for site in stmt.calls]):
-                    for ref in refs:
-                        if ref not in node:
-                            node[ref] = node_of(ref)
                 defs = [node[d] for d in stmt.defs]
                 for u in stmt.uses:
                     for d in defs:
                         h.add_edge(node[u], d)
                 for site in stmt.calls:
                     target: Endpoint
-                    owner = None if site.external else names.function(m.name, site.name)
-                    if owner is not None:
-                        target = hypernode[owner, site.name]
+                    if site.owner is not None:
+                        target = hypernode[site.owner, site.name]
                     else:
                         target = h.add_node(sink)
                         if not site.external:
@@ -381,11 +365,11 @@ def build(models: Iterable[ContractModel], source_text: str = "") -> HypernodeGr
                             )
                     for u in site.arg_reads:
                         h.add_edge(node[u], target)
-                    if owner is not None:
+                    if site.owner is not None:
                         for d in defs:
                             h.add_edge(target, d)
             # Overloads share one hypernode, so their references unite.
             gid = hypernode[m.name, f.name]
             bound = h.refs.get(gid)
-            h.refs[gid] = frozenset(node.values()) if bound is None else bound.union(node.values())
+            h.refs[gid] = frozenset(node) if bound is None else bound.union(node)
     return h.finalize()

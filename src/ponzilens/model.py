@@ -25,25 +25,34 @@ Resolution rules:
     dropped;
   * identifiers that resolve to nothing are dropped.
 
-Records are slotted, and one `lower` call makes one `VarRef` per (scope,
-name) and one frozenset per distinct set of references (the empty one is the
-shared `NO_REFS`), so a lowered unit holds few objects for the garbage
-collector to walk.
+Lowering is the one place where a name is bound. Each function has one
+table, `FunctionModel.decls`, of the declarations its statements reference:
+one entry per (scope, name), each with its scope, name, node path (`(owner,
+name)` for state, `(contract, function, name)` otherwise) and span. A state
+entry is the declaring contract's own `VariableDecl`. Statements and call
+sites refer to entries by index, as tuples of ints, which the garbage
+collector does not track. Each call site records the contract declaring its
+target, and each contract its linearization, so later layers resolve
+nothing.
 
 Calls are kept as call sites with per-call argument read sets, at most one
 per call. Names with a leading "." are member calls on some object
 (inherently external from this unit's point of view); plain names, `this.f`
-included, are candidates for in-unit resolution later. Value and gas
+included, resolve like state variables, to the declaring contract in the
+unit, recorded as the site's `owner`. Value and gas
 options (`h{value: v}`, legacy `h.value(v)` and `h.gas(g)`) belong to the
 site of the h they decorate. Well-known builtin callables (require, assert,
 keccak256, ...) and type conversions produce no call site at all, though
 their argument reads are kept.
 
-Each modifier is lowered once per contract, in its own scope (its
-parameters and locals, then state), and inlined around the function body at
-the placeholder statement, with invocation arguments bound to modifier
-parameters through synthetic assignments, so guard reads like
-`msg.sender == owner` surface in the function that carries the modifier.
+A modifier is lowered at each invocation, into the table of the function
+it wraps, in its own scope (its parameters and locals, then state), and
+inlined around the function body at the placeholder statement, with
+invocation arguments bound to modifier parameters through synthetic
+assignments, so guard reads like `msg.sender == owner` surface in the
+function that carries the modifier. Its locals and parameters are keyed by
+name like the function's, so a same-named local of the function shares
+their entry.
 """
 
 from __future__ import annotations
@@ -114,36 +123,6 @@ _ENV_NAMESPACES = frozenset({"msg", "tx", "block", "abi", "this", "super"})
 _IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class VarRef:
-    """A reference to one variable, identified by scope and name.
-
-    The hash is computed once: references are hashed far more often than
-    they are made, and `lower` makes one per (scope, name).
-    """
-
-    scope: Scope
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.scope, self.name)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild from the fields: a string's hash differs between processes.
-        return VarRef, (self.scope, self.name)
-
-    def __str__(self) -> str:
-        return f"{self.scope.value}:{self.name}"
-
-
-# The one empty set of references, shared by every record that has none.
-NO_REFS: frozenset[VarRef] = frozenset()
-
-
 @dataclass(frozen=True, slots=True)
 class CallSite:
     """One call expression inside a statement.
@@ -151,11 +130,13 @@ class CallSite:
     `name` is the bare function name for direct (or `this.`) calls and a
     "."-prefixed member name for calls on other objects. `arg_reads` holds
     the variable reads feeding the call, including the receiver object for
-    member calls.
+    member calls, as indices into the function's `decls`. `owner` is the
+    contract declaring a direct call's target, or None.
     """
 
     name: str
-    arg_reads: frozenset[VarRef]
+    arg_reads: tuple[int, ...]
+    owner: str | None = None
 
     @property
     def external(self) -> bool:
@@ -164,12 +145,12 @@ class CallSite:
 
 @dataclass(slots=True)
 class Statement:
-    """One lowered statement with its def/use sets and call sites. Never
-    mutated once lowered: functions share their modifiers' statements."""
+    """One lowered statement with its def/use sets, as ascending indices
+    into the function's `decls`, and its call sites."""
 
     kind: Kind
-    defs: frozenset[VarRef]
-    uses: frozenset[VarRef]
+    defs: tuple[int, ...]
+    uses: tuple[int, ...]
     calls: tuple[CallSite, ...] = ()
     source_span: tuple[int, int] = (0, 0)
 
@@ -180,9 +161,14 @@ class Statement:
 
 @dataclass(slots=True)
 class VariableDecl:
+    """A declared variable. State variables and the entries of a function's
+    `decls` also carry their scope and node path."""
+
     name: str
     type_name: str = ""
     source_span: tuple[int, int] | None = None
+    scope: Scope | None = None
+    path: tuple[str, ...] = ()
 
 
 @dataclass(slots=True)
@@ -193,14 +179,18 @@ class EventDecl:
 
 @dataclass(slots=True)
 class FunctionModel:
-    """One function (or constructor/fallback/receive) of one contract."""
+    """One function (or constructor/fallback/receive) of one contract.
+
+    `params` are in declaration order; `decls` is the table of declarations
+    the statements reference (see the module docstring).
+    """
 
     name: str
     contract: str
     visibility: str = "public"
     payable: bool = False
     params: list[VariableDecl] = field(default_factory=list)
-    locals: list[VariableDecl] = field(default_factory=list)
+    decls: list[VariableDecl] = field(default_factory=list)
     statements: list[Statement] = field(default_factory=list)
     source_span: tuple[int, int] = (0, 0)
 
@@ -217,6 +207,7 @@ class ContractModel:
     inherits: list[str] = field(default_factory=list)
     events: list[EventDecl] = field(default_factory=list)
     source_span: tuple[int, int] = (0, 0)
+    linearization: tuple[str, ...] = ()  # C3, most-derived first
 
 
 def linearize(models_by_name: Mapping[str, ContractModel]) -> dict[str, tuple[str, ...]]:
@@ -337,8 +328,8 @@ class _ExprInfo:
     __slots__ = ("reads", "writes", "calls", "transfer")
 
     def __init__(self) -> None:
-        self.reads: set[VarRef] = set()
-        self.writes: set[VarRef] = set()
+        self.reads: set[int] = set()
+        self.writes: set[int] = set()
         self.calls: list[CallSite] = []
         self.transfer = False
 
@@ -349,50 +340,41 @@ class _ExprInfo:
         self.transfer = self.transfer or other.transfer
 
 
-class _Interner:
-    """One `VarRef` per (scope, name) and one frozenset per distinct set of
-    references, for the records of one `lower` call.
-
-    It lives only as long as that call: a module-level table would keep
-    every unit's references alive and be shared by batch threads.
-    """
-
-    __slots__ = ("_refs", "_sets")
-
-    def __init__(self) -> None:
-        self._refs: dict[tuple[Scope, str], VarRef] = {}
-        self._sets: dict[frozenset[VarRef], frozenset[VarRef]] = {NO_REFS: NO_REFS}
-
-    def ref(self, scope: Scope, name: str) -> VarRef:
-        ref = self._refs.get((scope, name))
-        if ref is None:
-            ref = self._refs[scope, name] = VarRef(scope, name)
-        return ref
-
-    def refs(self, items: Iterable[VarRef]) -> frozenset[VarRef]:
-        found = frozenset(items)
-        return self._sets.setdefault(found, found)
-
-
 @dataclass(slots=True)
 class _FnContext:
-    """Name-resolution scope for one function or modifier body."""
+    """Name-resolution scope for one function or modifier body, and the
+    declaration table of the function it is lowered into."""
 
     contract: str
+    function: str
     names: Names
     params: Container[str]
     locals: Container[str]
     source_text: str
-    intern: _Interner
+    spans: Mapping[str, tuple[int, int]]  # the function's params and locals
+    decls: list[VariableDecl]
+    index: dict[tuple[Scope, str], int]
 
-    def resolve(self, name: str) -> VarRef | None:
+    def ref(self, scope: Scope, name: str, decl: VariableDecl | None = None) -> int:
+        """The table index of (scope, name), entered on first use; a new
+        entry is `decl`, or else made with the span of the function's
+        parameter or local of that name."""
+        i = self.index.get((scope, name))
+        if i is None:
+            if decl is None:
+                path = (self.contract, self.function, name)
+                decl = VariableDecl(name, "", self.spans.get(name), scope, path)
+            i = self.index[scope, name] = len(self.decls)
+            self.decls.append(decl)
+        return i
+
+    def resolve(self, name: str) -> int | None:
         if name in self.locals:
-            return self.intern.ref(Scope.LOCAL, name)
+            return self.ref(Scope.LOCAL, name)
         if name in self.params:
-            return self.intern.ref(Scope.PARAM, name)
-        if self.names.state(self.contract, name) is not None:
-            return self.intern.ref(Scope.STATE, name)
-        return None
+            return self.ref(Scope.PARAM, name)
+        found = self.names.state(self.contract, name)
+        return None if found is None else self.ref(Scope.STATE, name, found[1])
 
 
 _MSG = frozenset({"msg"})
@@ -436,7 +418,7 @@ def _analyze_expression(
         base = node.get("expression")
         member = node.get("memberName", "")
         if _is_env_identifier(base, _MSG) and member in ("sender", "value"):
-            info.reads.add(ctx.intern.ref(Scope.BUILTIN, f"msg.{member}"))
+            info.reads.add(ctx.ref(Scope.BUILTIN, f"msg.{member}"))
         elif not _is_env_identifier(base):
             _analyze_expression(base, ctx, info)
     elif nt in ("FunctionCall", "FunctionCallOptions"):
@@ -471,10 +453,11 @@ def _call(node: dict, ctx: _FnContext, info: _ExprInfo) -> None:
     head = node.get("expression") if node.get("nodeType") == "FunctionCall" else node
     name = _callee(head, args.reads, ctx, info)
     if name is not None:
-        info.calls.append(CallSite(name, ctx.intern.refs(args.reads)))
+        owner = None if name.startswith(".") else ctx.names.function(ctx.contract, name)
+        info.calls.append(CallSite(name, tuple(sorted(args.reads)), owner))
 
 
-def _callee(head: object, reads: set[VarRef], ctx: _FnContext, info: _ExprInfo) -> str | None:
+def _callee(head: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> str | None:
     """The call-site name of a call head, or None for builtins, type
     conversions, members of other namespaces and `super.` calls.
 
@@ -541,7 +524,7 @@ def _callee(head: object, reads: set[VarRef], ctx: _FnContext, info: _ExprInfo) 
     return None
 
 
-def _feed(node: object, reads: set[VarRef], ctx: _FnContext, info: _ExprInfo) -> None:
+def _feed(node: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> None:
     """Fold an expression that feeds a call into `info`, and its reads into
     the call's `reads`."""
     sub = _analyze_expression(node, ctx)
@@ -582,19 +565,19 @@ def _write(node: object, ctx: _FnContext, info: _ExprInfo, read: bool) -> None:
         _analyze_expression(node, ctx, info)
 
 
-def _textual_reads(node: dict, ctx: _FnContext) -> set[VarRef]:
+def _textual_reads(node: dict, ctx: _FnContext) -> set[int]:
     """Conservative reads for opaque nodes: identifiers in the node's span
     that resolve in scope, plus msg.sender / msg.value substrings."""
     off, length = span_of(node)
     text = ctx.source_text[off : off + length] if length else ""
-    found: set[VarRef] = set()
-    for name in set(_IDENT_RE.findall(text)):
+    found: set[int] = set()
+    for name in dict.fromkeys(_IDENT_RE.findall(text)):
         ref = ctx.resolve(name)
         if ref is not None:
             found.add(ref)
     for builtin in BUILTIN_NAMES:
         if builtin in text:
-            found.add(ctx.intern.ref(Scope.BUILTIN, builtin))
+            found.add(ctx.ref(Scope.BUILTIN, builtin))
     return found
 
 
@@ -605,28 +588,22 @@ def _textual_reads(node: dict, ctx: _FnContext) -> set[VarRef]:
 _PLACEHOLDER = object()
 
 
-def _local_decls(node: object, into: list[VariableDecl], seen: set[str]) -> None:
-    """Append the locals a body declares, the first of each name, in
-    document order. Only the statement positions `_lower_statement` walks
-    are visited: a declaration statement never sits inside an expression."""
+def _local_decls(node: object, into: dict[str, tuple[int, int]]) -> None:
+    """Add the span of each local a body declares to `into`, by name, unless
+    the name is there already. Only the statement positions
+    `_lower_statement` walks are visited: a declaration statement never sits
+    inside an expression."""
     if isinstance(node, list):
         for item in node:
-            _local_decls(item, into, seen)
+            _local_decls(item, into)
     elif isinstance(node, dict):
         if node.get("nodeType") == "VariableDeclarationStatement":
             for d in _list(node, "declarations"):
-                if isinstance(d, dict) and d.get("name") and d["name"] not in seen:
-                    seen.add(d["name"])
-                    into.append(
-                        VariableDecl(
-                            name=d["name"],
-                            type_name=_type_text(d),
-                            source_span=span_of(d),
-                        )
-                    )
+                if isinstance(d, dict) and d.get("name"):
+                    into.setdefault(d["name"], span_of(d))
         for key, value in node.items():
             if key in _NESTED:
-                _local_decls(value, into, seen)
+                _local_decls(value, into)
 
 
 def _type_text(decl: dict) -> str:
@@ -657,11 +634,10 @@ _NESTED = frozenset(
 )
 
 
-def _emit(out: list, ctx: _FnContext, kind: Kind, info: _ExprInfo, node: dict) -> None:
+def _emit(out: list, kind: Kind, info: _ExprInfo, node: dict) -> None:
     """Append one statement of `info`'s effects, spanning `node`."""
-    refs = ctx.intern.refs
-    calls = tuple(info.calls)
-    out.append(Statement(kind, refs(info.writes), refs(info.reads), calls, span_of(node)))
+    defs, uses = tuple(sorted(info.writes)), tuple(sorted(info.reads))
+    out.append(Statement(kind, defs, uses, tuple(info.calls), span_of(node)))
 
 
 def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
@@ -680,7 +656,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
             kind = Kind.CALL
         else:
             kind = Kind.ASSIGN
-        _emit(out, ctx, kind, info, node)
+        _emit(out, kind, info, node)
     elif nt in ("Block", "UncheckedBlock"):
         for child in _objects(node, "statements"):
             _lower_statement(child, ctx, out)
@@ -690,18 +666,18 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
             _lower_statement(node.get(key), ctx, out)
         cond = node.get("condition")
         where = cond if isinstance(cond, dict) else node
-        _emit(out, ctx, kind, _analyze_expression(cond, ctx), where)
+        _emit(out, kind, _analyze_expression(cond, ctx), where)
         for key in after:
             _lower_statement(node.get(key), ctx, out)
     elif nt == "VariableDeclarationStatement":
         info = _ExprInfo()
         for d in _list(node, "declarations"):
             if isinstance(d, dict) and d.get("name"):
-                info.writes.add(ctx.intern.ref(Scope.LOCAL, d["name"]))
+                info.writes.add(ctx.ref(Scope.LOCAL, d["name"]))
         _analyze_expression(node.get("initialValue"), ctx, info)
-        _emit(out, ctx, Kind.DECLARE, info, node)
+        _emit(out, Kind.DECLARE, info, node)
     elif nt == "Return":
-        _emit(out, ctx, Kind.RETURN, _analyze_expression(node.get("expression"), ctx), node)
+        _emit(out, Kind.RETURN, _analyze_expression(node.get("expression"), ctx), node)
     elif nt in ("EmitStatement", "RevertStatement"):
         # Event and error heads are not callable targets, so only the
         # arguments are walked: their reads and call sites are the statement's.
@@ -710,7 +686,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         if isinstance(call, dict):
             for arg in _list(call, "arguments"):
                 _analyze_expression(arg, ctx, info)
-        _emit(out, ctx, Kind.EMIT if nt == "EmitStatement" else Kind.CALL, info, node)
+        _emit(out, Kind.EMIT if nt == "EmitStatement" else Kind.CALL, info, node)
     elif nt == "TryStatement":
         _lower_statement(
             {"nodeType": "ExpressionStatement", "expression": node.get("externalCall"),
@@ -728,7 +704,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         # conservatively scanned uses and no defs.
         info = _ExprInfo()
         info.reads = _textual_reads(node, ctx)
-        _emit(out, ctx, Kind.OPAQUE, info, node)
+        _emit(out, Kind.OPAQUE, info, node)
 
 
 def _param_decls(node: dict, key: str) -> list[VariableDecl]:
@@ -759,14 +735,12 @@ def _function_name(node: dict, contract_name: str) -> str:
 
 
 def _lower_function(
-    fn_node: dict,
-    ctx: _FnContext,
-    members: Mapping[str, list[dict]],
-    lowered: dict[str, tuple[list[VariableDecl], list, list] | None],
+    fn_node: dict, ctx: _FnContext, modifiers: Mapping[str, Mapping[str, dict]]
 ) -> list[Statement]:
-    """A function body's statements, wrapped in each modifier's halves. A
-    modifier is lowered on its first invocation into the contract's
-    `lowered`; invocation arguments are read in the function's scope."""
+    """A function body's statements, wrapped in each modifier's halves. Each
+    invocation lowers the nearest definition of its modifier on the
+    linearization (`modifiers` holds each contract's own, by name) into the
+    function's table; invocation arguments are read in the function's scope."""
     result: list = []
     _lower_statement(fn_node.get("body"), ctx, result)
     result = [s for s in result if s is not _PLACEHOLDER]
@@ -775,37 +749,31 @@ def _lower_function(
         name = mname.get("name") if isinstance(mname, dict) else None
         if not name or name in ctx.names.models:
             continue  # base-constructor invocation, not a modifier
-        if name not in lowered:
-            lowered[name] = _lower_modifier(name, ctx, members)
-        if lowered[name] is None:
+        lin = ctx.names.linearization[ctx.contract]
+        mdef = next((modifiers[c][name] for c in lin if name in modifiers[c]), None)
+        if mdef is None:
             continue
-        mparams, pre, post = lowered[name]
+        mparams, pre, post = _lower_modifier(mdef, ctx)
         binds: list[Statement] = []
         for p, arg in zip(mparams, _list(inv, "arguments")):
             info = _analyze_expression(arg, ctx)
-            info.writes = {ctx.intern.ref(Scope.LOCAL, p.name)}
-            _emit(binds, ctx, Kind.ASSIGN, info, arg if isinstance(arg, dict) else {})
+            info.writes = {ctx.ref(Scope.LOCAL, p.name)}
+            _emit(binds, Kind.ASSIGN, info, arg if isinstance(arg, dict) else {})
         result = binds + pre + result + post
     return result
 
 
-def _lower_modifier(
-    name: str, ctx: _FnContext, members: Mapping[str, list[dict]]
-) -> tuple[list[VariableDecl], list, list] | None:
-    """The parameters and the statements before and after the first `_;` of
-    the nearest modifier `name` on the linearization (None if none), lowered
-    in its own scope: its parameters and locals, all as locals, then state."""
-    for contract in ctx.names.linearization[ctx.contract]:
-        for mdef in members[contract]:
-            if mdef.get("nodeType") == "ModifierDefinition" and mdef.get("name") == name:
-                params = _param_decls(mdef, "parameters")
-                scope = {p.name for p in params}
-                _local_decls(mdef.get("body"), [], scope)
-                body: list = []
-                _lower_statement(mdef.get("body"), replace(ctx, params=(), locals=scope), body)
-                split = (body + [_PLACEHOLDER]).index(_PLACEHOLDER)
-                return params, body[:split], [s for s in body[split + 1 :] if s is not _PLACEHOLDER]
-    return None
+def _lower_modifier(mdef: dict, ctx: _FnContext) -> tuple[list[VariableDecl], list, list]:
+    """The parameters of a modifier definition, and the statements before and
+    after its first `_;`, lowered in its own scope: its parameters and
+    locals, all as locals, then state."""
+    params = _param_decls(mdef, "parameters")
+    scope = {p.name: p.source_span for p in params}
+    _local_decls(mdef.get("body"), scope)
+    body: list = []
+    _lower_statement(mdef.get("body"), replace(ctx, params=(), locals=scope), body)
+    split = (body + [_PLACEHOLDER]).index(_PLACEHOLDER)
+    return params, body[:split], [s for s in body[split + 1 :] if s is not _PLACEHOLDER]
 
 
 def _list(node: dict, key: str) -> list:
@@ -836,9 +804,10 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
     ]
     models: list[ContractModel] = []
     contract_members: dict[str, list[dict]] = {}
+    modifiers: dict[str, dict[str, dict]] = {}  # each contract's own, the first of a name
 
-    # First pass: declarations, so cross-contract resolution sees every
-    # contract of the unit regardless of order.
+    # First, contract-level declarations, so resolution sees every contract
+    # of the unit regardless of order.
     for cnode in contract_nodes_list:
         name = cnode.get("name") or "<anonymous>"
         inherits = []
@@ -848,6 +817,7 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
                 inherits.append(bn["name"])
         state_vars = []
         events = []
+        own_modifiers: dict[str, dict] = {}
         members = _objects(cnode, "nodes")
         for member in members:
             mt = member.get("nodeType")
@@ -857,10 +827,14 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
                         name=member["name"],
                         type_name=_type_text(member),
                         source_span=span_of(member),
+                        scope=Scope.STATE,
+                        path=(name, member["name"]),
                     )
                 )
             elif mt == "EventDefinition" and member.get("name"):
                 events.append(EventDecl(name=member["name"], source_span=span_of(member)))
+            elif mt == "ModifierDefinition" and isinstance(member.get("name"), str):
+                own_modifiers.setdefault(member["name"], member)
         model = ContractModel(
             name=name,
             state_vars=state_vars,
@@ -870,43 +844,46 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
         )
         models.append(model)
         contract_members[name] = members
+        modifiers[name] = own_modifiers
 
+    # Function headers next, so call sites resolve against every function
+    # of the unit, whichever contract or position declares it.
+    bodies: list[list[dict]] = []
+    for model in models:
+        members = [
+            m for m in contract_members[model.name] if m.get("nodeType") == "FunctionDefinition"
+        ]
+        model.functions = [
+            FunctionModel(
+                name=_function_name(member, model.name),
+                contract=model.name,
+                visibility=member.get("visibility", "public"),
+                payable=member.get("stateMutability") == "payable" or bool(member.get("payable")),
+                source_span=span_of(member),
+            )
+            for member in members
+        ]
+        bodies.append(members)
     names = Names(models)
-    intern = _Interner()
+    for model in models:
+        model.linearization = names.linearization[model.name]
 
-    # Second pass: function bodies, nested no deeper than the recursion
-    # limit allows (see the module docstring).
+    # Last, function bodies, nested no deeper than the recursion limit
+    # allows (see the module docstring).
     try:
-        for model in models:
-            lowered: dict = {}
-            for member in contract_members[model.name]:
-                if member.get("nodeType") != "FunctionDefinition":
-                    continue
-                fname = _function_name(member, model.name)
-                params = _param_decls(member, "parameters")
-                local_decls: list[VariableDecl] = []
-                local_names: set[str] = set()
-                _local_decls(member.get("body"), local_decls, local_names)
+        for model, members in zip(models, bodies):
+            for fn, member in zip(model.functions, members):
+                fn.params = _param_decls(member, "parameters")
+                local_spans: dict[str, tuple[int, int]] = {}
+                _local_decls(member.get("body"), local_spans)
                 for r in _param_decls(member, "returnParameters"):
-                    if r.name not in local_names:
-                        local_names.add(r.name)
-                        local_decls.append(r)
-                fn_params = {p.name for p in params}
-                ctx = _FnContext(model.name, names, fn_params, local_names, unit.source_text, intern)
-                statements = _lower_function(member, ctx, contract_members, lowered)
-                model.functions.append(
-                    FunctionModel(
-                        name=fname,
-                        contract=model.name,
-                        visibility=member.get("visibility", "public"),
-                        payable=member.get("stateMutability") == "payable"
-                        or bool(member.get("payable")),
-                        params=params,
-                        locals=local_decls,
-                        statements=statements,
-                        source_span=span_of(member),
-                    )
+                    local_spans.setdefault(r.name, r.source_span)
+                spans = {p.name: p.source_span for p in fn.params} | local_spans
+                ctx = _FnContext(
+                    model.name, fn.name, names, {p.name for p in fn.params}, local_spans,
+                    unit.source_text, spans, fn.decls, {},
                 )
+                fn.statements = _lower_function(member, ctx, modifiers)
     except RecursionError:
         raise MalformedAst("AST nested too deeply to lower") from None
     return models
@@ -914,18 +891,19 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
 
 def def_use_table(
     fn: FunctionModel,
-) -> dict[VarRef, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Per-variable (def indices, use indices) over the function's statements.
+) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per index into `fn.decls`, (def indices, use indices) over the
+    function's statements.
 
     Indices are statement positions in `fn.statements`, ascending. Every
-    variable referenced by any statement appears; variables never referenced
-    do not.
+    entry referenced by any statement appears, in (scope, name) order;
+    entries never referenced do not.
     """
-    table: dict[VarRef, tuple[list[int], list[int]]] = {}
+    table: dict[int, tuple[list[int], list[int]]] = {}
     for i, stmt in enumerate(fn.statements):
         for v in stmt.defs:
             table.setdefault(v, ([], []))[0].append(i)
         for v in stmt.uses:
             table.setdefault(v, ([], []))[1].append(i)
-    return {v: (tuple(d), tuple(u)) for v, (d, u) in sorted(table.items())}
-
+    order = sorted(table, key=lambda v: (fn.decls[v].scope, fn.decls[v].name))
+    return {v: (tuple(table[v][0]), tuple(table[v][1])) for v in order}

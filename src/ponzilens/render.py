@@ -3,7 +3,8 @@
 One rendered node per tainted endpoint; node ids are full dotted paths so
 they stay unique across contracts and functions, while labels drop the
 contract prefix for in-function variables to keep the picture readable.
-Source nodes render as diamonds, function hypernodes as box3d. Output is a
+Source nodes (the graph's `sources`) render as diamonds, function
+hypernodes as box3d. Output is a
 pure function of the taint result: lines are sorted, so two runs over the
 same input are byte-identical.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypergraph import Endpoint, GraphId, HypernodeGraph, NodeId, endpoint_key
-from .taint import SOURCE_NAMES, TaintSubgraph
+from .taint import TaintSubgraph
 
 
 @dataclass(frozen=True)
@@ -61,11 +62,7 @@ def to_dot(
     """Render the tainted subgraph as a DOT digraph named `taint`."""
     opts = opts or RenderOptions()
     endpoints = sorted(t.tainted, key=endpoint_key)
-    sources = {
-        ep
-        for ep in endpoints
-        if isinstance(ep, NodeId) and ep.path[-1] in SOURCE_NAMES
-    }
+    sources = h.sources
 
     lines = ["digraph taint {"]
     if opts.cluster:

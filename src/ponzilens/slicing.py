@@ -7,10 +7,10 @@ state variable visible to their contract: initialization logic frames how
 the tainted state is used even when the constructor itself never touches a
 tainted name.
 
-Which node a function's variable reference denotes is decided once, by
-`hypergraph.build`; slicing reads that binding from the graph
-(`HypernodeGraph.refs` per function hypernode, and the linearizations in
-`HypernodeGraph.names`) rather than resolving names again.
+Which declaration a name denotes is decided once, by `model.lower`; slicing
+resolves nothing. It reads the nodes each function references from the
+graph (`HypernodeGraph.refs` per function hypernode) and each contract's
+linearization from its model (`ContractModel.linearization`).
 
 Slices are whole functions, taken verbatim from the source span, combined in
 source order and separated by blank lines; a selected name with overloads
@@ -79,7 +79,7 @@ def select_functions(
         gid = GraphId((m.name, f.name))
         keep = gid in t.tainted or not t.tainted.isdisjoint(h.refs[gid])
         if not keep and include_constructors and f.name == CTOR_NAME:
-            keep = not tainted_owners.isdisjoint(h.names.linearization[m.name])
+            keep = not tainted_owners.isdisjoint(m.linearization)
         if keep:
             selected.append(f.qualified_name)
     return selected

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 from .hypergraph import EXTERNAL_SINK, Edge, Endpoint, GraphId, HypernodeGraph, NodeId
 
-SOURCE_NAMES = ("msg.sender", "msg.value")
-
 
 @dataclass(frozen=True)
 class TaintSubgraph:
@@ -38,8 +36,9 @@ class TaintSubgraph:
 
 
 def default_sources(h: HypernodeGraph) -> frozenset[NodeId]:
-    """All builtin source nodes present in the graph."""
-    return frozenset(n for n in h.nodes() if n.path[-1] in SOURCE_NAMES)
+    """All builtin source nodes present in the graph, as the graph recorded
+    them on registration."""
+    return frozenset(h.sources)
 
 
 def tpa(h: HypernodeGraph, sources: frozenset[NodeId] | set[NodeId]) -> TaintSubgraph:

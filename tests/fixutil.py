@@ -32,7 +32,7 @@ def ensure_fixtures() -> None:
     if missing:
         import gen_fixtures
 
-        gen_fixtures.main()
+        gen_fixtures.main([])
 
 
 def fixture_path(name: str) -> Path:

@@ -1,10 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written from first principles: the taint
-closure is a naive repeat-until-stable scan, the slice predicate re-derives
-node identities without touching the library helpers, and the generators
-build graphs and contract models directly so the production builders are
-never in the loop.
+closure is a naive repeat-until-stable scan, and the slice predicate
+re-derives node identities from each reference's scope and name through
+Python's MRO, never from a path the library recorded. The graph generator
+builds graphs directly, so `hypergraph.build` is never in the loop; the
+model generator renders Solidity through `astgen` and lowers it.
 """
 
 from __future__ import annotations
@@ -12,16 +13,24 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
-from ponzilens.hypergraph import GraphId, HypernodeGraph, NodeId
-from ponzilens.model import (
-    ContractModel,
-    FunctionModel,
-    Kind,
-    Scope,
-    Statement,
-    VarRef,
-    VariableDecl,
+from astgen import (
+    Bin,
+    Call,
+    Contract,
+    Fn,
+    Id,
+    Lit,
+    Member,
+    SAssign,
+    SDecl,
+    SExpr,
+    StateVar,
+    Tuple_,
+    build_unit,
 )
+from ponzilens.hypergraph import GraphId, HypernodeGraph, NodeId
+from ponzilens.ingest import load_ast
+from ponzilens.model import ContractModel, FunctionModel, Scope, lower
 
 Endpoint = NodeId | GraphId
 
@@ -137,16 +146,41 @@ def _ref_node(
     lin: dict[str, list[str]],
     contract: str,
     fn: str,
-    ref: VarRef,
+    scope: Scope,
+    name: str,
 ) -> NodeId:
-    if ref.scope is Scope.STATE:
+    if scope is Scope.STATE:
         # The first contract on the linearization declaring the name.
         owner = next(
-            (c for c in lin[contract] if any(v.name == ref.name for v in models[c].state_vars)),
+            (c for c in lin[contract] if any(v.name == name for v in models[c].state_vars)),
             contract,
         )
-        return NodeId((owner, ref.name))
-    return NodeId((contract, fn, ref.name))
+        return NodeId((owner, name))
+    return NodeId((contract, fn, name))
+
+
+def _function_nodes(
+    models: dict[str, ContractModel], lin: dict[str, list[str]], contract: str, f: FunctionModel
+) -> set[NodeId]:
+    """The nodes `f`'s statements reference, from each reference's scope and
+    name."""
+    return {
+        _ref_node(models, lin, contract, f.name, f.decls[i].scope, f.decls[i].name)
+        for stmt in f.statements
+        for i in stmt.defs + stmt.uses
+    }
+
+
+def reference_nodes(contracts: list[ContractModel]) -> dict[tuple[str, str], set[NodeId]]:
+    """The nodes each (contract, function name) references; overloads share
+    one set."""
+    models = {m.name: m for m in contracts}
+    lin = _linearizations(models)
+    out: dict[tuple[str, str], set[NodeId]] = {}
+    for m in contracts:
+        for f in m.functions:
+            out.setdefault((m.name, f.name), set()).update(_function_nodes(models, lin, m.name, f))
+    return out
 
 
 def selection_oracle(
@@ -166,11 +200,7 @@ def selection_oracle(
     keep: list[tuple[str, str, tuple[int, int]]] = []
     for m in contracts:
         for f in m.functions:
-            refs: set[VarRef] = set()
-            for stmt in f.statements:
-                refs |= stmt.defs | stmt.uses
-            nodes = {_ref_node(models, lin, m.name, f.name, r) for r in refs}
-            selected = bool(nodes & tainted_nodes)
+            selected = bool(_function_nodes(models, lin, m.name, f) & tainted_nodes)
             if not selected and GraphId((m.name, f.name)) in tainted_graphs:
                 selected = True
             if not selected and include_constructors and f.name == "@ctor":
@@ -182,106 +212,62 @@ def selection_oracle(
     return [(c, f) for c, f, _span in keep]
 
 
-_BUILTINS = (
-    VarRef(scope=Scope.BUILTIN, name="msg.sender"),
-    VarRef(scope=Scope.BUILTIN, name="msg.value"),
-)
-
-
 def random_models(rng: random.Random) -> tuple[list[ContractModel], str]:
-    """Random contract models plus a synthetic source their spans index into.
+    """The lowered models of a random `astgen` unit, and its source.
 
-    Functions have random def/use sets over params, locals, state vars of
-    the contract and its ancestors, and the builtin sources; no call sites
-    are emitted so the models stay self-contained. A contract may list one
-    or two earlier contracts as bases, in index order, which Solidity's C3
-    accepts, and a state variable may reuse the name of an earlier
-    contract's, so which base declares a name depends on the linearization.
+    One to four contracts. A contract may list one or two earlier contracts
+    as bases, in index order, which Solidity's C3 accepts, and a state
+    variable may reuse the name of an earlier contract's, so which base
+    declares a name depends on the linearization. Each function assigns
+    over its parameters, its locals and the state of its contract and
+    ancestors, and may read msg.sender or msg.value; no function calls
+    another, so the models stay self-contained.
     """
-    n_contracts = rng.randrange(1, 5)
-    names = [f"K{i}" for i in range(n_contracts)]
-    chunks: list[str] = []
-    pos = 0
-    contracts: list[ContractModel] = []
-    state_of: dict[str, list[VariableDecl]] = {}
+    names = [f"K{i}" for i in range(rng.randrange(1, 5))]
+    state_of: dict[str, list[str]] = {}
     inherits_of: dict[str, list[str]] = {}
     visible_of: dict[str, set[str]] = {}  # state names of a contract and its ancestors
-
     for i, cname in enumerate(names):
         n_bases = rng.choice((0, 1, 1, 2, 2)) if i else 0
         inherits_of[cname] = [names[j] for j in sorted(rng.sample(range(i), min(n_bases, i)))]
-        taken = sorted({v.name for c in names[:i] for v in state_of[c]})
+        taken = sorted({v for c in names[:i] for v in state_of[c]})
         state_of[cname] = [
-            VariableDecl(
-                name=rng.choice(taken) if taken and rng.random() < 0.4 else f"s{i}_{j}",
-                type_name="uint",
-            )
+            rng.choice(taken) if taken and rng.random() < 0.4 else f"s{i}_{j}"
             for j in range(rng.randrange(0, 4))
         ]
-        visible_of[cname] = {v.name for v in state_of[cname]}.union(
+        visible_of[cname] = set(state_of[cname]).union(
             *(visible_of[b] for b in inherits_of[cname])
         )
 
+    contracts = []
     for i, cname in enumerate(names):
-        visible_state = sorted(visible_of[cname])
-
-        functions: list[FunctionModel] = []
-        n_fns = rng.randrange(0, 5)
-        for k in range(n_fns):
-            if k == 0 and rng.random() < 0.3:
-                fname = "@ctor"
-            else:
-                fname = f"f{i}_{k}"
-            locals_ = [
-                VarRef(scope=Scope.LOCAL, name=f"v{j}")
-                for j in range(rng.randrange(0, 3))
-            ]
-            params = [
-                VarRef(scope=Scope.PARAM, name=f"p{j}")
-                for j in range(rng.randrange(0, 3))
-            ]
-            pool: list[VarRef] = list(locals_) + list(params)
-            pool += [VarRef(scope=Scope.STATE, name=v) for v in visible_state]
-            statements: list[Statement] = []
+        members: list = [StateVar("uint", v) for v in state_of[cname]]
+        for k in range(rng.randrange(0, 5)):
+            params = [f"p{j}" for j in range(rng.randrange(0, 3))]
+            locals_ = [f"v{j}" for j in range(rng.randrange(0, 3))]
+            pool = locals_ + params + sorted(visible_of[cname])
+            body: list = [SDecl("uint", v) for v in locals_]
             for _ in range(rng.randrange(0, 6)):
-                k_defs = rng.randrange(0, min(3, len(pool) + 1)) if pool else 0
-                k_uses = rng.randrange(0, min(3, len(pool) + 1)) if pool else 0
-                defs = set(rng.sample(pool, k=k_defs))
-                uses = set(rng.sample(pool, k=k_uses))
+                targets = [Id(n) for n in rng.sample(pool, k=rng.randrange(0, min(3, len(pool) + 1)))]
+                reads = [Id(n) for n in rng.sample(pool, k=rng.randrange(0, min(3, len(pool) + 1)))]
                 if rng.random() < 0.35:
-                    uses.add(rng.choice(_BUILTINS))
-                statements.append(
-                    Statement(
-                        kind=Kind.ASSIGN,
-                        defs=frozenset(defs),
-                        uses=frozenset(uses),
-                    )
-                )
-            body = "".join(
-                f"  op {cname}_{fname.lstrip('@')}_{j};\n"
-                for j in range(len(statements) + 1)
-            )
-            text = f"function {fname.lstrip('@')}_{cname}() x {{\n{body}}}"
-            span = (pos, len(text))
-            chunks.append(text)
-            pos += len(text) + 2
-            functions.append(
-                FunctionModel(
-                    contract=cname,
-                    name=fname,
-                    statements=statements,
-                    source_span=span,
-                    params=[VariableDecl(name=p.name) for p in params],
-                    locals=[VariableDecl(name=v.name) for v in locals_],
+                    reads.append(Member(Id("msg"), rng.choice(("sender", "value"))))
+                value = reads[0] if reads else Lit(0)
+                for r in reads[1:]:
+                    value = Bin(value, "+", r)
+                if not targets:
+                    body.append(SExpr(Call(Id("require"), [value])))
+                else:
+                    body.append(SAssign(targets[0] if len(targets) == 1 else Tuple_(targets), "=", value))
+            ctor = k == 0 and rng.random() < 0.3
+            members.append(
+                Fn(
+                    "" if ctor else f"f{i}_{k}",
+                    [("uint", p) for p in params],
+                    body,
+                    kind="constructor" if ctor else "function",
                 )
             )
-        contracts.append(
-            ContractModel(
-                name=cname,
-                state_vars=list(state_of[cname]),
-                functions=functions,
-                inherits=list(inherits_of[cname]),
-            )
-        )
-    source = "\n\n".join(chunks)
-    return contracts, source
+        contracts.append(Contract(cname, members, inherits_of[cname]))
+    source, doc = build_unit("random", contracts)
+    return lower(load_ast(doc)), source

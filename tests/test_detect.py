@@ -424,6 +424,8 @@ def test_retry_on_429_uses_backoff(chat_server, monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     sleeps: list[float] = []
     monkeypatch.setattr(detect_mod.time, "sleep", lambda s: sleeps.append(s))
+    # The jittered sleep drawn at its upper bound.
+    monkeypatch.setattr(detect_mod.random, "uniform", lambda low, high: high)
     _ChatHandler.script = [(429, b"busy"), (200, _chat_body("ok"))]
     cfg = _local(chat_server, backoff=(0.5, 1.0, 2.0))
     out = complete(_prompt(), cfg)
@@ -1088,6 +1090,47 @@ def test_detect_contract_over_http_reports_lowest_failing_chain(mock_chat, monke
     assert _MockChatHandler.refused == ["3", "1"]
     assert report.error == {"phase": "detect", "message": "HTTP 418: chain 1 refused"}
     assert report.runs == [] and report.final_verdict is None
+
+
+class _RefuseOnceHandler(_ChatHandler):
+    """Refuses the first request on each path with HTTP 429, then answers
+    as the mock backend does."""
+
+    seen: set[str] = set()
+    lock = threading.Lock()
+
+    def do_POST(self):  # noqa: N802
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.lock:
+            first = self.path not in self.seen
+            self.seen.add(self.path)
+        if first:
+            self._send(429, b"busy")
+            return
+        reply = detect_mod._mock_complete(json.loads(raw)["messages"][0]["content"])
+        self._send(200, _chat_body(reply.text))
+
+
+def test_concurrent_chains_retry_after_jittered_backoff(monkeypatch):
+    """Each of five chains is refused once; their retries wait random times
+    up to the backoff, not the same time."""
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    sleeps: list[float] = []
+    monkeypatch.setattr(detect_mod.time, "sleep", lambda s: sleeps.append(s))
+    real_complete = detect_mod.complete
+
+    def routed(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
+        chain = f"{cfg.endpoint}/chain/{_IndexedPool.local.index}"
+        return real_complete(prompt, dataclasses.replace(cfg, endpoint=chain))
+
+    monkeypatch.setattr(detect_mod, "ThreadPoolExecutor", _IndexedPool)
+    monkeypatch.setattr(detect_mod, "complete", routed)
+    _RefuseOnceHandler.seen = set()
+    with _serve(_RefuseOnceHandler) as url:
+        report = detect_contract(fixutil.load_unit("caller"), _local(url, backoff=(0.5,)), repeats=5)
+    assert report.error is None and len(report.runs) == 5
+    assert len(sleeps) == 5 and all(0 <= s <= 0.5 for s in sleeps)
+    assert len(set(sleeps)) > 1
 
 
 def test_run_batch_over_http_journal_is_independent_of_concurrency(mock_chat, tmp_path):

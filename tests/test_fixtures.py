@@ -7,6 +7,7 @@ import json
 import pytest
 
 import fixutil
+import gen_fixtures
 from astgen import check_spans
 from programs import REGISTRY
 
@@ -36,3 +37,11 @@ def test_fixture_loads_as_source_unit(name):
     assert unit.id == name
     assert unit.ast_json is not None
     assert unit.source_text
+
+
+def test_lowered_ir_and_graph_match_the_per_unit_pin():
+    # Each unit's `--dump-ir` and `--dump-graph` document is hashed on its
+    # own, so a failure names the units whose IR or graph changed.
+    want = json.loads(gen_fixtures.PIN.read_text())
+    got = gen_fixtures.unit_digests()
+    assert sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n)) == []

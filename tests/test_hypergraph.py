@@ -205,15 +205,15 @@ def test_source_slice_exact_and_nospan():
 
 
 def test_function_node_id_resolution():
-    # build binds each reference once and records the nodes per function.
-    h, _ = _graph("inherit")
+    # build makes a node per table entry and records the nodes per function.
+    h, models = _graph("inherit")
     assert set(h.refs) == {GraphId(("Base", "put")), GraphId(("Child", "drain"))}
     drain = h.refs[GraphId(("Child", "drain"))]
     assert NodeId(("Base", "reserve")) in drain
     assert NodeId(("Child", "drain", "take")) in drain
     assert NodeId(("Child", "reserve")) not in drain
     assert NodeId(("Base", "reserve")) in h.refs[GraphId(("Base", "put"))]
-    assert h.names.linearization["Child"] == ("Child", "Base")
+    assert models[1].linearization == ("Child", "Base")
 
 
 def test_names_function_walks_bases():

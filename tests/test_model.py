@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-import pickle
-
 import pytest
 
 import astfuzz
@@ -36,12 +33,10 @@ from ponzilens.detect import run_static_pipeline
 from ponzilens.errors import JsonError, MalformedAst
 from ponzilens.ingest import load_ast
 from ponzilens.model import (
-    NO_REFS,
     ContractModel,
     Kind,
     Names,
     Scope,
-    VarRef,
     VariableDecl,
     def_use_table,
     linearize,
@@ -49,20 +44,25 @@ from ponzilens.model import (
 )
 
 
-def _sv(name: str) -> VarRef:
-    return VarRef(scope=Scope.STATE, name=name)
+def _sv(name: str) -> tuple[Scope, str]:
+    return (Scope.STATE, name)
 
 
-def _lv(name: str) -> VarRef:
-    return VarRef(scope=Scope.LOCAL, name=name)
+def _lv(name: str) -> tuple[Scope, str]:
+    return (Scope.LOCAL, name)
 
 
-def _pv(name: str) -> VarRef:
-    return VarRef(scope=Scope.PARAM, name=name)
+def _pv(name: str) -> tuple[Scope, str]:
+    return (Scope.PARAM, name)
 
 
-def _bv(name: str) -> VarRef:
-    return VarRef(scope=Scope.BUILTIN, name=name)
+def _bv(name: str) -> tuple[Scope, str]:
+    return (Scope.BUILTIN, name)
+
+
+def _refs(f, indices) -> frozenset[tuple[Scope, str]]:
+    """The (scope, name) of each entry of `f`'s table that `indices` name."""
+    return frozenset((f.decls[i].scope, f.decls[i].name) for i in indices)
 
 
 def _fn(name: str, contract_fn: str):
@@ -96,7 +96,7 @@ def test_simple_ponzi_statement_kinds():
 
 def test_simple_ponzi_def_use_table():
     f = _fn("simple_ponzi", "SimplePonzi.enter")
-    table = def_use_table(f)
+    table = {(f.decls[v].scope, f.decls[v].name): du for v, du in def_use_table(f).items()}
     assert table == {
         _bv("msg.sender"): ((), (4,)),
         _bv("msg.value"): ((), (1,)),
@@ -107,23 +107,23 @@ def test_simple_ponzi_def_use_table():
         _sv("payoutIdx"): ((11,), (7, 8, 9, 11)),
         _sv("persons"): ((3, 4, 5), (2, 3, 7, 8, 9)),
     }
-    # Insertion order is the sorted ref order, so dumps are reproducible.
+    # Insertion order is (scope, name) order, so dumps are reproducible.
     assert list(table) == sorted(table)
 
 
 def test_compound_assign_reads_lhs():
     f = _fn("inherit", "Base.put")
     (s,) = f.statements
-    assert s.defs == frozenset({_sv("reserve")})
-    assert s.uses == frozenset({_bv("msg.value"), _sv("reserve")})
+    assert _refs(f, s.defs) == {_sv("reserve")}
+    assert _refs(f, s.uses) == {_bv("msg.value"), _sv("reserve")}
 
 
 def test_constructor_names_modern_and_legacy():
     assert _fn("mini_token", "MiniToken.@ctor").name == "@ctor"
     legacy = _fn("legacy", "Legacy.@ctor")
     (s,) = legacy.statements
-    assert s.defs == frozenset({_sv("owner")})
-    assert s.uses == frozenset({_bv("msg.sender")})
+    assert _refs(legacy, s.defs) == {_sv("owner")}
+    assert _refs(legacy, s.uses) == {_bv("msg.sender")}
 
 
 def test_receive_and_fallback_names():
@@ -151,18 +151,18 @@ def test_modifier_inlining_binds_args_then_splices_body():
     kinds = [s.kind for s in join.statements]
     assert kinds == [Kind.ASSIGN, Kind.CALL, Kind.ASSIGN]
     bind, guard, body = join.statements
-    assert bind.defs == frozenset({_lv("minv")})
-    assert bind.uses == frozenset()
-    assert guard.uses == frozenset({_bv("msg.value"), _lv("minv")})
-    assert body.defs == frozenset({_sv("pot")})
-    assert body.uses == frozenset({_bv("msg.value"), _sv("pot")})
+    assert _refs(join, bind.defs) == {_lv("minv")}
+    assert bind.uses == ()
+    assert _refs(join, guard.uses) == {_bv("msg.value"), _lv("minv")}
+    assert _refs(join, body.defs) == {_sv("pot")}
+    assert _refs(join, body.uses) == {_bv("msg.value"), _sv("pot")}
 
 
 def test_parameterless_modifier_guard():
     sweep = _fn("gated", "Gated.sweep")
     guard = sweep.statements[0]
     assert guard.kind is Kind.CALL
-    assert guard.uses == frozenset({_bv("msg.sender"), _sv("owner")})
+    assert _refs(sweep, guard.uses) == {_bv("msg.sender"), _sv("owner")}
     assert guard.calls == ()
 
 
@@ -170,9 +170,9 @@ def test_emit_reads_args_without_call_site():
     dep = _fn("pool", "Pool.deposit")
     emit = dep.statements[1]
     assert emit.kind is Kind.EMIT
-    assert emit.uses == frozenset({_bv("msg.sender"), _bv("msg.value")})
+    assert _refs(dep, emit.uses) == {_bv("msg.sender"), _bv("msg.value")}
     assert emit.calls == ()
-    assert emit.defs == frozenset()
+    assert emit.defs == ()
 
 
 @pytest.mark.parametrize("stmt, kind", [(SEmit, Kind.EMIT), (SRevert, Kind.CALL)])
@@ -197,8 +197,8 @@ def test_emit_and_revert_keep_nested_call_sites(stmt, kind):
     pay = next(f for f in lower(unit)[0].functions if f.name == "pay")
     (s,) = pay.statements
     assert s.kind is kind
-    assert [(c.name, c.arg_reads) for c in s.calls] == [("f", frozenset({_bv("msg.value")}))]
-    assert s.uses == frozenset({_bv("msg.value")})
+    assert [(c.name, _refs(pay, c.arg_reads)) for c in s.calls] == [("f", {_bv("msg.value")})]
+    assert _refs(pay, s.uses) == {_bv("msg.value")}
     assert "E.f" in run_static_pipeline(unit).bundle.selected
 
 
@@ -207,7 +207,7 @@ def test_call_options_transfer_records_single_site():
     (s,) = flush.statements
     assert s.kind is Kind.VALUE_TRANSFER
     assert [c.name for c in s.calls] == [".call"]
-    assert s.calls[0].arg_reads == frozenset({_pv("dest"), _sv("poolSize")})
+    assert _refs(flush, s.calls[0].arg_reads) == {_pv("dest"), _sv("poolSize")}
 
 
 def test_send_transfer_site():
@@ -215,7 +215,7 @@ def test_send_transfer_site():
     transfer = drain.statements[1]
     assert transfer.kind is Kind.VALUE_TRANSFER
     assert [c.name for c in transfer.calls] == [".send"]
-    assert transfer.calls[0].arg_reads == frozenset({_lv("take"), _pv("target")})
+    assert _refs(drain, transfer.calls[0].arg_reads) == {_lv("take"), _pv("target")}
 
 
 def test_internal_call_sites_resolve_by_name():
@@ -227,15 +227,15 @@ def test_internal_call_sites_resolve_by_name():
     assert sites == {"stash": [], "bump": [], "take": ["stash"], "tick": ["bump"]}
     take = next(f for f in m.functions if f.name == "take")
     (call_stmt,) = [s for s in take.statements if s.calls]
-    assert call_stmt.calls[0].arg_reads == frozenset({_bv("msg.value")})
+    assert _refs(take, call_stmt.calls[0].arg_reads) == {_bv("msg.value")}
 
 
 def test_unresolved_call_keeps_site_and_args():
     ping = _fn("two_contracts", "Beta.ping")
     (s,) = ping.statements
     assert s.kind is Kind.CALL
-    assert [(c.name, c.arg_reads) for c in s.calls] == [
-        ("mystery", frozenset({_pv("n")}))
+    assert [(c.name, _refs(ping, c.arg_reads), c.owner) for c in s.calls] == [
+        ("mystery", {_pv("n")}, None)
     ]
 
 
@@ -243,8 +243,8 @@ def test_inline_assembly_is_opaque_with_textual_reads():
     lock = _fn("vaulted", "Vaulted.lock")
     asm = lock.statements[1]
     assert asm.kind is Kind.OPAQUE
-    assert asm.uses == frozenset({_sv("vault")})
-    assert asm.defs == frozenset()
+    assert _refs(lock, asm.uses) == {_sv("vault")}
+    assert asm.defs == ()
 
 
 def test_unknown_statement_type_is_opaque():
@@ -260,7 +260,7 @@ def test_unknown_statement_type_is_opaque():
     fn = lower(load_ast(doc))[0].functions[0]
     (s,) = fn.statements
     assert s.kind is Kind.OPAQUE
-    assert s.uses == frozenset({_sv("secret")})
+    assert _refs(fn, s.uses) == {_sv("secret")}
 
 
 def test_builtin_call_heads_are_not_sites():
@@ -268,35 +268,35 @@ def test_builtin_call_heads_are_not_sites():
     req = transfer.statements[0]
     assert req.kind is Kind.CALL
     assert req.calls == ()
-    assert req.uses == frozenset({_bv("msg.sender"), _pv("amount"), _sv("balances")})
+    assert _refs(transfer, req.uses) == {_bv("msg.sender"), _pv("amount"), _sv("balances")}
 
 
 def test_mapping_writes_read_their_keys():
     ctor = _fn("mini_token", "MiniToken.@ctor")
     first = ctor.statements[0]
-    assert first.defs == frozenset({_sv("balances")})
-    assert first.uses == frozenset({_bv("msg.sender"), _pv("supply")})
+    assert _refs(ctor, first.defs) == {_sv("balances")}
+    assert _refs(ctor, first.uses) == {_bv("msg.sender"), _pv("supply")}
 
 
 def test_bare_return_statement():
     f = _fn("hollow", "Noop.nothing")
     (s,) = f.statements
     assert s.kind is Kind.RETURN
-    assert s.defs == frozenset() and s.uses == frozenset()
+    assert s.defs == () and s.uses == ()
 
 
 def test_view_function_reads_state():
     audit = _fn("pool", "Pool.audit")
     (s,) = audit.statements
     assert s.kind is Kind.RETURN
-    assert s.uses == frozenset({_sv("poolSize")})
+    assert _refs(audit, s.uses) == {_sv("poolSize")}
 
 
 def test_constructor_with_literal_only_has_no_uses():
     ctor = _fn("init_rule", "Init.@ctor")
     (s,) = ctor.statements
-    assert s.defs == frozenset({_sv("limit")})
-    assert s.uses == frozenset()
+    assert _refs(ctor, s.defs) == {_sv("limit")}
+    assert s.uses == ()
 
 
 def test_payable_flag():
@@ -332,8 +332,8 @@ def test_expression_statement_with_nested_call_argument():
     run = next(f for f in lower(load_ast(doc))[0].functions if f.name == "run")
     (s,) = run.statements
     assert sorted(c.name for c in s.calls) == ["g", "h"]
-    by_name = {c.name: c.arg_reads for c in s.calls}
-    assert by_name["h"] == frozenset({_sv("x")})
+    by_name = {c.name: _refs(run, c.arg_reads) for c in s.calls}
+    assert by_name["h"] == {_sv("x")}
     assert _sv("x") in by_name["g"]
 
 
@@ -361,7 +361,7 @@ def _pay_statement(expr):
     )
     pay = next(f for f in lower(load_ast(doc))[0].functions if f.name == "pay")
     (s,) = pay.statements
-    return s
+    return pay, s
 
 
 @pytest.mark.parametrize(
@@ -394,30 +394,33 @@ def _pay_statement(expr):
     ],
 )
 def test_call_options_belong_to_the_one_site_of_the_called_function(expr, kind, site, reads):
-    s = _pay_statement(expr)
+    pay, s = _pay_statement(expr)
     assert s.kind is kind
     assert [c.name for c in s.calls] == [site]
-    assert s.calls[0].arg_reads == s.uses == reads
+    assert _refs(pay, s.calls[0].arg_reads) == _refs(pay, s.uses) == reads
 
 
 def test_modifier_arguments_are_read_in_the_function_scope():
     # join(uint v) atLeast(v), where atLeast's parameter is also named v.
-    bind, guard, _body = _fn("relay", "Bound.join").statements
-    assert (bind.defs, bind.uses) == (frozenset({_lv("v")}), frozenset({_pv("v")}))
-    assert guard.uses == frozenset({_bv("msg.value"), _lv("v")})
+    join = _fn("relay", "Bound.join")
+    bind, guard, _body = join.statements
+    assert (_refs(join, bind.defs), _refs(join, bind.uses)) == ({_lv("v")}, {_pv("v")})
+    assert _refs(join, guard.uses) == {_bv("msg.value"), _lv("v")}
 
 
 def test_modifier_body_resolves_in_its_own_scope():
     # `seen = pot` in track reads the state pot, not join's local pot.
-    seen, _declare = _fn("relay", "Track.join").statements
-    assert seen.uses == frozenset({_sv("pot")})
+    track = _fn("relay", "Track.join")
+    seen, _declare = track.statements
+    assert _refs(track, seen.uses) == {_sv("pot")}
     # `pot = f` in fee reads fee's own local f.
-    declare, pot = _fn("relay", "Fee.enter").statements
-    assert declare.defs == frozenset({_lv("f")})
-    assert pot.uses == frozenset({_lv("f")})
+    fee = _fn("relay", "Fee.enter")
+    declare, pot = fee.statements
+    assert _refs(fee, declare.defs) == {_lv("f")}
+    assert _refs(fee, pot.uses) == {_lv("f")}
 
 
-def test_functions_share_the_lowered_statements_of_a_modifier():
+def test_each_function_lowers_its_modifiers_into_its_own_table():
     guard = SExpr(Call(Id("require"), [Bin(Member(Id("msg"), "sender"), "==", Id("owner"))]))
     _, doc = build_unit(
         "shared",
@@ -435,13 +438,17 @@ def test_functions_share_the_lowered_statements_of_a_modifier():
         ],
     )
     a, b = lower(load_ast(doc))[0].functions
-    assert a.statements[0] is b.statements[0]
-    assert a.statements[0].uses == frozenset({_bv("msg.sender"), _sv("owner")})
+    assert a.statements[0] is not b.statements[0]
+    for f in (a, b):
+        assert _refs(f, f.statements[0].uses) == {_bv("msg.sender"), _sv("owner")}
+        assert sorted(d.path for d in f.decls) == [
+            ("Shared", f.name, "msg.sender"), ("Shared", "owner"), ("Shared", "x")
+        ]
 
 
 def _run_statements(*body):
-    """Lowered statements of `run` in a contract with state members, next,
-    a and functions slot and f."""
+    """Lowered `run`, and its statements, in a contract with state members,
+    next, a and functions slot and f."""
     _, doc = build_unit(
         "lv",
         [
@@ -458,38 +465,39 @@ def _run_statements(*body):
             )
         ],
     )
-    return next(f for f in lower(load_ast(doc))[0].functions if f.name == "run").statements
+    run = next(f for f in lower(load_ast(doc))[0].functions if f.name == "run")
+    return run, run.statements
 
 
 def test_lvalue_index_keeps_its_writes():
     # members[next++] = msg.sender;
     target = Index(Id("members"), Un("++", Id("next"), prefix=False))
-    (s,) = _run_statements(SAssign(target, "=", Member(Id("msg"), "sender")))
+    run, (s,) = _run_statements(SAssign(target, "=", Member(Id("msg"), "sender")))
     assert s.kind is Kind.ASSIGN
-    assert s.defs == frozenset({_sv("members"), _sv("next")})
-    assert s.uses == frozenset({_sv("next"), _bv("msg.sender")})
+    assert _refs(run, s.defs) == {_sv("members"), _sv("next")}
+    assert _refs(run, s.uses) == {_sv("next"), _bv("msg.sender")}
 
 
 def test_lvalue_index_keeps_its_calls():
     # members[slot()] = msg.sender;
     target = Index(Id("members"), Call(Id("slot")))
-    (s,) = _run_statements(SAssign(target, "=", Member(Id("msg"), "sender")))
+    run, (s,) = _run_statements(SAssign(target, "=", Member(Id("msg"), "sender")))
     assert s.kind is Kind.ASSIGN
     assert s.callees == ("slot",)
-    assert s.defs == frozenset({_sv("members")})
+    assert _refs(run, s.defs) == {_sv("members")}
 
 
 def test_lvalue_index_call_is_recorded_once():
     # a[f()].push(x); a[f()]++; a[f()] += x;
-    push, inc, add = _run_statements(
+    run, (push, inc, add) = _run_statements(
         SExpr(Call(Member(Index(Id("a"), Call(Id("f"))), "push"), [Id("x")])),
         SExpr(Un("++", Index(Id("a"), Call(Id("f"))), prefix=False)),
         SAssign(Index(Id("a"), Call(Id("f"))), "+=", Id("x")),
     )
     for s in (push, inc, add):
         assert s.callees == ("f",)
-        assert s.defs == frozenset({_sv("a")})
-        assert _sv("a") in s.uses
+        assert _refs(run, s.defs) == {_sv("a")}
+        assert _sv("a") in _refs(run, s.uses)
 
 
 @pytest.mark.parametrize(
@@ -556,9 +564,10 @@ def test_member_access_on_a_non_object_reads_nothing():
     assign["rightHandSide"]["expression"] = [1]
     push["expression"]["expression"] = None
     call["expression"]["expression"] = "a"
-    s1, s2, s3 = lower(load_ast(doc))[0].functions[0].statements
-    assert (s1.defs, s1.uses) == (frozenset({_sv("next")}), NO_REFS)
-    assert (s2.defs, s2.uses, s2.calls) == (NO_REFS, frozenset({_pv("x")}), ())
+    run = lower(load_ast(doc))[0].functions[0]
+    s1, s2, s3 = run.statements
+    assert (_refs(run, s1.defs), s1.uses) == ({_sv("next")}, ())
+    assert (s2.defs, _refs(run, s2.uses), s2.calls) == ((), {_pv("x")}, ())
     assert s3.callees == (".foo",)
 
 
@@ -605,41 +614,50 @@ def test_first_declaration_wins_within_one_contract():
     assert names.state("K", "y") is None
 
 
-def _ref_sets(models: list[ContractModel]) -> list[frozenset[VarRef]]:
-    return [
-        refs
-        for m in models
-        for f in m.functions
-        for st in f.statements
-        for refs in (st.defs, st.uses, *(c.arg_reads for c in st.calls))
+def test_lower_binds_each_name_once_per_function():
+    # One table entry per (scope, name), each referenced by some statement;
+    # a state entry is the declaring contract's own declaration.
+    u = fixutil.load_unit("inherit")
+    base, child = lower(u)
+    (drain,) = child.functions
+    assert sorted(_refs(drain, range(len(drain.decls)))) == [
+        _lv("take"), _pv("target"), _sv("reserve")
     ]
+    assert {i for s in drain.statements for i in s.defs + s.uses} == set(range(len(drain.decls)))
+    reserve = next(d for d in drain.decls if d.name == "reserve")
+    assert reserve is base.state_vars[0] and reserve.path == ("Base", "reserve")
+    take = next(d for d in drain.decls if d.name == "take")
+    assert (take.scope, take.path) == (Scope.LOCAL, ("Child", "drain", "take"))
+    off, n = take.source_span
+    assert u.source_text[off : off + n] == "uint take"
+    assert child.linearization == ("Child", "Base")
 
 
-def test_lower_interns_references_and_sets_per_call():
-    u = fixutil.load_unit("simple_ponzi")
-    first, second = lower(u), lower(u)
-    sets = _ref_sets(first)
-    # One object per distinct reference, and per distinct set of them.
-    canonical_refs: dict[VarRef, VarRef] = {}
-    canonical_sets: dict[frozenset, frozenset] = {}
-    for refs in sets:
-        assert canonical_sets.setdefault(refs, refs) is refs
-        for ref in refs:
-            assert canonical_refs.setdefault(ref, ref) is ref
-    assert any(not refs for refs in sets)
-    assert all(refs is NO_REFS for refs in sets if not refs)
-    # Each call interns on its own: nothing is shared through a global.
-    later = {ref for refs in _ref_sets(second) for ref in refs}
-    assert later == set(canonical_refs)
-    assert all(ref is not canonical_refs[ref] for ref in later)
-
-
-def test_varref_keeps_value_semantics():
-    a, b = VarRef(Scope.STATE, "x"), _sv("x")
-    assert a == b and hash(a) == hash(b) and a is not b
-    assert a != _lv("x") and str(a) == "state:x"
-    assert repr(a) == "VarRef(scope=<Scope.STATE: 'state'>, name='x')"
-    assert sorted([_sv("b"), _lv("z"), _sv("a")]) == [_lv("z"), _sv("a"), _sv("b")]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        a.name = "y"
-    assert pickle.loads(pickle.dumps(a)) == a
+def test_call_sites_record_the_contract_declaring_their_target():
+    # Child.tick calls the inherited bump, then this.bump and an unknown h.
+    _, doc = build_unit(
+        "own",
+        [
+            Contract("Base", [StateVar("uint", "x"), Fn("bump", [], [SAssign(Id("x"), "+=", Lit(1))])]),
+            Contract(
+                "Child",
+                [
+                    Fn(
+                        "tick",
+                        [],
+                        [
+                            SExpr(Call(Id("bump"))),
+                            SExpr(Call(Member(Id("this"), "bump"))),
+                            SExpr(Call(Id("h"))),
+                            SExpr(Call(Member(Id("x"), "bump"))),
+                        ],
+                    )
+                ],
+                bases=["Base"],
+            ),
+        ],
+    )
+    (tick,) = lower(load_ast(doc))[1].functions
+    assert [(c.name, c.owner) for s in tick.statements for c in s.calls] == [
+        ("bump", "Base"), ("bump", "Base"), ("h", None), (".bump", None)
+    ]

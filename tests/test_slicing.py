@@ -160,9 +160,11 @@ def test_selection_matches_independent_predicate_on_fixtures():
 
 def test_selection_matches_independent_predicate_on_random_models():
     rng = random.Random(60193)
-    for _ in range(60):
+    for _ in range(200):
         models, source = oracles.random_models(rng)
         h = build(models, source)
+        # Every state reference names the contract Solidity's C3 order picks.
+        assert {g.path: set(nodes) for g, nodes in h.refs.items()} == oracles.reference_nodes(models)
         t = tpa(h, default_sources(h))
         for flag in (True, False):
             got = select_functions(t, h, models, include_constructors=flag)

@@ -142,3 +142,25 @@ def test_result_independent_of_edge_insertion_order():
         second = tpa(shuffled, sources)
         assert first.tainted == second.tainted
         assert first.taint_edges == second.taint_edges
+
+
+def _scanned_sources(h) -> frozenset[NodeId]:
+    """Every node of the graph named msg.sender or msg.value, by a scan."""
+    return frozenset(n for n in h.nodes() if n.path[-1] in ("msg.sender", "msg.value"))
+
+
+def test_default_sources_are_the_nodes_registered_with_a_source_name():
+    graphs = [_taint(name)[1] for name in fixutil.FIXTURE_NAMES]
+    rng = random.Random(4242)
+    for _ in range(60):
+        models, source = oracles.random_models(rng)
+        graphs.append(build(models, source))
+    assert any(default_sources(h) for h in graphs)
+    for h in graphs:
+        assert default_sources(h) == _scanned_sources(h)
+    # A node registered later is recorded too, and registering it again
+    # changes nothing.
+    h = graphs[0]
+    late = h.add_node(NodeId(("Caller", "take", "msg.sender")))
+    assert h.add_node(NodeId(("Caller", "take", "msg.sender"))) is late
+    assert late in default_sources(h) == _scanned_sources(h)
