@@ -1,11 +1,13 @@
 """Regenerate tests/fixtures/ from the builders in programs.py.
 
-Usage: PYTHONPATH=src python3 tests/gen_fixtures.py [--pin]
+Usage: PYTHONPATH=src python3 tests/gen_fixtures.py [--pin [--check]]
 
 With --pin it writes only tests/fixtures/golden/units.sha256.json instead:
-the sha256 of the `--dump-ir` and the `--dump-graph` document of every unit
-`pinned_units` yields, so a change to lowering or to the graph names the
-units it touches.
+per unit `pinned_units` yields, the sha256 of its `--dump-ir` document, of
+its `--dump-graph` document and of its full-mode analysis prompt (slice,
+header and DOT), so a change to lowering, the graph, slicing or rendering
+names the units it touches. With --pin --check it writes nothing, prints
+the units whose digests differ from the file, and exits 1 when any do.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ import astfuzz  # noqa: E402
 from programs import REGISTRY, pay_help_unit, random_unit  # noqa: E402
 
 from ponzilens.cli import graph_document, ir_document  # noqa: E402
+from ponzilens.detect import MODE_FULL, TemplateSet, build_analysis_prompt, run_static_pipeline  # noqa: E402
 from ponzilens.errors import PonzilensError  # noqa: E402
-from ponzilens.hypergraph import build  # noqa: E402
 from ponzilens.ingest import load_ast  # noqa: E402
-from ponzilens.model import lower  # noqa: E402
-from ponzilens.taint import default_sources, tpa  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 PIN = FIXTURES / "golden" / "units.sha256.json"
@@ -43,33 +43,51 @@ def pinned_units():
 
 
 def unit_digests() -> dict[str, dict[str, str]]:
-    """Per unit, the sha256 of its IR and of its graph document; a fuzz
-    document that does not lower has no entry."""
+    """Per unit, the sha256 of its IR, its graph document and its full-mode
+    analysis prompt. A fuzz document that does not lower has no entry; a
+    unit whose slice is empty, so that no prompt can be built, has no
+    prompt digest."""
+    templates = TemplateSet()
     digests = {}
     for name, doc in pinned_units():
         try:
-            unit = load_ast(doc)
-            models = lower(unit)
+            art = run_static_pipeline(load_ast(doc), MODE_FULL)
         except PonzilensError:
             continue
-        h = build(models, unit.source_text)
-        texts = {"ir": ir_document(models), "graph": graph_document(h, tpa(h, default_sources(h)))}
+        texts = {"ir": ir_document(art.models), "graph": graph_document(art.graph, art.taint)}
+        try:
+            texts["prompt"] = build_analysis_prompt(art.bundle, art.dot, MODE_FULL, templates).rendered
+        except PonzilensError:
+            pass
         digests[name] = {kind: hashlib.sha256(t.encode()).hexdigest() for kind, t in texts.items()}
     return digests
 
 
-def main(argv: list[str] | None = None) -> None:
-    if "--pin" in (sys.argv[1:] if argv is None else argv):
-        PIN.write_text(json.dumps(unit_digests(), indent=1, sort_keys=True) + "\n")
+def changed_units(want: dict, got: dict) -> list[str]:
+    """The units whose digests differ between two pin documents, or that
+    only one of them has."""
+    return sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if "--pin" in args:
+        got = unit_digests()
+        if "--check" in args:
+            changed = changed_units(json.loads(PIN.read_text()), got)
+            print("\n".join(changed) if changed else f"{PIN.name}: all {len(got)} units match")
+            return 1 if changed else 0
+        PIN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
         print(f"wrote {PIN.name}")
-        return
+        return 0
     FIXTURES.mkdir(exist_ok=True)
     for name, make in sorted(REGISTRY.items()):
         source, doc = make()
         (FIXTURES / f"{name}.sol").write_text(source)
         (FIXTURES / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
         print(f"wrote {name}.sol ({len(source)} bytes) and {name}.json")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

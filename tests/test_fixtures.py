@@ -40,8 +40,8 @@ def test_fixture_loads_as_source_unit(name):
 
 
 def test_lowered_ir_and_graph_match_the_per_unit_pin():
-    # Each unit's `--dump-ir` and `--dump-graph` document is hashed on its
-    # own, so a failure names the units whose IR or graph changed.
+    # Each unit's `--dump-ir` and `--dump-graph` document and its full-mode
+    # analysis prompt are hashed on their own, so a failure names the units
+    # whose IR, graph, slice or DOT changed.
     want = json.loads(gen_fixtures.PIN.read_text())
-    got = gen_fixtures.unit_digests()
-    assert sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n)) == []
+    assert gen_fixtures.changed_units(want, gen_fixtures.unit_digests()) == []
