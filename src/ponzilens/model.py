@@ -810,6 +810,9 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
     # of the unit regardless of order.
     for cnode in contract_nodes_list:
         name = cnode.get("name") or "<anonymous>"
+        if name in contract_members:
+            # Every table below is keyed by contract name.
+            raise MalformedAst(f"two contracts named {name!r}")
         inherits = []
         for base in _list(cnode, "baseContracts"):
             bn = base.get("baseName") if isinstance(base, dict) else None

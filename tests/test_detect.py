@@ -20,7 +20,7 @@ import fixutil
 import ponzilens.detect as detect_mod
 import ponzilens.transport as transport
 import programs
-from astgen import Contract, Fn, Id, Member, SAssign, StateVar, build_unit
+from astgen import Contract, Fn, Id, Lit, Member, SAssign, StateVar, build_unit
 from ponzilens.detect import (
     API_KEY_ENV,
     BACKEND_LOCAL,
@@ -874,6 +874,18 @@ def _hierarchy_unit(bases: dict[str, list[str]]) -> SourceUnit:
     return load_ast(build_unit("hostile", contracts)[1])
 
 
+def _duplicate_contract_name() -> SourceUnit:
+    """Two contracts named A: the first takes msg.value into x, the second
+    writes a constant into y."""
+    pay = Fn("f", [], [SAssign(Id("x"), "=", Member(Id("msg"), "value"))], mutability="payable")
+    other = Fn("g", [], [SAssign(Id("y"), "=", Lit(1))])
+    contracts = [
+        Contract("A", [StateVar("uint", "x"), pay]),
+        Contract("A", [StateVar("uint", "y"), other]),
+    ]
+    return load_ast(build_unit("hostile", contracts)[1])
+
+
 def _non_object_member() -> SourceUnit:
     doc = fixutil.load_doc("simple_ponzi")
     (entry,) = doc["sources"].values()
@@ -931,6 +943,7 @@ _LIST_FIELDS = (
         "self_base",
         "cyclic_bases",
         "inconsistent_bases",
+        "duplicate_contract_name",
         "non_object_member",
         "non_object_modifier",
         "parameter_list_as_list",
@@ -947,6 +960,7 @@ def test_detect_contract_hostile_ast_is_reported_not_raised(case):
         "cyclic_bases": lambda: _hierarchy_unit({"A": ["C"], "B": ["A"], "C": ["B"]}),
         # Solidity wants X before A in `is`, since A already derives from X.
         "inconsistent_bases": lambda: _hierarchy_unit({"X": [], "A": ["X"], "C": ["A", "X"]}),
+        "duplicate_contract_name": _duplicate_contract_name,
         "non_object_member": _non_object_member,
         "non_object_modifier": lambda: _hostile_function(("modifiers",), ["onlyOwner"]),
         "parameter_list_as_list": lambda: _hostile_function(
