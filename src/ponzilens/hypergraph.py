@@ -14,27 +14,33 @@ stored in the lowest graph that contains both endpoints, so sibling-function
 flows through shared state naturally land in the contract graph and
 cross-contract flows land at the root.
 
-One object per path. A graph keeps a registry from path to endpoint: each
-endpoint is registered once, numbered in registration order, and every
-later `add_graph`/`add_node`/`add_edge` with an equal id resolves to the
-registered object, so `members`, `edges`, `refs` and a taint result hand
-out the same object for the same path. Ids are slotted and immutable, and
-compute their hash and `endpoint_key` once. Internally an edge is a pair of
-registry numbers packed into one int, so the bulk of a graph is ints, which
-the garbage collector does not track.
+One object per path, one number per object. A graph keeps a registry from
+path to registry number: each endpoint is registered once, numbered in
+registration order, and every later `add_graph`/`add_node`/`add_edge` with
+an equal id resolves to the registered object, so `members`, `edges`,
+`refs` and a taint result hand out the same object for the same path. Ids
+are slotted and immutable, and compute their hash once. Internally an edge
+is a pair of registry numbers packed into one int, so the bulk of a graph
+is ints, which the garbage collector does not track.
 
-`finalize` sorts members and edges by `endpoint_key` and builds the
-successor adjacency over numbers once; queries and `taint.tpa` read that
-view. A mutation after `finalize` drops the view, and the next read builds
-it again, so it never goes stale.
+The number is the currency from `build` to `render.to_dot`. `build`
+registers each table entry by path, making its id only the first time the
+path is seen, and adds edges as numbers. `finalize` derives the `View`:
+every number in `endpoint_key` order and its rank there, the members of
+each graph in that order, and the successor adjacency. `taint.tpa` walks
+the adjacency, slicing tests numbers against the tainted numbers, and
+`to_dot` orders by rank. Each graph's ordered edge list is made on the
+first `edges` read. A mutation after `finalize` drops the view, and the
+next read builds it again, so it never goes stale.
 
 `build` resolves nothing: `model.lower` bound every name, along each
 contract's C3 linearization as Solidity does, and recorded the node path of
 each entry of a function's declaration table and the contract declaring each
 call's target. `build` makes one node per table entry and takes the edges
-from the statements' indices. It records, per function hypernode, the set of
-nodes the function references (`HypernodeGraph.refs`), which slicing reads.
-A graph also records its source nodes (`HypernodeGraph.sources`: those named
+from the statements' indices. It records, per function hypernode, the
+numbers of the nodes the function references (`function_refs`), which
+slicing reads; `refs`, the same as sets of ids, is built on first read. A
+graph also records its source nodes (`HypernodeGraph.sources`: those named
 msg.sender or msg.value) as they are registered.
 
 Edge construction per lowered statement:
@@ -52,8 +58,8 @@ own, and does not flow into the writes it guards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Union
+from itertools import accumulate, islice
+from typing import Iterable, NamedTuple, Union
 
 from .errors import NoSpan, UnknownGraph
 from .model import BUILTIN_NAMES, ContractModel
@@ -62,17 +68,17 @@ EXTERNAL_SINK = "@external"
 
 
 class _Keyed:
-    """What NodeId and GraphId share: the endpoint key and the hash are
-    computed once, at construction, because ids are hashed and sorted far
-    more often than they are made."""
+    """What NodeId and GraphId share: the hash of the endpoint key is
+    computed once, at construction, because an id is made once per path of
+    a graph and hashed at every lookup by id. The key itself is not kept:
+    it would be one more tracked object per id, and only `endpoint_key`
+    reads it."""
 
     __slots__ = ()
     _KIND = 0  # the key's second component: nodes sort before graphs
 
     def __post_init__(self) -> None:
-        key = (self.path, self._KIND)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_hash", hash((self.path, self._KIND)))
 
     def __reduce__(self):
         # Rebuild from the path: a string's hash differs between processes.
@@ -84,7 +90,6 @@ class NodeId(_Keyed):
     """Identity of one basic (variable) node, as a path of name components."""
 
     path: tuple[str, ...]
-    _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
@@ -99,7 +104,6 @@ class GraphId(_Keyed):
     """Identity of one graph (root, contract, or function hypernode)."""
 
     path: tuple[str, ...]
-    _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     _KIND = 1
 
@@ -118,7 +122,7 @@ ROOT = GraphId(())
 
 def endpoint_key(ep: Endpoint) -> tuple:
     """Total order over mixed endpoints: by path, nodes before graphs."""
-    return ep._key
+    return ep.path, ep._KIND
 
 
 # An edge is stored as one int, tail number << _SHIFT | head number: ints
@@ -128,25 +132,30 @@ _SHIFT = 32
 _LOW = (1 << _SHIFT) - 1
 
 
-def _grouped(
-    items: list[int], group: Callable[[int], int], size: int
-) -> tuple[list[int], list[int]]:
-    """`items` ordered by group number (stably, so each group keeps the
+def _grouped(items: list[int], groups: list[int], size: int) -> tuple[list[int], list[int]]:
+    """`items` placed by their group numbers `groups` (each group keeps the
     input order), and the offsets: group g is flat[start[g]:start[g + 1]]."""
-    counts = [0] * (size + 1)
-    for item in items:
-        counts[group(item) + 1] += 1
-    return sorted(items, key=group), list(accumulate(counts))
+    start = [0] * (size + 1)
+    for g in groups:
+        start[g + 1] += 1
+    start = list(accumulate(start))
+    flat = [0] * len(items)
+    free = start[:-1]
+    for item, g in zip(items, groups):
+        flat[free[g]] = item
+        free[g] += 1
+    return flat, start
 
 
-class _View(NamedTuple):
-    """The sorted form of a graph that `finalize` derives from the registry;
-    queries and propagation read it. Everything is a flat list of ints."""
+class View(NamedTuple):
+    """The ordered form of a graph that `finalize` derives from the
+    registry; queries, propagation, slicing and rendering read it. Apart
+    from the endpoints, everything is a flat list of registry numbers."""
 
     endpoints: tuple[Endpoint, ...]  # number -> endpoint
     order: list[int]  # every number, in endpoint_key order
-    members: tuple[list[int], list[int]]  # by parent graph number, sorted
-    edges: tuple[list[int], list[int]]  # by storing graph number, sorted
+    rank: list[int]  # number -> its position in `order`
+    members: tuple[list[int], list[int]]  # by parent graph number, in order
     succ: tuple[list[int], list[int]]  # head numbers, by tail number
 
 
@@ -162,9 +171,6 @@ class HypernodeGraph:
         self.source_text = source_text
         self.span_map: dict[Endpoint, tuple[int, int]] = {}
         self.diagnostics: list[str] = []
-        # Set by `build`: per function hypernode, the nodes its statements
-        # reference.
-        self.refs: dict[GraphId, frozenset[NodeId]] = {}
         # Every registered node whose last path component is a source name.
         self.sources: set[NodeId] = set()
         # The registry: endpoints and their parent graphs by number, and
@@ -175,40 +181,55 @@ class HypernodeGraph:
         self._graph_no: dict[tuple[str, ...], int] = {(): 0}
         self._node_no: dict[tuple[str, ...], int] = {}
         self._edge_owner: dict[int, int] = {}
-        self._view: _View | None = None
+        self._view: View | None = None
+        # Edges by storing graph number, in order; made on the first
+        # `edges` read after each `finalize`.
+        self._stored_edges: tuple[list[int], list[int]] | None = None
+        # Set by `build`: per function hypernode number, the numbers of the
+        # nodes its statements reference; `refs` is built from it.
+        self._fn_refs: dict[int, tuple[int, ...]] = {}
+        self._refs: dict[GraphId, frozenset[NodeId]] | None = None
 
     # --- construction -----------------------------------------------------
 
-    def _add(
-        self, ep: Endpoint, table: dict[tuple[str, ...], int], span: tuple[int, int] | None
-    ) -> Endpoint:
-        n = table.get(ep.path)
+    def _register(
+        self,
+        path: tuple[str, ...],
+        kind: type[Endpoint],
+        span: tuple[int, int] | None,
+        ep: Endpoint | None = None,
+    ) -> int:
+        """The number of the endpoint of `kind` at `path`, registering it
+        first (as `ep`, or a new id) when the path is new."""
+        table = self._graph_no if kind is GraphId else self._node_no
+        n = table.get(path)
         if n is None:
-            parent = self._graph_no.get(ep.path[:-1])
+            parent = self._graph_no.get(path[:-1])
             if parent is None:
-                raise UnknownGraph(f"parent graph {GraphId(ep.path[:-1])} not registered for {ep}")
-            table[ep.path] = len(self._endpoints)
+                raise UnknownGraph(
+                    f"parent graph {GraphId(path[:-1])} not registered for {kind(path)}"
+                )
+            if ep is None:
+                ep = kind(path)
+            n = table[path] = len(self._endpoints)
             self._endpoints.append(ep)
             self._parent.append(parent)
             self._view = None
-        else:
-            ep = self._endpoints[n]
+            if kind is NodeId and path and path[-1] in BUILTIN_NAMES:
+                self.sources.add(ep)
         if span is not None:
-            self.span_map.setdefault(ep, span)
-        return ep
+            self.span_map.setdefault(self._endpoints[n], span)
+        return n
 
     def add_graph(self, gid: GraphId, span: tuple[int, int] | None = None) -> GraphId:
         """Register a graph once and return the registered id; the first
         span recorded is kept."""
-        return self._add(gid, self._graph_no, span)
+        return self._endpoints[self._register(gid.path, GraphId, span, gid)]
 
     def add_node(self, nid: NodeId, span: tuple[int, int] | None = None) -> NodeId:
         """Register a basic node once and return the registered id; the first
         span recorded is kept."""
-        nid = self._add(nid, self._node_no, span)
-        if nid.path and nid.path[-1] in BUILTIN_NAMES:
-            self.sources.add(nid)
-        return nid
+        return self._endpoints[self._register(nid.path, NodeId, span, nid)]
 
     def add_edge(self, a: Endpoint, b: Endpoint) -> None:
         na, nb = self.number(a), self.number(b)
@@ -216,45 +237,71 @@ class HypernodeGraph:
             raise UnknownGraph(f"edge endpoint {a if na is None else b} not registered")
         if isinstance(a, GraphId) and isinstance(b, GraphId):
             raise ValueError("hypernode-to-hypernode edges are not allowed")
-        edge = na << _SHIFT | nb
+        self._link(na, nb)
+
+    def _link(self, a: int, b: int) -> None:
+        """Add the edge between two registered numbers, stored in the lowest
+        graph that contains both."""
+        edge = a << _SHIFT | b
         if edge in self._edge_owner:
             return
-        owner = self._parent[na]
-        if owner != self._parent[nb]:
-            # The lowest graph containing both: the parents' common prefix.
-            pa, pb = a.path[:-1], b.path[:-1]
-            common = 0
-            for x, y in zip(pa, pb):
-                if x != y:
-                    break
-                common += 1
-            owner = self._graph_no[pa[:common]]
+        parent = self._parent
+        owner, other = parent[a], parent[b]
+        if owner != other:
+            # The graph of the parents' longest common path prefix: every
+            # prefix of a registered path is a registered graph.
+            above = []
+            while owner >= 0:
+                above.append(owner)
+                owner = parent[owner]
+            while other not in above:
+                other = parent[other]
+            owner = other
         self._edge_owner[edge] = owner
         self._view = None
 
     def finalize(self) -> "HypernodeGraph":
-        """Sort members and edges, and build the successor adjacency."""
+        """Order endpoints and members, and build the successor adjacency.
+
+        endpoint_key order is a pre-order walk of the nesting: a graph's
+        members, ordered by their last path component with a node before a
+        graph of the same name, each followed by its own members. That is
+        the order of the path tuples, nodes before graphs on equal paths,
+        without comparing whole paths.
+        """
         endpoints = tuple(self._endpoints)
         size = len(endpoints)
-        keys = [ep._key for ep in endpoints]
-        order = sorted(range(size), key=keys.__getitem__)
+        parent = self._parent
+        name = [ep.path[-1] if ep.path else "" for ep in endpoints]
+        # Nodes before graphs into a stable sort by name, so a node precedes
+        # the graph of the same path; 0 is the root, a member of nothing.
+        kids = sorted(
+            [*self._node_no.values(), *islice(self._graph_no.values(), 1, None)],
+            key=name.__getitem__,
+        )
+        members = _grouped(kids, [parent[n] for n in kids], size)
+        flat, start = members
+        order: list[int] = []
+        stack = [0]
+        while stack:
+            n = stack.pop()
+            order.append(n)
+            if start[n] != start[n + 1]:
+                stack.extend(reversed(flat[start[n] : start[n + 1]]))
         rank = [0] * size
         for r, n in enumerate(order):
             rank[n] = r
-        edges = sorted(self._edge_owner, key=lambda e: rank[e >> _SHIFT] * size + rank[e & _LOW])
-        by_tail, start = _grouped(edges, lambda e: e >> _SHIFT, size)
-        self._view = _View(
-            endpoints,
-            order,
-            _grouped([n for n in order if n], self._parent.__getitem__, size),  # 0 is the root
-            _grouped(edges, self._edge_owner.__getitem__, size),
-            ([e & _LOW for e in by_tail], start),
-        )
+        edges = list(self._edge_owner)
+        succ = _grouped([e & _LOW for e in edges], [e >> _SHIFT for e in edges], size)
+        self._view = View(endpoints, order, rank, members, succ)
+        self._stored_edges = None
         return self
 
     # --- queries ------------------------------------------------------------
 
-    def _read(self) -> _View:
+    def view(self) -> View:
+        """The ordered view over registry numbers, built by `finalize` when
+        the graph changed since."""
         if self._view is None:
             self.finalize()
         return self._view
@@ -267,6 +314,24 @@ class HypernodeGraph:
         """The registry number of an endpoint, or None when unregistered."""
         return (self._graph_no if isinstance(ep, GraphId) else self._node_no).get(ep.path)
 
+    def function_refs(self, contract: str, function: str) -> tuple[int, tuple[int, ...]]:
+        """The number of a function's hypernode and the numbers of the nodes
+        its statements reference (every overload's), as `build` recorded
+        them."""
+        g = self._graph_no[contract, function]
+        return g, self._fn_refs.get(g, ())
+
+    @property
+    def refs(self) -> dict[GraphId, frozenset[NodeId]]:
+        """Per function hypernode, the nodes its statements reference; built
+        from `function_refs` on first read."""
+        if self._refs is None:
+            eps = self._endpoints
+            self._refs = {
+                eps[g]: frozenset(map(eps.__getitem__, nodes)) for g, nodes in self._fn_refs.items()
+            }
+        return self._refs
+
     def _slice(self, gid: GraphId, grouped: tuple[list[int], list[int]]) -> list[int]:
         n = self._graph_no.get(gid.path) if isinstance(gid, GraphId) else None
         if n is None:
@@ -275,35 +340,34 @@ class HypernodeGraph:
         return flat[start[n] : start[n + 1]]
 
     def graphs(self) -> tuple[GraphId, ...]:
-        view = self._read()
+        view = self.view()
         ordered = map(view.endpoints.__getitem__, view.order)
         return tuple(ep for ep in ordered if isinstance(ep, GraphId))
 
     def members(self, gid: GraphId) -> tuple[Endpoint, ...]:
-        view = self._read()
+        view = self.view()
         return tuple(view.endpoints[n] for n in self._slice(gid, view.members))
 
     def edges(self, gid: GraphId) -> tuple[Edge, ...]:
-        view = self._read()
+        view = self.view()
+        if self._stored_edges is None:
+            # By (tail, head) rank, then placed by storing graph.
+            rank, order = view.rank, view.order
+            ranked = sorted(rank[e >> _SHIFT] << _SHIFT | rank[e & _LOW] for e in self._edge_owner)
+            edges = [order[e >> _SHIFT] << _SHIFT | order[e & _LOW] for e in ranked]
+            owner = self._edge_owner
+            self._stored_edges = _grouped(edges, [owner[e] for e in edges], len(view.endpoints))
         eps = view.endpoints
-        return tuple((eps[e >> _SHIFT], eps[e & _LOW]) for e in self._slice(gid, view.edges))
+        stored = self._slice(gid, self._stored_edges)
+        return tuple((eps[e >> _SHIFT], eps[e & _LOW]) for e in stored)
 
     def all_edges(self) -> tuple[Edge, ...]:
         return tuple(edge for gid in self.graphs() for edge in self.edges(gid))
 
     def nodes(self) -> tuple[NodeId, ...]:
-        view = self._read()
+        view = self.view()
         ordered = map(view.endpoints.__getitem__, view.order)
         return tuple(ep for ep in ordered if isinstance(ep, NodeId))
-
-    def adjacency(self) -> tuple[tuple[Endpoint, ...], list[int], list[int]]:
-        """(endpoints, heads, start): the successor adjacency over registry
-        numbers that `finalize` built. endpoints[n] is the endpoint numbered
-        n (see `number`); the heads of its out-edges are the numbers
-        heads[start[n]:start[n + 1]]."""
-        view = self._read()
-        heads, start = view.succ
-        return view.endpoints, heads, start
 
     def source_slice(self, ep: Endpoint) -> str:
         """Exact source text of an element's recorded span."""
@@ -320,56 +384,55 @@ def build(models: Iterable[ContractModel], source_text: str = "") -> HypernodeGr
     Deterministic: node and edge sets depend only on the models, never on
     dict iteration order or statement shuffling, because membership and
     edges are sorted at finalize time, identities are path-based, and a
-    node's span is a function of its identity. Hypernodes and the external
-    sink are looked up, not made again, by every function that touches
-    them; a state node made again by another function resolves to the
-    registered one.
+    node's span is a function of its identity. Each path is registered once
+    and looked up by every later entry, statement and call that names it;
+    edges are added as registry numbers.
     """
     models = list(models)
     h = HypernodeGraph(source_text)
+    register, link = h._register, h._link
 
     # Registration pass: graphs first, then nodes, so every edge target
     # (including forward references to later functions) already exists.
     # Overloads share one hypernode.
-    hypernode: dict[tuple[str, str], GraphId] = {}
+    hypernode: dict[tuple[str, str], int] = {}
     for m in models:
-        h.add_graph(GraphId((m.name,)), span=m.source_span)
+        register((m.name,), GraphId, m.source_span)
     for m in models:
         for f in m.functions:
             path = (m.name, f.name)
             if path not in hypernode:
-                hypernode[path] = h.add_graph(GraphId(path), span=f.source_span)
+                hypernode[path] = register(path, GraphId, f.source_span)
 
     # Node + edge pass. Every entry of a function's table is referenced by
     # some statement, so it becomes a node even when no statement defines
     # anything (guards, returns, bare sends): source reads stay visible to
     # taint propagation.
+    refs = h._fn_refs
     for m in models:
-        sink = NodeId((m.name, EXTERNAL_SINK))  # registered on first use
+        sink = (m.name, EXTERNAL_SINK)  # registered on first use
         for f in m.functions:
-            node = [h.add_node(NodeId(d.path), span=d.source_span) for d in f.decls]
+            node = [register(d.path, NodeId, d.source_span) for d in f.decls]
             for stmt in f.statements:
                 defs = [node[d] for d in stmt.defs]
                 for u in stmt.uses:
                     for d in defs:
-                        h.add_edge(node[u], d)
+                        link(node[u], d)
                 for site in stmt.calls:
-                    target: Endpoint
                     if site.owner is not None:
                         target = hypernode[site.owner, site.name]
                     else:
-                        target = h.add_node(sink)
+                        target = register(sink, NodeId, None)
                         if not site.external:
                             h.diagnostics.append(
                                 f"unresolved callee {site.name!r} in {m.name}.{f.name}"
                             )
                     for u in site.arg_reads:
-                        h.add_edge(node[u], target)
+                        link(node[u], target)
                     if site.owner is not None:
                         for d in defs:
-                            h.add_edge(target, d)
+                            link(target, d)
             # Overloads share one hypernode, so their references unite.
-            gid = hypernode[m.name, f.name]
-            bound = h.refs.get(gid)
-            h.refs[gid] = frozenset(node) if bound is None else bound.union(node)
+            g = hypernode[m.name, f.name]
+            refs[g] = refs.get(g, ()) + tuple(node)
     return h.finalize()

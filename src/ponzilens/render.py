@@ -4,16 +4,21 @@ One rendered node per tainted endpoint; node ids are full dotted paths so
 they stay unique across contracts and functions, while labels drop the
 contract prefix for in-function variables to keep the picture readable.
 Source nodes (the graph's `sources`) render as diamonds, function
-hypernodes as box3d. Output is a
-pure function of the taint result: lines are sorted, so two runs over the
-same input are byte-identical.
+hypernodes as box3d. Output is a pure function of the taint result: node
+lines follow `endpoint_key` order and edge lines are sorted, so two runs
+over the same input are byte-identical.
+
+`to_dot` reads registry numbers: the taint result's tainted numbers, put in
+order by the rank `HypernodeGraph.finalize` computed, and its edges as
+pairs of numbers. Each endpoint's quoted id is escaped once and shared by
+its node line and its edge lines; no endpoint set is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypergraph import Endpoint, GraphId, HypernodeGraph, NodeId, endpoint_key
+from .hypergraph import Endpoint, GraphId, HypernodeGraph, NodeId
 from .taint import TaintSubgraph
 
 
@@ -31,29 +36,21 @@ class DotDocument:
     edge_count: int
 
 
-def _dot_id(ep: Endpoint) -> str:
-    return ".".join(ep.path)
-
-
 def _label(ep: Endpoint) -> str:
     if isinstance(ep, GraphId):
-        return ".".join(ep.path[1:]) or _dot_id(ep)
+        return ".".join(ep.path[1:]) or ".".join(ep.path)
     if len(ep.path) >= 3:
         return ".".join(ep.path[1:])
-    return _dot_id(ep)
+    return ".".join(ep.path)
 
 
 def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_line(ep: Endpoint, is_source: bool, indent: str) -> str:
-    attrs = [f'label="{_escape(_label(ep))}"']
-    if is_source:
-        attrs.append("shape=diamond")
-    elif isinstance(ep, GraphId):
-        attrs.append("shape=box3d")
-    return f'{indent}"{_escape(_dot_id(ep))}" [{" ".join(attrs)}];'
+def _node_line(ep: Endpoint, dot_id: str, is_source: bool, indent: str) -> str:
+    shape = " shape=diamond" if is_source else " shape=box3d" if isinstance(ep, GraphId) else ""
+    return f'{indent}"{dot_id}" [label="{_escape(_label(ep))}"{shape}];'
 
 
 def to_dot(
@@ -61,42 +58,44 @@ def to_dot(
 ) -> DotDocument:
     """Render the tainted subgraph as a DOT digraph named `taint`."""
     opts = opts or RenderOptions()
-    endpoints = sorted(t.tainted, key=endpoint_key)
+    view = h.view()
+    eps = view.endpoints
+    numbers = sorted(t.tainted_numbers(h), key=view.rank.__getitem__)
+    # Each endpoint's quoted id is escaped once, for its node and its edges.
+    dot_id = {n: _escape(".".join(eps[n].path)) for n in numbers}
     sources = h.sources
+
+    def node_line(n: int, indent: str) -> str:
+        return _node_line(eps[n], dot_id[n], eps[n] in sources, indent)
 
     lines = ["digraph taint {"]
     if opts.cluster:
-        grouped: dict[tuple[str, str], list[Endpoint]] = {}
-        top: list[Endpoint] = []
-        for ep in endpoints:
+        grouped: dict[tuple[str, str], list[int]] = {}
+        top: list[int] = []
+        for n in numbers:
+            ep = eps[n]
             if isinstance(ep, NodeId) and len(ep.path) >= 3:
-                grouped.setdefault((ep.path[0], ep.path[1]), []).append(ep)
+                grouped.setdefault((ep.path[0], ep.path[1]), []).append(n)
             else:
-                top.append(ep)
-        for ep in top:
-            lines.append(_node_line(ep, ep in sources, "  "))
+                top.append(n)
+        lines += [node_line(n, "  ") for n in top]
         for (contract, fname), members in sorted(grouped.items()):
             lines.append(f'  subgraph "cluster_{_escape(contract)}_{_escape(fname)}" {{')
             lines.append(f'    label="{_escape(contract)}.{_escape(fname)}";')
-            for ep in members:
-                lines.append(_node_line(ep, ep in sources, "    "))
+            lines += [node_line(n, "    ") for n in members]
             lines.append("  }")
     else:
-        for ep in endpoints:
-            lines.append(_node_line(ep, ep in sources, "  "))
+        lines += [node_line(n, "  ") for n in numbers]
 
+    # Distinct endpoints can share an id (a node and a graph on one path),
+    # so edge lines are deduplicated as text.
     edge_lines = sorted(
-        f'  "{_escape(_dot_id(a))}" -> "{_escape(_dot_id(b))}";'
-        for a, b in t.taint_edges
+        {f'  "{dot_id[a]}" -> "{dot_id[b]}";' for a, b in t.taint_edge_numbers(h)}
     )
-    seen: set[str] = set()
-    for line in edge_lines:
-        if line not in seen:
-            seen.add(line)
-            lines.append(line)
+    lines.extend(edge_lines)
     lines.append("}")
     return DotDocument(
         text="\n".join(lines) + "\n",
-        node_count=len(endpoints),
-        edge_count=len(seen),
+        node_count=len(numbers),
+        edge_count=len(edge_lines),
     )

@@ -8,9 +8,12 @@ the tainted state is used even when the constructor itself never touches a
 tainted name.
 
 Which declaration a name denotes is decided once, by `model.lower`; slicing
-resolves nothing. It reads the nodes each function references from the
-graph (`HypernodeGraph.refs` per function hypernode) and each contract's
-linearization from its model (`ContractModel.linearization`).
+resolves nothing. It reads registry numbers: each function's hypernode and
+the nodes it references from the graph (`HypernodeGraph.function_refs`),
+tested against the taint result's numbers (`tainted_numbers`), and each
+contract's linearization from its model (`ContractModel.linearization`). No
+endpoint set is built, except the tainted state variables when a
+constructor is not selected on its own.
 
 Slices are whole functions, taken verbatim from the source span, combined in
 source order and separated by blank lines; a selected name with overloads
@@ -27,7 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .hypergraph import GraphId, HypernodeGraph
+from .hypergraph import HypernodeGraph
 from .model import CTOR_NAME, ContractModel, FunctionModel
 from .taint import TaintSubgraph, tainted_state_vars
 
@@ -72,13 +75,16 @@ def select_functions(
 
     `h` must come from `hypergraph.build` over the same models.
     """
-    tainted_owners = {s.path[0] for s in tainted_state_vars(t, h)}
+    tainted = t.tainted_numbers(h)
+    tainted_owners: set[str] | None = None
 
     selected: list[str] = []
     for m, f in _ordered_functions(models):
-        gid = GraphId((m.name, f.name))
-        keep = gid in t.tainted or not t.tainted.isdisjoint(h.refs[gid])
+        g, nodes = h.function_refs(m.name, f.name)
+        keep = g in tainted or not tainted.isdisjoint(nodes)
         if not keep and include_constructors and f.name == CTOR_NAME:
+            if tainted_owners is None:
+                tainted_owners = {s.path[0] for s in tainted_state_vars(t, h)}
             keep = not tainted_owners.isdisjoint(m.linearization)
         if keep:
             selected.append(f.qualified_name)
@@ -93,7 +99,7 @@ def _invokes(text: str, name: str) -> bool:
 
 
 def _header_block(
-    gids: list[GraphId],
+    functions: list[tuple[str, str]],
     h: HypernodeGraph,
     models: Sequence[ContractModel],
     slice_texts: dict[str, str],
@@ -103,8 +109,11 @@ def _header_block(
     seen_spans: set[tuple[int, int]] = set()
 
     # Contract-level nodes are the two-component paths: state variables.
-    state_refs = {nid for gid in gids for nid in h.refs[gid] if len(nid.path) == 2}
-    for nid in state_refs:
+    eps = h.view().endpoints
+    refs = {n for contract, fname in functions for n in h.function_refs(contract, fname)[1]}
+    for nid in map(eps.__getitem__, refs):
+        if len(nid.path) != 2:
+            continue
         span = h.span_map.get(nid)
         if span is None or span in seen_spans:
             continue
@@ -164,7 +173,7 @@ def combine_slices(
                 found.append(f.source_span)
 
     per_function: dict[str, str] = {}
-    sliced: list[GraphId] = []
+    sliced: list[tuple[str, str]] = []
     skipped: list[str] = []
     for fid in ordered:
         texts = [h.source_text[off : off + n] for off, n in sorted(spans[fid])]
@@ -174,7 +183,7 @@ def combine_slices(
             continue
         per_function[fid] = "\n\n".join(texts)
         contract, _, fname = fid.partition(".")
-        sliced.append(GraphId((contract, fname)))
+        sliced.append((contract, fname))
 
     combined_text = "\n\n".join(per_function[fid] for fid in ordered if fid in per_function)
     header = _header_block(sliced, h, models, per_function)

@@ -24,7 +24,12 @@ import astfuzz  # noqa: E402
 from programs import REGISTRY, pay_help_unit, random_unit  # noqa: E402
 
 from ponzilens.cli import graph_document, ir_document  # noqa: E402
-from ponzilens.detect import MODE_FULL, TemplateSet, build_analysis_prompt, run_static_pipeline  # noqa: E402
+from ponzilens.detect import (  # noqa: E402
+    MODE_FULL,
+    TemplateSet,
+    build_analysis_prompt,
+    run_static_pipeline,
+)
 from ponzilens.errors import PonzilensError  # noqa: E402
 from ponzilens.ingest import load_ast  # noqa: E402
 
@@ -56,7 +61,8 @@ def unit_digests() -> dict[str, dict[str, str]]:
             continue
         texts = {"ir": ir_document(art.models), "graph": graph_document(art.graph, art.taint)}
         try:
-            texts["prompt"] = build_analysis_prompt(art.bundle, art.dot, MODE_FULL, templates).rendered
+            prompt = build_analysis_prompt(art.bundle, art.dot, MODE_FULL, templates)
+            texts["prompt"] = prompt.rendered
         except PonzilensError:
             pass
         digests[name] = {kind: hashlib.sha256(t.encode()).hexdigest() for kind, t in texts.items()}

@@ -21,6 +21,8 @@ from ponzilens.hypergraph import (
 )
 from ponzilens.ingest import load_ast
 from ponzilens.model import Names, lower
+from ponzilens.render import to_dot
+from ponzilens.slicing import combine_slices, select_functions
 from ponzilens.taint import default_sources, tpa
 from programs import pay_help_unit
 
@@ -305,10 +307,11 @@ def test_mutation_after_finalize_is_seen_by_tpa():
 
 def test_lower_and_build_allocation_budget():
     # GC-tracked objects that outlive lower + build on 300 pay/help pairs.
-    # The count repeats exactly once caches are warm: 11,135 on CPython
-    # 3.11 (23,122 before ids were one object per path, references and
-    # their sets interned, and the graph kept as ints). The bound is that
-    # count plus about 10 %.
+    # The count repeats exactly once caches are warm: 9,023 on CPython 3.11
+    # since build keeps per-function node numbers (9,626 with a frozenset
+    # of ids per function; 11,135 before names were bound in lower; 23,122
+    # before ids were one object per path and the graph kept as ints). The
+    # bound is the 11,135 count plus about 10 %.
     u = load_ast(pay_help_unit(300)[1])
 
     def survivors() -> int:
@@ -321,3 +324,30 @@ def test_lower_and_build_allocation_budget():
 
     survivors()
     assert survivors() < 12_250
+
+
+def test_taint_slice_and_render_allocation_budget():
+    # GC-tracked objects, dicts aside, that outlive tpa, select_functions,
+    # combine_slices and to_dot on 300 pay/help pairs, the graph built
+    # beforehand: 7 on CPython 3.11, the results themselves (1,806 while the
+    # taint result held sets of endpoints and edges, and slicing read
+    # per-function sets of ids). Dicts are left out because CPython before
+    # 3.11 tracks instance dicts as objects of their own. The bound is that
+    # count plus 10 %, so endpoint or edge sets made on this path fail it.
+    u = load_ast(pay_help_unit(300)[1])
+    models = lower(u)
+    h = build(models, u.source_text)
+
+    def tracked() -> int:
+        gc.collect()
+        return sum(not isinstance(o, dict) for o in gc.get_objects())
+
+    def survivors() -> int:
+        before = tracked()
+        t = tpa(h, default_sources(h))
+        bundle = combine_slices(select_functions(t, h, models), h, models)  # noqa: F841
+        dot = to_dot(t, h)  # noqa: F841 (counted while alive)
+        return tracked() - before
+
+    survivors()
+    assert survivors() <= 7
