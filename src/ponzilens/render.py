@@ -48,11 +48,6 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_line(ep: Endpoint, dot_id: str, is_source: bool, indent: str) -> str:
-    shape = " shape=diamond" if is_source else " shape=box3d" if isinstance(ep, GraphId) else ""
-    return f'{indent}"{dot_id}" [label="{_escape(_label(ep))}"{shape}];'
-
-
 def to_dot(
     t: TaintSubgraph, h: HypernodeGraph, opts: RenderOptions | None = None
 ) -> DotDocument:
@@ -66,7 +61,12 @@ def to_dot(
     sources = h.sources
 
     def node_line(n: int, indent: str) -> str:
-        return _node_line(eps[n], dot_id[n], eps[n] in sources, indent)
+        ep = eps[n]
+        if ep in sources:
+            shape = " shape=diamond"
+        else:
+            shape = " shape=box3d" if isinstance(ep, GraphId) else ""
+        return f'{indent}"{dot_id[n]}" [label="{_escape(_label(ep))}"{shape}];'
 
     lines = ["digraph taint {"]
     if opts.cluster:
