@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success; 1 positive detection under --gate; 2 usage errors
-(bad flags, missing files, malformed addresses); 3 pipeline failures
-(compiler, network, backend).
+(bad flags, missing or unusable files, malformed addresses); 3 pipeline
+failures (compiler, network, backend).
 
 Commands:
   analyze  static pipeline only: slice selection, tainted state vars, DOT
@@ -270,6 +270,7 @@ def ir_document(models: list[ContractModel]) -> str:
 def graph_document(g: HypernodeGraph, taint: TaintSubgraph) -> str:
     """The `--dump-graph` file: every graph's members and edges, and the
     tainted endpoints, as indented JSON."""
+    view = g.view()
     graph_doc = {
         "graphs": [
             {
@@ -281,22 +282,32 @@ def graph_document(g: HypernodeGraph, taint: TaintSubgraph) -> str:
             }
             for gid in g.graphs()
         ],
-        "tainted": [_endpoint_json(ep) for ep in sorted(taint.tainted, key=lambda e: (e.path, type(e).__name__))],
+        "tainted": [
+            _endpoint_json(view.endpoints[n])
+            for n in sorted(taint.numbers, key=view.rank.__getitem__)
+        ],
     }
     return json.dumps(graph_doc, indent=2) + "\n"
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _static_run(args: argparse.Namespace, **opts):
+    """Load `args.path`, compiling it when it has no AST, run the full-mode
+    static pipeline with `opts`, and write the taint DOT into `args.out`.
+    Returns the unit, the artifacts and the DOT's path."""
     unit = load_source_unit(args.path)
     if unit.ast_json is None:
         compile_source(unit)
-    art = run_static_pipeline(
-        unit, MODE_FULL, include_constructors=not args.no_constructors
-    )
+    art = run_static_pipeline(unit, MODE_FULL, **opts)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dot_path = out_dir / f"{unit.id}.taint.dot"
     dot_path.write_text(art.dot.text)
+    return unit, art, dot_path
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    unit, art, dot_path = _static_run(args, include_constructors=not args.no_constructors)
+    out_dir = dot_path.parent
 
     tainted_state = sorted(str(n) for n in tainted_state_vars(art.taint, art.graph))
     payload = {
@@ -305,8 +316,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "functions_selected": art.bundle.stats.functions_selected,
         "selected": list(art.bundle.selected),
         "tainted_state_vars": tainted_state,
-        "tainted_nodes": len(art.taint.tainted),
-        "taint_edges": len(art.taint.taint_edges),
+        "tainted_nodes": len(art.taint.numbers),
+        "taint_edges": sum(1 for _ in art.taint.edge_numbers()),
         "dot": str(dot_path),
     }
 
@@ -418,16 +429,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    unit = load_source_unit(args.path)
-    if unit.ast_json is None:
-        compile_source(unit)
-    art = run_static_pipeline(
-        unit, MODE_FULL, render_opts=RenderOptions(cluster=args.cluster)
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dot_path = out_dir / f"{unit.id}.taint.dot"
-    dot_path.write_text(art.dot.text)
+    unit, art, dot_path = _static_run(args, render_opts=RenderOptions(cluster=args.cluster))
     if args.json:
         print(
             json.dumps(
@@ -505,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

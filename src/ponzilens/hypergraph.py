@@ -14,34 +14,21 @@ stored in the lowest graph that contains both endpoints, so sibling-function
 flows through shared state naturally land in the contract graph and
 cross-contract flows land at the root.
 
-One object per path, one number per object. A graph keeps a registry from
-path to registry number: each endpoint is registered once, numbered in
-registration order, and every later `add_graph`/`add_node`/`add_edge` with
-an equal id resolves to the registered object, so `members`, `edges`,
-`refs` and a taint result hand out the same object for the same path. Ids
-are slotted and immutable, and compute their hash once. Internally an edge
-is a pair of registry numbers packed into one int, so the bulk of a graph
-is ints, which the garbage collector does not track.
+A graph keeps a registry: each endpoint is registered once per path, as one
+object, numbered in registration order, and every later
+`add_graph`/`add_node`/`add_edge` with an equal id resolves to it. The
+number is the currency from `build` to `render.to_dot`; an edge is a pair of
+numbers packed into one int, which the garbage collector does not track.
+`finalize` derives the `View`: every number in `endpoint_key` order and its
+rank there, each graph's members in that order, and the successor
+adjacency. A mutation drops the view, and the next read builds a new one.
 
-The number is the currency from `build` to `render.to_dot`. `build`
-registers each table entry by path, making its id only the first time the
-path is seen, and adds edges as numbers. `finalize` derives the `View`:
-every number in `endpoint_key` order and its rank there, the members of
-each graph in that order, and the successor adjacency. `taint.tpa` walks
-the adjacency, slicing tests numbers against the tainted numbers, and
-`to_dot` orders by rank. Each graph's ordered edge list is made on the
-first `edges` read. A mutation after `finalize` drops the view, and the
-next read builds it again, so it never goes stale.
-
-`build` resolves nothing: `model.lower` bound every name, along each
-contract's C3 linearization as Solidity does, and recorded the node path of
-each entry of a function's declaration table and the contract declaring each
-call's target. `build` makes one node per table entry and takes the edges
-from the statements' indices. It records, per function hypernode, the
-numbers of the nodes the function references (`function_refs`), which
-slicing reads; `refs`, the same as sets of ids, is built on first read. A
-graph also records its source nodes (`HypernodeGraph.sources`: those named
-msg.sender or msg.value) as they are registered.
+`build` resolves nothing: `model.lower` bound every name and recorded each
+declaration's node path and each call's target contract. `build` makes one
+node per table entry, takes the edges from the statements' indices, and
+records per function the numbers of the nodes it references
+(`function_refs`). A graph also records its source nodes (`sources`: those
+named msg.sender or msg.value) as they are registered.
 
 Edge construction per lowered statement:
   * use u, def d       ->  u -> d
@@ -186,9 +173,8 @@ class HypernodeGraph:
         # `edges` read after each `finalize`.
         self._stored_edges: tuple[list[int], list[int]] | None = None
         # Set by `build`: per function hypernode number, the numbers of the
-        # nodes its statements reference; `refs` is built from it.
+        # nodes its statements reference.
         self._fn_refs: dict[int, tuple[int, ...]] = {}
-        self._refs: dict[GraphId, frozenset[NodeId]] | None = None
 
     # --- construction -----------------------------------------------------
 
@@ -320,17 +306,6 @@ class HypernodeGraph:
         them."""
         g = self._graph_no[contract, function]
         return g, self._fn_refs.get(g, ())
-
-    @property
-    def refs(self) -> dict[GraphId, frozenset[NodeId]]:
-        """Per function hypernode, the nodes its statements reference; built
-        from `function_refs` on first read."""
-        if self._refs is None:
-            eps = self._endpoints
-            self._refs = {
-                eps[g]: frozenset(map(eps.__getitem__, nodes)) for g, nodes in self._fn_refs.items()
-            }
-        return self._refs
 
     def _slice(self, gid: GraphId, grouped: tuple[list[int], list[int]]) -> list[int]:
         n = self._graph_no.get(gid.path) if isinstance(gid, GraphId) else None

@@ -8,10 +8,9 @@ hypernodes as box3d. Output is a pure function of the taint result: node
 lines follow `endpoint_key` order and edge lines are sorted, so two runs
 over the same input are byte-identical.
 
-`to_dot` reads registry numbers: the taint result's tainted numbers, put in
-order by the rank `HypernodeGraph.finalize` computed, and its edges as
-pairs of numbers. Each endpoint's quoted id is escaped once and shared by
-its node line and its edge lines; no endpoint set is built.
+`to_dot` reads the taint result's numbers in the graph's rank order, and its
+edge numbers. Each endpoint's quoted id is escaped once, for its node line
+and its edge lines.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ def to_dot(
     opts = opts or RenderOptions()
     view = h.view()
     eps = view.endpoints
-    numbers = sorted(t.tainted_numbers(h), key=view.rank.__getitem__)
+    numbers = sorted(t.numbers, key=view.rank.__getitem__)
     # Each endpoint's quoted id is escaped once, for its node and its edges.
     dot_id = {n: _escape(".".join(eps[n].path)) for n in numbers}
     sources = h.sources
@@ -90,7 +89,7 @@ def to_dot(
     # Distinct endpoints can share an id (a node and a graph on one path),
     # so edge lines are deduplicated as text.
     edge_lines = sorted(
-        {f'  "{dot_id[a]}" -> "{dot_id[b]}";' for a, b in t.taint_edge_numbers(h)}
+        {f'  "{dot_id[a]}" -> "{dot_id[b]}";' for a, b in t.edge_numbers()}
     )
     lines.extend(edge_lines)
     lines.append("}")

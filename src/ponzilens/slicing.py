@@ -8,12 +8,10 @@ the tainted state is used even when the constructor itself never touches a
 tainted name.
 
 Which declaration a name denotes is decided once, by `model.lower`; slicing
-resolves nothing. It reads registry numbers: each function's hypernode and
-the nodes it references from the graph (`HypernodeGraph.function_refs`),
-tested against the taint result's numbers (`tainted_numbers`), and each
-contract's linearization from its model (`ContractModel.linearization`). No
-endpoint set is built, except the tainted state variables when a
-constructor is not selected on its own.
+resolves nothing. It tests each function's numbers
+(`HypernodeGraph.function_refs`) against the taint result's `numbers`, and
+reads each contract's `ContractModel.linearization` for the constructor
+rule.
 
 Slices are whole functions, taken verbatim from the source span, combined in
 source order and separated by blank lines; a selected name with overloads
@@ -75,7 +73,7 @@ def select_functions(
 
     `h` must come from `hypergraph.build` over the same models.
     """
-    tainted = t.tainted_numbers(h)
+    tainted = t.numbers
     tainted_owners: set[str] | None = None
 
     selected: list[str] = []

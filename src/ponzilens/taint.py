@@ -9,79 +9,51 @@ is the least fixed point regardless of edge visit order.
 
 Propagation walks the successor adjacency that `HypernodeGraph.finalize`
 builds once, over registry numbers, with an explicit work stack, so deeply
-nested inputs cannot exhaust the interpreter stack. The result is the set of
-tainted numbers and the adjacency it was walked on; slicing and rendering
-read those. The endpoint objects (`tainted`) and the edges between them
-(`taint_edges`) are built only when something reads them: the CLI, tests,
-the benchmark's checks.
+nested inputs cannot exhaust the interpreter stack. The result is exactly
+what was walked: the tainted numbers and the view they were walked on.
+Slicing and rendering read the numbers; the endpoint sets are built from
+them on each read.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Iterator
 
-from .hypergraph import EXTERNAL_SINK, Edge, Endpoint, GraphId, HypernodeGraph, NodeId
+from .hypergraph import EXTERNAL_SINK, Edge, Endpoint, GraphId, HypernodeGraph, NodeId, View
 
 
 class TaintSubgraph:
-    """Result of one propagation run.
+    """Result of one propagation run: the registry numbers of every endpoint
+    (basic node or hypernode) reached from the sources, sources included,
+    and the graph's view they were walked on. A later mutation of the graph
+    makes a new view, so a result keeps describing the graph it was taken
+    from.
 
-    tainted: every endpoint (basic node or hypernode) reached from the
-    sources, sources included. taint_edges: every edge whose tail is
-    tainted; by fixed-point closure their heads are tainted too.
-
-    `tpa` records the tainted registry numbers and the adjacency it walked,
-    and builds both sets from them on first read. A subgraph can also be
-    made by hand from the two sets, `TaintSubgraph(id, tainted,
-    taint_edges)`; its numbers are then looked up in the graph it is read
-    against, where its endpoints must be registered.
+    `tainted` and `taint_edges` are those endpoints, and every edge whose
+    tail is tainted (by fixed-point closure its head is tainted too), built
+    from the numbers on each read.
     """
 
-    __slots__ = ("id", "_tainted", "_taint_edges", "_walked")
+    __slots__ = ("id", "numbers", "_view")
 
-    def __init__(
-        self,
-        id: GraphId,
-        tainted: AbstractSet[Endpoint] | None = None,
-        taint_edges: AbstractSet[Edge] | None = None,
-        *,
-        walked: tuple[tuple[Endpoint, ...], AbstractSet[int], list[int], list[int]] | None = None,
-    ):
+    def __init__(self, id: GraphId, numbers: AbstractSet[int], view: View):
         self.id = id
-        self._tainted = None if tainted is None else frozenset(tainted)
-        self._taint_edges = None if taint_edges is None else frozenset(taint_edges)
-        # (endpoints, tainted numbers, heads, start), as `tpa` walked them.
-        self._walked = walked
+        self.numbers = numbers
+        self._view = view
 
-    def _edge_numbers(self) -> Iterator[tuple[int, int]]:
-        _eps, numbers, heads, start = self._walked
-        return ((a, b) for a in numbers for b in heads[start[a] : start[a + 1]])
+    def edge_numbers(self) -> Iterator[tuple[int, int]]:
+        """The taint edges as (tail, head) registry numbers."""
+        heads, start = self._view.succ
+        return ((a, b) for a in self.numbers for b in heads[start[a] : start[a + 1]])
 
     @property
     def tainted(self) -> frozenset[Endpoint]:
-        if self._tainted is None:
-            eps = self._walked[0]
-            self._tainted = frozenset(map(eps.__getitem__, self._walked[1]))
-        return self._tainted
+        return frozenset(map(self._view.endpoints.__getitem__, self.numbers))
 
     @property
     def taint_edges(self) -> frozenset[Edge]:
-        if self._taint_edges is None:
-            eps = self._walked[0]
-            self._taint_edges = frozenset((eps[a], eps[b]) for a, b in self._edge_numbers())
-        return self._taint_edges
-
-    def tainted_numbers(self, h: HypernodeGraph) -> AbstractSet[int]:
-        """The tainted endpoints as registry numbers of `h`."""
-        if self._walked is not None:
-            return self._walked[1]
-        return set(map(h.number, self.tainted))
-
-    def taint_edge_numbers(self, h: HypernodeGraph) -> Iterator[tuple[int, int]]:
-        """The taint edges as (tail, head) registry numbers of `h`."""
-        if self._walked is not None:
-            return self._edge_numbers()
-        return ((h.number(a), h.number(b)) for a, b in self.taint_edges)
+        eps = self._view.endpoints
+        return frozenset((eps[a], eps[b]) for a, b in self.edge_numbers())
 
     def _value(self) -> tuple:
         return self.id, self.tainted, self.taint_edges
@@ -95,8 +67,8 @@ class TaintSubgraph:
         return hash(self._value())
 
     def __repr__(self) -> str:
-        counts = f"tainted={len(self.tainted)}, taint_edges={len(self.taint_edges)}"
-        return f"TaintSubgraph(id={self.id!r}, {counts})"
+        edges = sum(1 for _ in self.edge_numbers())
+        return f"TaintSubgraph(id={self.id!r}, tainted={len(self.numbers)}, taint_edges={edges})"
 
 
 def default_sources(h: HypernodeGraph) -> frozenset[NodeId]:
@@ -121,7 +93,7 @@ def tpa(h: HypernodeGraph, sources: frozenset[NodeId] | set[NodeId]) -> TaintSub
             if head not in tainted:
                 tainted.add(head)
                 stack.append(head)
-    return TaintSubgraph(h.root, walked=(view.endpoints, tainted, heads, start))
+    return TaintSubgraph(h.root, tainted, view)
 
 
 def tainted_state_vars(t: TaintSubgraph, h: HypernodeGraph) -> frozenset[NodeId]:

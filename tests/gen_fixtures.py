@@ -7,7 +7,8 @@ per unit `pinned_units` yields, the sha256 of its `--dump-ir` document, of
 its `--dump-graph` document and of its full-mode analysis prompt (slice,
 header and DOT), so a change to lowering, the graph, slicing or rendering
 names the units it touches. With --pin --check it writes nothing, prints
-the units whose digests differ from the file, and exits 1 when any do.
+each unit whose digests differ from the file with the digests that differ,
+and exits 1 when any do.
 """
 
 from __future__ import annotations
@@ -70,9 +71,16 @@ def unit_digests() -> dict[str, dict[str, str]]:
 
 
 def changed_units(want: dict, got: dict) -> list[str]:
-    """The units whose digests differ between two pin documents, or that
-    only one of them has."""
-    return sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+    """`unit: kinds` for each unit whose digests differ between two pin
+    documents, naming the digests (`ir`, `graph`, `prompt`) that differ; a
+    digest or a unit only one of them has differs."""
+    changed = []
+    for name in sorted(want.keys() | got.keys()):
+        a, b = want.get(name, {}), got.get(name, {})
+        kinds = [kind for kind in ("ir", "graph", "prompt") if a.get(kind) != b.get(kind)]
+        if kinds:
+            changed.append(f"{name}: {', '.join(kinds)}")
+    return changed
 
 
 def main(argv: list[str] | None = None) -> int:

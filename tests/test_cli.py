@@ -327,6 +327,34 @@ def test_missing_input_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{dir}"],
+        ["metrics", "{dir}", "{manifest}"],
+        ["batch", "{dir}"],
+        ["analyze", "{fixture}", "--out", "{file}"],
+        ["graph", "{fixture}", "--out", "{file}"],
+        ["detect", "{fixture}", "--out", "{file}"],
+    ],
+    ids=["analyze-dir", "metrics-dir", "batch-dir", "analyze-out", "graph-out", "detect-out"],
+)
+def test_unusable_path_is_usage_error(tmp_path, capsys, argv):
+    # A directory where a file is read, or a file where --out makes a
+    # directory, is an OSError: exit 2 with a message, not a traceback.
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    names = {
+        "dir": str(tmp_path),
+        "manifest": _write_manifest(tmp_path),
+        "fixture": _fx("simple_ponzi"),
+        "file": str(occupied),
+    }
+    rc = main([arg.format(**names) for arg in argv])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["explode"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE

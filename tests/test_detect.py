@@ -1164,3 +1164,17 @@ def test_run_batch_over_http_journal_is_independent_of_concurrency(mock_chat, tm
         journals.append(sorted(lines))
     assert len(journals[0]) == len(fixutil.FIXTURE_NAMES)
     assert journals[0] == journals[1]
+
+
+def test_readme_python_api_block_runs(monkeypatch, capsys):
+    # The README's "Python API" example, run from the repo root as written,
+    # prints the values its comments state.
+    root = fixutil.FIXTURES.parent.parent
+    readme = (root / "README.md").read_text()
+    section = readme[readme.index("## Python API") :]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    stated = re.findall(r"^print\(.*\)\s+# (.*)$", code, re.M)
+    assert stated == ["('SimplePonzi.enter',)", "8", "True"]
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == stated

@@ -33,6 +33,18 @@ def _graph(name: str):
     return build(models, u.source_text), models
 
 
+def _function_refs(h: HypernodeGraph, models) -> dict[GraphId, frozenset[NodeId]]:
+    """Per function hypernode, the nodes `function_refs` records for it, as
+    registered ids."""
+    eps = h.view().endpoints
+    out = {}
+    for m in models:
+        for f in m.functions:
+            g, nodes = h.function_refs(m.name, f.name)
+            out[eps[g]] = frozenset(map(eps.__getitem__, nodes))
+    return out
+
+
 def _edge_strs(h: HypernodeGraph) -> set[tuple[str, str, tuple[str, ...]]]:
     """(tail, head, path of the graph storing the edge) for every edge."""
     return {(str(a), str(b), gid.path) for gid in h.graphs() for a, b in h.edges(gid)}
@@ -209,12 +221,13 @@ def test_source_slice_exact_and_nospan():
 def test_function_node_id_resolution():
     # build makes a node per table entry and records the nodes per function.
     h, models = _graph("inherit")
-    assert set(h.refs) == {GraphId(("Base", "put")), GraphId(("Child", "drain"))}
-    drain = h.refs[GraphId(("Child", "drain"))]
+    refs = _function_refs(h, models)
+    assert set(refs) == {GraphId(("Base", "put")), GraphId(("Child", "drain"))}
+    drain = refs[GraphId(("Child", "drain"))]
     assert NodeId(("Base", "reserve")) in drain
     assert NodeId(("Child", "drain", "take")) in drain
     assert NodeId(("Child", "reserve")) not in drain
-    assert NodeId(("Base", "reserve")) in h.refs[GraphId(("Base", "put"))]
+    assert NodeId(("Base", "reserve")) in refs[GraphId(("Base", "put"))]
     assert models[1].linearization == ("Child", "Base")
 
 
@@ -246,11 +259,12 @@ def test_hollow_unit_builds_empty_graphs():
 
 
 def test_one_object_per_path_across_views():
-    h, _ = _graph("inherit")
+    h, models = _graph("inherit")
     t = tpa(h, default_sources(h))
+    refs = _function_refs(h, models)
     seen = [ep for gid in h.graphs() for ep in (gid, *h.members(gid))]
     seen += [ep for edge in h.all_edges() for ep in edge]
-    seen += [*h.refs, *(ep for nodes in h.refs.values() for ep in nodes), *h.nodes()]
+    seen += [*refs, *(ep for nodes in refs.values() for ep in nodes), *h.nodes()]
     seen += [*t.tainted, *(ep for edge in t.taint_edges for ep in edge)]
     registered: dict = {}
     for ep in seen:
@@ -291,12 +305,18 @@ def test_mutation_after_finalize_is_seen_by_tpa():
     h, _ = _graph("caller")
     sources = default_sources(h)
     local = NodeId(("Caller", "stash", "v"))
-    assert local not in tpa(h, sources).tainted
+    before = tpa(h, sources)
+    tainted, taint_edges = before.tainted, before.taint_edges
+    assert local not in tainted
     h.add_node(NodeId(("Caller", "take", "late")))
     h.add_edge(NodeId(("Caller", "take", "msg.value")), local)
     mutated = tpa(h, sources)
     assert local in mutated.tainted
     assert mutated == tpa(h.finalize(), sources)
+    # A result taken before the mutation still describes the graph it was
+    # taken from: its view is not the one the mutation made.
+    assert before.tainted == tainted and before.taint_edges == taint_edges
+    assert before != mutated
     # Reads after the mutation are sorted again, new members included.
     assert [str(m) for m in h.members(GraphId(("Caller", "take")))] == [
         "Caller.take.late",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from ponzilens.hypergraph import GraphId, HypernodeGraph, NodeId, endpoint_key  # noqa: E402
 from ponzilens.render import RenderOptions, to_dot  # noqa: E402
-from ponzilens.taint import TaintSubgraph  # noqa: E402
+from ponzilens.taint import tpa  # noqa: E402
 
 # Shared prefixes ("a" and "ab", ("a",) and ("a", "b")), a dot inside a
 # component, an empty component, and characters that sort below the dot.
@@ -55,10 +55,12 @@ def test_finalize_order_is_endpoint_key_order(paths):
     for gid in h.graphs():
         assert list(h.members(gid)) == [ep for ep in want if ep.path[:-1] == gid.path and ep.path]
 
-    # Every endpoint but the root tainted: the DOT node lines, flat and
-    # clustered, follow the same order.
+    # Every endpoint but the root tainted, each as its own source, on a graph
+    # without edges: the DOT node lines, flat and clustered, follow the same
+    # order.
     tainted = frozenset(everything[1:])
-    t = TaintSubgraph(h.root, tainted, frozenset())
+    t = tpa(h, tainted)
+    assert t.tainted == tainted and t.taint_edges == frozenset()
     flat = to_dot(t, h).text
     ids = re.findall(r'^  "(.*)" \[label=', flat, re.M)
     assert ids == [".".join(ep.path) for ep in want if ep in tainted]

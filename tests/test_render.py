@@ -8,7 +8,7 @@ import pytest
 from ponzilens.hypergraph import HypernodeGraph, NodeId, build
 from ponzilens.model import lower
 from ponzilens.render import RenderOptions, to_dot
-from ponzilens.taint import TaintSubgraph, default_sources, tpa
+from ponzilens.taint import default_sources, tpa
 
 
 def _render(name: str, cluster: bool = False):
@@ -112,12 +112,8 @@ def test_quotes_and_backslashes_round_trip():
     h.add_node(a)
     h.add_node(b)
     h.add_edge(a, b)
-    h.finalize()
-    t = TaintSubgraph(
-        id=h.root,
-        tainted=frozenset({a, b}),
-        taint_edges=frozenset({(a, b)}),
-    )
+    t = tpa(h, {a})
+    assert t.tainted == {a, b} and t.taint_edges == {(a, b)}
     doc = to_dot(t, h)
     g = dotcheck.parse_dot(doc.text)
     assert set(g.edges) == {('says "hi"', "back\\slash")}

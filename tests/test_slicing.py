@@ -164,7 +164,13 @@ def test_selection_matches_independent_predicate_on_random_models():
         models, source = oracles.random_models(rng)
         h = build(models, source)
         # Every state reference names the contract Solidity's C3 order picks.
-        assert {g.path: set(nodes) for g, nodes in h.refs.items()} == oracles.reference_nodes(models)
+        eps = h.view().endpoints
+        refs = {
+            (m.name, f.name): set(map(eps.__getitem__, h.function_refs(m.name, f.name)[1]))
+            for m in models
+            for f in m.functions
+        }
+        assert refs == oracles.reference_nodes(models)
         t = tpa(h, default_sources(h))
         for flag in (True, False):
             got = select_functions(t, h, models, include_constructors=flag)
@@ -191,7 +197,10 @@ def test_overloads_share_one_hypernode_and_its_refs():
     u = load_ast(build_unit("overloads", [contract])[1])
     models = lower(u)
     h = build(models, u.source_text)
-    assert {NodeId(("O", "x")), NodeId(("O", "z"))} <= h.refs[GraphId(("O", "f"))]
+    g, nodes = h.function_refs("O", "f")
+    eps = h.view().endpoints
+    assert eps[g] == GraphId(("O", "f"))
+    assert {NodeId(("O", "x")), NodeId(("O", "z"))} <= set(map(eps.__getitem__, nodes))
     t = tpa(h, default_sources(h))
     assert select_functions(t, h, models) == ["O.g", "O.f", "O.f"]
 
