@@ -227,12 +227,13 @@ def _endpoint_json(ep) -> dict:
 
 
 def _ref_text(f: FunctionModel, i: int) -> str:
-    return f"{f.decls[i].scope.value}:{f.decls[i].name}"
+    return f"{f.decls[i].scope.value}:{f.decls[i].path[-1]}"
 
 
 def ir_document(models: list[ContractModel]) -> str:
     """The `--dump-ir` file: every lowered statement and each function's
-    def/use table, as indented JSON. A reference is written `scope:name`."""
+    def/use table, as indented JSON. A reference is written `scope:name`,
+    where the name is the last component of its node path."""
     ir = []
     for m in models:
         ir.append(

@@ -14,8 +14,14 @@ an AST nested deeper than the interpreter's recursion limit allows is
 refused with MalformedAst.
 
 Resolution rules:
-  * locals and parameters resolve within the function (locals are collected
-    up front, so use-before-declaration still resolves);
+  * a name resolves during the one statement walk against a stack of
+    scopes, innermost first: block locals, then the function's parameters
+    and return parameters, then state. From Solidity 0.5.0 on, each block
+    and control statement opens a scope, and a local is visible from the
+    end of its declaration to the end of its scope (a `for` initializer's
+    local lives in its loop). Before 0.5.0 blocks open no scope; a use
+    before the declaration, which that compiler hoisted, stays unbound.
+    The compiler version picks the rule, else the pragma, else 0.5.0's;
   * state variables and called functions resolve through the contract's C3
     linearization (Solidity's order, most-derived first, so the rightmost
     base wins), restricted to contracts declared in the same unit; within
@@ -26,10 +32,12 @@ Resolution rules:
   * identifiers that resolve to nothing are dropped.
 
 Lowering is the one place where a name is bound. Each function has one
-table, `FunctionModel.decls`, of the declarations its statements reference:
-one entry per (scope, name), each with its scope, name, node path (`(owner,
-name)` for state, `(contract, function, name)` otherwise) and span. A state
-entry is the declaring contract's own `VariableDecl`. Statements and call
+table, `FunctionModel.decls`: one entry per declaration its statements
+reference, made on first reference, with scope, name, node path and span.
+A state entry is the declaring contract's own `VariableDecl`, path `(owner,
+name)`. A builtin's path is `(contract, function, name)`, as is that of the
+first local or parameter of a name to be referenced; later ones end in
+`name#2`, `name#3`, ..., which no identifier can spell. Statements and call
 sites refer to entries by index, as tuples of ints, which the garbage
 collector does not track. Each call site records the contract declaring its
 target, and each contract its linearization, so later layers resolve
@@ -46,13 +54,14 @@ keccak256, ...) and type conversions produce no call site at all, though
 their argument reads are kept.
 
 A modifier is lowered at each invocation, into the table of the function
-it wraps, in its own scope (its parameters and locals, then state), and
-inlined around the function body at the placeholder statement, with
-invocation arguments bound to modifier parameters through synthetic
-assignments, so guard reads like `msg.sender == owner` surface in the
-function that carries the modifier. Its locals and parameters are keyed by
-name like the function's, so a same-named local of the function shares
-their entry.
+it wraps: each argument is read in the function's scope and bound to its
+parameter by a synthetic assignment, then the body is walked with a scope
+stack of its own (parameters and locals, all as locals, then state) and
+inlined around the function body at the placeholder statement, so guard
+reads like `msg.sender == owner` surface in the function. Its declarations
+are entries of their own: binding `atLeast(v)`'s parameter `v` to the
+function's `v` leaves the function's the plain path and gives the
+modifier's `v#2`.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Container, Iterable, Mapping
+from typing import Container, Mapping
 
 from .errors import MalformedAst
 from .ingest import SourceUnit, source_entry
@@ -161,8 +170,11 @@ class Statement:
 
 @dataclass(slots=True)
 class VariableDecl:
-    """A declared variable. State variables and the entries of a function's
-    `decls` also carry their scope and node path."""
+    """One declaration of a variable. A function's `decls` holds one per
+    declaration its statements reference, whatever its name; state
+    variables and table entries carry their scope and node path, and a
+    parameter carries its scope from the start and its path from its
+    first reference."""
 
     name: str
     type_name: str = ""
@@ -181,8 +193,9 @@ class EventDecl:
 class FunctionModel:
     """One function (or constructor/fallback/receive) of one contract.
 
-    `params` are in declaration order; `decls` is the table of declarations
-    the statements reference (see the module docstring).
+    `params` are in declaration order; `decls` is the table of the
+    declarations the statements reference, one entry per declaration, in
+    order of first reference (see the module docstring).
     """
 
     name: str
@@ -264,44 +277,6 @@ def _c3_merge(seqs: list[tuple[str, ...]], contract: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-class Names:
-    """Which contract declares a name, seen from each contract of one unit.
-
-    Holds one linearization per contract, from `ContractModel.inherits`, and
-    each contract's own declarations (the first of a name wins). A lookup
-    takes the first declaring contract on the linearization and is memoized
-    per (contract, name). The tables snapshot the models at construction.
-    """
-
-    def __init__(self, models: Iterable[ContractModel]):
-        self.models = {m.name: m for m in models}
-        self.linearization = linearize(self.models)
-        self._own_state = {
-            c: {v.name: v for v in reversed(m.state_vars)} for c, m in self.models.items()
-        }
-        self._own_functions = {c: {f.name for f in m.functions} for c, m in self.models.items()}
-        self._state_memo: dict[tuple[str, str], str | None] = {}
-        self._function_memo: dict[tuple[str, str], str | None] = {}
-
-    def _owner(
-        self, memo: dict, own: Mapping[str, Container[str]], contract: str, name: str
-    ) -> str | None:
-        key = (contract, name)
-        if key not in memo:
-            lin = self.linearization.get(contract, ())
-            memo[key] = next((c for c in lin if name in own[c]), None)
-        return memo[key]
-
-    def state(self, contract: str, name: str) -> tuple[str, VariableDecl] | None:
-        """(declaring contract, declaration) of a state variable, or None."""
-        owner = self._owner(self._state_memo, self._own_state, contract, name)
-        return None if owner is None else (owner, self._own_state[owner][name])
-
-    def function(self, contract: str, name: str) -> str | None:
-        """The contract declaring a directly-called function, or None."""
-        return self._owner(self._function_memo, self._own_functions, contract, name)
-
-
 def span_of(node: dict) -> tuple[int, int]:
     """(offset, length) from a node's `src` field; (0, 0) when absent."""
     src = node.get("src")
@@ -342,39 +317,59 @@ class _ExprInfo:
 
 @dataclass(slots=True)
 class _FnContext:
-    """Name-resolution scope for one function or modifier body, and the
-    declaration table of the function it is lowered into."""
+    """The scopes one function or modifier body is lowered in, and the
+    declaration table of the function it is lowered into.
+
+    `scopes` is the stack of local scopes, innermost last, over the
+    parameters; `state`, `functions` and `modifiers` are what the contract
+    sees along its linearization. `index` maps each entered declaration (by
+    identity) and builtin (by name) to its table index; `taken` counts the
+    entries made per local name.
+    """
 
     contract: str
     function: str
-    names: Names
-    params: Container[str]
-    locals: Container[str]
+    contracts: Container[str]
+    state: Mapping[str, VariableDecl]
+    functions: Mapping[str, str]
+    modifiers: Mapping[str, dict]
     source_text: str
-    spans: Mapping[str, tuple[int, int]]  # the function's params and locals
+    block_scoped: bool
+    scopes: list[dict[str, VariableDecl]]
     decls: list[VariableDecl]
-    index: dict[tuple[Scope, str], int]
+    index: dict[int | str, int]
+    taken: dict[str, int]
 
-    def ref(self, scope: Scope, name: str, decl: VariableDecl | None = None) -> int:
-        """The table index of (scope, name), entered on first use; a new
-        entry is `decl`, or else made with the span of the function's
-        parameter or local of that name."""
-        i = self.index.get((scope, name))
+    def ref(self, decl: VariableDecl) -> int:
+        """The table index of `decl`, entered on its first reference; a
+        local or parameter gets its node path then."""
+        i = self.index.get(id(decl))
         if i is None:
-            if decl is None:
-                path = (self.contract, self.function, name)
-                decl = VariableDecl(name, "", self.spans.get(name), scope, path)
-            i = self.index[scope, name] = len(self.decls)
+            if not decl.path:
+                n = self.taken[decl.name] = self.taken.get(decl.name, 0) + 1
+                last = decl.name if n == 1 else f"{decl.name}#{n}"
+                decl.path = (self.contract, self.function, last)
+            # Entries stay in `decls`, so no other object takes their id.
+            i = self.index[id(decl)] = len(self.decls)
             self.decls.append(decl)
         return i
 
+    def builtin(self, name: str) -> int:
+        """The table index of the builtin `name`, entered on first use."""
+        i = self.index.get(name)
+        if i is None:
+            i = self.index[name] = len(self.decls)
+            path = (self.contract, self.function, name)
+            self.decls.append(VariableDecl(name, "", None, Scope.BUILTIN, path))
+        return i
+
     def resolve(self, name: str) -> int | None:
-        if name in self.locals:
-            return self.ref(Scope.LOCAL, name)
-        if name in self.params:
-            return self.ref(Scope.PARAM, name)
-        found = self.names.state(self.contract, name)
-        return None if found is None else self.ref(Scope.STATE, name, found[1])
+        for scope in reversed(self.scopes):
+            decl = scope.get(name)
+            if decl is not None:
+                return self.ref(decl)
+        decl = self.state.get(name)
+        return None if decl is None else self.ref(decl)
 
 
 _MSG = frozenset({"msg"})
@@ -418,7 +413,7 @@ def _analyze_expression(
         base = node.get("expression")
         member = node.get("memberName", "")
         if _is_env_identifier(base, _MSG) and member in ("sender", "value"):
-            info.reads.add(ctx.ref(Scope.BUILTIN, f"msg.{member}"))
+            info.reads.add(ctx.builtin(f"msg.{member}"))
         elif not _is_env_identifier(base):
             _analyze_expression(base, ctx, info)
     elif nt in ("FunctionCall", "FunctionCallOptions"):
@@ -453,7 +448,7 @@ def _call(node: dict, ctx: _FnContext, info: _ExprInfo) -> None:
     head = node.get("expression") if node.get("nodeType") == "FunctionCall" else node
     name = _callee(head, args.reads, ctx, info)
     if name is not None:
-        owner = None if name.startswith(".") else ctx.names.function(ctx.contract, name)
+        owner = None if name.startswith(".") else ctx.functions.get(name)
         info.calls.append(CallSite(name, tuple(sorted(args.reads)), owner))
 
 
@@ -472,7 +467,7 @@ def _callee(head: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> 
     nt = head.get("nodeType")
     if nt == "Identifier":
         name = head.get("name", "")
-        if not name or name in _BUILTIN_CALLS or name in ctx.names.models:
+        if not name or name in _BUILTIN_CALLS or name in ctx.contracts:
             return None  # a builtin, or a contract-type cast
         ref = ctx.resolve(name)
         if ref is None:
@@ -577,7 +572,7 @@ def _textual_reads(node: dict, ctx: _FnContext) -> set[int]:
             found.add(ref)
     for builtin in BUILTIN_NAMES:
         if builtin in text:
-            found.add(ctx.ref(Scope.BUILTIN, builtin))
+            found.add(ctx.builtin(builtin))
     return found
 
 
@@ -586,24 +581,6 @@ def _textual_reads(node: dict, ctx: _FnContext) -> set[int]:
 
 # Marks the `_;` position inside a lowered modifier body.
 _PLACEHOLDER = object()
-
-
-def _local_decls(node: object, into: dict[str, tuple[int, int]]) -> None:
-    """Add the span of each local a body declares to `into`, by name, unless
-    the name is there already. Only the statement positions
-    `_lower_statement` walks are visited: a declaration statement never sits
-    inside an expression."""
-    if isinstance(node, list):
-        for item in node:
-            _local_decls(item, into)
-    elif isinstance(node, dict):
-        if node.get("nodeType") == "VariableDeclarationStatement":
-            for d in _list(node, "declarations"):
-                if isinstance(d, dict) and d.get("name"):
-                    into.setdefault(d["name"], span_of(d))
-        for key, value in node.items():
-            if key in _NESTED:
-                _local_decls(value, into)
 
 
 def _type_text(decl: dict) -> str:
@@ -624,14 +601,6 @@ _CONTROL = {
     "DoWhileStatement": (Kind.LOOP, (), ("body",)),
     "ForStatement": (Kind.LOOP, ("initializationExpression",), ("body", "loopExpression")),
 }
-
-
-# Keys that hold statements: a block's, a control statement's children, and
-# a try statement's clauses and their blocks.
-_NESTED = frozenset(
-    {"statements", "clauses", "block"}
-    | {k for _, before, after in _CONTROL.values() for k in before + after}
-)
 
 
 def _emit(out: list, kind: Kind, info: _ExprInfo, node: dict) -> None:
@@ -657,24 +626,31 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         else:
             kind = Kind.ASSIGN
         _emit(out, kind, info, node)
-    elif nt in ("Block", "UncheckedBlock"):
-        for child in _objects(node, "statements"):
-            _lower_statement(child, ctx, out)
-    elif nt in _CONTROL:
-        kind, before, after = _CONTROL[nt]
-        for key in before:
-            _lower_statement(node.get(key), ctx, out)
-        cond = node.get("condition")
-        where = cond if isinstance(cond, dict) else node
-        _emit(out, kind, _analyze_expression(cond, ctx), where)
-        for key in after:
-            _lower_statement(node.get(key), ctx, out)
+    elif nt in _CONTROL or nt in ("Block", "UncheckedBlock"):
+        # A scope of its own, or before 0.5.0 the one it is in again.
+        ctx.scopes.append({} if ctx.block_scoped else ctx.scopes[-1])
+        if nt in _CONTROL:
+            kind, before, after = _CONTROL[nt]
+            for key in before:
+                _lower_statement(node.get(key), ctx, out)
+            cond = node.get("condition")
+            where = cond if isinstance(cond, dict) else node
+            _emit(out, kind, _analyze_expression(cond, ctx), where)
+            for key in after:
+                _lower_statement(node.get(key), ctx, out)
+        else:
+            for child in _objects(node, "statements"):
+                _lower_statement(child, ctx, out)
+        ctx.scopes.pop()
     elif nt == "VariableDeclarationStatement":
-        info = _ExprInfo()
+        # The initializer is read before the new locals are in scope.
+        info = _analyze_expression(node.get("initialValue"), ctx)
         for d in _list(node, "declarations"):
             if isinstance(d, dict) and d.get("name"):
-                info.writes.add(ctx.ref(Scope.LOCAL, d["name"]))
-        _analyze_expression(node.get("initialValue"), ctx, info)
+                decl = ctx.scopes[-1][d["name"]] = VariableDecl(
+                    d["name"], "", span_of(d), Scope.LOCAL
+                )
+                info.writes.add(ctx.ref(decl))
         _emit(out, Kind.DECLARE, info, node)
     elif nt == "Return":
         _emit(out, Kind.RETURN, _analyze_expression(node.get("expression"), ctx), node)
@@ -707,17 +683,15 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         _emit(out, Kind.OPAQUE, info, node)
 
 
-def _param_decls(node: dict, key: str) -> list[VariableDecl]:
+def _param_decls(node: dict, key: str, scope: Scope) -> list[VariableDecl]:
     plist = node.get(key) or {}
     if not isinstance(plist, dict):
         raise MalformedAst(f"{node.get('nodeType')} has a non-object {key}")
-    decls = []
-    for p in _objects(plist, "parameters"):
-        if p.get("name"):
-            decls.append(
-                VariableDecl(name=p["name"], type_name=_type_text(p), source_span=span_of(p))
-            )
-    return decls
+    return [
+        VariableDecl(p["name"], _type_text(p), span_of(p), scope)
+        for p in _objects(plist, "parameters")
+        if p.get("name")
+    ]
 
 
 def _function_name(node: dict, contract_name: str) -> str:
@@ -734,46 +708,41 @@ def _function_name(node: dict, contract_name: str) -> str:
     return name
 
 
-def _lower_function(
-    fn_node: dict, ctx: _FnContext, modifiers: Mapping[str, Mapping[str, dict]]
-) -> list[Statement]:
+def _lower_function(fn_node: dict, ctx: _FnContext) -> list[Statement]:
     """A function body's statements, wrapped in each modifier's halves. Each
     invocation lowers the nearest definition of its modifier on the
-    linearization (`modifiers` holds each contract's own, by name) into the
-    function's table; invocation arguments are read in the function's scope."""
+    linearization into the function's table."""
     result: list = []
     _lower_statement(fn_node.get("body"), ctx, result)
     result = [s for s in result if s is not _PLACEHOLDER]
     for inv in reversed(_objects(fn_node, "modifiers")):
         mname = inv.get("modifierName", {})
         name = mname.get("name") if isinstance(mname, dict) else None
-        if not name or name in ctx.names.models:
+        if not name or name in ctx.contracts:
             continue  # base-constructor invocation, not a modifier
-        lin = ctx.names.linearization[ctx.contract]
-        mdef = next((modifiers[c][name] for c in lin if name in modifiers[c]), None)
-        if mdef is None:
-            continue
-        mparams, pre, post = _lower_modifier(mdef, ctx)
-        binds: list[Statement] = []
-        for p, arg in zip(mparams, _list(inv, "arguments")):
-            info = _analyze_expression(arg, ctx)
-            info.writes = {ctx.ref(Scope.LOCAL, p.name)}
-            _emit(binds, Kind.ASSIGN, info, arg if isinstance(arg, dict) else {})
-        result = binds + pre + result + post
+        mdef = ctx.modifiers.get(name)
+        if mdef is not None:
+            pre, post = _lower_modifier(mdef, inv, ctx)
+            result = pre + result + post
     return result
 
 
-def _lower_modifier(mdef: dict, ctx: _FnContext) -> tuple[list[VariableDecl], list, list]:
-    """The parameters of a modifier definition, and the statements before and
-    after its first `_;`, lowered in its own scope: its parameters and
-    locals, all as locals, then state."""
-    params = _param_decls(mdef, "parameters")
-    scope = {p.name: p.source_span for p in params}
-    _local_decls(mdef.get("body"), scope)
+def _lower_modifier(mdef: dict, inv: dict, ctx: _FnContext) -> tuple[list, list]:
+    """The statements one invocation of a modifier puts before and after
+    the body it wraps. First each argument, read in the function's scope,
+    is bound to its parameter; then the body is walked with a scope stack
+    of its own, its parameters and locals all as locals, and split at its
+    first `_;`."""
+    params = _param_decls(mdef, "parameters", Scope.LOCAL)
+    pre: list = []
+    for p, arg in zip(params, _list(inv, "arguments")):
+        info = _analyze_expression(arg, ctx)
+        info.writes = {ctx.ref(p)}
+        _emit(pre, Kind.ASSIGN, info, arg if isinstance(arg, dict) else {})
     body: list = []
-    _lower_statement(mdef.get("body"), replace(ctx, params=(), locals=scope), body)
+    _lower_statement(mdef.get("body"), replace(ctx, scopes=[{p.name: p for p in params}]), body)
     split = (body + [_PLACEHOLDER]).index(_PLACEHOLDER)
-    return params, body[:split], [s for s in body[split + 1 :] if s is not _PLACEHOLDER]
+    return pre + body[:split], [s for s in body[split + 1 :] if s is not _PLACEHOLDER]
 
 
 def _list(node: dict, key: str) -> list:
@@ -794,6 +763,29 @@ def _objects(node: dict, key: str) -> list[dict]:
     if not all(isinstance(i, dict) for i in items):
         raise MalformedAst(f"{node.get('nodeType')} has a non-object member in {key!r}")
     return items
+
+
+def _visible(lin: tuple[str, ...], own: Mapping[str, Mapping]) -> dict:
+    """What a contract sees of a per-contract table along its linearization:
+    the most-derived declaring contract wins."""
+    seen: dict = {}
+    for c in reversed(lin):
+        seen.update(own[c])
+    return seen
+
+
+_VERSION_RE = re.compile(r"(\d{1,4})\.(\d{1,4})")  # bounded, so `int` never refuses
+
+
+def _block_scoped(unit: SourceUnit) -> bool:
+    """Whether blocks open scopes, as from Solidity 0.5.0 on: read from the
+    first version literal of the compiler version, else of the pragma, and
+    true when neither has one."""
+    for version in (unit.compiler_version, unit.pragma_version):
+        found = _VERSION_RE.search(version) if isinstance(version, str) else None
+        if found:
+            return (int(found[1]), int(found[2])) >= (0, 5)
+    return True
 
 
 def lower(unit: SourceUnit) -> list[ContractModel]:
@@ -825,14 +817,10 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
         for member in members:
             mt = member.get("nodeType")
             if mt == "VariableDeclaration" and member.get("name"):
+                vname = member["name"]
+                path = (name, vname)
                 state_vars.append(
-                    VariableDecl(
-                        name=member["name"],
-                        type_name=_type_text(member),
-                        source_span=span_of(member),
-                        scope=Scope.STATE,
-                        path=(name, member["name"]),
-                    )
+                    VariableDecl(vname, _type_text(member), span_of(member), Scope.STATE, path)
                 )
             elif mt == "EventDefinition" and member.get("name"):
                 events.append(EventDecl(name=member["name"], source_span=span_of(member)))
@@ -867,26 +855,35 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
             for member in members
         ]
         bodies.append(members)
-    names = Names(models)
-    for model in models:
-        model.linearization = names.linearization[model.name]
+    by_name = {m.name: m for m in models}
+    lin = linearize(by_name)
+    # Each contract's own state, functions (to their owner) and modifiers
+    # by name, the first of a name winning.
+    own = (
+        {m.name: {v.name: v for v in reversed(m.state_vars)} for m in models},
+        {m.name: {f.name: m.name for f in m.functions} for m in models},
+        modifiers,
+    )
+    block_scoped = _block_scoped(unit)
 
     # Last, function bodies, nested no deeper than the recursion limit
     # allows (see the module docstring).
     try:
         for model, members in zip(models, bodies):
+            model.linearization = lin[model.name]
+            if not members:
+                continue
+            visible = [_visible(model.linearization, table) for table in own]
             for fn, member in zip(model.functions, members):
-                fn.params = _param_decls(member, "parameters")
-                local_spans: dict[str, tuple[int, int]] = {}
-                _local_decls(member.get("body"), local_spans)
-                for r in _param_decls(member, "returnParameters"):
-                    local_spans.setdefault(r.name, r.source_span)
-                spans = {p.name: p.source_span for p in fn.params} | local_spans
+                fn.params = _param_decls(member, "parameters", Scope.PARAM)
+                bottom = {p.name: p for p in fn.params}
+                for r in _param_decls(member, "returnParameters", Scope.LOCAL):
+                    bottom[r.name] = r
                 ctx = _FnContext(
-                    model.name, fn.name, names, {p.name for p in fn.params}, local_spans,
-                    unit.source_text, spans, fn.decls, {},
+                    model.name, fn.name, by_name, *visible, unit.source_text, block_scoped,
+                    [bottom], fn.decls, {}, {},
                 )
-                fn.statements = _lower_function(member, ctx, modifiers)
+                fn.statements = _lower_function(member, ctx)
     except RecursionError:
         raise MalformedAst("AST nested too deeply to lower") from None
     return models
@@ -899,8 +896,8 @@ def def_use_table(
     function's statements.
 
     Indices are statement positions in `fn.statements`, ascending. Every
-    entry referenced by any statement appears, in (scope, name) order;
-    entries never referenced do not.
+    entry referenced by any statement appears, in (scope, name) order, then
+    table order; entries never referenced do not.
     """
     table: dict[int, tuple[list[int], list[int]]] = {}
     for i, stmt in enumerate(fn.statements):

@@ -210,6 +210,13 @@ class SDecl(Stmt):
 
     def emit(self, w: Writer, indent: int) -> dict:
         w.write(" " * indent)
+        node = self.inline(w)
+        w.write(";\n")
+        return node
+
+    def inline(self, w: Writer) -> dict:
+        """Write the declaration without indent or `;`, as a `for` header
+        holds it."""
         start = w.pos
         decl_text = f"{self.type_text} {self.name}"
         w.write(decl_text)
@@ -231,7 +238,6 @@ class SDecl(Stmt):
             init_node = self.init.node(w.pos)
             w.write(self.init.text)
         length = w.pos - start
-        w.write(";\n")
         return {
             "nodeType": "VariableDeclarationStatement",
             "declarations": [decl_node],
@@ -356,6 +362,52 @@ class SWhile(Stmt):
                 "nodeType": "Block",
                 "statements": body_nodes,
                 "src": f"{block_start}:{length}:0",
+            },
+            "src": f"{start}:{length}:0",
+        }
+
+
+class SFor(Stmt):
+    """`for (init; cond; step) { body }`, where `init` is a declaration and
+    `step` an expression, each optional."""
+
+    def __init__(self, init: SDecl | None, cond: Expr, step: Expr | None, body: list[Stmt]):
+        self.init = init
+        self.cond = cond
+        self.step = step
+        self.body = body
+
+    def emit(self, w: Writer, indent: int) -> dict:
+        w.write(" " * indent)
+        start = w.pos
+        w.write("for (")
+        init_node = self.init.inline(w) if self.init is not None else None
+        w.write("; ")
+        cond_node = self.cond.node(w.pos)
+        w.write(self.cond.text)
+        w.write("; ")
+        step_node = None
+        if self.step is not None:
+            step_node = {
+                "nodeType": "ExpressionStatement",
+                "expression": self.step.node(w.pos),
+                "src": _src(w.pos, self.step.text),
+            }
+            w.write(self.step.text)
+        w.write(") {\n")
+        body_nodes = [s.emit(w, indent + 4) for s in self.body]
+        w.write(" " * indent + "}")
+        length = w.pos - start
+        w.write("\n")
+        return {
+            "nodeType": "ForStatement",
+            "initializationExpression": init_node,
+            "condition": cond_node,
+            "loopExpression": step_node,
+            "body": {
+                "nodeType": "Block",
+                "statements": body_nodes,
+                "src": f"{start}:{length}:0",
             },
             "src": f"{start}:{length}:0",
         }

@@ -1,6 +1,6 @@
 """Regenerate tests/fixtures/ from the builders in programs.py.
 
-Usage: PYTHONPATH=src python3 tests/gen_fixtures.py [--pin [--check]]
+Usage: PYTHONPATH=src python3 tests/gen_fixtures.py [--pin [--check] | --show UNIT]
 
 With --pin it writes only tests/fixtures/golden/units.sha256.json instead:
 per unit `pinned_units` yields, the sha256 of its `--dump-ir` document, of
@@ -8,7 +8,9 @@ its `--dump-graph` document and of its full-mode analysis prompt (slice,
 header and DOT), so a change to lowering, the graph, slicing or rendering
 names the units it touches. With --pin --check it writes nothing, prints
 each unit whose digests differ from the file with the digests that differ,
-and exits 1 when any do.
+and exits 1 when any do. With --show UNIT it writes nothing and prints the
+three texts one pinned unit is hashed by, each under a `=== kind ===` line,
+so a changed digest can be diffed between two checkouts.
 """
 
 from __future__ import annotations
@@ -48,26 +50,49 @@ def pinned_units():
         yield f"fuzz_{seed:03d}", astfuzz.unit(seed)
 
 
+def unit_texts(doc: dict, templates: TemplateSet) -> dict[str, str]:
+    """A unit's IR, graph document and full-mode analysis prompt, by kind.
+    Empty when the document does not lower; without a prompt when the slice
+    is empty, so that no prompt can be built."""
+    try:
+        art = run_static_pipeline(load_ast(doc), MODE_FULL)
+    except PonzilensError:
+        return {}
+    texts = {"ir": ir_document(art.models), "graph": graph_document(art.graph, art.taint)}
+    try:
+        texts["prompt"] = build_analysis_prompt(art.bundle, art.dot, MODE_FULL, templates).rendered
+    except PonzilensError:
+        pass
+    return texts
+
+
 def unit_digests() -> dict[str, dict[str, str]]:
-    """Per unit, the sha256 of its IR, its graph document and its full-mode
-    analysis prompt. A fuzz document that does not lower has no entry; a
-    unit whose slice is empty, so that no prompt can be built, has no
-    prompt digest."""
+    """Per unit, the sha256 of each of its `unit_texts`; a unit with none
+    has no entry."""
     templates = TemplateSet()
     digests = {}
     for name, doc in pinned_units():
-        try:
-            art = run_static_pipeline(load_ast(doc), MODE_FULL)
-        except PonzilensError:
-            continue
-        texts = {"ir": ir_document(art.models), "graph": graph_document(art.graph, art.taint)}
-        try:
-            prompt = build_analysis_prompt(art.bundle, art.dot, MODE_FULL, templates)
-            texts["prompt"] = prompt.rendered
-        except PonzilensError:
-            pass
-        digests[name] = {kind: hashlib.sha256(t.encode()).hexdigest() for kind, t in texts.items()}
+        texts = unit_texts(doc, templates)
+        if texts:
+            digests[name] = {k: hashlib.sha256(t.encode()).hexdigest() for k, t in texts.items()}
     return digests
+
+
+def show(name: str) -> int:
+    """Print the texts of the pinned unit `name`; 1 when it does not
+    lower, 2 when no pinned unit has that name."""
+    doc = next((d for n, d in pinned_units() if n == name), None)
+    if doc is None:
+        print(f"no pinned unit {name!r}", file=sys.stderr)
+        return 2
+    texts = unit_texts(doc, TemplateSet())
+    if not texts:
+        print(f"{name} does not lower", file=sys.stderr)
+        return 1
+    for kind, text in texts.items():
+        print(f"=== {kind} ===")
+        print(text, end="" if text.endswith("\n") else "\n")
+    return 0
 
 
 def changed_units(want: dict, got: dict) -> list[str]:
@@ -85,6 +110,12 @@ def changed_units(want: dict, got: dict) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if "--show" in args:
+        at = args.index("--show") + 1
+        if at == len(args):
+            print("--show needs a unit name", file=sys.stderr)
+            return 2
+        return show(args[at])
     if "--pin" in args:
         got = unit_digests()
         if "--check" in args:

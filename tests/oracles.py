@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately written from first principles: the taint
-closure is a naive repeat-until-stable scan, and the slice predicate
+closure is a naive repeat-until-stable scan, the slice predicate
 re-derives node identities from each reference's scope and name through
-Python's MRO, never from a path the library recorded. The graph generator
+Python's MRO, never from a path the library recorded, and the scoped-body
+generator binds every identifier it writes by a scope model of its own. The graph generator
 builds graphs directly, so `hypergraph.build` is never in the loop; the
 model generator renders Solidity through `astgen` and lowers it.
 """
@@ -24,8 +25,11 @@ from astgen import (
     SAssign,
     SDecl,
     SExpr,
+    SFor,
+    SIf,
     StateVar,
     Tuple_,
+    Un,
     build_unit,
 )
 from ponzilens.hypergraph import GraphId, HypernodeGraph, NodeId
@@ -271,3 +275,103 @@ def random_models(rng: random.Random) -> tuple[list[ContractModel], str]:
         contracts.append(Contract(cname, members, inherits_of[cname]))
     source, doc = build_unit("random", contracts)
     return lower(load_ast(doc)), source
+
+
+_SCOPED_NAMES = ("a", "b", "c", "d", "e")
+Binding = tuple[str, tuple[str, ...]]  # (scope value, node path)
+
+
+def random_scoped_unit(
+    rng: random.Random, pragma: str
+) -> tuple[dict, list[tuple[frozenset[Binding], frozenset[Binding]]]]:
+    """A unit whose one function `S.f` nests `if` blocks and `for` loops,
+    and for each statement lowering makes of it, in order, the (defs, uses)
+    its identifiers are meant to bind to.
+
+    State variables, parameters and locals share five names, so locals
+    shadow state, parameters and outer locals, and sibling blocks reuse
+    names. From 0.5.0 on (by `pragma`), the function body, each block and
+    each loop open a scope, and a local is visible from the end of its
+    declaration to the end of its scope; before, every local is visible
+    from the end of its declaration to the end of the function. An
+    identifier with no declaration in sight binds to the state variable of
+    its name, or to nothing. Each declaration is its own binding: the first
+    of a name to be referenced has the path (S, f, name), later ones
+    (S, f, name#2), (S, f, name#3), ...
+    """
+    block_scoped = not pragma.lstrip("^").startswith("0.4")
+    state = rng.sample(_SCOPED_NAMES, rng.randrange(0, 4))
+    params = rng.sample(_SCOPED_NAMES, rng.randrange(0, 3))
+    # A declaration is [scope value, name, path once referenced].
+    scopes: list[dict[str, list]] = [{p: ["param", p, None] for p in params}]
+    referenced: dict[str, int] = {}
+    records: list[tuple[frozenset[Binding], frozenset[Binding]]] = []
+
+    def bind(name: str) -> Binding | None:
+        decl = next((s[name] for s in reversed(scopes) if name in s), None)
+        if decl is None:
+            return ("state", ("S", name)) if name in state else None
+        if decl[2] is None:
+            n = referenced[name] = referenced.get(name, 0) + 1
+            decl[2] = ("S", "f", name if n == 1 else f"{name}#{n}")
+        return (decl[0], decl[2])
+
+    def reads() -> tuple[object, set[Binding]]:
+        names = [rng.choice(_SCOPED_NAMES) for _ in range(rng.randrange(0, 3))]
+        bound = {b for b in map(bind, names) if b is not None}
+        expr = Id(names[0]) if names else Lit(1)
+        for name in names[1:]:
+            expr = Bin(expr, "+", Id(name))
+        return expr, bound
+
+    def record(defs: set, uses: set) -> None:
+        records.append((frozenset(defs), frozenset(uses)))
+
+    def declare(name: str, value: object, uses: set) -> SDecl:
+        # The initializer is bound before the new local is in scope.
+        scopes[-1][name] = ["local", name, None]
+        record({bind(name)}, uses)
+        return SDecl("uint", name, value)
+
+    def block(depth: int) -> list:
+        if block_scoped:
+            scopes.append({})
+        body = [statement(depth) for _ in range(rng.randrange(1, 4))]
+        if block_scoped:
+            scopes.pop()
+        return body
+
+    def statement(depth: int):
+        roll = rng.random()
+        name = rng.choice(_SCOPED_NAMES)
+        if depth < 3 and roll < 0.2:
+            cond, uses = reads()
+            record(set(), uses)
+            return SIf(cond, block(depth + 1))
+        if depth < 3 and roll < 0.35:
+            if block_scoped:
+                scopes.append({})
+            value, uses = reads()
+            init = declare(name, value, uses)
+            limit = rng.choice(_SCOPED_NAMES)
+            record(set(), {bind(name), bind(limit)} - {None})
+            body = block(depth + 1)
+            step = {bind(name)}  # after the body's own scope has closed
+            record(step, step)
+            if block_scoped:
+                scopes.pop()
+            return SFor(init, Bin(Id(name), "<", Id(limit)), Un("++", Id(name), prefix=False), body)
+        if roll < 0.65:
+            value, uses = reads()
+            return declare(name, value, uses)
+        target = bind(name)
+        value, uses = reads()
+        record({target} - {None}, uses)
+        return SAssign(Id(name), "=", value)
+
+    if block_scoped:
+        scopes.append({})  # the function body's block
+    body = [statement(0) for _ in range(rng.randrange(1, 6))]
+    members = [StateVar("uint", v) for v in state] + [Fn("f", [("uint", p) for p in params], body)]
+    version = pragma.lstrip("^")
+    return build_unit("scoped", [Contract("S", members)], pragma, version)[1], records

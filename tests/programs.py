@@ -11,6 +11,7 @@ import random
 
 from astgen import (
     Bin,
+    Expr,
     Call,
     Contract,
     EventDef,
@@ -444,6 +445,58 @@ REGISTRY = {
 # --- generated corpora --------------------------------------------------------
 
 
+def _core_state() -> list[StateVar]:
+    """The state of the corpus core: participants, what each is owed, the
+    pot and the payout cursor."""
+    return [
+        StateVar("address[]", "members"),
+        StateVar("uint[]", "owed"),
+        StateVar("uint", "pot"),
+        StateVar("uint", "cursor"),
+    ]
+
+
+def _deposit(who: Expr, value: Expr) -> list:
+    """The corpus core's deposit: `value` joins the pot, and `who` joins the
+    participants, owed twice `value`."""
+    return [
+        SAssign(Id("pot"), "+=", value),
+        SExpr(Call(Member(Id("members"), "push"), [who])),
+        SExpr(Call(Member(Id("owed"), "push"), [Bin(value, "*", Lit(2))])),
+    ]
+
+
+def _payout() -> Fn:
+    """The participant-indexed payout loop that makes the core a Ponzi."""
+    return Fn(
+        "payout",
+        [],
+        [
+            SWhile(
+                Bin(Id("pot"), ">", Index(Id("owed"), Id("cursor"))),
+                [
+                    SAssign(Id("pot"), "-=", Index(Id("owed"), Id("cursor"))),
+                    SExpr(
+                        Call(
+                            Member(Index(Id("members"), Id("cursor")), "send"),
+                            [Index(Id("owed"), Id("cursor"))],
+                        )
+                    ),
+                    SAssign(Id("cursor"), "+=", Lit(1)),
+                ],
+            )
+        ],
+    )
+
+
+def _withdraw_body() -> list:
+    """A caller taking `amount` out of the pot: no loop, no indexed send."""
+    return [
+        SAssign(Id("pot"), "-=", Id("amount")),
+        SExpr(Call(Member(Call(Id("payable"), [_msg("sender")]), "send"), [Id("amount")])),
+    ]
+
+
 def random_unit(rng: random.Random, name: str, ponzi: bool) -> tuple[str, dict]:
     """One randomized contract whose shape matches its label.
 
@@ -452,51 +505,12 @@ def random_unit(rng: random.Random, name: str, ponzi: bool) -> tuple[str, dict]:
     get a harmless loop so label and surface features stay decoupled.
     """
     cname = "C" + name.title().replace("_", "")
-    members: list = [
-        StateVar("address[]", "members"),
-        StateVar("uint[]", "owed"),
-        StateVar("uint", "pot"),
-        StateVar("uint", "cursor"),
-    ]
-    members.append(
-        Fn(
-            "join",
-            [],
-            [
-                SAssign(Id("pot"), "+=", _msg("value")),
-                SExpr(Call(Member(Id("members"), "push"), [_msg("sender")])),
-                SExpr(Call(Member(Id("owed"), "push"), [Bin(_msg("value"), "*", Lit(2))])),
-            ],
-            mutability="payable",
-        )
-    )
+    members: list = _core_state()
+    members.append(Fn("join", [], _deposit(_msg("sender"), _msg("value")), mutability="payable"))
     if ponzi:
-        members.append(
-            Fn(
-                "payout",
-                [],
-                [
-                    SWhile(
-                        Bin(Id("pot"), ">", Index(Id("owed"), Id("cursor"))),
-                        [
-                            SAssign(Id("pot"), "-=", Index(Id("owed"), Id("cursor"))),
-                            SExpr(
-                                Call(
-                                    Member(Index(Id("members"), Id("cursor")), "send"),
-                                    [Index(Id("owed"), Id("cursor"))],
-                                )
-                            ),
-                            SAssign(Id("cursor"), "+=", Lit(1)),
-                        ],
-                    )
-                ],
-            )
-        )
+        members.append(_payout())
     else:
-        body = [
-            SAssign(Id("pot"), "-=", Id("amount")),
-            SExpr(Call(Member(Call(Id("payable"), [_msg("sender")]), "send"), [Id("amount")])),
-        ]
+        body = _withdraw_body()
         if rng.random() < 0.5:
             # A loop with no indexed transfer inside keeps surface features
             # from leaking the label.
@@ -515,6 +529,96 @@ def random_unit(rng: random.Random, name: str, ponzi: bool) -> tuple[str, dict]:
             )
         )
     return build_unit(name, [Contract(cname, members)])
+
+
+# --- shape table ----------------------------------------------------------------
+
+
+_SENDER, _VALUE, _A, _V = _msg("sender"), _msg("value"), Id("a"), Id("v")
+_AV = [("address", "a"), ("uint", "v")]
+
+
+def _join(body: list, params: list = (), modifiers: list = ()) -> Fn:
+    return Fn("join", params, body, mutability="payable", modifiers=modifiers)
+
+
+def _enter(body: list, params: list = _AV) -> Fn:
+    return Fn("enter", params, body, visibility="internal")
+
+
+# Each shape routes the corpus core's deposit one way: (contracts the shape
+# adds before the core's own, the core's members besides its state and its
+# payout or withdraw). The payout reads pot, owed, members and cursor.
+_SHAPES = {
+    "inline": ([], [_join(_deposit(_SENDER, _VALUE))]),
+    # join calls an internal helper with the sender and the value.
+    "helper": (
+        [],
+        [_join([SExpr(Call(Id("enter"), [_SENDER, _VALUE]))]), _enter(_deposit(_A, _V))],
+    ),
+    # A modifier taking the sender and the value deposits them.
+    "modifier": (
+        [],
+        [
+            Modifier("deposits", _AV, _deposit(_A, _V) + [SPlaceholder()]),
+            _join([], modifiers=[("deposits", [_SENDER, _VALUE])]),
+        ],
+    ),
+    # The payable deposit is declared in a base contract.
+    "inherited": ([Contract("Entry", _core_state() + [_join(_deposit(_SENDER, _VALUE))])], []),
+    # The core overrides the base's helper and defers to it through super.
+    "super": (
+        [Contract("Entry", _core_state() + [_enter(_deposit(_A, _V))])],
+        [
+            _join([SExpr(Call(Id("enter"), [_SENDER, _VALUE]))]),
+            _enter([SExpr(Call(Member(Id("super"), "enter"), [_A, _V]))]),
+        ],
+    ),
+    # join calls the two-argument one of two overloads of its helper.
+    "overload": (
+        [],
+        [
+            _join([SExpr(Call(Id("enter"), [_SENDER, _VALUE]))]),
+            _enter([SAssign(Id("pot"), "+=", _V)], [("uint", "v")]),
+            _enter(_deposit(_A, _V)),
+        ],
+    ),
+    # A block-local pot, gone by the time the state pot takes the value;
+    # the participant and the amount owed come in as arguments.
+    "block": (
+        [],
+        [
+            _join(
+                [
+                    SIf(
+                        Bin(Id("owing"), ">", Lit(0)),
+                        [
+                            SDecl("uint", "pot", Bin(Id("owing"), "/", Lit(2))),
+                            SExpr(Call(Id("require"), [Bin(Id("pot"), ">", Lit(0))])),
+                        ],
+                    ),
+                    SAssign(Id("pot"), "+=", _VALUE),
+                    SExpr(Call(Member(Id("members"), "push"), [Id("who")])),
+                    SExpr(Call(Member(Id("owed"), "push"), [Id("owing")])),
+                ],
+                [("address", "who"), ("uint", "owing")],
+            )
+        ],
+    ),
+}
+SHAPES = tuple(_SHAPES)
+
+
+def shape_unit(shape: str, ponzi: bool, pragma: str = "^0.8.19") -> tuple[str, dict]:
+    """The corpus core with its deposit routed as `shape` (see `_SHAPES`):
+    with the payout loop when `ponzi`, else with a Ponzi-free withdraw. The
+    compiler version is `pragma` without its operator."""
+    bases, members = _SHAPES[shape]
+    own = [] if bases else _core_state()
+    tail = _payout() if ponzi else Fn("withdraw", [("uint", "amount")], _withdraw_body())
+    core = Contract("Core", own + members + [tail], [b.name for b in bases])
+    version = pragma.lstrip("^>=<~ ")
+    return build_unit(f"{shape}_shape", [*bases, core], pragma, version)
 
 
 def tall_unit(name: str = "tall", lines: int = 500) -> tuple[str, dict]:

@@ -9,6 +9,7 @@ import random
 import re
 import socket
 import ssl
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -738,8 +739,12 @@ def test_detect_contract_reports_are_byte_identical():
     assert a == b
 
 
+# Each level of an if chain costs the statement walker at least one frame,
+# so a chain as deep as the recursion limit is refused.
 @pytest.mark.parametrize(
-    ("depth", "statements"), [(3000, False), (400, True)], ids=["binary_ops", "ifs"]
+    ("depth", "statements"),
+    [(3000, False), (sys.getrecursionlimit(), True)],
+    ids=["binary_ops", "ifs"],
 )
 def test_detect_contract_reports_too_deep_an_ast(depth, statements):
     unit = load_ast(programs.deep_doc(depth, statements))
@@ -905,6 +910,13 @@ def _hostile_function(path: tuple[str, ...], value: object) -> SourceUnit:
     return load_ast(doc)
 
 
+def _compiler_version(version: object) -> SourceUnit:
+    """simple_ponzi whose document gives `version` as its compiler version."""
+    doc = fixutil.load_doc("simple_ponzi")
+    doc["compiler"]["version"] = version
+    return load_ast(doc)
+
+
 def _scalar_list(key: str) -> SourceUnit:
     """relay, plus a tuple and a try statement, with every list under `key`
     replaced by the scalar 7."""
@@ -949,6 +961,8 @@ _LIST_FIELDS = (
         "parameter_list_as_list",
         "statements_not_list",
         *(f"{key}_not_list" for key in _LIST_FIELDS),
+        "version_not_a_string",
+        "version_without_a_literal",
     ],
 )
 def test_detect_contract_hostile_ast_is_reported_not_raised(case):
@@ -968,15 +982,19 @@ def test_detect_contract_hostile_ast_is_reported_not_raised(case):
         ),
         "statements_not_list": lambda: _hostile_function(("body", "statements"), 7),
         **{f"{key}_not_list": lambda key=key: _scalar_list(key) for key in _LIST_FIELDS},
+        # Lowering reads the version to pick the scoping rule.
+        "version_not_a_string": lambda: _compiler_version(5),
+        "version_without_a_literal": lambda: _compiler_version("latest"),
     }
     report = detect_contract(units[case](), LlmConfig(), repeats=1)
-    if case == "deep_chain":
+    if case == "deep_chain" or case.startswith("version_"):
         assert report.error is None
         assert report.final_verdict is not None
-        assert report.slice_stats["functions_selected"] == 1
     else:
         assert report.error is not None and report.error["phase"] == "static"
         assert report.runs == []
+    if case == "deep_chain":
+        assert report.slice_stats["functions_selected"] == 1
     if case.endswith("_not_list"):
         assert repr(case.removesuffix("_not_list")) in report.error["message"]
 

@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 import fixutil
-from astgen import Call, Contract, Fn, Id, SDecl, SReturn, StateVar, build_unit
+from astgen import Call, Contract, Fn, Id, SDecl, SExpr, SReturn, StateVar, build_unit
 from ponzilens.errors import NoSpan, UnknownGraph
 from ponzilens.hypergraph import (
     ROOT,
@@ -20,7 +20,7 @@ from ponzilens.hypergraph import (
     endpoint_key,
 )
 from ponzilens.ingest import load_ast
-from ponzilens.model import Names, lower
+from ponzilens.model import lower
 from ponzilens.render import to_dot
 from ponzilens.slicing import combine_slices, select_functions
 from ponzilens.taint import default_sources, tpa
@@ -232,11 +232,19 @@ def test_function_node_id_resolution():
 
 
 def test_names_function_walks_bases():
-    _, models = _graph("inherit")
-    names = Names(models)
-    assert names.function("Child", "put") == "Base"
-    assert names.function("Base", "put") == "Base"
-    assert names.function("Child", "missing") is None
+    # Child.go calls the inherited put and an undeclared missing; Base.again
+    # calls put in its own contract.
+    base = Contract(
+        "Base",
+        [Fn("put", [], []), Fn("again", [], [SExpr(Call(Id("put")))])],
+    )
+    child = Contract(
+        "Child", [Fn("go", [], [SExpr(Call(Id("put"))), SExpr(Call(Id("missing")))])], ["Base"]
+    )
+    base_model, child_model = lower(load_ast(build_unit("walk", [base, child])[1]))
+    again, go = base_model.functions[1], child_model.functions[0]
+    sites = [s.calls[0] for s in go.statements + again.statements]
+    assert [(c.name, c.owner) for c in sites] == [("put", "Base"), ("missing", None), ("put", "Base")]
 
 
 def test_rightmost_base_wins_under_multiple_inheritance():

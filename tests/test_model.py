@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 
 import astfuzz
 import fixutil
+import oracles
 import programs
 from astgen import (
     Bin,
@@ -35,9 +39,7 @@ from ponzilens.ingest import load_ast
 from ponzilens.model import (
     ContractModel,
     Kind,
-    Names,
     Scope,
-    VariableDecl,
     def_use_table,
     linearize,
     lower,
@@ -500,8 +502,12 @@ def test_lvalue_index_call_is_recorded_once():
         assert _sv("a") in _refs(run, s.uses)
 
 
+# Each level of an if chain costs the statement walker at least one frame,
+# so a chain as deep as the recursion limit is refused.
 @pytest.mark.parametrize(
-    ("depth", "statements"), [(3000, False), (400, True)], ids=["binary_ops", "ifs"]
+    ("depth", "statements"),
+    [(3000, False), (sys.getrecursionlimit(), True)],
+    ids=["binary_ops", "ifs"],
 )
 def test_lowering_refuses_nesting_deeper_than_the_recursion_limit(depth, statements):
     with pytest.raises(MalformedAst, match="nested too deeply"):
@@ -608,10 +614,17 @@ def test_linearization_is_c3_with_rightmost_base_most_derived():
 
 
 def test_first_declaration_wins_within_one_contract():
-    first, second = VariableDecl("x", "uint"), VariableDecl("x", "address")
-    names = Names([ContractModel("K", state_vars=[first, second])])
-    assert names.state("K", "x") == ("K", first)
-    assert names.state("K", "y") is None
+    # K declares x twice; f writes x from y, which K does not declare.
+    f = Fn("f", [], [SAssign(Id("x"), "=", Id("y"))])
+    _, doc = build_unit(
+        "first", [Contract("K", [StateVar("uint", "x"), StateVar("address", "x"), f])]
+    )
+    (k,) = lower(load_ast(doc))
+    first, _second = k.state_vars
+    (f,) = k.functions
+    assert [(d.path[0], d) for d in f.decls] == [("K", first)]
+    assert first.type_name == "uint"
+    assert not any(d.name == "y" for d in f.decls)
 
 
 def test_lower_binds_each_name_once_per_function():
@@ -661,3 +674,48 @@ def test_call_sites_record_the_contract_declaring_their_target():
     assert [(c.name, c.owner) for s in tick.statements for c in s.calls] == [
         ("bump", "Base"), ("bump", "Base"), ("h", None), (".bump", None)
     ]
+
+
+def _bindings(f, indices) -> frozenset[tuple[str, tuple[str, ...]]]:
+    return frozenset((f.decls[i].scope.value, f.decls[i].path) for i in indices)
+
+
+@pytest.mark.parametrize("pragma", ["^0.4.24", "^0.8.19"])
+def test_each_identifier_binds_to_the_declaration_in_scope(pragma):
+    # Nested ifs and loops whose locals reuse state, outer and sibling
+    # names, checked against the generator's own scope model.
+    for seed in range(500):
+        doc, want = oracles.random_scoped_unit(random.Random(seed), pragma)
+        (f,) = lower(load_ast(doc))[0].functions
+        got = [(_bindings(f, s.defs), _bindings(f, s.uses)) for s in f.statements]
+        assert got == want, seed
+
+
+def _deposit_target(doc: dict) -> tuple[str, ...]:
+    """The node path `pot += msg.value` writes in the block shape's join."""
+    join = next(f for f in lower(load_ast(doc))[0].functions if f.name == "join")
+    (s,) = [s for s in join.statements if _refs(join, s.uses) >= {_bv("msg.value")}]
+    (d,) = s.defs
+    return join.decls[d].path
+
+
+@pytest.mark.parametrize(
+    ("compiler", "pragma", "block_scoped"),
+    [
+        ("0.8.19", "^0.8.19", True),
+        ("0.4.26", "^0.4.24", False),
+        # Without a version literal in the compiler version, the pragma rules.
+        (5, "^0.4.24", False),
+        ("latest", "^0.4.24", False),
+        ("latest", "^0.8.19", True),
+        ("0." + "4" * 5000, "^0.4.24", True),
+        # With neither, blocks open scopes.
+        (None, "latest", True),
+    ],
+)
+def test_block_local_scope_follows_the_compiler_version(compiler, pragma, block_scoped):
+    # join declares a local pot inside an if block, then adds msg.value to
+    # pot after the block: state from 0.5.0 on, the hoisted local before.
+    _, doc = programs.shape_unit("block", True, pragma)
+    doc["compiler"]["version"] = compiler
+    assert _deposit_target(doc) == (("Core", "pot") if block_scoped else ("Core", "join", "pot"))
