@@ -534,12 +534,12 @@ def run_static_pipeline(
             raise EmptyInput("raw mode needs source text")
         return StaticArtifacts([], None, None, _raw_bundle(unit.source_text), None)
     models = lower(unit)
-    graph = build(models, unit.source_text)
+    graph = build(models)
     taint = tpa(graph, default_sources(graph))
     selected = select_functions(
         taint, graph, models, include_constructors=include_constructors
     )
-    bundle = combine_slices(selected, graph, models)
+    bundle = combine_slices(selected, models, unit.source_text)
     dot = to_dot(taint, graph, render_opts) if mode == MODE_FULL else None
     return StaticArtifacts(models, graph, taint, bundle, dot)
 

@@ -69,10 +69,6 @@ class UnknownGraph(PonzilensError):
     """A graph id was requested that the hypernode graph does not contain."""
 
 
-class NoSpan(PonzilensError):
-    """source_slice was asked for an element with no recorded source span."""
-
-
 # --- detect ---------------------------------------------------------------
 
 

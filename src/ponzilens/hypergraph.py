@@ -1,5 +1,9 @@
 """Nested data-flow graph over contracts, functions, and variables.
 
+The graph is topology only: endpoints, their nesting and the edges between
+them. It keeps no source text and no spans; slicing reads those from the
+models (`ContractModel`, `FunctionModel`) that `build` was given.
+
 Structure: a root graph contains one hypernode graph per contract; each
 contract graph contains its state-variable nodes, a synthetic @external sink
 node, and one hypernode graph per function; each function graph contains the
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from typing import Iterable, NamedTuple, Union
 
-from .errors import NoSpan, UnknownGraph
+from .errors import UnknownGraph
 from .model import BUILTIN_NAMES, ContractModel
 
 EXTERNAL_SINK = "@external"
@@ -154,9 +158,7 @@ class HypernodeGraph:
     docstring).
     """
 
-    def __init__(self, source_text: str = ""):
-        self.source_text = source_text
-        self.span_map: dict[Endpoint, tuple[int, int]] = {}
+    def __init__(self) -> None:
         self.diagnostics: list[str] = []
         # Every registered node whose last path component is a source name.
         self.sources: set[NodeId] = set()
@@ -179,11 +181,7 @@ class HypernodeGraph:
     # --- construction -----------------------------------------------------
 
     def _register(
-        self,
-        path: tuple[str, ...],
-        kind: type[Endpoint],
-        span: tuple[int, int] | None,
-        ep: Endpoint | None = None,
+        self, path: tuple[str, ...], kind: type[Endpoint], ep: Endpoint | None = None
     ) -> int:
         """The number of the endpoint of `kind` at `path`, registering it
         first (as `ep`, or a new id) when the path is new."""
@@ -203,19 +201,15 @@ class HypernodeGraph:
             self._view = None
             if kind is NodeId and path and path[-1] in BUILTIN_NAMES:
                 self.sources.add(ep)
-        if span is not None:
-            self.span_map.setdefault(self._endpoints[n], span)
         return n
 
-    def add_graph(self, gid: GraphId, span: tuple[int, int] | None = None) -> GraphId:
-        """Register a graph once and return the registered id; the first
-        span recorded is kept."""
-        return self._endpoints[self._register(gid.path, GraphId, span, gid)]
+    def add_graph(self, gid: GraphId) -> GraphId:
+        """Register a graph once and return the registered id."""
+        return self._endpoints[self._register(gid.path, GraphId, gid)]
 
-    def add_node(self, nid: NodeId, span: tuple[int, int] | None = None) -> NodeId:
-        """Register a basic node once and return the registered id; the first
-        span recorded is kept."""
-        return self._endpoints[self._register(nid.path, NodeId, span, nid)]
+    def add_node(self, nid: NodeId) -> NodeId:
+        """Register a basic node once and return the registered id."""
+        return self._endpoints[self._register(nid.path, NodeId, nid)]
 
     def add_edge(self, a: Endpoint, b: Endpoint) -> None:
         na, nb = self.number(a), self.number(b)
@@ -344,27 +338,18 @@ class HypernodeGraph:
         ordered = map(view.endpoints.__getitem__, view.order)
         return tuple(ep for ep in ordered if isinstance(ep, NodeId))
 
-    def source_slice(self, ep: Endpoint) -> str:
-        """Exact source text of an element's recorded span."""
-        span = self.span_map.get(ep)
-        if span is None:
-            raise NoSpan(f"no source span recorded for {ep}")
-        off, length = span
-        return self.source_text[off : off + length]
 
-
-def build(models: Iterable[ContractModel], source_text: str = "") -> HypernodeGraph:
+def build(models: Iterable[ContractModel]) -> HypernodeGraph:
     """Assemble the hypernode graph for one unit's contract models.
 
     Deterministic: node and edge sets depend only on the models, never on
     dict iteration order or statement shuffling, because membership and
-    edges are sorted at finalize time, identities are path-based, and a
-    node's span is a function of its identity. Each path is registered once
-    and looked up by every later entry, statement and call that names it;
-    edges are added as registry numbers.
+    edges are sorted at finalize time and identities are path-based. Each
+    path is registered once and looked up by every later entry, statement
+    and call that names it; edges are added as registry numbers.
     """
     models = list(models)
-    h = HypernodeGraph(source_text)
+    h = HypernodeGraph()
     register, link = h._register, h._link
 
     # Registration pass: graphs first, then nodes, so every edge target
@@ -372,12 +357,12 @@ def build(models: Iterable[ContractModel], source_text: str = "") -> HypernodeGr
     # Overloads share one hypernode.
     hypernode: dict[tuple[str, str], int] = {}
     for m in models:
-        register((m.name,), GraphId, m.source_span)
+        register((m.name,), GraphId)
     for m in models:
         for f in m.functions:
             path = (m.name, f.name)
             if path not in hypernode:
-                hypernode[path] = register(path, GraphId, f.source_span)
+                hypernode[path] = register(path, GraphId)
 
     # Node + edge pass. Every entry of a function's table is referenced by
     # some statement, so it becomes a node even when no statement defines
@@ -387,7 +372,7 @@ def build(models: Iterable[ContractModel], source_text: str = "") -> HypernodeGr
     for m in models:
         sink = (m.name, EXTERNAL_SINK)  # registered on first use
         for f in m.functions:
-            node = [register(d.path, NodeId, d.source_span) for d in f.decls]
+            node = [register(d.path, NodeId) for d in f.decls]
             for stmt in f.statements:
                 defs = [node[d] for d in stmt.defs]
                 for u in stmt.uses:
@@ -397,7 +382,7 @@ def build(models: Iterable[ContractModel], source_text: str = "") -> HypernodeGr
                     if site.owner is not None:
                         target = hypernode[site.owner, site.name]
                     else:
-                        target = register(sink, NodeId, None)
+                        target = register(sink, NodeId)
                         if not site.external:
                             h.diagnostics.append(
                                 f"unresolved callee {site.name!r} in {m.name}.{f.name}"

@@ -308,18 +308,19 @@ def source_entry(doc: object) -> tuple[str, dict]:
     return name, entry
 
 
-def load_ast(document: str | dict) -> SourceUnit:
+def load_ast(document: str | bytes | dict) -> SourceUnit:
     """Rebuild a SourceUnit from a serialized AST document.
 
-    Accepts the document as JSON text or an already-parsed dict. Exactly one
-    source entry is allowed; the entry must carry a SourceUnit-rooted AST.
-    Unknown node kinds inside the AST are tolerated here and surface later as
-    opaque statements during lowering.
+    Accepts the document as JSON text, as its encoded bytes (UTF-8, a byte
+    order mark allowed, decoded by `json` itself), or as an already-parsed
+    dict. Exactly one source entry is allowed; the entry must carry a
+    SourceUnit-rooted AST. Unknown node kinds inside the AST are tolerated
+    here and surface later as opaque statements during lowering.
     """
-    if isinstance(document, str):
+    if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise JsonError(f"AST document is not valid JSON: {exc}") from exc
         except RecursionError:
             raise JsonError("AST document is nested too deeply to parse") from None
@@ -343,14 +344,14 @@ def load_ast(document: str | dict) -> SourceUnit:
 
 
 def load_source_unit(path: str | Path) -> SourceUnit:
-    """Load a unit from disk: .sol as raw source, .json as an AST document."""
+    """Load a unit from disk: .sol as raw source, .json as an AST document,
+    whose bytes `load_ast` decodes."""
     p = Path(path)
-    text = p.read_text()
     if p.suffix == ".json":
-        unit = load_ast(text)
+        unit = load_ast(p.read_bytes())
         unit.path_or_address = str(p)
         return unit
-    return SourceUnit(id=p.stem, path_or_address=str(p), source_text=text)
+    return SourceUnit(id=p.stem, path_or_address=str(p), source_text=p.read_text())
 
 
 # --- explorer fetch ---------------------------------------------------------

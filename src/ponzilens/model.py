@@ -7,11 +7,12 @@ of its condition reads, kept apart from the statements it guards. That
 granularity is exactly what the data-flow graph needs; nothing finer is kept.
 
 One walker per AST layer: `_lower_statement` for statements (control
-statements from one table) and `_analyze_expression` for expressions, which
-folds every sub-expression, lvalue index expressions included, into one
-accumulator per statement. The walkers recurse once per nesting level, so
+statements from one table) and `_analyze_expression` for expressions,
+lvalues included, which folds every sub-expression into one accumulator per
+statement; its access argument says whether a variable access is read,
+written, or both (an update). The walkers recurse once per nesting level, so
 an AST nested deeper than the interpreter's recursion limit allows is
-refused with MalformedAst.
+refused with MalformedAst, as is a name that is not a string.
 
 Resolution rules:
   * a name resolves during the one statement walk against a stack of
@@ -19,13 +20,20 @@ Resolution rules:
     and return parameters, then state. From Solidity 0.5.0 on, each block
     and control statement opens a scope, and a local is visible from the
     end of its declaration to the end of its scope (a `for` initializer's
-    local lives in its loop). Before 0.5.0 blocks open no scope; a use
-    before the declaration, which that compiler hoisted, stays unbound.
-    The compiler version picks the rule, else the pragma, else 0.5.0's;
+    local lives in its loop, a try clause's parameters in their clause).
+    Before 0.5.0 blocks open no scope; a use before the declaration, which
+    that compiler hoisted, stays unbound. The compiler version picks the
+    rule, else the pragma, else 0.5.0's;
   * state variables and called functions resolve through the contract's C3
     linearization (Solidity's order, most-derived first, so the rightmost
     base wins), restricted to contracts declared in the same unit; within
     one contract the first declaration of a name wins;
+  * events resolve along the linearization too, but the most-derived
+    contract declaring a name contributes every declaration of it, since
+    events overload. `emit E(...)`, and a bare `E(...)` (the form before
+    Solidity 0.4.21) when E names a visible event and no visible function,
+    adds those declarations to the function's `emits`; an emission is no
+    call site;
   * the only builtin references modeled are msg.sender and msg.value; other
     environment reads (msg.data, tx.origin, block.*) carry no taint and are
     dropped;
@@ -61,7 +69,7 @@ inlined around the function body at the placeholder statement, so guard
 reads like `msg.sender == owner` surface in the function. Its declarations
 are entries of their own: binding `atLeast(v)`'s parameter `v` to the
 function's `v` leaves the function's the plain path and gives the
-modifier's `v#2`.
+modifier's `v#2`. The events a modifier emits join the function's `emits`.
 """
 
 from __future__ import annotations
@@ -195,7 +203,9 @@ class FunctionModel:
 
     `params` are in declaration order; `decls` is the table of the
     declarations the statements reference, one entry per declaration, in
-    order of first reference (see the module docstring).
+    order of first reference (see the module docstring). `emits` holds the
+    event declarations its statements (and its modifiers') emit, in order of
+    first emission.
     """
 
     name: str
@@ -206,6 +216,7 @@ class FunctionModel:
     decls: list[VariableDecl] = field(default_factory=list)
     statements: list[Statement] = field(default_factory=list)
     source_span: tuple[int, int] = (0, 0)
+    emits: list[EventDecl] = field(default_factory=list)
 
     @property
     def qualified_name(self) -> str:
@@ -321,10 +332,11 @@ class _FnContext:
     declaration table of the function it is lowered into.
 
     `scopes` is the stack of local scopes, innermost last, over the
-    parameters; `state`, `functions` and `modifiers` are what the contract
-    sees along its linearization. `index` maps each entered declaration (by
-    identity) and builtin (by name) to its table index; `taken` counts the
-    entries made per local name.
+    parameters; `state`, `functions`, `modifiers` and `events` are what the
+    contract sees along its linearization. `decls` and `emits` are the
+    function's own. `index` maps each entered declaration (by identity) and
+    builtin (by name) to its table index; `taken` counts the entries made
+    per local name.
     """
 
     contract: str
@@ -333,10 +345,12 @@ class _FnContext:
     state: Mapping[str, VariableDecl]
     functions: Mapping[str, str]
     modifiers: Mapping[str, dict]
+    events: Mapping[str, list[EventDecl]]
     source_text: str
     block_scoped: bool
     scopes: list[dict[str, VariableDecl]]
     decls: list[VariableDecl]
+    emits: list[EventDecl]
     index: dict[int | str, int]
     taken: dict[str, int]
 
@@ -363,6 +377,13 @@ class _FnContext:
             self.decls.append(VariableDecl(name, "", None, Scope.BUILTIN, path))
         return i
 
+    def emit(self, name: str) -> None:
+        """Record an emission of the event `name`: every declaration of it
+        visible here, each once."""
+        for event in self.events.get(name, ()):
+            if all(event is not seen for seen in self.emits):
+                self.emits.append(event)
+
     def resolve(self, name: str) -> int | None:
         for scope in reversed(self.scopes):
             decl = scope.get(name)
@@ -375,15 +396,28 @@ class _FnContext:
 _MSG = frozenset({"msg"})
 
 
+def _name(node: dict, key: str = "name") -> str:
+    """A node's name under `key` ("" when absent); MalformedAst unless it is
+    a string."""
+    name = node.get(key, "")
+    if not isinstance(name, str):
+        raise MalformedAst(f"{node.get('nodeType')} has a non-string {key!r}")
+    return name
+
+
 def _is_env_identifier(node: object, names: frozenset[str] = _ENV_NAMESPACES) -> bool:
     return isinstance(node, dict) and node.get("nodeType") == "Identifier" and (
-        node.get("name") in names
+        _name(node) in names
     )
 
 
+# How an expression is accessed: read, written, or both (an update such as
+# `x += 1`, `x++`, `delete x` or `xs.push(v)`).
+_READ, _WRITE = 1, 2
+_UPDATE = _READ | _WRITE
+
 # Expression kinds that only read their operands, walked in this order.
 _OPERANDS = {
-    "IndexAccess": ("baseExpression", "indexExpression"),
     "IndexRangeAccess": ("baseExpression", "startExpression", "endExpression"),
     "BinaryOperation": ("leftExpression", "rightExpression"),
     "Conditional": ("condition", "trueExpression", "falseExpression"),
@@ -392,10 +426,17 @@ _NO_READS = frozenset({"Literal", "ElementaryTypeNameExpression", "NewExpression
 
 
 def _analyze_expression(
-    node: object, ctx: _FnContext, info: _ExprInfo | None = None
+    node: object, ctx: _FnContext, info: _ExprInfo | None = None, access: int = _READ
 ) -> _ExprInfo:
     """Fold one expression's reads, writes, call sites and transfer flag
-    into `info` (a new accumulator when None), and return it."""
+    into `info` (a new accumulator when None), and return it.
+
+    `access` says how the expression's variables are accessed. A variable
+    access (an identifier, an index's base, a tuple's components, a member's
+    base) passes it down; every other expression, index expressions
+    included, is read. Builtins are never written; an unresolvable name
+    reads and writes nothing.
+    """
     if info is None:
         info = _ExprInfo()
     if not isinstance(node, dict):
@@ -403,33 +444,38 @@ def _analyze_expression(
     nt = node.get("nodeType")
 
     if nt == "Identifier":
-        ref = ctx.resolve(node.get("name", ""))
+        ref = ctx.resolve(_name(node))
         if ref is not None:
-            info.reads.add(ref)
+            if access & _READ:
+                info.reads.add(ref)
+            if access & _WRITE:
+                info.writes.add(ref)
+    elif nt == "IndexAccess":
+        _analyze_expression(node.get("baseExpression"), ctx, info, access)
+        _analyze_expression(node.get("indexExpression"), ctx, info)
     elif nt in _OPERANDS:
         for key in _OPERANDS[nt]:
             _analyze_expression(node.get(key), ctx, info)
     elif nt == "MemberAccess":
         base = node.get("expression")
-        member = node.get("memberName", "")
+        member = _name(node, "memberName")
         if _is_env_identifier(base, _MSG) and member in ("sender", "value"):
-            info.reads.add(ctx.builtin(f"msg.{member}"))
+            if access & _READ:
+                info.reads.add(ctx.builtin(f"msg.{member}"))
         elif not _is_env_identifier(base):
-            _analyze_expression(base, ctx, info)
+            _analyze_expression(base, ctx, info, access)
     elif nt in ("FunctionCall", "FunctionCallOptions"):
         _call(node, ctx, info)
     elif nt == "UnaryOperation":
-        sub = node.get("subExpression")
-        if node.get("operator") in ("++", "--", "delete"):
-            _write(sub, ctx, info, read=True)
-        else:
-            _analyze_expression(sub, ctx, info)
+        update = node.get("operator") in ("++", "--", "delete")
+        _analyze_expression(node.get("subExpression"), ctx, info, _UPDATE if update else _READ)
     elif nt == "TupleExpression":
         for comp in _list(node, "components"):
-            _analyze_expression(comp, ctx, info)
+            _analyze_expression(comp, ctx, info, access)
     elif nt == "Assignment":
         # A missing operator is a plain `=`; a compound one reads the target.
-        _write(node.get("leftHandSide"), ctx, info, read=node.get("operator", "=") != "=")
+        plain = node.get("operator", "=") == "="
+        _analyze_expression(node.get("leftHandSide"), ctx, info, _WRITE if plain else _UPDATE)
         _analyze_expression(node.get("rightHandSide"), ctx, info)
     elif nt not in _NO_READS:
         # Unknown expression kind: fall back to a textual scan of its span.
@@ -466,11 +512,14 @@ def _callee(head: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> 
         return None
     nt = head.get("nodeType")
     if nt == "Identifier":
-        name = head.get("name", "")
+        name = _name(head)
         if not name or name in _BUILTIN_CALLS or name in ctx.contracts:
             return None  # a builtin, or a contract-type cast
         ref = ctx.resolve(name)
         if ref is None:
+            if name in ctx.events and name not in ctx.functions:
+                ctx.emit(name)  # an event invoked as before Solidity 0.4.21
+                return None
             return name
         # Calling through a function-typed variable: the variable is read;
         # the target is opaque.
@@ -478,10 +527,10 @@ def _callee(head: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> 
         return "." + name
 
     if nt == "MemberAccess":
-        member = head.get("memberName", "")
+        member = _name(head, "memberName")
         base = head.get("expression")
         if member in ("push", "pop"):
-            _write(base, ctx, info, read=True)
+            _analyze_expression(base, ctx, info, _UPDATE)
             return None
         _feed(base, reads, ctx, info)
         if member in ("send", "transfer"):
@@ -501,7 +550,7 @@ def _callee(head: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> 
 
     if nt == "FunctionCall":
         option = head.get("expression")
-        if isinstance(option, dict) and option.get("memberName") in ("value", "gas"):
+        if isinstance(option, dict) and _name(option, "memberName") in ("value", "gas"):
             for arg in _list(head, "arguments"):
                 _feed(arg, reads, ctx, info)
             if option["memberName"] == "value":
@@ -525,39 +574,6 @@ def _feed(node: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> No
     sub = _analyze_expression(node, ctx)
     info.merge(sub)
     reads |= sub.reads
-
-
-def _write(node: object, ctx: _FnContext, info: _ExprInfo, read: bool) -> None:
-    """Fold a write to the lvalue `node` into `info`.
-
-    The base variables are written, and read too when `read`. Index
-    expressions, and an lvalue that is no variable access, fold in like any
-    expression, calls and writes included. Builtins are never written; an
-    unresolvable target writes nothing.
-    """
-    if not isinstance(node, dict):
-        return
-    nt = node.get("nodeType")
-    if nt == "Identifier":
-        ref = ctx.resolve(node.get("name", ""))
-        if ref is not None:
-            info.writes.add(ref)
-            if read:
-                info.reads.add(ref)
-    elif nt == "MemberAccess":
-        base = node.get("expression")
-        if not _is_env_identifier(base):
-            _write(base, ctx, info, read)
-        elif read:
-            _analyze_expression(node, ctx, info)  # msg.sender or msg.value
-    elif nt == "IndexAccess":
-        _write(node.get("baseExpression"), ctx, info, read)
-        _analyze_expression(node.get("indexExpression"), ctx, info)
-    elif nt == "TupleExpression":
-        for comp in _list(node, "components"):
-            _write(comp, ctx, info, read)
-    else:
-        _analyze_expression(node, ctx, info)
 
 
 def _textual_reads(node: dict, ctx: _FnContext) -> set[int]:
@@ -646,7 +662,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         # The initializer is read before the new locals are in scope.
         info = _analyze_expression(node.get("initialValue"), ctx)
         for d in _list(node, "declarations"):
-            if isinstance(d, dict) and d.get("name"):
+            if isinstance(d, dict) and _name(d):
                 decl = ctx.scopes[-1][d["name"]] = VariableDecl(
                     d["name"], "", span_of(d), Scope.LOCAL
                 )
@@ -660,6 +676,11 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         call = node.get("eventCall" if nt == "EmitStatement" else "errorCall")
         info = _ExprInfo()
         if isinstance(call, dict):
+            head = call.get("expression")
+            if nt == "EmitStatement" and isinstance(head, dict) and (
+                head.get("nodeType") == "Identifier"
+            ):
+                ctx.emit(_name(head))
             for arg in _list(call, "arguments"):
                 _analyze_expression(arg, ctx, info)
         _emit(out, Kind.EMIT if nt == "EmitStatement" else Kind.CALL, info, node)
@@ -672,7 +693,13 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         )
         for clause in _list(node, "clauses"):
             if isinstance(clause, dict):
+                # The clause's parameters are locals of a scope around its block.
+                scope = {} if ctx.block_scoped else ctx.scopes[-1]
+                for p in _param_decls(clause, "parameters", Scope.LOCAL):
+                    scope[p.name] = p
+                ctx.scopes.append(scope)
                 _lower_statement(clause.get("block"), ctx, out)
+                ctx.scopes.pop()
     elif nt == "PlaceholderStatement":
         out.append(_PLACEHOLDER)
     elif nt not in ("Break", "Continue", "Throw"):
@@ -690,13 +717,13 @@ def _param_decls(node: dict, key: str, scope: Scope) -> list[VariableDecl]:
     return [
         VariableDecl(p["name"], _type_text(p), span_of(p), scope)
         for p in _objects(plist, "parameters")
-        if p.get("name")
+        if _name(p)
     ]
 
 
 def _function_name(node: dict, contract_name: str) -> str:
     kind = node.get("kind")
-    name = node.get("name", "")
+    name = _name(node)
     if kind == "constructor" or node.get("isConstructor") or (
         name and name == contract_name
     ):
@@ -716,8 +743,8 @@ def _lower_function(fn_node: dict, ctx: _FnContext) -> list[Statement]:
     _lower_statement(fn_node.get("body"), ctx, result)
     result = [s for s in result if s is not _PLACEHOLDER]
     for inv in reversed(_objects(fn_node, "modifiers")):
-        mname = inv.get("modifierName", {})
-        name = mname.get("name") if isinstance(mname, dict) else None
+        mname = inv.get("modifierName")
+        name = _name(mname) if isinstance(mname, dict) else ""
         if not name or name in ctx.contracts:
             continue  # base-constructor invocation, not a modifier
         mdef = ctx.modifiers.get(name)
@@ -801,14 +828,14 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
     # First, contract-level declarations, so resolution sees every contract
     # of the unit regardless of order.
     for cnode in contract_nodes_list:
-        name = cnode.get("name") or "<anonymous>"
+        name = _name(cnode) or "<anonymous>"
         if name in contract_members:
             # Every table below is keyed by contract name.
             raise MalformedAst(f"two contracts named {name!r}")
         inherits = []
         for base in _list(cnode, "baseContracts"):
             bn = base.get("baseName") if isinstance(base, dict) else None
-            if isinstance(bn, dict) and bn.get("name"):
+            if isinstance(bn, dict) and _name(bn):
                 inherits.append(bn["name"])
         state_vars = []
         events = []
@@ -816,16 +843,16 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
         members = _objects(cnode, "nodes")
         for member in members:
             mt = member.get("nodeType")
-            if mt == "VariableDeclaration" and member.get("name"):
+            if mt == "VariableDeclaration" and _name(member):
                 vname = member["name"]
                 path = (name, vname)
                 state_vars.append(
                     VariableDecl(vname, _type_text(member), span_of(member), Scope.STATE, path)
                 )
-            elif mt == "EventDefinition" and member.get("name"):
+            elif mt == "EventDefinition" and _name(member):
                 events.append(EventDecl(name=member["name"], source_span=span_of(member)))
-            elif mt == "ModifierDefinition" and isinstance(member.get("name"), str):
-                own_modifiers.setdefault(member["name"], member)
+            elif mt == "ModifierDefinition":
+                own_modifiers.setdefault(_name(member), member)
         model = ContractModel(
             name=name,
             state_vars=state_vars,
@@ -858,11 +885,17 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
     by_name = {m.name: m for m in models}
     lin = linearize(by_name)
     # Each contract's own state, functions (to their owner) and modifiers
-    # by name, the first of a name winning.
+    # by name, the first of a name winning, and its events by name, every
+    # overload of a name together.
+    events: dict[str, dict[str, list[EventDecl]]] = {m.name: {} for m in models}
+    for m in models:
+        for ev in m.events:
+            events[m.name].setdefault(ev.name, []).append(ev)
     own = (
         {m.name: {v.name: v for v in reversed(m.state_vars)} for m in models},
         {m.name: {f.name: m.name for f in m.functions} for m in models},
         modifiers,
+        events,
     )
     block_scoped = _block_scoped(unit)
 
@@ -881,7 +914,7 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
                     bottom[r.name] = r
                 ctx = _FnContext(
                     model.name, fn.name, by_name, *visible, unit.source_text, block_scoped,
-                    [bottom], fn.decls, {}, {},
+                    [bottom], fn.decls, fn.emits, {}, {},
                 )
                 fn.statements = _lower_function(member, ctx)
     except RecursionError:

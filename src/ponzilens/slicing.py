@@ -13,23 +13,23 @@ resolves nothing. It tests each function's numbers
 reads each contract's `ContractModel.linearization` for the constructor
 rule.
 
-Slices are whole functions, taken verbatim from the source span, combined in
-source order and separated by blank lines; a selected name with overloads
-contributes every overload's text, in source order. Contract-level
-declarations the selected functions lean on (the state variables they
-reference, the events they invoke) are collected into a header block that
-prompt builders may prepend; the combined slice itself stays exactly the
-joined function texts.
+Assembly is text only, from the models: slices are whole functions, taken
+verbatim from each `FunctionModel.source_span` in the source text, and
+joined in selection order with blank lines between them; a selected name
+with overloads contributes every overload's text, in source order. The
+header comes from lowering's tables: the state variables in the sliced
+functions' `decls` and the events in their `emits`, one line per
+declaration in source order, which prompt builders may prepend; the
+combined slice itself stays exactly the joined function texts.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .hypergraph import HypernodeGraph
-from .model import CTOR_NAME, ContractModel, FunctionModel
+from .model import CTOR_NAME, ContractModel, FunctionModel, Scope
 from .taint import TaintSubgraph, tainted_state_vars
 
 HEADER_MARK = "// --- contract context ---"
@@ -89,102 +89,57 @@ def select_functions(
     return selected
 
 
-def _invokes(text: str, name: str) -> bool:
-    """Whether `text` calls `name` as a whole identifier: `emit name(...)`,
-    or the bare `name(...)` that Solidity before 0.4.21 used for events. A
-    member call `x.name(...)` is not an invocation of the event."""
-    return re.search(rf"(?<![\w$.]){re.escape(name)}\s*\(", text) is not None
-
-
-def _header_block(
-    functions: list[tuple[str, str]],
-    h: HypernodeGraph,
-    models: Sequence[ContractModel],
-    slice_texts: dict[str, str],
-) -> str:
-    """Contract-level declarations the selected functions lean on."""
-    decls: list[tuple[tuple[int, int], str]] = []
-    seen_spans: set[tuple[int, int]] = set()
-
-    # Contract-level nodes are the two-component paths: state variables.
-    eps = h.view().endpoints
-    refs = {n for contract, fname in functions for n in h.function_refs(contract, fname)[1]}
-    for nid in map(eps.__getitem__, refs):
-        if len(nid.path) != 2:
-            continue
-        span = h.span_map.get(nid)
-        if span is None or span in seen_spans:
-            continue
-        seen_spans.add(span)
-        decls.append((span, h.source_slice(nid)))
-
-    all_text = "\n".join(slice_texts.values())
-    for m in models:
-        for ev in m.events:
-            if ev.source_span and ev.name and _invokes(all_text, ev.name):
-                if ev.source_span in seen_spans:
-                    continue
-                seen_spans.add(ev.source_span)
-                text = h.source_text[
-                    ev.source_span[0] : ev.source_span[0] + ev.source_span[1]
-                ]
-                if text:
-                    decls.append((ev.source_span, text))
-
-    if not decls:
-        return ""
-    decls.sort(key=lambda item: item[0])
+def _header_block(functions: Sequence[FunctionModel], source_text: str) -> str:
+    """Contract-level declarations the sliced functions lean on: the state
+    variables in their tables and the events they emit, once each, in
+    source order. A declaration with no text in its span adds no line."""
+    spans = {d.source_span for f in functions for d in f.decls if d.scope is Scope.STATE}
+    spans.update(ev.source_span for f in functions for ev in f.emits)
     lines = [HEADER_MARK]
-    for _, text in decls:
-        line = text.rstrip()
-        if not line.endswith(";"):
-            line += ";"
-        lines.append(line)
-    return "\n".join(lines)
+    for off, n in sorted(spans):
+        text = source_text[off : off + n].rstrip()
+        if text:
+            lines.append(text if text.endswith(";") else text + ";")
+    return "\n".join(lines) if len(lines) > 1 else ""
 
 
 def combine_slices(
     selected: Iterable[str],
-    h: HypernodeGraph,
     models: Sequence[ContractModel],
+    source_text: str,
 ) -> SliceBundle:
-    """Assemble per-function texts and the combined slice.
+    """Assemble per-function texts and the combined slice from the models'
+    spans into `source_text`.
 
     Duplicate ids are dropped (first occurrence wins). An id whose function
     (every overload of it) has no source text in its span, or that names no
     function of the models, cannot be sliced; it is skipped and listed in
     stats.skipped rather than aborting the bundle.
     """
-    ordered: list[str] = []
-    seen: set[str] = set()
-    for fid in selected:
-        if fid not in seen:
-            seen.add(fid)
-            ordered.append(fid)
+    ordered = list(dict.fromkeys(selected))
 
     # Every overload of a selected name is sliced from its own span.
-    spans: dict[str, list[tuple[int, int]]] = {fid: [] for fid in ordered}
+    overloads: dict[str, list[FunctionModel]] = {fid: [] for fid in ordered}
     for m in models:
         for f in m.functions:
-            found = spans.get(f"{m.name}.{f.name}")
+            found = overloads.get(f"{m.name}.{f.name}")
             if found is not None:
-                found.append(f.source_span)
+                found.append(f)
 
     per_function: dict[str, str] = {}
-    sliced: list[tuple[str, str]] = []
+    sliced: list[FunctionModel] = []
     skipped: list[str] = []
     for fid in ordered:
-        texts = [h.source_text[off : off + n] for off, n in sorted(spans[fid])]
+        spans = sorted(f.source_span for f in overloads[fid])
+        texts = [source_text[off : off + n] for off, n in spans]
         texts = [text for text in texts if text.strip()]
         if not texts:
             skipped.append(fid)
             continue
         per_function[fid] = "\n\n".join(texts)
-        contract, _, fname = fid.partition(".")
-        sliced.append((contract, fname))
+        sliced += overloads[fid]
 
-    combined_text = "\n\n".join(per_function[fid] for fid in ordered if fid in per_function)
-    header = _header_block(sliced, h, models, per_function)
+    combined_text = "\n\n".join(per_function.values())
     total = sum(len(m.functions) for m in models)
     stats = SliceStats(
         functions_total=total,
@@ -196,6 +151,6 @@ def combine_slices(
         selected=tuple(ordered),
         combined_text=combined_text,
         per_function=per_function,
-        header=header,
+        header=_header_block(sliced, source_text),
         stats=stats,
     )

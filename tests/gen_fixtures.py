@@ -10,11 +10,14 @@ names the units it touches. With --pin --check it writes nothing, prints
 each unit whose digests differ from the file with the digests that differ,
 and exits 1 when any do. With --show UNIT it writes nothing and prints the
 three texts one pinned unit is hashed by, each under a `=== kind ===` line,
-so a changed digest can be diffed between two checkouts.
+so a changed digest can be diffed between two checkouts. Any other
+argument, or --check without --pin, is a usage error: it exits 2 and writes
+nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -109,16 +112,19 @@ def changed_units(want: dict, got: dict) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if "--show" in args:
-        at = args.index("--show") + 1
-        if at == len(args):
-            print("--show needs a unit name", file=sys.stderr)
-            return 2
-        return show(args[at])
-    if "--pin" in args:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    what = ap.add_mutually_exclusive_group()
+    what.add_argument("--pin", action="store_true", help="write the per-unit digests instead")
+    what.add_argument("--show", metavar="UNIT", help="print the texts one pinned unit is hashed by")
+    ap.add_argument("--check", action="store_true", help="with --pin: compare, write nothing")
+    args = ap.parse_args(argv)
+    if args.check and not args.pin:
+        ap.error("--check needs --pin")
+    if args.show is not None:
+        return show(args.show)
+    if args.pin:
         got = unit_digests()
-        if "--check" in args:
+        if args.check:
             changed = changed_units(json.loads(PIN.read_text()), got)
             print("\n".join(changed) if changed else f"{PIN.name}: all {len(got)} units match")
             return 1 if changed else 0

@@ -121,7 +121,7 @@ def test_c3_slice_selection_equals_predicate_and_shrinks_bytes():
     for name in fixutil.FIXTURE_NAMES:
         unit = fixutil.load_unit(name)
         models = lower(unit)
-        h = build(models, unit.source_text)
+        h = build(models)
         t = tpa(h, default_sources(h))
         for flag in (True, False):
             sel = select_functions(t, h, models, include_constructors=flag)
@@ -130,12 +130,12 @@ def test_c3_slice_selection_equals_predicate_and_shrinks_bytes():
                 for c, f in oracles.selection_oracle(models, set(t.tainted), flag)
             ]
             assert sel == want, (name, flag)
-            _bytes_check(combine_slices(sel, h, models), unit.source_text)
+            _bytes_check(combine_slices(sel, models, unit.source_text), unit.source_text)
             cases += 1
     rng = random.Random(31337)
     for i in range(200):
         models, source = oracles.random_models(rng)
-        h = build(models, source)
+        h = build(models)
         t = tpa(h, default_sources(h))
         for flag in (True, False):
             sel = select_functions(t, h, models, include_constructors=flag)
@@ -144,7 +144,7 @@ def test_c3_slice_selection_equals_predicate_and_shrinks_bytes():
                 for c, f in oracles.selection_oracle(models, set(t.tainted), flag)
             ]
             assert sel == want, (i, flag)
-            _bytes_check(combine_slices(sel, h, models), source)
+            _bytes_check(combine_slices(sel, models, source), source)
             cases += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"slicing sweep took {elapsed:.2f}s"

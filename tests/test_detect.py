@@ -21,7 +21,24 @@ import fixutil
 import ponzilens.detect as detect_mod
 import ponzilens.transport as transport
 import programs
-from astgen import Contract, Fn, Id, Lit, Member, SAssign, StateVar, build_unit
+from astgen import (
+    Bin,
+    Call,
+    Contract,
+    EventDef,
+    Fn,
+    Id,
+    Lit,
+    Member,
+    Modifier,
+    SAssign,
+    SDecl,
+    SEmit,
+    SExpr,
+    SPlaceholder,
+    StateVar,
+    build_unit,
+)
 from ponzilens.detect import (
     API_KEY_ENV,
     BACKEND_LOCAL,
@@ -947,6 +964,60 @@ _LIST_FIELDS = (
     "arguments", "components", "declarations", "options", "names", "clauses", "baseContracts"
 )
 
+# Per name site, a node kind and the path from its first node (in document
+# order) to a name that lowering reads.
+_NAME_PATHS = {
+    "ContractDefinition": ("ContractDefinition", ("name",)),
+    "InheritanceSpecifier": ("InheritanceSpecifier", ("baseName", "name")),
+    "VariableDeclaration": ("VariableDeclaration", ("name",)),  # Base's state x
+    "EventDefinition": ("EventDefinition", ("name",)),
+    "ModifierDefinition": ("ModifierDefinition", ("name",)),
+    "FunctionDefinition": ("FunctionDefinition", ("name",)),
+    "parameter": ("FunctionDefinition", ("parameters", "parameters", 0, "name")),
+    "ModifierInvocation": ("ModifierInvocation", ("modifierName", "name")),
+    "VariableDeclarationStatement": ("VariableDeclarationStatement", ("declarations", 0, "name")),
+    "Identifier": ("Identifier", ("name",)),
+    "MemberAccess": ("MemberAccess", ("memberName",)),
+    "EmitStatement": ("EmitStatement", ("eventCall", "expression", "name")),
+}
+
+
+def _hostile_name(site: str, value: object) -> SourceUnit:
+    """Base (state x, event Paid, modifier gate(v)) and Child is Base, whose
+    pay(a) is gated, declares a local and emits Paid, with `value` as the
+    name `_NAME_PATHS[site]` locates."""
+    value_of = Member(Id("msg"), "value")
+    base = Contract(
+        "Base",
+        [
+            StateVar("uint", "x"),
+            EventDef("Paid", [("uint", "amount")]),
+            Modifier("gate", [("uint", "v")], [
+                SExpr(Call(Id("require"), [Bin(value_of, ">=", Id("v"))])), SPlaceholder()
+            ]),
+        ],
+    )
+    pay = Fn(
+        "pay",
+        [("uint", "a")],
+        [SDecl("uint", "b", value_of), SAssign(Id("x"), "=", Id("b")), SEmit("Paid", [Id("x")])],
+        mutability="payable",
+        modifiers=[("gate", [Id("a")])],
+    )
+    doc = build_unit("names", [base, Contract("Child", [pay], bases=["Base"])])[1]
+    kind, (*path, last) = _NAME_PATHS[site]
+    stack: list = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict) and node.get("nodeType") == kind:
+            break
+        items = node.values() if isinstance(node, dict) else node
+        stack.extend(reversed([i for i in items if isinstance(i, (dict, list))]))
+    for key in path:
+        node = node[key]
+    node[last] = value
+    return load_ast(doc)
+
 
 @pytest.mark.parametrize(
     "case",
@@ -963,6 +1034,7 @@ _LIST_FIELDS = (
         *(f"{key}_not_list" for key in _LIST_FIELDS),
         "version_not_a_string",
         "version_without_a_literal",
+        *(f"{site}_name_{shape}" for site in _NAME_PATHS for shape in ("list", "object")),
     ],
 )
 def test_detect_contract_hostile_ast_is_reported_not_raised(case):
@@ -985,6 +1057,11 @@ def test_detect_contract_hostile_ast_is_reported_not_raised(case):
         # Lowering reads the version to pick the scoping rule.
         "version_not_a_string": lambda: _compiler_version(5),
         "version_without_a_literal": lambda: _compiler_version("latest"),
+        **{
+            f"{site}_name_{shape}": lambda site=site, value=value: _hostile_name(site, value)
+            for site in _NAME_PATHS
+            for shape, value in (("list", [1]), ("object", {"a": 1}))
+        },
     }
     report = detect_contract(units[case](), LlmConfig(), repeats=1)
     if case == "deep_chain" or case.startswith("version_"):
@@ -997,6 +1074,8 @@ def test_detect_contract_hostile_ast_is_reported_not_raised(case):
         assert report.slice_stats["functions_selected"] == 1
     if case.endswith("_not_list"):
         assert repr(case.removesuffix("_not_list")) in report.error["message"]
+    if "_name_" in case:
+        assert "non-string" in report.error["message"]
 
 
 def test_detect_contract_null_usage_counts_fall_back_to_estimates(chat_server, monkeypatch):

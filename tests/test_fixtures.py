@@ -45,3 +45,24 @@ def test_lowered_ir_and_graph_match_the_per_unit_pin():
     # whose IR, graph, slice or DOT changed.
     want = json.loads(gen_fixtures.PIN.read_text())
     assert gen_fixtures.changed_units(want, gen_fixtures.unit_digests()) == []
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["--help"], 0),
+        (["--chek"], 2),
+        (["--check"], 2),
+        (["--show"], 2),
+        (["--pin", "--show", "fuzz_000"], 2),
+        (["extra"], 2),
+    ],
+    ids=["help", "misspelt", "check_without_pin", "show_without_unit", "pin_and_show", "positional"],
+)
+def test_gen_fixtures_writes_nothing_on_a_usage_error(argv, code, tmp_path, monkeypatch):
+    monkeypatch.setattr(gen_fixtures, "FIXTURES", tmp_path)
+    monkeypatch.setattr(gen_fixtures, "PIN", tmp_path / "units.sha256.json")
+    with pytest.raises(SystemExit) as exit_:
+        gen_fixtures.main(argv)
+    assert exit_.value.code == code
+    assert list(tmp_path.iterdir()) == []

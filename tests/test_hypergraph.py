@@ -10,7 +10,7 @@ import pytest
 
 import fixutil
 from astgen import Call, Contract, Fn, Id, SDecl, SExpr, SReturn, StateVar, build_unit
-from ponzilens.errors import NoSpan, UnknownGraph
+from ponzilens.errors import UnknownGraph
 from ponzilens.hypergraph import (
     ROOT,
     GraphId,
@@ -30,7 +30,7 @@ from programs import pay_help_unit
 def _graph(name: str):
     u = fixutil.load_unit(name)
     models = lower(u)
-    return build(models, u.source_text), models
+    return build(models), models
 
 
 def _function_refs(h: HypernodeGraph, models) -> dict[GraphId, frozenset[NodeId]]:
@@ -141,7 +141,7 @@ def test_call_result_edge_leaves_hypernode():
         ],
     )
     u = load_ast(doc)
-    h = build(lower(u), u.source_text)
+    h = build(lower(u))
     assert _edge_strs(h) == {
         ("Ret.seed", "Ret.helper", ("Ret",)),
         ("Ret.helper", "Ret.run.y", ("Ret",)),
@@ -206,16 +206,6 @@ def test_rebuild_is_deterministic():
     assert h1.graphs() == h2.graphs()
     assert h1.nodes() == h2.nodes()
     assert h1.all_edges() == h2.all_edges()
-    assert h1.span_map == h2.span_map
-
-
-def test_source_slice_exact_and_nospan():
-    h, _ = _graph("pool")
-    text = h.source_slice(GraphId(("Pool", "deposit")))
-    assert text.startswith("function deposit()")
-    assert text.endswith("}")
-    with pytest.raises(NoSpan):
-        h.source_slice(NodeId(("Pool", "deposit", "msg.value")))
 
 
 def test_function_node_id_resolution():
@@ -346,7 +336,7 @@ def test_lower_and_build_allocation_budget():
         gc.collect()
         before = len(gc.get_objects())
         models = lower(u)
-        h = build(models, u.source_text)  # noqa: F841 (counted while alive)
+        h = build(models)  # noqa: F841 (counted while alive)
         gc.collect()
         return len(gc.get_objects()) - before
 
@@ -364,7 +354,7 @@ def test_taint_slice_and_render_allocation_budget():
     # count plus 10 %, so endpoint or edge sets made on this path fail it.
     u = load_ast(pay_help_unit(300)[1])
     models = lower(u)
-    h = build(models, u.source_text)
+    h = build(models)
 
     def tracked() -> int:
         gc.collect()
@@ -373,7 +363,7 @@ def test_taint_slice_and_render_allocation_budget():
     def survivors() -> int:
         before = tracked()
         t = tpa(h, default_sources(h))
-        bundle = combine_slices(select_functions(t, h, models), h, models)  # noqa: F841
+        bundle = combine_slices(select_functions(t, h, models), models, u.source_text)  # noqa: F841
         dot = to_dot(t, h)  # noqa: F841 (counted while alive)
         return tracked() - before
 

@@ -162,6 +162,22 @@ def test_load_ast_error_taxonomy():
         lower(load_ast(doc))
 
 
+def test_load_source_unit_reads_json_as_utf8_bytes(tmp_path):
+    # json decodes the bytes: a UTF-8 byte order mark is allowed, and bytes
+    # that are not UTF-8 are a JsonError.
+    doc = fixutil.load_doc("simple_ponzi")
+    text = json.dumps(doc, ensure_ascii=False)
+    bom = tmp_path / "simple_ponzi.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    unit = load_source_unit(bom)
+    assert unit.ast_json == doc
+    assert unit.source_text == load_ast(doc).source_text
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"sources": "\xff"}')
+    with pytest.raises(JsonError, match="not valid JSON"):
+        load_source_unit(bad)
+
+
 def test_load_ast_reports_too_deep_a_document_as_json_error():
     with pytest.raises(JsonError, match="nested too deeply"):
         load_ast(programs.deep_json_text(3000))

@@ -35,6 +35,7 @@ from astgen import (
 )
 from ponzilens.detect import run_static_pipeline
 from ponzilens.errors import JsonError, MalformedAst
+from ponzilens.hypergraph import build
 from ponzilens.ingest import load_ast
 from ponzilens.model import (
     ContractModel,
@@ -719,3 +720,114 @@ def test_block_local_scope_follows_the_compiler_version(compiler, pragma, block_
     _, doc = programs.shape_unit("block", True, pragma)
     doc["compiler"]["version"] = compiler
     assert _deposit_target(doc) == (("Core", "pot") if block_scoped else ("Core", "join", "pot"))
+
+
+def _emitted(unit, f) -> list[str]:
+    """The declaration text of each event in `f.emits`, in order."""
+    return [unit.source_text[off : off + n] for off, n in (e.source_span for e in f.emits)]
+
+
+def test_events_bind_along_the_linearization():
+    # Child sees Base's two Paid overloads, its own Left over Base's, and no
+    # Other: only an unrelated contract declares that. The modifier's emit
+    # lands in the function it wraps; a second emission adds nothing.
+    value = Member(Id("msg"), "value")
+    base = Contract(
+        "Base",
+        [
+            EventDef("Paid", [("uint", "a")]),
+            EventDef("Paid", [("uint", "a"), ("uint", "b")]),
+            EventDef("Left", [("uint", "a")]),
+        ],
+    )
+    other = Contract("Other", [EventDef("Other", [("uint", "a")])])
+    child = Contract(
+        "Child",
+        [
+            EventDef("Left", [("address", "who")]),
+            Modifier("logged", [], [SEmit("Left", [Member(Id("msg"), "sender")]), SPlaceholder()]),
+            Fn(
+                "pay",
+                [],
+                [SEmit("Paid", [value]), SEmit("Other", [value]), SEmit("Paid", [value])],
+                mutability="payable",
+                modifiers=["logged"],
+            ),
+        ],
+        bases=["Base"],
+    )
+    unit = load_ast(build_unit("events", [base, other, child])[1])
+    (pay,) = lower(unit)[2].functions
+    assert _emitted(unit, pay) == [
+        "event Paid(uint a)",
+        "event Paid(uint a, uint b)",
+        "event Left(address who)",
+    ]
+
+
+def test_bare_event_call_is_an_emit_not_a_call_site():
+    # Before Solidity 0.4.21 `Deposit(msg.value);` emitted the event. It
+    # makes no call site, so nothing flows to @external and no unresolved
+    # callee is reported; a visible function of that name is still called.
+    value = Member(Id("msg"), "value")
+    bank = Contract(
+        "Bank",
+        [
+            EventDef("Deposit", [("uint", "amount")]),
+            EventDef("Log", [("uint", "amount")]),
+            Fn("Log", [("uint", "amount")], []),
+            Fn("pay", [], [SExpr(Call(Id("Deposit"), [value])), SExpr(Call(Id("Log"), [value]))],
+               mutability="payable"),
+        ],
+    )
+    unit = load_ast(build_unit("bare", [bank], "^0.4.18", "0.4.18")[1])
+    models = lower(unit)
+    pay = next(f for f in models[0].functions if f.name == "pay")
+    deposit, log = pay.statements
+    assert deposit.kind is Kind.CALL and deposit.calls == ()
+    assert _refs(pay, deposit.uses) == {_bv("msg.value")}
+    assert [(c.name, c.owner) for c in log.calls] == [("Log", "Bank")]
+    assert _emitted(unit, pay) == ["event Deposit(uint amount)"]
+    h = build(models)
+    assert h.diagnostics == []
+    assert not any(b.path[-1] == "@external" for _a, b in h.all_edges())
+
+
+def _try_unit(clause_params: list[str]) -> dict:
+    """T with state x and r, whose f holds `try this.g() {...} catch ...`:
+    one clause declaring `clause_params`, whose block is `x = r;`, then
+    `x = r;` after the try statement."""
+    _, doc = build_unit(
+        "tc",
+        [Contract("T", [StateVar("uint", "x"), StateVar("uint", "r"), Fn("g", [], []),
+                        Fn("f", [], [SAssign(Id("x"), "=", Id("r"))])])],
+    )
+    (entry,) = doc["sources"].values()
+    f = next(m for m in entry["ast"]["nodes"][-1]["nodes"] if m.get("name") == "f")
+    (assign,) = f["body"]["statements"]
+    uint = {"nodeType": "ElementaryTypeName", "name": "uint"}
+    params = [{"nodeType": "VariableDeclaration", "name": p, "typeName": uint} for p in clause_params]
+    clause = {
+        "nodeType": "TryCatchClause",
+        "parameters": {"nodeType": "ParameterList", "parameters": params},
+        "block": {"nodeType": "Block", "statements": [assign]},
+    }
+    call = {"nodeType": "FunctionCall", "arguments": [],
+            "expression": {"nodeType": "MemberAccess", "memberName": "g",
+                           "expression": {"nodeType": "Identifier", "name": "this"}}}
+    f["body"]["statements"] = [{"nodeType": "TryStatement", "externalCall": call,
+                                "clauses": [clause]}, assign]
+    return doc
+
+
+def test_try_catch_clause_parameters_are_locals_of_their_clause():
+    f = next(f for f in lower(load_ast(_try_unit(["r"])))[0].functions if f.name == "f")
+    _try, inside, after = f.statements
+    assert inside.kind is Kind.ASSIGN
+    assert [f.decls[i].path for i in inside.uses] == [("T", "f", "r")]
+    assert [f.decls[i].path for i in inside.defs] == [("T", "x")]
+    # Past its clause the parameter is out of scope: r is the state variable.
+    assert [f.decls[i].path for i in after.uses] == [("T", "r")]
+    # A clause without parameters leaves r to the state variable.
+    f = next(f for f in lower(load_ast(_try_unit([])))[0].functions if f.name == "f")
+    assert [f.decls[i].path for i in f.statements[1].uses] == [("T", "r")]

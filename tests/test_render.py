@@ -14,7 +14,7 @@ from ponzilens.taint import default_sources, tpa
 def _render(name: str, cluster: bool = False):
     u = fixutil.load_unit(name)
     models = lower(u)
-    h = build(models, u.source_text)
+    h = build(models)
     t = tpa(h, default_sources(h))
     return to_dot(t, h, RenderOptions(cluster=cluster)), t, h
 

@@ -16,6 +16,7 @@ from astgen import (
     SAssign,
     SEmit,
     SExpr,
+    SOpaque,
     StateVar,
     build_unit,
 )
@@ -29,7 +30,7 @@ from ponzilens.taint import default_sources, tpa
 def _pipeline(name: str):
     u = fixutil.load_unit(name)
     models = lower(u)
-    h = build(models, u.source_text)
+    h = build(models)
     t = tpa(h, default_sources(h))
     return u, models, h, t
 
@@ -74,7 +75,7 @@ def test_hypernode_taint_selects_callee():
 
 def test_slice_texts_are_verbatim_spans():
     u, models, h, t = _pipeline("simple_ponzi")
-    bundle = combine_slices(select_functions(t, h, models), h, models)
+    bundle = combine_slices(select_functions(t, h, models), models, u.source_text)
     text = bundle.per_function["SimplePonzi.enter"]
     assert text in u.source_text
     assert text.startswith("function enter()")
@@ -83,7 +84,7 @@ def test_slice_texts_are_verbatim_spans():
 
 def test_combined_joins_in_source_order():
     u, models, h, t = _pipeline("pool")
-    bundle = combine_slices(select_functions(t, h, models), h, models)
+    bundle = combine_slices(select_functions(t, h, models), models, u.source_text)
     assert bundle.selected == ("Pool.deposit", "Pool.audit", "Pool.flush")
     parts = bundle.combined_text.split("\n\n")
     assert parts == [
@@ -96,8 +97,8 @@ def test_combined_joins_in_source_order():
 
 
 def test_header_lists_state_and_emitted_events():
-    _u, models, h, t = _pipeline("pool")
-    bundle = combine_slices(select_functions(t, h, models), h, models)
+    u, models, h, t = _pipeline("pool")
+    bundle = combine_slices(select_functions(t, h, models), models, u.source_text)
     assert bundle.header == (
         HEADER_MARK
         + "\nuint public poolSize;"
@@ -108,15 +109,15 @@ def test_header_lists_state_and_emitted_events():
 
 
 def test_header_skips_events_missing_from_slice():
-    _u, models, h, t = _pipeline("pool")
-    bundle = combine_slices(["Pool.flush"], h, models)
+    u, models, h, t = _pipeline("pool")
+    bundle = combine_slices(["Pool.flush"], models, u.source_text)
     assert bundle.header == HEADER_MARK + "\nuint public poolSize;"
     assert "Deposited" not in bundle.header
 
 
 def test_header_empty_when_nothing_selected():
-    _u, models, h, t = _pipeline("hollow")
-    bundle = combine_slices([], h, models)
+    u, models, h, t = _pipeline("hollow")
+    bundle = combine_slices([], models, u.source_text)
     assert bundle.header == ""
     assert bundle.combined_text == ""
     assert bundle.stats.functions_total == 1
@@ -124,23 +125,23 @@ def test_header_empty_when_nothing_selected():
 
 
 def test_duplicate_selection_kept_once():
-    _u, models, h, t = _pipeline("pool")
-    bundle = combine_slices(["Pool.deposit", "Pool.deposit"], h, models)
+    u, models, h, t = _pipeline("pool")
+    bundle = combine_slices(["Pool.deposit", "Pool.deposit"], models, u.source_text)
     assert bundle.selected == ("Pool.deposit",)
     assert list(bundle.per_function) == ["Pool.deposit"]
     assert bundle.combined_text == bundle.per_function["Pool.deposit"]
 
 
 def test_unknown_function_is_skipped_not_fatal():
-    _u, models, h, t = _pipeline("pool")
-    bundle = combine_slices(["Ghost.fn", "Pool.audit"], h, models)
+    u, models, h, t = _pipeline("pool")
+    bundle = combine_slices(["Ghost.fn", "Pool.audit"], models, u.source_text)
     assert "Ghost.fn" in bundle.stats.skipped
     assert list(bundle.per_function) == ["Pool.audit"]
 
 
 def test_excluding_functions_shrinks_bytes():
     u, models, h, t = _pipeline("pool")
-    bundle = combine_slices(select_functions(t, h, models), h, models)
+    bundle = combine_slices(select_functions(t, h, models), models, u.source_text)
     assert bundle.stats.functions_selected < bundle.stats.functions_total
     assert len(bundle.combined_text.encode()) < len(u.source_text.encode())
     assert bundle.stats.combined_bytes == len(bundle.combined_text.encode())
@@ -161,8 +162,8 @@ def test_selection_matches_independent_predicate_on_fixtures():
 def test_selection_matches_independent_predicate_on_random_models():
     rng = random.Random(60193)
     for _ in range(200):
-        models, source = oracles.random_models(rng)
-        h = build(models, source)
+        models, _source = oracles.random_models(rng)
+        h = build(models)
         # Every state reference names the contract Solidity's C3 order picks.
         eps = h.view().endpoints
         refs = {
@@ -196,7 +197,7 @@ def test_overloads_share_one_hypernode_and_its_refs():
     )
     u = load_ast(build_unit("overloads", [contract])[1])
     models = lower(u)
-    h = build(models, u.source_text)
+    h = build(models)
     g, nodes = h.function_refs("O", "f")
     eps = h.view().endpoints
     assert eps[g] == GraphId(("O", "f"))
@@ -208,7 +209,7 @@ def test_overloads_share_one_hypernode_and_its_refs():
 def _static(contract: Contract):
     u = load_ast(build_unit(contract.name.lower(), [contract])[1])
     models = lower(u)
-    h = build(models, u.source_text)
+    h = build(models)
     return u, models, h
 
 
@@ -231,7 +232,7 @@ def test_every_overload_body_reaches_the_bundle():
         )
     )
     t = tpa(h, default_sources(h))
-    bundle = combine_slices(select_functions(t, h, models), h, models)
+    bundle = combine_slices(select_functions(t, h, models), models, u.source_text)
     spans = [f.source_span for f in models[0].functions]
     first, second = (u.source_text[o : o + n] for o, n in spans)
     assert bundle.selected == ("O.f",)
@@ -242,7 +243,7 @@ def test_every_overload_body_reaches_the_bundle():
 
 def test_header_keeps_events_invoked_as_whole_identifiers():
     value = Member(Id("msg"), "value")
-    _u, models, h = _static(
+    u, models, h = _static(
         Contract(
             "Bank",
             [
@@ -257,6 +258,33 @@ def test_header_keeps_events_invoked_as_whole_identifiers():
     )
     event = "event Deposit(uint amount);"
     # makeDeposit contains the text "Deposit" but never invokes the event.
-    assert event not in combine_slices(["Bank.makeDeposit"], h, models).header
-    assert event in combine_slices(["Bank.pay"], h, models).header
-    assert event in combine_slices(["Bank.legacyPay"], h, models).header
+    assert event not in combine_slices(["Bank.makeDeposit"], models, u.source_text).header
+    assert event in combine_slices(["Bank.pay"], models, u.source_text).header
+    assert event in combine_slices(["Bank.legacyPay"], models, u.source_text).header
+
+
+def test_header_holds_the_events_lowering_bound():
+    # Child.pay emits Paid, which its base declares, and Gone, which only the
+    # unrelated Other declares, so nothing Child sees binds it. A comment
+    # naming Held emits nothing, although the text `Held(` is in the slice.
+    value = Member(Id("msg"), "value")
+    pay = Fn(
+        "pay",
+        [],
+        [SEmit("Paid", [value]), SOpaque("// emit Held(msg.value);"), SEmit("Gone", [value])],
+        mutability="payable",
+    )
+    contracts = [
+        Contract("Base", [EventDef("Paid", [("uint", "amount")])]),
+        Contract("Other", [EventDef("Gone", [("uint", "amount")])]),
+        Contract("Child", [EventDef("Held", [("uint", "amount")]), pay], bases=["Base"]),
+    ]
+    _, doc = build_unit("bound", contracts)
+    # Drop the comment's statement node: solc keeps no node for a comment.
+    (entry,) = doc["sources"].values()
+    body = entry["ast"]["nodes"][-1]["nodes"][-1]["body"]
+    body["statements"] = [s for s in body["statements"] if s["nodeType"] != "MysteryStatement"]
+    u = load_ast(doc)
+    bundle = combine_slices(["Child.pay"], lower(u), u.source_text)
+    assert "// emit Held(msg.value);" in bundle.combined_text
+    assert bundle.header == HEADER_MARK + "\nevent Paid(uint amount);"

@@ -14,7 +14,7 @@ from ponzilens.taint import default_sources, tainted_state_vars, tpa
 def _taint(name: str):
     u = fixutil.load_unit(name)
     models = lower(u)
-    h = build(models, u.source_text)
+    h = build(models)
     return tpa(h, default_sources(h)), h
 
 
@@ -109,7 +109,7 @@ def test_this_call_and_modifier_scopes_steer_taint():
 def test_no_sources_means_nothing_tainted():
     u = fixutil.load_unit("hollow")
     models = lower(u)
-    h = build(models, u.source_text)
+    h = build(models)
     t = tpa(h, default_sources(h))
     assert t.tainted == frozenset()
     assert t.taint_edges == frozenset()
@@ -117,7 +117,7 @@ def test_no_sources_means_nothing_tainted():
 
 def test_unknown_sources_are_ignored():
     u = fixutil.load_unit("pool")
-    h = build(lower(u), u.source_text)
+    h = build(lower(u))
     baseline = tpa(h, default_sources(h))
     extra = default_sources(h) | {NodeId(("Pool", "nope", "msg.value"))}
     assert tpa(h, extra).tainted == baseline.tainted
@@ -153,8 +153,8 @@ def test_default_sources_are_the_nodes_registered_with_a_source_name():
     graphs = [_taint(name)[1] for name in fixutil.FIXTURE_NAMES]
     rng = random.Random(4242)
     for _ in range(60):
-        models, source = oracles.random_models(rng)
-        graphs.append(build(models, source))
+        models, _source = oracles.random_models(rng)
+        graphs.append(build(models))
     assert any(default_sources(h) for h in graphs)
     for h in graphs:
         assert default_sources(h) == _scanned_sources(h)
