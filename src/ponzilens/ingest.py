@@ -57,7 +57,7 @@ ETHERSCAN_KEY_ENV = "PONZILENS_ETHERSCAN_KEY"
 SUPPORTED_MIN = (0, 4, 11)
 SUPPORTED_MAX = (0, 8, 23)
 
-_VERSION_RE = re.compile(r"(\d+)\.(\d+)(?:\.(\d+))?")
+_VERSION_RE = re.compile(r"(\d{1,4})\.(\d{1,4})(?:\.(\d{1,4}))?")  # bounded, so `int` never refuses
 _PRAGMA_RE = re.compile(r"pragma\s+solidity\s+([^;]+);")
 _ADDRESS_RE = re.compile(r"^0x[0-9a-fA-F]{40}$")
 

@@ -14,6 +14,23 @@ written, or both (an update). The walkers recurse once per nesting level, so
 an AST nested deeper than the interpreter's recursion limit allows is
 refused with MalformedAst, as is a name that is not a string.
 
+Lowering reads the AST only, never the source text. Inline assembly goes
+through the expression walker by way of its Yul AST, the `AST` field solc
+emits from 0.6.0 on:
+  * a Yul identifier resolves like a Solidity one, cut at its first dot
+    (`x.slot`, `x.offset` and `x.length` are x's); since no Yul local may
+    shadow a visible name, Yul locals resolve to nothing;
+  * `callvalue()` reads msg.value and `caller()` msg.sender;
+  * `sstore(x.slot, v)` writes x, and a Yul assignment its targets;
+  * `call`, `callcode`, `create` and `create2` mark a transfer unless their
+    value argument is the literal 0;
+  * every other argument is read, and no called Yul name is resolved.
+Any other kind the walker does not know, InlineAssembly itself included,
+reads its object and list children, so assembly with no Yul AST (before
+0.6.0 it has only an `operations` string) reads nothing. An unknown
+statement, an assembly block included, is one OPAQUE statement, or
+VALUE_TRANSFER when it moves value.
+
 Resolution rules:
   * a name resolves during the one statement walk against a stack of
     scopes, innermost first: block locals, then the function's parameters
@@ -58,8 +75,10 @@ included, resolve like state variables, to the declaring contract in the
 unit, recorded as the site's `owner`. Value and gas
 options (`h{value: v}`, legacy `h.value(v)` and `h.gas(g)`) belong to the
 site of the h they decorate. Well-known builtin callables (require, assert,
-keccak256, ...) and type conversions produce no call site at all, though
-their argument reads are kept.
+keccak256, ...), type conversions (to a contract or enum type of the unit)
+and struct constructors produce no call site at all, though their argument
+reads are kept; a struct or enum is visible at file level or along the
+linearization.
 
 A modifier is lowered at each invocation, into the table of the function
 it wraps: each argument is read in the function's scope and bound to its
@@ -74,14 +93,13 @@ modifier's `v#2`. The events a modifier emits join the function's `emits`.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Container, Mapping
 
 from .errors import MalformedAst
-from .ingest import SourceUnit, source_entry
+from .ingest import SourceUnit, source_entry, version_tuple
 
 
 class Scope(str, Enum):
@@ -137,9 +155,6 @@ _BUILTIN_CALLS = frozenset(
 # no declaration.
 _ENV_NAMESPACES = frozenset({"msg", "tx", "block", "abi", "this", "super"})
 
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-
-
 @dataclass(frozen=True, slots=True)
 class CallSite:
     """One call expression inside a statement.
@@ -185,7 +200,6 @@ class VariableDecl:
     first reference."""
 
     name: str
-    type_name: str = ""
     source_span: tuple[int, int] | None = None
     scope: Scope | None = None
     path: tuple[str, ...] = ()
@@ -201,18 +215,16 @@ class EventDecl:
 class FunctionModel:
     """One function (or constructor/fallback/receive) of one contract.
 
-    `params` are in declaration order; `decls` is the table of the
-    declarations the statements reference, one entry per declaration, in
-    order of first reference (see the module docstring). `emits` holds the
-    event declarations its statements (and its modifiers') emit, in order of
-    first emission.
+    `decls` is the table of the declarations the statements reference, one
+    entry per declaration, in order of first reference (see the module
+    docstring). `emits` holds the event declarations its statements (and
+    its modifiers') emit, in order of first emission.
     """
 
     name: str
     contract: str
     visibility: str = "public"
     payable: bool = False
-    params: list[VariableDecl] = field(default_factory=list)
     decls: list[VariableDecl] = field(default_factory=list)
     statements: list[Statement] = field(default_factory=list)
     source_span: tuple[int, int] = (0, 0)
@@ -229,8 +241,6 @@ class ContractModel:
     state_vars: list[VariableDecl] = field(default_factory=list)
     functions: list[FunctionModel] = field(default_factory=list)
     inherits: list[str] = field(default_factory=list)
-    events: list[EventDecl] = field(default_factory=list)
-    source_span: tuple[int, int] = (0, 0)
     linearization: tuple[str, ...] = ()  # C3, most-derived first
 
 
@@ -332,27 +342,27 @@ class _FnContext:
     declaration table of the function it is lowered into.
 
     `scopes` is the stack of local scopes, innermost last, over the
-    parameters; `state`, `functions`, `modifiers` and `events` are what the
-    contract sees along its linearization. `decls` and `emits` are the
-    function's own. `index` maps each entered declaration (by identity) and
-    builtin (by name) to its table index; `taken` counts the entries made
-    per local name.
+    parameters; `state`, `functions`, `modifiers`, `events` and `types` are
+    what the contract sees along its linearization, `types` also holding the
+    unit's contracts and its file-level structs and enums. `decls` and
+    `emits` are the function's own. `index` maps each entered declaration
+    (by identity) and builtin (by name) to its table index; `taken` counts
+    the entries made per local name.
     """
 
     contract: str
     function: str
-    contracts: Container[str]
     state: Mapping[str, VariableDecl]
     functions: Mapping[str, str]
     modifiers: Mapping[str, dict]
     events: Mapping[str, list[EventDecl]]
-    source_text: str
+    types: Container[str]
     block_scoped: bool
     scopes: list[dict[str, VariableDecl]]
     decls: list[VariableDecl]
     emits: list[EventDecl]
-    index: dict[int | str, int]
-    taken: dict[str, int]
+    index: dict[int | str, int] = field(default_factory=dict)
+    taken: dict[str, int] = field(default_factory=dict)
 
     def ref(self, decl: VariableDecl) -> int:
         """The table index of `decl`, entered on its first reference; a
@@ -374,7 +384,7 @@ class _FnContext:
         if i is None:
             i = self.index[name] = len(self.decls)
             path = (self.contract, self.function, name)
-            self.decls.append(VariableDecl(name, "", None, Scope.BUILTIN, path))
+            self.decls.append(VariableDecl(name, None, Scope.BUILTIN, path))
         return i
 
     def emit(self, name: str) -> None:
@@ -423,6 +433,11 @@ _OPERANDS = {
     "Conditional": ("condition", "trueExpression", "falseExpression"),
 }
 _NO_READS = frozenset({"Literal", "ElementaryTypeNameExpression", "NewExpression"})
+_TYPE_DEFS = ("StructDefinition", "EnumDefinition")
+
+# Yul builtins that read msg.*, and where each call that moves value has it.
+_YUL_BUILTINS = {"callvalue": "msg.value", "caller": "msg.sender"}
+_YUL_VALUE_AT = {"call": 2, "callcode": 2, "create": 0, "create2": 0}
 
 
 def _analyze_expression(
@@ -443,8 +458,9 @@ def _analyze_expression(
         return info
     nt = node.get("nodeType")
 
-    if nt == "Identifier":
-        ref = ctx.resolve(_name(node))
+    if nt == "Identifier" or nt == "YulIdentifier":
+        name = _name(node) if nt == "Identifier" else _name(node).partition(".")[0]
+        ref = ctx.resolve(name)
         if ref is not None:
             if access & _READ:
                 info.reads.add(ref)
@@ -477,10 +493,37 @@ def _analyze_expression(
         plain = node.get("operator", "=") == "="
         _analyze_expression(node.get("leftHandSide"), ctx, info, _WRITE if plain else _UPDATE)
         _analyze_expression(node.get("rightHandSide"), ctx, info)
+    elif nt == "YulFunctionCall":
+        _yul_call(node, ctx, info)
+    elif nt == "YulAssignment":
+        for target in _list(node, "variableNames"):
+            _analyze_expression(target, ctx, info, _WRITE)
+        _analyze_expression(node.get("value"), ctx, info)
     elif nt not in _NO_READS:
-        # Unknown expression kind: fall back to a textual scan of its span.
-        info.reads |= _textual_reads(node, ctx)
+        # Any other kind, InlineAssembly and the rest of Yul included: its
+        # children are read.
+        for child in node.values():
+            for item in child if isinstance(child, list) else (child,):
+                _analyze_expression(item, ctx, info)
     return info
+
+
+def _yul_call(node: dict, ctx: _FnContext, info: _ExprInfo) -> None:
+    """Fold one Yul call into `info` as the module docstring maps it; the
+    called name is never resolved."""
+    head = node.get("functionName")
+    if not isinstance(head, dict):
+        raise MalformedAst("YulFunctionCall has a non-object 'functionName'")
+    op = _name(head)
+    if op in _YUL_BUILTINS:
+        info.reads.add(ctx.builtin(_YUL_BUILTINS[op]))
+    for i, arg in enumerate(_list(node, "arguments")):
+        fields = arg if isinstance(arg, dict) else {}
+        zero = fields.get("nodeType") == "YulLiteral" and fields.get("value") == "0"
+        if i == _YUL_VALUE_AT.get(op) and not zero:
+            info.transfer = True
+        write = op == "sstore" and not i and _name(fields).endswith(".slot")
+        _analyze_expression(arg, ctx, info, _WRITE if write else _READ)
 
 
 def _call(node: dict, ctx: _FnContext, info: _ExprInfo) -> None:
@@ -513,8 +556,8 @@ def _callee(head: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> 
     nt = head.get("nodeType")
     if nt == "Identifier":
         name = _name(head)
-        if not name or name in _BUILTIN_CALLS or name in ctx.contracts:
-            return None  # a builtin, or a contract-type cast
+        if not name or name in _BUILTIN_CALLS or name in ctx.types:
+            return None  # a builtin, a type conversion or a struct constructor
         ref = ctx.resolve(name)
         if ref is None:
             if name in ctx.events and name not in ctx.functions:
@@ -576,37 +619,11 @@ def _feed(node: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> No
     reads |= sub.reads
 
 
-def _textual_reads(node: dict, ctx: _FnContext) -> set[int]:
-    """Conservative reads for opaque nodes: identifiers in the node's span
-    that resolve in scope, plus msg.sender / msg.value substrings."""
-    off, length = span_of(node)
-    text = ctx.source_text[off : off + length] if length else ""
-    found: set[int] = set()
-    for name in dict.fromkeys(_IDENT_RE.findall(text)):
-        ref = ctx.resolve(name)
-        if ref is not None:
-            found.add(ref)
-    for builtin in BUILTIN_NAMES:
-        if builtin in text:
-            found.add(ctx.builtin(builtin))
-    return found
-
-
 # --- statement lowering -----------------------------------------------------
 
 
 # Marks the `_;` position inside a lowered modifier body.
 _PLACEHOLDER = object()
-
-
-def _type_text(decl: dict) -> str:
-    t = decl.get("typeName")
-    if isinstance(t, dict) and isinstance(t.get("name"), str):
-        return t["name"]
-    td = decl.get("typeDescriptions")
-    if isinstance(td, dict) and isinstance(td.get("typeString"), str):
-        return td["typeString"]
-    return ""
 
 
 # Control statements: the statement kind their condition is lowered as, the
@@ -663,9 +680,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         info = _analyze_expression(node.get("initialValue"), ctx)
         for d in _list(node, "declarations"):
             if isinstance(d, dict) and _name(d):
-                decl = ctx.scopes[-1][d["name"]] = VariableDecl(
-                    d["name"], "", span_of(d), Scope.LOCAL
-                )
+                decl = ctx.scopes[-1][d["name"]] = VariableDecl(d["name"], span_of(d), Scope.LOCAL)
                 info.writes.add(ctx.ref(decl))
         _emit(out, Kind.DECLARE, info, node)
     elif nt == "Return":
@@ -703,11 +718,10 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
     elif nt == "PlaceholderStatement":
         out.append(_PLACEHOLDER)
     elif nt not in ("Break", "Continue", "Throw"):
-        # InlineAssembly and anything unrecognized: opaque statement with
-        # conservatively scanned uses and no defs.
-        info = _ExprInfo()
-        info.reads = _textual_reads(node, ctx)
-        _emit(out, Kind.OPAQUE, info, node)
+        # InlineAssembly and any other kind: what the expression walker
+        # finds in it.
+        info = _analyze_expression(node, ctx)
+        _emit(out, Kind.VALUE_TRANSFER if info.transfer else Kind.OPAQUE, info, node)
 
 
 def _param_decls(node: dict, key: str, scope: Scope) -> list[VariableDecl]:
@@ -715,7 +729,7 @@ def _param_decls(node: dict, key: str, scope: Scope) -> list[VariableDecl]:
     if not isinstance(plist, dict):
         raise MalformedAst(f"{node.get('nodeType')} has a non-object {key}")
     return [
-        VariableDecl(p["name"], _type_text(p), span_of(p), scope)
+        VariableDecl(p["name"], span_of(p), scope)
         for p in _objects(plist, "parameters")
         if _name(p)
     ]
@@ -745,7 +759,7 @@ def _lower_function(fn_node: dict, ctx: _FnContext) -> list[Statement]:
     for inv in reversed(_objects(fn_node, "modifiers")):
         mname = inv.get("modifierName")
         name = _name(mname) if isinstance(mname, dict) else ""
-        if not name or name in ctx.contracts:
+        if not name or name in ctx.types:
             continue  # base-constructor invocation, not a modifier
         mdef = ctx.modifiers.get(name)
         if mdef is not None:
@@ -801,105 +815,80 @@ def _visible(lin: tuple[str, ...], own: Mapping[str, Mapping]) -> dict:
     return seen
 
 
-_VERSION_RE = re.compile(r"(\d{1,4})\.(\d{1,4})")  # bounded, so `int` never refuses
-
-
 def _block_scoped(unit: SourceUnit) -> bool:
     """Whether blocks open scopes, as from Solidity 0.5.0 on: read from the
     first version literal of the compiler version, else of the pragma, and
     true when neither has one."""
     for version in (unit.compiler_version, unit.pragma_version):
-        found = _VERSION_RE.search(version) if isinstance(version, str) else None
-        if found:
-            return (int(found[1]), int(found[2])) >= (0, 5)
+        if isinstance(version, str):
+            try:
+                return version_tuple(version) >= (0, 5)
+            except ValueError:
+                pass  # no version literal
     return True
 
 
 def lower(unit: SourceUnit) -> list[ContractModel]:
     """Lower a unit's AST into contract models in source order."""
-    root = source_entry(unit.ast_json)[1]["ast"]
-    contract_nodes_list = [
-        n for n in _objects(root, "nodes") if n.get("nodeType") == "ContractDefinition"
-    ]
-    models: list[ContractModel] = []
-    contract_members: dict[str, list[dict]] = {}
-    modifiers: dict[str, dict[str, dict]] = {}  # each contract's own, the first of a name
+    top = _objects(source_entry(unit.ast_json)[1]["ast"], "nodes")
+    # Names a call converts to or constructs (no call site): the unit's
+    # contracts and file-level types, then each contract's along its bases.
+    unit_types = dict.fromkeys(_name(n) for n in top if n.get("nodeType") in _TYPE_DEFS)
+    by_name: dict[str, ContractModel] = {}
+    bodies: list[list[dict]] = []
+    # Each contract's own state, functions (to their owner), modifiers and
+    # types by name, the first of a name winning, and its events by name,
+    # every overload of a name together.
+    own: tuple[dict[str, dict], ...] = ({}, {}, {}, {}, {})
 
-    # First, contract-level declarations, so resolution sees every contract
-    # of the unit regardless of order.
-    for cnode in contract_nodes_list:
+    # First, every contract's declarations and function headers, so names
+    # resolve against the whole unit whatever its order.
+    for cnode in top:
+        if cnode.get("nodeType") != "ContractDefinition":
+            continue
         name = _name(cnode) or "<anonymous>"
-        if name in contract_members:
+        if name in by_name:
             # Every table below is keyed by contract name.
             raise MalformedAst(f"two contracts named {name!r}")
-        inherits = []
+        model = by_name[name] = ContractModel(name)
+        unit_types[name] = None
         for base in _list(cnode, "baseContracts"):
             bn = base.get("baseName") if isinstance(base, dict) else None
             if isinstance(bn, dict) and _name(bn):
-                inherits.append(bn["name"])
-        state_vars = []
-        events = []
-        own_modifiers: dict[str, dict] = {}
-        members = _objects(cnode, "nodes")
-        for member in members:
+                model.inherits.append(bn["name"])
+        state, functions, modifiers, events, types = tables = ({}, {}, {}, {}, {})
+        members = []
+        for member in _objects(cnode, "nodes"):
             mt = member.get("nodeType")
             if mt == "VariableDeclaration" and _name(member):
                 vname = member["name"]
-                path = (name, vname)
-                state_vars.append(
-                    VariableDecl(vname, _type_text(member), span_of(member), Scope.STATE, path)
+                decl = VariableDecl(vname, span_of(member), Scope.STATE, (name, vname))
+                model.state_vars.append(decl)
+                state.setdefault(vname, decl)
+            elif mt == "FunctionDefinition":
+                payable = member.get("stateMutability") == "payable" or member.get("payable")
+                fn = FunctionModel(
+                    _function_name(member, name), name, member.get("visibility", "public"),
+                    bool(payable), source_span=span_of(member),
                 )
+                model.functions.append(fn)
+                functions[fn.name] = name
+                members.append(member)
             elif mt == "EventDefinition" and _name(member):
-                events.append(EventDecl(name=member["name"], source_span=span_of(member)))
+                event = EventDecl(member["name"], span_of(member))
+                events.setdefault(event.name, []).append(event)
             elif mt == "ModifierDefinition":
-                own_modifiers.setdefault(_name(member), member)
-        model = ContractModel(
-            name=name,
-            state_vars=state_vars,
-            inherits=inherits,
-            events=events,
-            source_span=span_of(cnode),
-        )
-        models.append(model)
-        contract_members[name] = members
-        modifiers[name] = own_modifiers
-
-    # Function headers next, so call sites resolve against every function
-    # of the unit, whichever contract or position declares it.
-    bodies: list[list[dict]] = []
-    for model in models:
-        members = [
-            m for m in contract_members[model.name] if m.get("nodeType") == "FunctionDefinition"
-        ]
-        model.functions = [
-            FunctionModel(
-                name=_function_name(member, model.name),
-                contract=model.name,
-                visibility=member.get("visibility", "public"),
-                payable=member.get("stateMutability") == "payable" or bool(member.get("payable")),
-                source_span=span_of(member),
-            )
-            for member in members
-        ]
+                modifiers.setdefault(_name(member), member)
+            elif mt in _TYPE_DEFS:
+                types[_name(member)] = None
+        for table, mine in zip(own, tables):
+            table[name] = mine
         bodies.append(members)
-    by_name = {m.name: m for m in models}
+    models = list(by_name.values())
     lin = linearize(by_name)
-    # Each contract's own state, functions (to their owner) and modifiers
-    # by name, the first of a name winning, and its events by name, every
-    # overload of a name together.
-    events: dict[str, dict[str, list[EventDecl]]] = {m.name: {} for m in models}
-    for m in models:
-        for ev in m.events:
-            events[m.name].setdefault(ev.name, []).append(ev)
-    own = (
-        {m.name: {v.name: v for v in reversed(m.state_vars)} for m in models},
-        {m.name: {f.name: m.name for f in m.functions} for m in models},
-        modifiers,
-        events,
-    )
     block_scoped = _block_scoped(unit)
 
-    # Last, function bodies, nested no deeper than the recursion limit
+    # Then function bodies, nested no deeper than the recursion limit
     # allows (see the module docstring).
     try:
         for model, members in zip(models, bodies):
@@ -907,14 +896,13 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
             if not members:
                 continue
             visible = [_visible(model.linearization, table) for table in own]
+            visible[-1].update(unit_types)  # types: the unit's join the bases'
             for fn, member in zip(model.functions, members):
-                fn.params = _param_decls(member, "parameters", Scope.PARAM)
-                bottom = {p.name: p for p in fn.params}
+                bottom = {p.name: p for p in _param_decls(member, "parameters", Scope.PARAM)}
                 for r in _param_decls(member, "returnParameters", Scope.LOCAL):
                     bottom[r.name] = r
                 ctx = _FnContext(
-                    model.name, fn.name, by_name, *visible, unit.source_text, block_scoped,
-                    [bottom], fn.decls, fn.emits, {}, {},
+                    model.name, fn.name, *visible, block_scoped, [bottom], fn.decls, fn.emits
                 )
                 fn.statements = _lower_function(member, ctx)
     except RecursionError:

@@ -481,10 +481,13 @@ class SOpaque(Stmt):
 
 
 class SAsm(Stmt):
-    """Inline assembly block, lowered as opaque."""
+    """Inline assembly block of the text `inner`, carrying `yul` (a
+    `YulBlock`, see the `yul_*` helpers) as its Yul AST when given, as
+    solc does from 0.6.0 on. Yul nodes carry no spans."""
 
-    def __init__(self, inner: str):
+    def __init__(self, inner: str, yul: dict | None = None):
         self.inner = inner
+        self.yul = yul
 
     def emit(self, w: Writer, indent: int) -> dict:
         w.write(" " * indent)
@@ -492,7 +495,42 @@ class SAsm(Stmt):
         w.write(f"assembly {{ {self.inner} }}")
         length = w.pos - start
         w.write("\n")
-        return {"nodeType": "InlineAssembly", "src": f"{start}:{length}:0"}
+        node = {"nodeType": "InlineAssembly", "src": f"{start}:{length}:0"}
+        if self.yul is not None:
+            node["AST"] = self.yul
+        return node
+
+
+def yul_id(name: str) -> dict:
+    return {"nodeType": "YulIdentifier", "name": name}
+
+
+def yul_lit(value: str, kind: str = "number") -> dict:
+    return {"nodeType": "YulLiteral", "kind": kind, "value": value, "type": ""}
+
+
+def yul_call(name: str, *args: dict) -> dict:
+    return {"nodeType": "YulFunctionCall", "functionName": yul_id(name), "arguments": list(args)}
+
+
+def yul_let(name: str, value: dict) -> dict:
+    typed = {"nodeType": "YulTypedName", "name": name, "type": ""}
+    return {"nodeType": "YulVariableDeclaration", "variables": [typed], "value": value}
+
+
+def yul_assign(name: str, value: dict) -> dict:
+    return {"nodeType": "YulAssignment", "variableNames": [yul_id(name)], "value": value}
+
+
+def yul_block(*statements: dict) -> dict:
+    """A `YulBlock` of `statements`, a call among them as an expression
+    statement."""
+    stmts = [
+        {"nodeType": "YulExpressionStatement", "expression": s}
+        if s["nodeType"] == "YulFunctionCall" else s
+        for s in statements
+    ]
+    return {"nodeType": "YulBlock", "statements": stmts}
 
 
 # --- contract members ----------------------------------------------------------

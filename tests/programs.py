@@ -34,6 +34,10 @@ from astgen import (
     SWhile,
     VOpts,
     build_unit,
+    yul_block,
+    yul_call,
+    yul_id,
+    yul_let,
 )
 
 
@@ -263,7 +267,7 @@ def multi_base() -> tuple[str, dict]:
 
 
 def vaulted() -> tuple[str, dict]:
-    """Inline assembly lowered as an opaque statement with textual reads."""
+    """Inline assembly, lowered from its Yul AST as an opaque statement."""
     contract = Contract(
         "Vaulted",
         [
@@ -273,7 +277,10 @@ def vaulted() -> tuple[str, dict]:
                 [],
                 [
                     SAssign(Id("vault"), "=", _msg("value")),
-                    SAsm("let v := sload(vault.slot)"),
+                    SAsm(
+                        "let v := sload(vault.slot)",
+                        yul_block(yul_let("v", yul_call("sload", yul_id("vault.slot")))),
+                    ),
                 ],
                 mutability="payable",
             ),
@@ -536,6 +543,7 @@ def random_unit(rng: random.Random, name: str, ponzi: bool) -> tuple[str, dict]:
 
 _SENDER, _VALUE, _A, _V = _msg("sender"), _msg("value"), Id("a"), Id("v")
 _AV = [("address", "a"), ("uint", "v")]
+_LAST_PERSON = Index(Id("persons"), Bin(Member(Id("persons"), "length"), "-", Lit(1)))
 
 
 def _join(body: list, params: list = (), modifiers: list = ()) -> Fn:
@@ -581,6 +589,23 @@ _SHAPES = {
             _join([SExpr(Call(Id("enter"), [_SENDER, _VALUE]))]),
             _enter([SAssign(Id("pot"), "+=", _V)], [("uint", "v")]),
             _enter(_deposit(_A, _V)),
+        ],
+    ),
+    # join records the participant as a struct, then deposits from it.
+    "struct": (
+        [],
+        [
+            StructDef("Person", [("address", "who"), ("uint", "amount")]),
+            StateVar("Person[]", "persons"),
+            _join(
+                [
+                    SExpr(
+                        Call(Member(Id("persons"), "push"), [Call(Id("Person"), [_SENDER, _VALUE])])
+                    ),
+                    SDecl("Person storage", "p", _LAST_PERSON),
+                    *_deposit(Member(Id("p"), "who"), Member(Id("p"), "amount")),
+                ]
+            ),
         ],
     ),
     # A block-local pot, gone by the time the state pot takes the value;

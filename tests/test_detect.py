@@ -19,6 +19,7 @@ import pytest
 
 import fixutil
 import ponzilens.detect as detect_mod
+import ponzilens.ingest as ingest
 import ponzilens.transport as transport
 import programs
 from astgen import (
@@ -816,6 +817,18 @@ def test_detect_contract_ingest_failure_is_reported_not_raised(monkeypatch):
     assert report.final_verdict is None
 
 
+def test_detect_contract_overlong_version_is_reported_not_raised(monkeypatch):
+    # A version literal past the interpreter's digit limit for `int` reads
+    # bounded, as out of range, before any compiler is picked.
+    monkeypatch.setattr(ingest, "discover_solc", lambda: {"0.8.19": "/bin/false"})
+    unit = SourceUnit(id="long", source_text=f"pragma solidity 0.{'9' * 5000}; contract C {{}}")
+    report = detect_contract(unit, LlmConfig(), MODE_FULL, repeats=1)
+    assert report.error is not None
+    assert report.error["phase"] == "ingest"
+    assert "outside supported range" in report.error["message"]
+    assert report.runs == []
+
+
 def test_detect_contract_backend_failure_clears_runs(chat_server, monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     _ChatHandler.script = [(500, b"down")] * 3
@@ -1019,6 +1032,17 @@ def _hostile_name(site: str, value: object) -> SourceUnit:
     return load_ast(doc)
 
 
+def _hostile_yul(key: str, value: object) -> SourceUnit:
+    """vaulted with `value` under `key` in its Yul call `sload(vault.slot)`,
+    or for "name" in that call's argument."""
+    doc = fixutil.load_doc("vaulted")
+    (entry,) = doc["sources"].values()
+    lock = entry["ast"]["nodes"][-1]["nodes"][-1]
+    call = lock["body"]["statements"][-1]["AST"]["statements"][0]["value"]
+    (call["arguments"][0] if key == "name" else call)[key] = value
+    return load_ast(doc)
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -1035,6 +1059,9 @@ def _hostile_name(site: str, value: object) -> SourceUnit:
         "version_not_a_string",
         "version_without_a_literal",
         *(f"{site}_name_{shape}" for site in _NAME_PATHS for shape in ("list", "object")),
+        "yul_name_list",
+        "yul_arguments_scalar",
+        "yul_functionName_scalar",
     ],
 )
 def test_detect_contract_hostile_ast_is_reported_not_raised(case):
@@ -1062,6 +1089,9 @@ def test_detect_contract_hostile_ast_is_reported_not_raised(case):
             for site in _NAME_PATHS
             for shape, value in (("list", [1]), ("object", {"a": 1}))
         },
+        "yul_name_list": lambda: _hostile_yul("name", [1]),
+        "yul_arguments_scalar": lambda: _hostile_yul("arguments", 7),
+        "yul_functionName_scalar": lambda: _hostile_yul("functionName", "sload"),
     }
     report = detect_contract(units[case](), LlmConfig(), repeats=1)
     if case == "deep_chain" or case.startswith("version_"):

@@ -22,6 +22,7 @@ from astgen import (
     Member,
     Modifier,
     EventDef,
+    SAsm,
     SAssign,
     SEmit,
     SExpr,
@@ -29,13 +30,21 @@ from astgen import (
     SPlaceholder,
     SRevert,
     StateVar,
+    StructDef,
     Un,
     VOpts,
     build_unit,
+    yul_assign,
+    yul_block,
+    yul_call,
+    yul_id,
+    yul_let,
+    yul_lit,
 )
+from ponzilens.cli import ir_document
 from ponzilens.detect import run_static_pipeline
 from ponzilens.errors import JsonError, MalformedAst
-from ponzilens.hypergraph import build
+from ponzilens.hypergraph import NodeId, build
 from ponzilens.ingest import load_ast
 from ponzilens.model import (
     ContractModel,
@@ -242,7 +251,7 @@ def test_unresolved_call_keeps_site_and_args():
     ]
 
 
-def test_inline_assembly_is_opaque_with_textual_reads():
+def test_inline_assembly_reads_through_its_yul_ast():
     lock = _fn("vaulted", "Vaulted.lock")
     asm = lock.statements[1]
     assert asm.kind is Kind.OPAQUE
@@ -250,20 +259,83 @@ def test_inline_assembly_is_opaque_with_textual_reads():
     assert asm.defs == ()
 
 
-def test_unknown_statement_type_is_opaque():
-    _, doc = build_unit(
-        "op",
-        [
-            Contract(
-                "Op",
-                [StateVar("uint", "secret"), Fn("poke", [], [SOpaque("secret ~~ 1")])],
-            )
-        ],
-    )
-    fn = lower(load_ast(doc))[0].functions[0]
+def _asm_unit(text: str, yul: list[dict] | None) -> dict:
+    """Pot, with state pot and a payable put(a) whose body is `assembly {
+    text }`, carrying the Yul block of `yul` (no Yul AST when None)."""
+    body = [SAsm(text, None if yul is None else yul_block(*yul))]
+    put = Fn("put", [("uint", "a")], body, mutability="payable")
+    return build_unit("asm", [Contract("Pot", [StateVar("uint", "pot"), put])])[1]
+
+
+_SSTORE = yul_call("sstore", yul_id("pot.slot"), yul_call("callvalue"))
+_ZEROS = [yul_lit("0")] * 5
+_PAY = yul_call("call", yul_call("gas"), yul_call("caller"), yul_call("callvalue"), *_ZEROS[:4])
+_NO_PAY = yul_call("call", yul_call("gas"), yul_call("caller"), *_ZEROS)
+
+
+@pytest.mark.parametrize(
+    ("text", "yul", "kind", "defs", "uses"),
+    [
+        # An assembly deposit writes the state it stores to.
+        ("sstore(pot.slot, callvalue())", [_SSTORE],
+         Kind.OPAQUE, {_sv("pot")}, {_bv("msg.value")}),
+        # Neither a comment nor a string literal reads anything.
+        ("let z := 0 // was msg.value", [yul_let("z", yul_lit("0"))], Kind.OPAQUE, set(), set()),
+        ('let s := "pot"', [yul_let("s", yul_lit("pot", "string"))], Kind.OPAQUE, set(), set()),
+        # A Yul local resolves to nothing; a Yul assignment writes.
+        ("let b := a a := caller() b := a",
+         [yul_let("b", yul_id("a")), yul_assign("a", yul_call("caller")),
+          yul_assign("b", yul_id("a"))],
+         Kind.OPAQUE, {_pv("a")}, {_pv("a"), _bv("msg.sender")}),
+        # A call moving a nonzero value is a transfer; one moving 0 is not.
+        ("pop(call(gas(), caller(), callvalue(), 0, 0, 0, 0))", [yul_call("pop", _PAY)],
+         Kind.VALUE_TRANSFER, set(), {_bv("msg.sender"), _bv("msg.value")}),
+        ("pop(call(gas(), caller(), 0, 0, 0, 0, 0))", [yul_call("pop", _NO_PAY)],
+         Kind.OPAQUE, set(), {_bv("msg.sender")}),
+        ("let c := create2(sload(pot.slot), 0, 0, a)",
+         [yul_let("c", yul_call("create2", yul_call("sload", yul_id("pot.slot")),
+                                *_ZEROS[:2], yul_id("a")))],
+         Kind.VALUE_TRANSFER, set(), {_sv("pot"), _pv("a")}),
+        # Before 0.6.0 there is no Yul AST, and the text is not read.
+        ("sstore(pot_slot, callvalue())", None, Kind.OPAQUE, set(), set()),
+    ],
+    ids=["sstore", "comment", "string", "assign", "call", "call_0", "create2", "no_ast"],
+)
+def test_inline_assembly_lowers_from_yul(text, yul, kind, defs, uses):
+    fn = lower(load_ast(_asm_unit(text, yul)))[0].functions[0]
     (s,) = fn.statements
-    assert s.kind is Kind.OPAQUE
-    assert _refs(fn, s.uses) == {_sv("secret")}
+    assert (s.kind, _refs(fn, s.defs), _refs(fn, s.uses), s.calls) == (kind, defs, uses, ())
+
+
+def test_assembly_deposit_taints_the_state_it_stores_to():
+    unit = load_ast(_asm_unit("sstore(pot.slot, callvalue())", [_SSTORE]))
+    assert NodeId(("Pot", "pot")) in run_static_pipeline(unit).taint.tainted
+
+
+def test_unknown_node_reads_its_children_and_not_its_text():
+    # Both statements are of a kind lowering does not know; the second
+    # carries the expressions `secret` and `msg.value` as children.
+    poke = Fn("poke", [], [SOpaque("secret ~~ msg.value"), SOpaque("secret ~~ msg.value")])
+    _, doc = build_unit("op", [Contract("Op", [StateVar("uint", "secret"), poke])])
+    (entry,) = doc["sources"].values()
+    fn_node = entry["ast"]["nodes"][-1]["nodes"][-1]
+    mystery = fn_node["body"]["statements"][1]
+    mystery["operand"] = {"nodeType": "Identifier", "name": "secret"}
+    mystery["more"] = [{"nodeType": "MemberAccess", "memberName": "value",
+                        "expression": {"nodeType": "Identifier", "name": "msg"}}]
+    fn = lower(load_ast(doc))[0].functions[0]
+    text_only, with_children = fn.statements
+    assert (text_only.kind, text_only.defs, text_only.uses) == (Kind.OPAQUE, (), ())
+    assert with_children.kind is Kind.OPAQUE and with_children.defs == ()
+    assert _refs(fn, with_children.uses) == {_sv("secret"), _bv("msg.value")}
+
+
+@pytest.mark.parametrize("name", fixutil.FIXTURE_NAMES)
+def test_lower_reads_the_ast_only(name):
+    unit = fixutil.load_unit(name)
+    want = ir_document(lower(unit))
+    unit.source_text = ""
+    assert ir_document(lower(unit)) == want
 
 
 def test_builtin_call_heads_are_not_sites():
@@ -624,7 +696,6 @@ def test_first_declaration_wins_within_one_contract():
     first, _second = k.state_vars
     (f,) = k.functions
     assert [(d.path[0], d) for d in f.decls] == [("K", first)]
-    assert first.type_name == "uint"
     assert not any(d.name == "y" for d in f.decls)
 
 
@@ -791,6 +862,41 @@ def test_bare_event_call_is_an_emit_not_a_call_site():
     h = build(models)
     assert h.diagnostics == []
     assert not any(b.path[-1] == "@external" for _a, b in h.all_edges())
+
+
+def test_struct_and_enum_names_make_no_call_site():
+    # S is Base; Base declares struct Person, S enum Tier, the file struct
+    # Note. Calling any of them constructs or converts: no call site, so
+    # nothing flows to @external and no unresolved callee is reported, but
+    # the arguments are read. Other's struct Ping is not visible in S.
+    value, sender = Member(Id("msg"), "value"), Member(Id("msg"), "sender")
+    base = Contract("Base", [StructDef("Person", [("address", "who"), ("uint", "amount")]),
+                             StateVar("Person[]", "persons")])
+    join = Fn("join", [("uint", "t")], [
+        SExpr(Call(Member(Id("persons"), "push"), [Call(Id("Person"), [sender, value])])),
+        SExpr(Call(Id("Tier"), [Id("t")])),
+        SExpr(Call(Id("Note"), [value])),
+    ], mutability="payable")
+    ping = Fn("ping", [], [SExpr(Call(Id("Ping"), [value]))], mutability="payable")
+    other = Contract("Other", [StructDef("Ping", [("uint", "n")])])
+    _, doc = build_unit("structs", [base, Contract("S", [join, ping], bases=["Base"]), other])
+    (entry,) = doc["sources"].values()
+    entry["ast"]["nodes"][2]["nodes"].append({"nodeType": "EnumDefinition", "name": "Tier"})
+    entry["ast"]["nodes"].append({"nodeType": "StructDefinition", "name": "Note", "members": []})
+    models = lower(load_ast(doc))
+    join, ping = models[1].functions
+    push, tier, note = join.statements
+    assert [s.calls for s in join.statements] == [(), (), ()]
+    assert _refs(join, push.defs) == {_sv("persons")}
+    assert _refs(join, push.uses) == {_sv("persons"), _bv("msg.sender"), _bv("msg.value")}
+    assert _refs(join, tier.uses) == {_pv("t")}
+    assert _refs(join, note.uses) == {_bv("msg.value")}
+    assert [c.name for s in ping.statements for c in s.calls] == ["Ping"]
+    h = build(models)
+    assert h.diagnostics == ["unresolved callee 'Ping' in S.ping"]
+    assert {a.path for a, b in h.all_edges() if b.path[-1] == "@external"} == {
+        ("S", "ping", "msg.value")
+    }
 
 
 def _try_unit(clause_params: list[str]) -> dict:
