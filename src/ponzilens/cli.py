@@ -284,7 +284,7 @@ def graph_document(g: HypernodeGraph, taint: TaintSubgraph) -> str:
             for gid in g.graphs()
         ],
         "tainted": [
-            _endpoint_json(view.endpoints[n])
+            _endpoint_json(view.endpoint(n))
             for n in sorted(taint.numbers, key=view.rank.__getitem__)
         ],
     }

@@ -18,14 +18,17 @@ stored in the lowest graph that contains both endpoints, so sibling-function
 flows through shared state naturally land in the contract graph and
 cross-contract flows land at the root.
 
-A graph keeps a registry: each endpoint is registered once per path, as one
-object, numbered in registration order, and every later
-`add_graph`/`add_node`/`add_edge` with an equal id resolves to it. The
-number is the currency from `build` to `render.to_dot`; an edge is a pair of
-numbers packed into one int, which the garbage collector does not track.
-`finalize` derives the `View`: every number in `endpoint_key` order and its
-rank there, each graph's members in that order, and the successor
-adjacency. A mutation drops the view, and the next read builds a new one.
+A graph keeps a registry: each endpoint is registered once per path and
+kind, numbered in registration order, and the registry keeps each number's
+path and a one-byte kind flag (1 for a graph). The number is the only
+identity inside the graph and the currency from `build` to `render.to_dot`;
+an edge is a pair of numbers packed into one int. Neither a flag array nor
+an int is tracked by the garbage collector. `NodeId` and `GraphId` are plain
+values: `add_graph`/`add_node`/`add_edge` look theirs up by path, and the
+queries make new ones on read (`View.endpoint`). `finalize` derives the
+`View`: every number in `endpoint_key` order and its rank there, each
+graph's members in that order, and the successor adjacency. A mutation
+drops the view, and the next read builds a new one.
 
 `build` resolves nothing: `model.lower` bound every name and recorded each
 declaration's node path and each call's target contract. `build` makes one
@@ -48,7 +51,7 @@ own, and does not flow into the writes it guards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Iterable, NamedTuple, Union
 
@@ -58,48 +61,23 @@ from .model import BUILTIN_NAMES, ContractModel
 EXTERNAL_SINK = "@external"
 
 
-class _Keyed:
-    """What NodeId and GraphId share: the hash of the endpoint key is
-    computed once, at construction, because an id is made once per path of
-    a graph and hashed at every lookup by id. The key itself is not kept:
-    it would be one more tracked object per id, and only `endpoint_key`
-    reads it."""
-
-    __slots__ = ()
-    _KIND = 0  # the key's second component: nodes sort before graphs
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.path, self._KIND)))
-
-    def __reduce__(self):
-        # Rebuild from the path: a string's hash differs between processes.
-        return type(self), (self.path,)
-
-
 @dataclass(frozen=True, order=True, slots=True)
-class NodeId(_Keyed):
+class NodeId:
     """Identity of one basic (variable) node, as a path of name components."""
 
     path: tuple[str, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __hash__(self) -> int:
-        return self._hash
+    _KIND = 0  # the endpoint key's second component: nodes sort before graphs
 
     def __str__(self) -> str:
         return ".".join(self.path)
 
 
 @dataclass(frozen=True, order=True, slots=True)
-class GraphId(_Keyed):
+class GraphId:
     """Identity of one graph (root, contract, or function hypernode)."""
 
     path: tuple[str, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
     _KIND = 1
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return ".".join(self.path) if self.path else "<root>"
@@ -141,31 +119,38 @@ def _grouped(items: list[int], groups: list[int], size: int) -> tuple[list[int],
 class View(NamedTuple):
     """The ordered form of a graph that `finalize` derives from the
     registry; queries, propagation, slicing and rendering read it. Apart
-    from the endpoints, everything is a flat list of registry numbers."""
+    from the paths and kind flags, everything is a flat list of registry
+    numbers."""
 
-    endpoints: tuple[Endpoint, ...]  # number -> endpoint
+    paths: tuple[tuple[str, ...], ...]  # number -> path
+    graph: bytes  # number -> 1 for a graph, 0 for a node
     order: list[int]  # every number, in endpoint_key order
     rank: list[int]  # number -> its position in `order`
     members: tuple[list[int], list[int]]  # by parent graph number, in order
     succ: tuple[list[int], list[int]]  # head numbers, by tail number
 
+    def endpoint(self, n: int) -> Endpoint:
+        """A new id for the endpoint numbered `n`."""
+        return (GraphId if self.graph[n] else NodeId)(self.paths[n])
+
 
 class HypernodeGraph:
-    """Nested graph with one object per endpoint and deterministic ordering.
+    """Nested graph over registry numbers, with deterministic ordering.
 
-    `add_graph` and `add_node` return the registered object for the id's
-    path; reads are sorted, from the view `finalize` builds (see the module
-    docstring).
+    `add_graph` and `add_node` register the id's path; reads are sorted,
+    from the view `finalize` builds, and make their ids on read (see the
+    module docstring).
     """
 
     def __init__(self) -> None:
         self.diagnostics: list[str] = []
-        # Every registered node whose last path component is a source name.
-        self.sources: set[NodeId] = set()
-        # The registry: endpoints and their parent graphs by number, and
+        # The numbers of the registered nodes named msg.sender or msg.value.
+        self.sources: set[int] = set()
+        # The registry: paths, kind flags and parent graphs by number, and
         # numbers by path, one table per kind. An edge maps to the number of
         # the graph that stores it.
-        self._endpoints: list[Endpoint] = [ROOT]
+        self._paths: list[tuple[str, ...]] = [ROOT.path]
+        self._graph = bytearray(b"\x01")
         self._parent: list[int] = [-1]
         self._graph_no: dict[tuple[str, ...], int] = {(): 0}
         self._node_no: dict[tuple[str, ...], int] = {}
@@ -180,12 +165,11 @@ class HypernodeGraph:
 
     # --- construction -----------------------------------------------------
 
-    def _register(
-        self, path: tuple[str, ...], kind: type[Endpoint], ep: Endpoint | None = None
-    ) -> int:
-        """The number of the endpoint of `kind` at `path`, registering it
-        first (as `ep`, or a new id) when the path is new."""
-        table = self._graph_no if kind is GraphId else self._node_no
+    def _register(self, path: tuple[str, ...], kind: type[Endpoint]) -> int:
+        """The number of the endpoint of `kind` at `path`, registering the
+        path first when it is new."""
+        graph = kind is GraphId
+        table = self._graph_no if graph else self._node_no
         n = table.get(path)
         if n is None:
             parent = self._graph_no.get(path[:-1])
@@ -193,23 +177,24 @@ class HypernodeGraph:
                 raise UnknownGraph(
                     f"parent graph {GraphId(path[:-1])} not registered for {kind(path)}"
                 )
-            if ep is None:
-                ep = kind(path)
-            n = table[path] = len(self._endpoints)
-            self._endpoints.append(ep)
+            n = table[path] = len(self._paths)
+            self._paths.append(path)
+            self._graph.append(graph)
             self._parent.append(parent)
             self._view = None
-            if kind is NodeId and path and path[-1] in BUILTIN_NAMES:
-                self.sources.add(ep)
+            if not graph and path and path[-1] in BUILTIN_NAMES:
+                self.sources.add(n)
         return n
 
     def add_graph(self, gid: GraphId) -> GraphId:
-        """Register a graph once and return the registered id."""
-        return self._endpoints[self._register(gid.path, GraphId, gid)]
+        """Register a graph once and return `gid`."""
+        self._register(gid.path, GraphId)
+        return gid
 
     def add_node(self, nid: NodeId) -> NodeId:
-        """Register a basic node once and return the registered id."""
-        return self._endpoints[self._register(nid.path, NodeId, nid)]
+        """Register a basic node once and return `nid`."""
+        self._register(nid.path, NodeId)
+        return nid
 
     def add_edge(self, a: Endpoint, b: Endpoint) -> None:
         na, nb = self.number(a), self.number(b)
@@ -249,10 +234,10 @@ class HypernodeGraph:
         the order of the path tuples, nodes before graphs on equal paths,
         without comparing whole paths.
         """
-        endpoints = tuple(self._endpoints)
-        size = len(endpoints)
+        paths = tuple(self._paths)
+        size = len(paths)
         parent = self._parent
-        name = [ep.path[-1] if ep.path else "" for ep in endpoints]
+        name = [path[-1] if path else "" for path in paths]
         # Nodes before graphs into a stable sort by name, so a node precedes
         # the graph of the same path; 0 is the root, a member of nothing.
         kids = sorted(
@@ -273,7 +258,7 @@ class HypernodeGraph:
             rank[n] = r
         edges = list(self._edge_owner)
         succ = _grouped([e & _LOW for e in edges], [e >> _SHIFT for e in edges], size)
-        self._view = View(endpoints, order, rank, members, succ)
+        self._view = View(paths, bytes(self._graph), order, rank, members, succ)
         self._stored_edges = None
         return self
 
@@ -285,10 +270,6 @@ class HypernodeGraph:
         if self._view is None:
             self.finalize()
         return self._view
-
-    @property
-    def root(self) -> GraphId:
-        return ROOT
 
     def number(self, ep: Endpoint) -> int | None:
         """The registry number of an endpoint, or None when unregistered."""
@@ -310,12 +291,11 @@ class HypernodeGraph:
 
     def graphs(self) -> tuple[GraphId, ...]:
         view = self.view()
-        ordered = map(view.endpoints.__getitem__, view.order)
-        return tuple(ep for ep in ordered if isinstance(ep, GraphId))
+        return tuple(GraphId(view.paths[n]) for n in view.order if view.graph[n])
 
     def members(self, gid: GraphId) -> tuple[Endpoint, ...]:
         view = self.view()
-        return tuple(view.endpoints[n] for n in self._slice(gid, view.members))
+        return tuple(map(view.endpoint, self._slice(gid, view.members)))
 
     def edges(self, gid: GraphId) -> tuple[Edge, ...]:
         view = self.view()
@@ -325,18 +305,17 @@ class HypernodeGraph:
             ranked = sorted(rank[e >> _SHIFT] << _SHIFT | rank[e & _LOW] for e in self._edge_owner)
             edges = [order[e >> _SHIFT] << _SHIFT | order[e & _LOW] for e in ranked]
             owner = self._edge_owner
-            self._stored_edges = _grouped(edges, [owner[e] for e in edges], len(view.endpoints))
-        eps = view.endpoints
+            self._stored_edges = _grouped(edges, [owner[e] for e in edges], len(order))
+        endpoint = view.endpoint
         stored = self._slice(gid, self._stored_edges)
-        return tuple((eps[e >> _SHIFT], eps[e & _LOW]) for e in stored)
+        return tuple((endpoint(e >> _SHIFT), endpoint(e & _LOW)) for e in stored)
 
     def all_edges(self) -> tuple[Edge, ...]:
         return tuple(edge for gid in self.graphs() for edge in self.edges(gid))
 
     def nodes(self) -> tuple[NodeId, ...]:
         view = self.view()
-        ordered = map(view.endpoints.__getitem__, view.order)
-        return tuple(ep for ep in ordered if isinstance(ep, NodeId))
+        return tuple(NodeId(view.paths[n]) for n in view.order if not view.graph[n])
 
 
 def build(models: Iterable[ContractModel]) -> HypernodeGraph:

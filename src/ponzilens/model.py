@@ -18,10 +18,13 @@ Lowering reads the AST only, never the source text. Inline assembly goes
 through the expression walker by way of its Yul AST, the `AST` field solc
 emits from 0.6.0 on:
   * a Yul identifier resolves like a Solidity one, cut at its first dot
-    (`x.slot`, `x.offset` and `x.length` are x's); since no Yul local may
-    shadow a visible name, Yul locals resolve to nothing;
+    (`x.slot`, `x.offset` and `x.length` are x's); one that resolves to
+    nothing and ends in `_slot` or `_offset`, solc 0.6's spelling, resolves
+    by its stem; since no Yul local may shadow a visible name, Yul locals
+    resolve to nothing;
   * `callvalue()` reads msg.value and `caller()` msg.sender;
-  * `sstore(x.slot, v)` writes x, and a Yul assignment its targets;
+  * `sstore(x.slot, v)` and `sstore(x_slot, v)` write x, and a Yul
+    assignment its targets;
   * `call`, `callcode`, `create` and `create2` mark a transfer unless their
     value argument is the literal 0;
   * every other argument is read, and no called Yul name is resolved.
@@ -49,8 +52,9 @@ Resolution rules:
     contract declaring a name contributes every declaration of it, since
     events overload. `emit E(...)`, and a bare `E(...)` (the form before
     Solidity 0.4.21) when E names a visible event and no visible function,
-    adds those declarations to the function's `emits`; an emission is no
-    call site;
+    adds those declarations to the function's `emits`; `emit C.E(...)`,
+    where C is a contract or interface of the unit, adds every declaration
+    of E in C itself. An emission is no call site;
   * the only builtin references modeled are msg.sender and msg.value; other
     environment reads (msg.data, tx.origin, block.*) carry no taint and are
     dropped;
@@ -58,7 +62,8 @@ Resolution rules:
 
 Lowering is the one place where a name is bound. Each function has one
 table, `FunctionModel.decls`: one entry per declaration its statements
-reference, made on first reference, with scope, name, node path and span.
+reference, made on first reference, with scope, name and node path; only a
+state entry has a span, since nothing reads a local's or parameter's.
 A state entry is the declaring contract's own `VariableDecl`, path `(owner,
 name)`. A builtin's path is `(contract, function, name)`, as is that of the
 first local or parameter of a name to be referenced; later ones end in
@@ -197,7 +202,7 @@ class VariableDecl:
     declaration its statements reference, whatever its name; state
     variables and table entries carry their scope and node path, and a
     parameter carries its scope from the start and its path from its
-    first reference."""
+    first reference. Only a state variable carries its span."""
 
     name: str
     source_span: tuple[int, int] | None = None
@@ -344,10 +349,11 @@ class _FnContext:
     `scopes` is the stack of local scopes, innermost last, over the
     parameters; `state`, `functions`, `modifiers`, `events` and `types` are
     what the contract sees along its linearization, `types` also holding the
-    unit's contracts and its file-level structs and enums. `decls` and
-    `emits` are the function's own. `index` maps each entered declaration
-    (by identity) and builtin (by name) to its table index; `taken` counts
-    the entries made per local name.
+    unit's contracts and its file-level structs and enums; `unit_events`
+    holds each contract's own events by name. `decls` and `emits` are the
+    function's own. `index` maps each entered declaration (by identity) and
+    builtin (by name) to its table index; `taken` counts the entries made
+    per local name.
     """
 
     contract: str
@@ -361,6 +367,7 @@ class _FnContext:
     scopes: list[dict[str, VariableDecl]]
     decls: list[VariableDecl]
     emits: list[EventDecl]
+    unit_events: Mapping[str, Mapping[str, list[EventDecl]]]
     index: dict[int | str, int] = field(default_factory=dict)
     taken: dict[str, int] = field(default_factory=dict)
 
@@ -387,19 +394,24 @@ class _FnContext:
             self.decls.append(VariableDecl(name, None, Scope.BUILTIN, path))
         return i
 
-    def emit(self, name: str) -> None:
+    def emit(self, name: str, contract: str | None = None) -> None:
         """Record an emission of the event `name`: every declaration of it
-        visible here, each once."""
-        for event in self.events.get(name, ()):
+        visible here, or declared by `contract` when given, each once."""
+        events = self.events if contract is None else self.unit_events[contract]
+        for event in events.get(name, ()):
             if all(event is not seen for seen in self.emits):
                 self.emits.append(event)
 
-    def resolve(self, name: str) -> int | None:
+    def lookup(self, name: str) -> VariableDecl | None:
+        """The declaration `name` binds here, innermost scope first."""
         for scope in reversed(self.scopes):
             decl = scope.get(name)
             if decl is not None:
-                return self.ref(decl)
-        decl = self.state.get(name)
+                return decl
+        return self.state.get(name)
+
+    def resolve(self, name: str) -> int | None:
+        decl = self.lookup(name)
         return None if decl is None else self.ref(decl)
 
 
@@ -415,7 +427,8 @@ def _name(node: dict, key: str = "name") -> str:
     return name
 
 
-def _is_env_identifier(node: object, names: frozenset[str] = _ENV_NAMESPACES) -> bool:
+def _is_identifier(node: object, names: Container[str] = _ENV_NAMESPACES) -> bool:
+    """Whether `node` is an identifier named one of `names`."""
     return isinstance(node, dict) and node.get("nodeType") == "Identifier" and (
         _name(node) in names
     )
@@ -459,7 +472,7 @@ def _analyze_expression(
     nt = node.get("nodeType")
 
     if nt == "Identifier" or nt == "YulIdentifier":
-        name = _name(node) if nt == "Identifier" else _name(node).partition(".")[0]
+        name = _name(node) if nt == "Identifier" else _yul_name(_name(node), ctx)[0]
         ref = ctx.resolve(name)
         if ref is not None:
             if access & _READ:
@@ -475,10 +488,10 @@ def _analyze_expression(
     elif nt == "MemberAccess":
         base = node.get("expression")
         member = _name(node, "memberName")
-        if _is_env_identifier(base, _MSG) and member in ("sender", "value"):
+        if _is_identifier(base, _MSG) and member in ("sender", "value"):
             if access & _READ:
                 info.reads.add(ctx.builtin(f"msg.{member}"))
-        elif not _is_env_identifier(base):
+        elif not _is_identifier(base):
             _analyze_expression(base, ctx, info, access)
     elif nt in ("FunctionCall", "FunctionCallOptions"):
         _call(node, ctx, info)
@@ -508,6 +521,19 @@ def _analyze_expression(
     return info
 
 
+def _yul_name(name: str, ctx: _FnContext) -> tuple[str, str]:
+    """The Solidity name a Yul identifier stands for, and its suffix ("" for
+    none): `x.slot` is x's slot, and so is solc 0.6's `x_slot` when no
+    visible declaration has that full name."""
+    stem, dot, suffix = name.partition(".")
+    if dot:
+        return stem, suffix
+    stem, _, suffix = name.rpartition("_")
+    if suffix in ("slot", "offset") and ctx.lookup(name) is None:
+        return stem, suffix
+    return name, ""
+
+
 def _yul_call(node: dict, ctx: _FnContext, info: _ExprInfo) -> None:
     """Fold one Yul call into `info` as the module docstring maps it; the
     called name is never resolved."""
@@ -522,7 +548,7 @@ def _yul_call(node: dict, ctx: _FnContext, info: _ExprInfo) -> None:
         zero = fields.get("nodeType") == "YulLiteral" and fields.get("value") == "0"
         if i == _YUL_VALUE_AT.get(op) and not zero:
             info.transfer = True
-        write = op == "sstore" and not i and _name(fields).endswith(".slot")
+        write = op == "sstore" and not i and _yul_name(_name(fields), ctx)[1] == "slot"
         _analyze_expression(arg, ctx, info, _WRITE if write else _READ)
 
 
@@ -578,7 +604,7 @@ def _callee(head: object, reads: set[int], ctx: _FnContext, info: _ExprInfo) -> 
         _feed(base, reads, ctx, info)
         if member in ("send", "transfer"):
             info.transfer = True
-        elif not member or _is_env_identifier(base):
+        elif not member or _is_identifier(base):
             # `this.f` calls f directly; other namespaces hold builtins.
             return member if member and base["name"] == "this" else None
         return "." + member
@@ -680,7 +706,7 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         info = _analyze_expression(node.get("initialValue"), ctx)
         for d in _list(node, "declarations"):
             if isinstance(d, dict) and _name(d):
-                decl = ctx.scopes[-1][d["name"]] = VariableDecl(d["name"], span_of(d), Scope.LOCAL)
+                decl = ctx.scopes[-1][d["name"]] = VariableDecl(d["name"], scope=Scope.LOCAL)
                 info.writes.add(ctx.ref(decl))
         _emit(out, Kind.DECLARE, info, node)
     elif nt == "Return":
@@ -692,10 +718,12 @@ def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:
         info = _ExprInfo()
         if isinstance(call, dict):
             head = call.get("expression")
-            if nt == "EmitStatement" and isinstance(head, dict) and (
-                head.get("nodeType") == "Identifier"
-            ):
-                ctx.emit(_name(head))
+            if nt == "EmitStatement" and isinstance(head, dict):
+                base = head.get("expression")
+                if head.get("nodeType") == "Identifier":
+                    ctx.emit(_name(head))
+                elif head.get("nodeType") == "MemberAccess" and _is_identifier(base, ctx.unit_events):
+                    ctx.emit(_name(head, "memberName"), base["name"])
             for arg in _list(call, "arguments"):
                 _analyze_expression(arg, ctx, info)
         _emit(out, Kind.EMIT if nt == "EmitStatement" else Kind.CALL, info, node)
@@ -728,11 +756,7 @@ def _param_decls(node: dict, key: str, scope: Scope) -> list[VariableDecl]:
     plist = node.get(key) or {}
     if not isinstance(plist, dict):
         raise MalformedAst(f"{node.get('nodeType')} has a non-object {key}")
-    return [
-        VariableDecl(p["name"], span_of(p), scope)
-        for p in _objects(plist, "parameters")
-        if _name(p)
-    ]
+    return [VariableDecl(p["name"], scope=scope) for p in _objects(plist, "parameters") if _name(p)]
 
 
 def _function_name(node: dict, contract_name: str) -> str:
@@ -902,7 +926,8 @@ def lower(unit: SourceUnit) -> list[ContractModel]:
                 for r in _param_decls(member, "returnParameters", Scope.LOCAL):
                     bottom[r.name] = r
                 ctx = _FnContext(
-                    model.name, fn.name, *visible, block_scoped, [bottom], fn.decls, fn.emits
+                    model.name, fn.name, *visible, block_scoped, [bottom], fn.decls, fn.emits,
+                    own[3],
                 )
                 fn.statements = _lower_function(member, ctx)
     except RecursionError:

@@ -9,15 +9,16 @@ lines follow `endpoint_key` order and edge lines are sorted, so two runs
 over the same input are byte-identical.
 
 `to_dot` reads the taint result's numbers in the graph's rank order, and its
-edge numbers. Each endpoint's quoted id is escaped once, for its node line
-and its edge lines.
+edge numbers, and each number's path and kind flag from the graph's view: it
+makes no endpoint ids. Each endpoint's quoted id is escaped once, for its
+node line and its edge lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypergraph import Endpoint, GraphId, HypernodeGraph, NodeId
+from .hypergraph import HypernodeGraph
 from .taint import TaintSubgraph
 
 
@@ -35,12 +36,10 @@ class DotDocument:
     edge_count: int
 
 
-def _label(ep: Endpoint) -> str:
-    if isinstance(ep, GraphId):
-        return ".".join(ep.path[1:]) or ".".join(ep.path)
-    if len(ep.path) >= 3:
-        return ".".join(ep.path[1:])
-    return ".".join(ep.path)
+def _label(path: tuple[str, ...], graph: int) -> str:
+    """The path without its contract for a function hypernode or an
+    in-function node; the whole path otherwise."""
+    return ".".join(path[1:] if len(path) > (1 if graph else 2) else path)
 
 
 def _escape(text: str) -> str:
@@ -53,28 +52,23 @@ def to_dot(
     """Render the tainted subgraph as a DOT digraph named `taint`."""
     opts = opts or RenderOptions()
     view = h.view()
-    eps = view.endpoints
+    paths, graph = view.paths, view.graph
     numbers = sorted(t.numbers, key=view.rank.__getitem__)
     # Each endpoint's quoted id is escaped once, for its node and its edges.
-    dot_id = {n: _escape(".".join(eps[n].path)) for n in numbers}
+    dot_id = {n: _escape(".".join(paths[n])) for n in numbers}
     sources = h.sources
 
     def node_line(n: int, indent: str) -> str:
-        ep = eps[n]
-        if ep in sources:
-            shape = " shape=diamond"
-        else:
-            shape = " shape=box3d" if isinstance(ep, GraphId) else ""
-        return f'{indent}"{dot_id[n]}" [label="{_escape(_label(ep))}"{shape}];'
+        shape = " shape=diamond" if n in sources else " shape=box3d" if graph[n] else ""
+        return f'{indent}"{dot_id[n]}" [label="{_escape(_label(paths[n], graph[n]))}"{shape}];'
 
     lines = ["digraph taint {"]
     if opts.cluster:
-        grouped: dict[tuple[str, str], list[int]] = {}
+        grouped: dict[tuple[str, ...], list[int]] = {}
         top: list[int] = []
         for n in numbers:
-            ep = eps[n]
-            if isinstance(ep, NodeId) and len(ep.path) >= 3:
-                grouped.setdefault((ep.path[0], ep.path[1]), []).append(n)
+            if not graph[n] and len(paths[n]) >= 3:
+                grouped.setdefault(paths[n][:2], []).append(n)
             else:
                 top.append(n)
         lines += [node_line(n, "  ") for n in top]

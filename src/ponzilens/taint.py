@@ -11,15 +11,15 @@ Propagation walks the successor adjacency that `HypernodeGraph.finalize`
 builds once, over registry numbers, with an explicit work stack, so deeply
 nested inputs cannot exhaust the interpreter stack. The result is exactly
 what was walked: the tainted numbers and the view they were walked on.
-Slicing and rendering read the numbers; the endpoint sets are built from
-them on each read.
+Slicing and rendering read the numbers; the endpoint sets, and the ids in
+them, are made from the numbers on each read.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Iterator
 
-from .hypergraph import EXTERNAL_SINK, Edge, Endpoint, GraphId, HypernodeGraph, NodeId, View
+from .hypergraph import EXTERNAL_SINK, Edge, Endpoint, HypernodeGraph, NodeId, View
 
 
 class TaintSubgraph:
@@ -30,14 +30,13 @@ class TaintSubgraph:
     from.
 
     `tainted` and `taint_edges` are those endpoints, and every edge whose
-    tail is tainted (by fixed-point closure its head is tainted too), built
+    tail is tainted (by fixed-point closure its head is tainted too), made
     from the numbers on each read.
     """
 
-    __slots__ = ("id", "numbers", "_view")
+    __slots__ = ("numbers", "_view")
 
-    def __init__(self, id: GraphId, numbers: AbstractSet[int], view: View):
-        self.id = id
+    def __init__(self, numbers: AbstractSet[int], view: View):
         self.numbers = numbers
         self._view = view
 
@@ -48,15 +47,15 @@ class TaintSubgraph:
 
     @property
     def tainted(self) -> frozenset[Endpoint]:
-        return frozenset(map(self._view.endpoints.__getitem__, self.numbers))
+        return frozenset(map(self._view.endpoint, self.numbers))
 
     @property
     def taint_edges(self) -> frozenset[Edge]:
-        eps = self._view.endpoints
-        return frozenset((eps[a], eps[b]) for a, b in self.edge_numbers())
+        endpoint = self._view.endpoint
+        return frozenset((endpoint(a), endpoint(b)) for a, b in self.edge_numbers())
 
     def _value(self) -> tuple:
-        return self.id, self.tainted, self.taint_edges
+        return self.tainted, self.taint_edges
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaintSubgraph):
@@ -68,13 +67,13 @@ class TaintSubgraph:
 
     def __repr__(self) -> str:
         edges = sum(1 for _ in self.edge_numbers())
-        return f"TaintSubgraph(id={self.id!r}, tainted={len(self.numbers)}, taint_edges={edges})"
+        return f"TaintSubgraph(tainted={len(self.numbers)}, taint_edges={edges})"
 
 
 def default_sources(h: HypernodeGraph) -> frozenset[NodeId]:
     """All builtin source nodes present in the graph, as the graph recorded
     them on registration."""
-    return frozenset(h.sources)
+    return frozenset(map(h.view().endpoint, h.sources))
 
 
 def tpa(h: HypernodeGraph, sources: frozenset[NodeId] | set[NodeId]) -> TaintSubgraph:
@@ -93,13 +92,14 @@ def tpa(h: HypernodeGraph, sources: frozenset[NodeId] | set[NodeId]) -> TaintSub
             if head not in tainted:
                 tainted.add(head)
                 stack.append(head)
-    return TaintSubgraph(h.root, tainted, view)
+    return TaintSubgraph(tainted, view)
 
 
 def tainted_state_vars(t: TaintSubgraph, h: HypernodeGraph) -> frozenset[NodeId]:
     """Tainted contract-level variable nodes, excluding the @external sink."""
+    paths, graph = t._view.paths, t._view.graph
     return frozenset(
-        n
-        for n in t.tainted
-        if isinstance(n, NodeId) and len(n.path) == 2 and n.path[-1] != EXTERNAL_SINK
+        NodeId(paths[n])
+        for n in t.numbers
+        if not graph[n] and len(paths[n]) == 2 and paths[n][-1] != EXTERNAL_SINK
     )

@@ -314,8 +314,9 @@ class SReturn(Stmt):
 class SEmit(Stmt):
     keyword, node_type, call_key = "emit", "EmitStatement", "eventCall"
 
-    def __init__(self, event: str, args: list[Expr] | tuple[Expr, ...] = ()):
-        self.call = Call(Id(event), list(args))
+    def __init__(self, event: str | Expr, args: list[Expr] | tuple[Expr, ...] = ()):
+        # A qualified event (`emit Base.Paid(...)`) is given as an Expr.
+        self.call = Call(Id(event) if isinstance(event, str) else event, list(args))
 
     def emit(self, w: Writer, indent: int) -> dict:
         w.write(" " * indent)

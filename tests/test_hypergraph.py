@@ -35,13 +35,13 @@ def _graph(name: str):
 
 def _function_refs(h: HypernodeGraph, models) -> dict[GraphId, frozenset[NodeId]]:
     """Per function hypernode, the nodes `function_refs` records for it, as
-    registered ids."""
-    eps = h.view().endpoints
+    ids."""
+    endpoint = h.view().endpoint
     out = {}
     for m in models:
         for f in m.functions:
             g, nodes = h.function_refs(m.name, f.name)
-            out[eps[g]] = frozenset(map(eps.__getitem__, nodes))
+            out[endpoint(g)] = frozenset(map(endpoint, nodes))
     return out
 
 
@@ -256,7 +256,7 @@ def test_hollow_unit_builds_empty_graphs():
     assert GraphId(("Noop", "nothing")) in h.graphs()
 
 
-def test_one_object_per_path_across_views():
+def test_ids_across_views_are_the_registered_endpoints():
     h, models = _graph("inherit")
     t = tpa(h, default_sources(h))
     refs = _function_refs(h, models)
@@ -264,16 +264,17 @@ def test_one_object_per_path_across_views():
     seen += [ep for edge in h.all_edges() for ep in edge]
     seen += [*refs, *(ep for nodes in refs.values() for ep in nodes), *h.nodes()]
     seen += [*t.tainted, *(ep for edge in t.taint_edges for ep in edge)]
-    registered: dict = {}
-    for ep in seen:
-        assert registered.setdefault((type(ep), ep.path), ep) is ep, ep
-    # A freshly made id still finds its registered twin, and registering
-    # it again hands back the registered object.
-    reserve = registered[NodeId, ("Base", "reserve")]
+    view = h.view()
+    registered = set(map(view.endpoint, range(len(view.paths))))
+    assert len(registered) == len(view.paths)
+    assert set(seen) == registered
+    # A freshly made id finds its endpoint, and registering it again
+    # changes nothing: the view is not dropped.
     assert NodeId(("Base", "reserve")) in t.tainted
     assert NodeId(("Base", "reserve")) in h.members(GraphId(("Base",)))
-    assert h.add_node(NodeId(("Base", "reserve"))) is reserve
-    assert h.add_graph(GraphId(("Base", "put"))) is registered[GraphId, ("Base", "put")]
+    assert h.add_node(NodeId(("Base", "reserve"))) == NodeId(("Base", "reserve"))
+    assert h.add_graph(GraphId(("Base", "put"))) == GraphId(("Base", "put"))
+    assert h.view() is view
 
 
 def test_ids_keep_value_semantics():
@@ -325,11 +326,13 @@ def test_mutation_after_finalize_is_seen_by_tpa():
 
 def test_lower_and_build_allocation_budget():
     # GC-tracked objects that outlive lower + build on 300 pay/help pairs.
-    # The count repeats exactly once caches are warm: 9,023 on CPython 3.11
-    # since build keeps per-function node numbers (9,626 with a frozenset
-    # of ids per function; 11,135 before names were bound in lower; 23,122
-    # before ids were one object per path and the graph kept as ints). The
-    # bound is the 11,135 count plus about 10 %.
+    # The count repeats exactly once caches are warm: 6,619 on CPython 3.11
+    # since the registry keeps paths and kind flags, not ids (8,721 with
+    # one interned id per path; 9,023 when build kept per-function node
+    # numbers; 9,626 with a frozenset of ids per function; 11,135 before
+    # names were bound in lower; 23,122 before ids were one object per path
+    # and the graph kept as ints). The bound is the 6,619 count plus about
+    # 10 %.
     u = load_ast(pay_help_unit(300)[1])
 
     def survivors() -> int:
@@ -341,7 +344,23 @@ def test_lower_and_build_allocation_budget():
         return len(gc.get_objects()) - before
 
     survivors()
-    assert survivors() < 12_250
+    assert survivors() < 7_300
+
+
+def test_build_leaves_no_id_alive():
+    # The graph keeps numbers, paths and kind flags; a NodeId or GraphId is
+    # made only when a query reads an endpoint.
+    models = lower(load_ast(pay_help_unit(30)[1]))
+
+    def ids() -> int:
+        gc.collect()
+        return sum(isinstance(o, (NodeId, GraphId)) for o in gc.get_objects())
+
+    before = ids()
+    h = build(models)
+    assert ids() == before
+    nodes = h.nodes()
+    assert nodes and ids() == before + len(nodes)
 
 
 def test_taint_slice_and_render_allocation_budget():

@@ -296,10 +296,17 @@ _NO_PAY = yul_call("call", yul_call("gas"), yul_call("caller"), *_ZEROS)
          [yul_let("c", yul_call("create2", yul_call("sload", yul_id("pot.slot")),
                                 *_ZEROS[:2], yul_id("a")))],
          Kind.VALUE_TRANSFER, set(), {_sv("pot"), _pv("a")}),
+        # solc 0.6 spells x.slot x_slot, and x.offset x_offset.
+        ("sstore(pot_slot, callvalue())",
+         [yul_call("sstore", yul_id("pot_slot"), yul_call("callvalue"))],
+         Kind.OPAQUE, {_sv("pot")}, {_bv("msg.value")}),
+        ("let o := pot_offset", [yul_let("o", yul_id("pot_offset"))],
+         Kind.OPAQUE, set(), {_sv("pot")}),
         # Before 0.6.0 there is no Yul AST, and the text is not read.
         ("sstore(pot_slot, callvalue())", None, Kind.OPAQUE, set(), set()),
     ],
-    ids=["sstore", "comment", "string", "assign", "call", "call_0", "create2", "no_ast"],
+    ids=["sstore", "comment", "string", "assign", "call", "call_0", "create2", "slot_06",
+         "offset_06", "no_ast"],
 )
 def test_inline_assembly_lowers_from_yul(text, yul, kind, defs, uses):
     fn = lower(load_ast(_asm_unit(text, yul)))[0].functions[0]
@@ -310,6 +317,27 @@ def test_inline_assembly_lowers_from_yul(text, yul, kind, defs, uses):
 def test_assembly_deposit_taints_the_state_it_stores_to():
     unit = load_ast(_asm_unit("sstore(pot.slot, callvalue())", [_SSTORE]))
     assert NodeId(("Pot", "pot")) in run_static_pipeline(unit).taint.tainted
+
+
+def test_solc_06_slot_name_deposit_taints_its_stem():
+    sstore = yul_call("sstore", yul_id("pot_slot"), yul_call("callvalue"))
+    put = Fn("put", [], [SAsm("sstore(pot_slot, callvalue())", yul_block(sstore))],
+             mutability="payable")
+    pot = Contract("Pot", [StateVar("uint", "pot"), put])
+    unit = load_ast(build_unit("asm06", [pot], "^0.6.12", "0.6.12")[1])
+    assert NodeId(("Pot", "pot")) in run_static_pipeline(unit).taint.tainted
+
+
+def test_a_variable_named_like_a_slot_wins_over_the_stem():
+    # put's parameter is called pot_slot: the Yul name is that parameter,
+    # read as a slot number, and state pot is neither read nor written.
+    sstore = yul_call("sstore", yul_id("pot_slot"), yul_call("callvalue"))
+    put = Fn("put", [("uint", "pot_slot")],
+             [SAsm("sstore(pot_slot, callvalue())", yul_block(sstore))], mutability="payable")
+    pot = Contract("Pot", [StateVar("uint", "pot"), put])
+    fn = lower(load_ast(build_unit("asm06", [pot], "^0.6.12", "0.6.12")[1]))[0].functions[0]
+    (s,) = fn.statements
+    assert (s.defs, _refs(fn, s.uses)) == ((), {_pv("pot_slot"), _bv("msg.value")})
 
 
 def test_unknown_node_reads_its_children_and_not_its_text():
@@ -713,8 +741,11 @@ def test_lower_binds_each_name_once_per_function():
     assert reserve is base.state_vars[0] and reserve.path == ("Base", "reserve")
     take = next(d for d in drain.decls if d.name == "take")
     assert (take.scope, take.path) == (Scope.LOCAL, ("Child", "drain", "take"))
-    off, n = take.source_span
-    assert u.source_text[off : off + n] == "uint take"
+    # Only a state entry has a span: nothing reads a local's or a parameter's.
+    off, n = reserve.source_span
+    assert u.source_text[off : off + n] == "uint public reserve"
+    assert take.source_span is None
+    assert next(d for d in drain.decls if d.name == "target").source_span is None
     assert child.linearization == ("Child", "Base")
 
 
@@ -833,6 +864,49 @@ def test_events_bind_along_the_linearization():
         "event Paid(uint a)",
         "event Paid(uint a, uint b)",
         "event Left(address who)",
+    ]
+
+
+def test_qualified_emit_binds_the_named_contracts_events():
+    # Child declares a Paid of its own; `emit Base.Paid(...)` emits Base's
+    # two overloads instead, and `emit Other.Ping(...)` the Ping of Other,
+    # which Child does not inherit. The slice header holds their lines.
+    value = Member(Id("msg"), "value")
+    base = Contract(
+        "Base", [EventDef("Paid", [("uint", "a")]), EventDef("Paid", [("uint", "a"), ("uint", "b")])]
+    )
+    other = Contract("Other", [EventDef("Ping", [("uint", "a")])])
+    child = Contract(
+        "Child",
+        [
+            StateVar("uint", "pot"),
+            EventDef("Paid", [("address", "who")]),
+            Fn(
+                "pay",
+                [],
+                [
+                    SAssign(Id("pot"), "+=", value),
+                    SEmit(Member(Id("Base"), "Paid"), [value]),
+                    SEmit(Member(Id("Other"), "Ping"), [value]),
+                    SEmit(Member(Id("Nowhere"), "Paid"), [value]),
+                ],
+                mutability="payable",
+            ),
+        ],
+        bases=["Base"],
+    )
+    unit = load_ast(build_unit("qualified", [base, other, child])[1])
+    (pay,) = lower(unit)[2].functions
+    assert _emitted(unit, pay) == [
+        "event Paid(uint a)",
+        "event Paid(uint a, uint b)",
+        "event Ping(uint a)",
+    ]
+    assert run_static_pipeline(unit).bundle.header.splitlines()[1:] == [
+        "event Paid(uint a);",
+        "event Paid(uint a, uint b);",
+        "event Ping(uint a);",
+        "uint public pot;",
     ]
 
 

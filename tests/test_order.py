@@ -46,9 +46,9 @@ def _graph(paths: list[tuple[tuple[str, ...], str]]) -> HypernodeGraph:
 def test_finalize_order_is_endpoint_key_order(paths):
     h = _graph(paths)
     view = h.view()
-    everything = list(view.endpoints)
+    everything = list(map(view.endpoint, range(len(view.paths))))
     want = sorted(everything, key=endpoint_key)
-    assert [view.endpoints[n] for n in view.order] == want
+    assert [view.endpoint(n) for n in view.order] == want
     assert [view.order[r] for r in sorted(view.rank)] == view.order
     assert list(h.nodes()) == [ep for ep in want if isinstance(ep, NodeId)]
     assert list(h.graphs()) == [ep for ep in want if isinstance(ep, GraphId)]

@@ -165,9 +165,9 @@ def test_selection_matches_independent_predicate_on_random_models():
         models, _source = oracles.random_models(rng)
         h = build(models)
         # Every state reference names the contract Solidity's C3 order picks.
-        eps = h.view().endpoints
+        endpoint = h.view().endpoint
         refs = {
-            (m.name, f.name): set(map(eps.__getitem__, h.function_refs(m.name, f.name)[1]))
+            (m.name, f.name): set(map(endpoint, h.function_refs(m.name, f.name)[1]))
             for m in models
             for f in m.functions
         }
@@ -199,9 +199,9 @@ def test_overloads_share_one_hypernode_and_its_refs():
     models = lower(u)
     h = build(models)
     g, nodes = h.function_refs("O", "f")
-    eps = h.view().endpoints
-    assert eps[g] == GraphId(("O", "f"))
-    assert {NodeId(("O", "x")), NodeId(("O", "z"))} <= set(map(eps.__getitem__, nodes))
+    endpoint = h.view().endpoint
+    assert endpoint(g) == GraphId(("O", "f"))
+    assert {NodeId(("O", "x")), NodeId(("O", "z"))} <= set(map(endpoint, nodes))
     t = tpa(h, default_sources(h))
     assert select_functions(t, h, models) == ["O.g", "O.f", "O.f"]
 
