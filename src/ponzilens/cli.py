@@ -48,8 +48,7 @@ from .ingest import (
     is_address,
     load_source_unit,
 )
-from .model import ContractModel, FunctionModel, def_use_table
-from .render import RenderOptions, to_dot
+from .model import ContractModel, FunctionModel, def_use_table, parse_span
 from .taint import TaintSubgraph, tainted_state_vars
 
 EXIT_OK = 0
@@ -252,7 +251,7 @@ def ir_document(models: list[ContractModel]) -> str:
                                 "defs": sorted(_ref_text(f, v) for v in s.defs),
                                 "uses": sorted(_ref_text(f, v) for v in s.uses),
                                 "callees": list(s.callees),
-                                "span": list(s.source_span),
+                                "span": list(parse_span(s.src)),
                             }
                             for s in f.statements
                         ],
@@ -310,7 +309,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     unit, art, dot_path = _static_run(args, include_constructors=not args.no_constructors)
     out_dir = dot_path.parent
 
-    tainted_state = sorted(str(n) for n in tainted_state_vars(art.taint, art.graph))
+    paths = art.graph.view().paths
+    tainted_state = sorted(".".join(paths[n]) for n in tainted_state_vars(art.taint))
     payload = {
         "contract_id": unit.id,
         "functions_total": art.bundle.stats.functions_total,
@@ -430,7 +430,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    unit, art, dot_path = _static_run(args, render_opts=RenderOptions(cluster=args.cluster))
+    unit, art, dot_path = _static_run(args, cluster=args.cluster)
     if args.json:
         print(
             json.dumps(

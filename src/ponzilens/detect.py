@@ -52,7 +52,7 @@ from .errors import (
 from .hypergraph import HypernodeGraph, build
 from .ingest import SourceUnit, compile_source
 from .model import ContractModel, lower
-from .render import DotDocument, RenderOptions, to_dot
+from .render import DotDocument, to_dot
 from .slicing import SliceBundle, SliceStats, combine_slices, select_functions
 from .taint import TaintSubgraph, default_sources, tpa
 
@@ -522,9 +522,10 @@ def run_static_pipeline(
     mode: str = MODE_FULL,
     *,
     include_constructors: bool = True,
-    render_opts: RenderOptions | None = None,
+    cluster: bool = False,
 ) -> StaticArtifacts:
-    """Lower, build, propagate, slice, and (full mode) render one unit.
+    """Lower, build, propagate, slice, and (full mode) render one unit;
+    `cluster` is `to_dot`'s.
 
     Raw mode skips static analysis entirely: the whole source text stands
     in for the slice, and no AST is required.
@@ -540,7 +541,7 @@ def run_static_pipeline(
         taint, graph, models, include_constructors=include_constructors
     )
     bundle = combine_slices(selected, models, unit.source_text)
-    dot = to_dot(taint, graph, render_opts) if mode == MODE_FULL else None
+    dot = to_dot(taint, graph, cluster=cluster) if mode == MODE_FULL else None
     return StaticArtifacts(models, graph, taint, bundle, dot)
 
 

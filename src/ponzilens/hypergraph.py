@@ -16,13 +16,15 @@ GraphId(("C", "f")) is the hypernode of function f. Edges connect any mix of
 basic nodes and hypernodes except hypernode-to-hypernode, and each edge is
 stored in the lowest graph that contains both endpoints, so sibling-function
 flows through shared state naturally land in the contract graph and
-cross-contract flows land at the root.
+cross-contract flows land at the root. The graph records only the edge
+itself; `edges` finds its storing graph when it first groups the edges.
 
 A graph keeps a registry: each endpoint is registered once per path and
 kind, numbered in registration order, and the registry keeps each number's
 path and a one-byte kind flag (1 for a graph). The number is the only
-identity inside the graph and the currency from `build` to `render.to_dot`;
-an edge is a pair of numbers packed into one int. Neither a flag array nor
+identity inside the graph and the currency from `build` through `taint.tpa`
+and slicing to `render.to_dot`; an edge is a pair of numbers packed into
+one int, and the graph keeps the set of them. Neither a flag array nor
 an int is tracked by the garbage collector. `NodeId` and `GraphId` are plain
 values: `add_graph`/`add_node`/`add_edge` look theirs up by path, and the
 queries make new ones on read (`View.endpoint`). `finalize` derives the
@@ -147,14 +149,13 @@ class HypernodeGraph:
         # The numbers of the registered nodes named msg.sender or msg.value.
         self.sources: set[int] = set()
         # The registry: paths, kind flags and parent graphs by number, and
-        # numbers by path, one table per kind. An edge maps to the number of
-        # the graph that stores it.
+        # numbers by path, one table per kind; and the edges.
         self._paths: list[tuple[str, ...]] = [ROOT.path]
         self._graph = bytearray(b"\x01")
         self._parent: list[int] = [-1]
         self._graph_no: dict[tuple[str, ...], int] = {(): 0}
         self._node_no: dict[tuple[str, ...], int] = {}
-        self._edge_owner: dict[int, int] = {}
+        self._edges: set[int] = set()
         self._view: View | None = None
         # Edges by storing graph number, in order; made on the first
         # `edges` read after each `finalize`.
@@ -205,24 +206,8 @@ class HypernodeGraph:
         self._link(na, nb)
 
     def _link(self, a: int, b: int) -> None:
-        """Add the edge between two registered numbers, stored in the lowest
-        graph that contains both."""
-        edge = a << _SHIFT | b
-        if edge in self._edge_owner:
-            return
-        parent = self._parent
-        owner, other = parent[a], parent[b]
-        if owner != other:
-            # The graph of the parents' longest common path prefix: every
-            # prefix of a registered path is a registered graph.
-            above = []
-            while owner >= 0:
-                above.append(owner)
-                owner = parent[owner]
-            while other not in above:
-                other = parent[other]
-            owner = other
-        self._edge_owner[edge] = owner
+        """Add the edge between two registered numbers."""
+        self._edges.add(a << _SHIFT | b)
         self._view = None
 
     def finalize(self) -> "HypernodeGraph":
@@ -256,7 +241,7 @@ class HypernodeGraph:
         rank = [0] * size
         for r, n in enumerate(order):
             rank[n] = r
-        edges = list(self._edge_owner)
+        edges = list(self._edges)
         succ = _grouped([e & _LOW for e in edges], [e >> _SHIFT for e in edges], size)
         self._view = View(paths, bytes(self._graph), order, rank, members, succ)
         self._stored_edges = None
@@ -282,6 +267,21 @@ class HypernodeGraph:
         g = self._graph_no[contract, function]
         return g, self._fn_refs.get(g, ())
 
+    def _storing_graph(self, a: int, b: int) -> int:
+        """The number of the lowest graph that contains both endpoints: the
+        graph of their parents' longest common path prefix, since every
+        prefix of a registered path is a registered graph."""
+        parent = self._parent
+        owner, other = parent[a], parent[b]
+        if owner != other:
+            above = []
+            while owner >= 0:
+                above.append(owner)
+                owner = parent[owner]
+            while other not in above:
+                other = parent[other]
+        return other
+
     def _slice(self, gid: GraphId, grouped: tuple[list[int], list[int]]) -> list[int]:
         n = self._graph_no.get(gid.path) if isinstance(gid, GraphId) else None
         if n is None:
@@ -302,10 +302,10 @@ class HypernodeGraph:
         if self._stored_edges is None:
             # By (tail, head) rank, then placed by storing graph.
             rank, order = view.rank, view.order
-            ranked = sorted(rank[e >> _SHIFT] << _SHIFT | rank[e & _LOW] for e in self._edge_owner)
+            ranked = sorted(rank[e >> _SHIFT] << _SHIFT | rank[e & _LOW] for e in self._edges)
             edges = [order[e >> _SHIFT] << _SHIFT | order[e & _LOW] for e in ranked]
-            owner = self._edge_owner
-            self._stored_edges = _grouped(edges, [owner[e] for e in edges], len(order))
+            owner = [self._storing_graph(e >> _SHIFT, e & _LOW) for e in edges]
+            self._stored_edges = _grouped(edges, owner, len(order))
         endpoint = view.endpoint
         stored = self._slice(gid, self._stored_edges)
         return tuple((endpoint(e >> _SHIFT), endpoint(e & _LOW)) for e in stored)

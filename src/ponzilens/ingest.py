@@ -126,9 +126,9 @@ class SourceUnit:
 class FetchConfig:
     """Explorer API access settings.
 
-    rate_limit is requests per second, enforced over a sliding one-second
-    window shared by every thread using the same (api_base_url, rate_limit)
-    pair.
+    rate_limit is requests per second, enforced over a sliding window (see
+    `RateLimiter`) shared by every thread using the same (api_base_url,
+    rate_limit) pair.
     """
 
     api_base_url: str = "https://api.etherscan.io/api"
@@ -358,7 +358,9 @@ def load_source_unit(path: str | Path) -> SourceUnit:
 
 
 class RateLimiter:
-    """Sliding-window limiter: at most `rate` acquisitions in any 1 s window.
+    """Sliding-window limiter for `rate` acquisitions per second: at most
+    capacity = max(1, int(rate)) in any window of capacity / rate seconds,
+    so a fractional rate holds too.
 
     Thread-safe; acquire() blocks until a slot frees up. The window is
     tracked with monotonic timestamps so wall-clock jumps cannot break it.
@@ -368,6 +370,7 @@ class RateLimiter:
         if rate <= 0:
             raise ValueError("rate must be positive")
         self._capacity = max(1, int(rate))
+        self._window = self._capacity / rate
         self._stamps: deque[float] = deque()
         self._lock = threading.Lock()
 
@@ -375,12 +378,12 @@ class RateLimiter:
         while True:
             with self._lock:
                 now = time.monotonic()
-                while self._stamps and now - self._stamps[0] >= 1.0:
+                while self._stamps and now - self._stamps[0] >= self._window:
                     self._stamps.popleft()
                 if len(self._stamps) < self._capacity:
                     self._stamps.append(now)
                     return
-                wait = self._stamps[0] + 1.0 - now
+                wait = self._stamps[0] + self._window - now
             time.sleep(max(wait, 0.001))
 
 

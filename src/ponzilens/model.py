@@ -63,7 +63,9 @@ Resolution rules:
 Lowering is the one place where a name is bound. Each function has one
 table, `FunctionModel.decls`: one entry per declaration its statements
 reference, made on first reference, with scope, name and node path; only a
-state entry has a span, since nothing reads a local's or parameter's.
+state entry has a span, since nothing reads a local's or parameter's. A
+statement keeps its node's `src` string unparsed (`Statement.src`): only
+`--dump-ir` reads it, through `parse_span`.
 A state entry is the declaring contract's own `VariableDecl`, path `(owner,
 name)`. A builtin's path is `(contract, function, name)`, as is that of the
 first local or parameter of a name to be referenced; later ones end in
@@ -183,13 +185,14 @@ class CallSite:
 @dataclass(slots=True)
 class Statement:
     """One lowered statement with its def/use sets, as ascending indices
-    into the function's `decls`, and its call sites."""
+    into the function's `decls`, and its call sites. `src` is its AST
+    node's own `src` string (see the module docstring)."""
 
     kind: Kind
     defs: tuple[int, ...]
     uses: tuple[int, ...]
     calls: tuple[CallSite, ...] = ()
-    source_span: tuple[int, int] = (0, 0)
+    src: str | None = None
 
     @property
     def callees(self) -> tuple[str, ...]:
@@ -304,8 +307,13 @@ def _c3_merge(seqs: list[tuple[str, ...]], contract: str) -> tuple[str, ...]:
 
 
 def span_of(node: dict) -> tuple[int, int]:
-    """(offset, length) from a node's `src` field; (0, 0) when absent."""
-    src = node.get("src")
+    """(offset, length) from a node's `src` field; see `parse_span`."""
+    return parse_span(node.get("src"))
+
+
+def parse_span(src: object) -> tuple[int, int]:
+    """(offset, length) from an AST `src` string; (0, 0) when it is absent
+    or not of that form."""
     if not isinstance(src, str):
         return (0, 0)
     parts = src.split(":")
@@ -665,7 +673,7 @@ _CONTROL = {
 def _emit(out: list, kind: Kind, info: _ExprInfo, node: dict) -> None:
     """Append one statement of `info`'s effects, spanning `node`."""
     defs, uses = tuple(sorted(info.writes)), tuple(sorted(info.reads))
-    out.append(Statement(kind, defs, uses, tuple(info.calls), span_of(node)))
+    out.append(Statement(kind, defs, uses, tuple(info.calls), node.get("src")))
 
 
 def _lower_statement(node: object, ctx: _FnContext, out: list) -> None:

@@ -4,9 +4,10 @@ One rendered node per tainted endpoint; node ids are full dotted paths so
 they stay unique across contracts and functions, while labels drop the
 contract prefix for in-function variables to keep the picture readable.
 Source nodes (the graph's `sources`) render as diamonds, function
-hypernodes as box3d. Output is a pure function of the taint result: node
-lines follow `endpoint_key` order and edge lines are sorted, so two runs
-over the same input are byte-identical.
+hypernodes as box3d; with `cluster=True`, the nodes inside a function
+are grouped into one subgraph per function. Output is a pure function of
+the taint result: node lines follow `endpoint_key` order and edge lines are
+sorted, so two runs over the same input are byte-identical.
 
 `to_dot` reads the taint result's numbers in the graph's rank order, and its
 edge numbers, and each number's path and kind flag from the graph's view: it
@@ -20,13 +21,6 @@ from dataclasses import dataclass
 
 from .hypergraph import HypernodeGraph
 from .taint import TaintSubgraph
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    """cluster=True groups function-local nodes into per-function clusters."""
-
-    cluster: bool = False
 
 
 @dataclass(frozen=True)
@@ -46,11 +40,9 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(
-    t: TaintSubgraph, h: HypernodeGraph, opts: RenderOptions | None = None
-) -> DotDocument:
-    """Render the tainted subgraph as a DOT digraph named `taint`."""
-    opts = opts or RenderOptions()
+def to_dot(t: TaintSubgraph, h: HypernodeGraph, *, cluster: bool = False) -> DotDocument:
+    """Render the tainted subgraph as a DOT digraph named `taint`;
+    `cluster` groups function-local nodes into per-function clusters."""
     view = h.view()
     paths, graph = view.paths, view.graph
     numbers = sorted(t.numbers, key=view.rank.__getitem__)
@@ -63,7 +55,7 @@ def to_dot(
         return f'{indent}"{dot_id[n]}" [label="{_escape(_label(paths[n], graph[n]))}"{shape}];'
 
     lines = ["digraph taint {"]
-    if opts.cluster:
+    if cluster:
         grouped: dict[tuple[str, ...], list[int]] = {}
         top: list[int] = []
         for n in numbers:

@@ -10,8 +10,8 @@ tainted name.
 Which declaration a name denotes is decided once, by `model.lower`; slicing
 resolves nothing. It tests each function's numbers
 (`HypernodeGraph.function_refs`) against the taint result's `numbers`, and
-reads each contract's `ContractModel.linearization` for the constructor
-rule.
+for the constructor rule reads the owners of the tainted state numbers from
+the graph's paths and each contract's `ContractModel.linearization`.
 
 Assembly is text only, from the models: slices are whole functions, taken
 verbatim from each `FunctionModel.source_span` in the source text, and
@@ -82,7 +82,8 @@ def select_functions(
         keep = g in tainted or not tainted.isdisjoint(nodes)
         if not keep and include_constructors and f.name == CTOR_NAME:
             if tainted_owners is None:
-                tainted_owners = {s.path[0] for s in tainted_state_vars(t, h)}
+                paths = h.view().paths
+                tainted_owners = {paths[n][0] for n in tainted_state_vars(t)}
             keep = not tainted_owners.isdisjoint(m.linearization)
         if keep:
             selected.append(f.qualified_name)

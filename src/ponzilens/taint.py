@@ -7,19 +7,21 @@ function through a call, and edges leaving the hypernode carry the taint
 onward. Propagation only ever adds taint; nothing is removed, so the result
 is the least fixed point regardless of edge visit order.
 
+Everything here is in registry numbers: `default_sources` gives the graph's
+source numbers, `tpa` takes numbers, and `tainted_state_vars` gives numbers.
 Propagation walks the successor adjacency that `HypernodeGraph.finalize`
-builds once, over registry numbers, with an explicit work stack, so deeply
-nested inputs cannot exhaust the interpreter stack. The result is exactly
-what was walked: the tainted numbers and the view they were walked on.
-Slicing and rendering read the numbers; the endpoint sets, and the ids in
-them, are made from the numbers on each read.
+builds once, with an explicit work stack, so deeply nested inputs cannot
+exhaust the interpreter stack. The result is exactly what was walked: the
+tainted numbers and the view they were walked on. Slicing and rendering read
+the numbers; the endpoint sets, and the ids in them, are made from the
+numbers on each read.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
-from .hypergraph import EXTERNAL_SINK, Edge, Endpoint, HypernodeGraph, NodeId, View
+from .hypergraph import EXTERNAL_SINK, Edge, Endpoint, HypernodeGraph, View
 
 
 class TaintSubgraph:
@@ -31,7 +33,8 @@ class TaintSubgraph:
 
     `tainted` and `taint_edges` are those endpoints, and every edge whose
     tail is tainted (by fixed-point closure its head is tainted too), made
-    from the numbers on each read.
+    from the numbers on each read. A result is a plain record, equal only
+    to itself: compare two by those sets.
     """
 
     __slots__ = ("numbers", "_view")
@@ -54,37 +57,29 @@ class TaintSubgraph:
         endpoint = self._view.endpoint
         return frozenset((endpoint(a), endpoint(b)) for a, b in self.edge_numbers())
 
-    def _value(self) -> tuple:
-        return self.tainted, self.taint_edges
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TaintSubgraph):
-            return NotImplemented
-        return self._value() == other._value()
-
-    def __hash__(self) -> int:
-        return hash(self._value())
-
     def __repr__(self) -> str:
         edges = sum(1 for _ in self.edge_numbers())
         return f"TaintSubgraph(tainted={len(self.numbers)}, taint_edges={edges})"
 
 
-def default_sources(h: HypernodeGraph) -> frozenset[NodeId]:
-    """All builtin source nodes present in the graph, as the graph recorded
+def default_sources(h: HypernodeGraph) -> frozenset[int]:
+    """The numbers of the graph's builtin source nodes, as the graph recorded
     them on registration."""
-    return frozenset(map(h.view().endpoint, h.sources))
+    return frozenset(h.sources)
 
 
-def tpa(h: HypernodeGraph, sources: frozenset[NodeId] | set[NodeId]) -> TaintSubgraph:
-    """Propagate taint from `sources` to a least fixed point.
+def tpa(h: HypernodeGraph, sources: Iterable[int]) -> TaintSubgraph:
+    """Propagate taint from the `sources` numbers to a least fixed point.
 
-    Source ids not present in the graph are ignored. Output sets depend only
-    on the graph's node/edge sets, not on edge insertion order.
+    A number the graph never registered raises ValueError. Output sets
+    depend only on the graph's node/edge sets, not on edge insertion order.
     """
     view = h.view()
     heads, start = view.succ
-    tainted = {n for n in map(h.number, sources) if n is not None}
+    tainted = set(sources)
+    unknown = sorted(n for n in tainted if not 0 <= n < len(view.paths))
+    if unknown:
+        raise ValueError(f"sources not registered in the graph: {unknown}")
     stack = list(tainted)
     while stack:
         n = stack.pop()
@@ -95,11 +90,10 @@ def tpa(h: HypernodeGraph, sources: frozenset[NodeId] | set[NodeId]) -> TaintSub
     return TaintSubgraph(tainted, view)
 
 
-def tainted_state_vars(t: TaintSubgraph, h: HypernodeGraph) -> frozenset[NodeId]:
-    """Tainted contract-level variable nodes, excluding the @external sink."""
+def tainted_state_vars(t: TaintSubgraph) -> frozenset[int]:
+    """The numbers of the tainted contract-level variable nodes, excluding
+    the @external sink."""
     paths, graph = t._view.paths, t._view.graph
     return frozenset(
-        NodeId(paths[n])
-        for n in t.numbers
-        if not graph[n] and len(paths[n]) == 2 and paths[n][-1] != EXTERNAL_SINK
+        n for n in t.numbers if not graph[n] and len(paths[n]) == 2 and paths[n][-1] != EXTERNAL_SINK
     )

@@ -56,6 +56,11 @@ def closure_taint(
     return tainted, taint_edges
 
 
+def numbers(h: HypernodeGraph, endpoints: Iterable[Endpoint]) -> frozenset[int]:
+    """The registry numbers of `endpoints` in `h`, as `tpa` takes them."""
+    return frozenset(map(h.number, endpoints))
+
+
 def random_hypergraph(
     rng: random.Random,
 ) -> tuple[HypernodeGraph, list[tuple[Endpoint, Endpoint]], list[NodeId], set[NodeId]]:

@@ -39,7 +39,7 @@ from ponzilens.evaluation import (
 from ponzilens.hypergraph import build
 from ponzilens.ingest import load_ast
 from ponzilens.model import lower
-from ponzilens.render import RenderOptions, to_dot
+from ponzilens.render import to_dot
 from ponzilens.slicing import SliceBundle, combine_slices, select_functions
 from ponzilens.taint import default_sources, tpa
 
@@ -95,11 +95,11 @@ def test_c2_taint_matches_bruteforce_oracle_on_1000_graphs():
     for i in range(1000):
         h, edges, _nodes, sources = oracles.random_hypergraph(rng)
         want_tainted, want_edges = oracles.closure_taint(edges, sources)
-        t = tpa(h, frozenset(sources))
+        t = tpa(h, oracles.numbers(h, sources))
         assert set(t.tainted) == want_tainted, f"graph {i}: tainted sets differ"
         assert set(t.taint_edges) == want_edges, f"graph {i}: edge sets differ"
         shuffled = oracles.rebuild_shuffled(h, edges, rng)
-        ts = tpa(shuffled, frozenset(sources))
+        ts = tpa(shuffled, oracles.numbers(shuffled, sources))
         assert set(ts.tainted) == want_tainted, f"graph {i}: order-sensitive taint"
         assert set(ts.taint_edges) == want_edges, f"graph {i}: order-sensitive edges"
     elapsed = time.perf_counter() - started
@@ -227,7 +227,7 @@ def test_c6_dot_output_parses_and_recovers_taint_edges():
 
     clustered = run_static_pipeline(
         fixutil.load_unit("simple_ponzi"), MODE_FULL,
-        render_opts=RenderOptions(cluster=True),
+        cluster=True,
     )
     parsed = dotcheck.parse_dot(clustered.dot.text)
     want = Counter(

@@ -10,6 +10,7 @@ import pytest
 
 import fixutil
 from astgen import Call, Contract, Fn, Id, SDecl, SExpr, SReturn, StateVar, build_unit
+from ponzilens.detect import run_static_pipeline
 from ponzilens.errors import UnknownGraph
 from ponzilens.hypergraph import (
     ROOT,
@@ -311,11 +312,12 @@ def test_mutation_after_finalize_is_seen_by_tpa():
     h.add_edge(NodeId(("Caller", "take", "msg.value")), local)
     mutated = tpa(h, sources)
     assert local in mutated.tainted
-    assert mutated == tpa(h.finalize(), sources)
+    again = tpa(h.finalize(), sources)
+    assert (mutated.tainted, mutated.taint_edges) == (again.tainted, again.taint_edges)
     # A result taken before the mutation still describes the graph it was
     # taken from: its view is not the one the mutation made.
     assert before.tainted == tainted and before.taint_edges == taint_edges
-    assert before != mutated
+    assert before.tainted != mutated.tainted
     # Reads after the mutation are sorted again, new members included.
     assert [str(m) for m in h.members(GraphId(("Caller", "take")))] == [
         "Caller.take.late",
@@ -388,3 +390,40 @@ def test_taint_slice_and_render_allocation_budget():
 
     survivors()
     assert survivors() <= 7
+
+
+def test_static_pipeline_makes_no_ids_and_keeps_raw_statement_src(monkeypatch):
+    # The pipeline trades in registry numbers: no id is made, none is left
+    # alive, and statements keep their AST node's own `src` string. The
+    # constructor rule is exercised: Init's constructor touches no tainted
+    # name and is kept for the tainted state variable `pot`.
+    unit = fixutil.load_unit("init_rule")
+    made = []
+    for cls in (NodeId, GraphId):
+
+        def counted(self, path, _init=cls.__init__):
+            made.append(path)
+            _init(self, path)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def alive() -> int:
+        gc.collect()
+        return sum(isinstance(o, (NodeId, GraphId)) for o in gc.get_objects())
+
+    before = alive()
+    art = run_static_pipeline(unit)
+    assert "Init.@ctor" in art.bundle.selected
+    assert made == [] and alive() == before
+
+    srcs, stack = {}, [unit.ast_json]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            if isinstance(node.get("src"), str):
+                srcs[id(node["src"])] = node["src"]
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    statements = [s for m in art.models for f in m.functions for s in f.statements]
+    assert statements and all(srcs.get(id(s.src)) is s.src for s in statements)

@@ -234,6 +234,26 @@ def test_rate_limiter_sliding_window(monkeypatch):
     assert len(sleeps) == before
 
 
+@pytest.mark.parametrize("rate", [0.5, 2.5])
+def test_rate_limiter_holds_a_fractional_rate(monkeypatch, rate):
+    clock = {"t": 100.0}
+
+    def fake_sleep(seconds: float) -> None:
+        clock["t"] += seconds
+
+    monkeypatch.setattr(ingest.time, "monotonic", lambda: clock["t"])
+    monkeypatch.setattr(ingest.time, "sleep", fake_sleep)
+    limiter = RateLimiter(rate)
+    admitted = []
+    for _ in range(12):
+        limiter.acquire()
+        admitted.append(clock["t"] - 100.0)
+    # Every window of 4 s holds at most 4 * rate acquisitions, and the
+    # limiter waits no longer than it must.
+    assert all(b - a >= 4.0 - 1e-9 for a, b in zip(admitted, admitted[int(4 * rate) :]))
+    assert admitted[-1] <= (len(admitted) - 1) / rate + 1e-9
+
+
 def test_rate_limiter_rejects_nonpositive_rate():
     with pytest.raises(ValueError):
         RateLimiter(0)

@@ -11,7 +11,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from ponzilens.hypergraph import GraphId, HypernodeGraph, NodeId, endpoint_key  # noqa: E402
-from ponzilens.render import RenderOptions, to_dot  # noqa: E402
+from ponzilens.render import to_dot  # noqa: E402
 from ponzilens.taint import tpa  # noqa: E402
 
 # Shared prefixes ("a" and "ab", ("a",) and ("a", "b")), a dot inside a
@@ -59,12 +59,12 @@ def test_finalize_order_is_endpoint_key_order(paths):
     # without edges: the DOT node lines, flat and clustered, follow the same
     # order.
     tainted = frozenset(everything[1:])
-    t = tpa(h, tainted)
+    t = tpa(h, map(h.number, tainted))
     assert t.tainted == tainted and t.taint_edges == frozenset()
     flat = to_dot(t, h).text
     ids = re.findall(r'^  "(.*)" \[label=', flat, re.M)
     assert ids == [".".join(ep.path) for ep in want if ep in tainted]
-    clustered = to_dot(t, h, RenderOptions(cluster=True)).text
+    clustered = to_dot(t, h, cluster=True).text
     top = re.findall(r'^  "(.*)" \[label=', clustered, re.M)
     assert top == [
         ".".join(ep.path)

@@ -7,7 +7,7 @@ import fixutil
 import pytest
 from ponzilens.hypergraph import HypernodeGraph, NodeId, build
 from ponzilens.model import lower
-from ponzilens.render import RenderOptions, to_dot
+from ponzilens.render import to_dot
 from ponzilens.taint import default_sources, tpa
 
 
@@ -16,7 +16,7 @@ def _render(name: str, cluster: bool = False):
     models = lower(u)
     h = build(models)
     t = tpa(h, default_sources(h))
-    return to_dot(t, h, RenderOptions(cluster=cluster)), t, h
+    return to_dot(t, h, cluster=cluster), t, h
 
 
 def test_digraph_shape_and_counts():
@@ -112,7 +112,7 @@ def test_quotes_and_backslashes_round_trip():
     h.add_node(a)
     h.add_node(b)
     h.add_edge(a, b)
-    t = tpa(h, {a})
+    t = tpa(h, {h.number(a)})
     assert t.tainted == {a, b} and t.taint_edges == {(a, b)}
     doc = to_dot(t, h)
     g = dotcheck.parse_dot(doc.text)

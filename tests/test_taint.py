@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import fixutil
+import pytest
 import oracles
 from ponzilens.hypergraph import GraphId, NodeId, build
 from ponzilens.model import lower
@@ -22,6 +23,11 @@ def _paths(endpoints) -> set[str]:
     return {str(e) for e in endpoints}
 
 
+def _state_paths(t, h) -> set[str]:
+    paths = h.view().paths
+    return {".".join(paths[n]) for n in tainted_state_vars(t)}
+
+
 def test_simple_ponzi_tainted_set():
     t, h = _taint("simple_ponzi")
     assert _paths(t.tainted) == {
@@ -36,7 +42,7 @@ def test_simple_ponzi_tainted_set():
     }
     # The payout cursor is only written from a constant expression.
     assert NodeId(("SimplePonzi", "payoutIdx")) not in t.tainted
-    assert _paths(tainted_state_vars(t, h)) == {
+    assert _state_paths(t, h) == {
         "SimplePonzi.balance",
         "SimplePonzi.persons",
     }
@@ -61,7 +67,7 @@ def test_constructor_sender_taints_owner():
         "Gated.pot",
         "Gated.sweep.msg.sender",
     }
-    assert _paths(tainted_state_vars(t, h)) == {"Gated.owner", "Gated.pot"}
+    assert _state_paths(t, h) == {"Gated.owner", "Gated.pot"}
 
 
 def test_call_taints_callee_hypernode_not_its_locals():
@@ -81,7 +87,7 @@ def test_inheritance_taint_crosses_contracts():
         "Child.@external",
         "Child.drain.take",
     }
-    assert _paths(tainted_state_vars(t, h)) == {"Base.reserve"}
+    assert _state_paths(t, h) == {"Base.reserve"}
 
 
 def test_unrelated_functions_stay_clean():
@@ -101,7 +107,7 @@ def test_this_call_and_modifier_scopes_steer_taint():
     assert GraphId(("Relay", "f")) in t.tainted
     # fee's `pot = f` reads its own local f, set from msg.value; track's
     # `seen = pot` reads the untainted state pot, not join's local.
-    assert _paths(tainted_state_vars(t, h)) == {"Bound.total", "Fee.pot"}
+    assert _state_paths(t, h) == {"Bound.total", "Fee.pot"}
     assert NodeId(("Track", "seen")) not in t.tainted
 
 
@@ -114,12 +120,14 @@ def test_no_sources_means_nothing_tainted():
     assert t.taint_edges == frozenset()
 
 
-def test_unknown_sources_are_ignored():
+def test_unregistered_sources_are_refused():
     u = fixutil.load_unit("pool")
     h = build(lower(u))
-    baseline = tpa(h, default_sources(h))
-    extra = default_sources(h) | {NodeId(("Pool", "nope", "msg.value"))}
-    assert tpa(h, extra).tainted == baseline.tainted
+    assert h.number(NodeId(("Pool", "nope", "msg.value"))) is None
+    # -1 would otherwise index the adjacency from its end.
+    for unregistered in (len(h.view().paths), -1):
+        with pytest.raises(ValueError, match="not registered"):
+            tpa(h, default_sources(h) | {unregistered})
 
 
 def test_matches_naive_closure_on_random_graphs():
@@ -127,7 +135,7 @@ def test_matches_naive_closure_on_random_graphs():
     for _ in range(200):
         h, edges, _nodes, sources = oracles.random_hypergraph(rng)
         want_t, want_e = oracles.closure_taint(edges, sources)
-        got = tpa(h, sources)
+        got = tpa(h, oracles.numbers(h, sources))
         assert set(got.tainted) == want_t
         assert set(got.taint_edges) == want_e
 
@@ -136,16 +144,17 @@ def test_result_independent_of_edge_insertion_order():
     rng = random.Random(77)
     for _ in range(50):
         h, edges, _nodes, sources = oracles.random_hypergraph(rng)
-        first = tpa(h, sources)
+        first = tpa(h, oracles.numbers(h, sources))
         shuffled = oracles.rebuild_shuffled(h, edges, rng)
-        second = tpa(shuffled, sources)
+        second = tpa(shuffled, oracles.numbers(shuffled, sources))
         assert first.tainted == second.tainted
         assert first.taint_edges == second.taint_edges
 
 
-def _scanned_sources(h) -> frozenset[NodeId]:
-    """Every node of the graph named msg.sender or msg.value, by a scan."""
-    return frozenset(n for n in h.nodes() if n.path[-1] in ("msg.sender", "msg.value"))
+def _scanned_sources(h) -> frozenset[int]:
+    """The number of every node of the graph named msg.sender or msg.value,
+    by a scan."""
+    return oracles.numbers(h, (n for n in h.nodes() if n.path[-1] in ("msg.sender", "msg.value")))
 
 
 def test_default_sources_are_the_nodes_registered_with_a_source_name():
@@ -163,4 +172,4 @@ def test_default_sources_are_the_nodes_registered_with_a_source_name():
     late = h.add_node(NodeId(("Caller", "take", "msg.sender")))
     sources = default_sources(h)
     h.add_node(NodeId(("Caller", "take", "msg.sender")))
-    assert late in sources == default_sources(h) == _scanned_sources(h)
+    assert h.number(late) in sources == default_sources(h) == _scanned_sources(h)
