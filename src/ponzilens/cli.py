@@ -71,15 +71,15 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--backend",
         choices=sorted(_BACKEND_ALIASES),
-        default="mock",
+        default=LlmConfig.backend,
         help="completion backend (default: %(default)s)",
     )
     p.add_argument(
         "--endpoint",
-        default="https://api.openai.com/v1/chat/completions",
+        default=LlmConfig.endpoint,
         help="chat-completions URL for the HTTP backend (default: %(default)s)",
     )
-    p.add_argument("--model", default="gpt-3.5-turbo", help="model name (default: %(default)s)")
+    p.add_argument("--model", default=LlmConfig.model, help="model name (default: %(default)s)")
     p.add_argument(
         "--mode",
         choices=sorted(_MODE_ALIASES),
@@ -96,7 +96,7 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--temperature",
         type=float,
-        default=0.0,
+        default=LlmConfig.temperature,
         help="sampling temperature (default: %(default)s)",
     )
     p.add_argument(
@@ -108,30 +108,30 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--price-in",
         type=float,
-        default=0.0,
+        default=LlmConfig.price_per_1k_input,
         metavar="USD",
         help="price per 1k input tokens (default: %(default)s)",
     )
     p.add_argument(
         "--price-out",
         type=float,
-        default=0.0,
+        default=LlmConfig.price_per_1k_output,
         metavar="USD",
         help="price per 1k output tokens (default: %(default)s)",
     )
     p.add_argument(
         "--concurrency",
         type=int,
-        default=1,
+        default=LlmConfig.concurrency_limit,
         metavar="N",
-        help="parallel contracts in batch mode; over HTTP each also has up to "
-        f"min(repeats, {_MAX_CHAINS}) runs in flight, recorded in index order "
-        "(default: %(default)s)",
+        help="parallel contracts in an HTTP batch, each with up to "
+        f"min(repeats, {_MAX_CHAINS}) runs in flight, recorded in index order; "
+        "a mock batch runs one contract at a time (default: %(default)s)",
     )
     p.add_argument(
         "--max-output-tokens",
         type=int,
-        default=1024,
+        default=LlmConfig.max_output_tokens,
         metavar="N",
         help="completion token cap per reply (default: %(default)s)",
     )

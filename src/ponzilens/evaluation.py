@@ -2,12 +2,14 @@
 
 A manifest names the corpus: one row per contract with an id, a path (or
 hex address, resolved through the explorer fetcher), and a binary label.
-run_batch drives detection across the corpus with bounded concurrency and a
-line-JSON journal: every report is appended and flushed once its contract
-finishes. With `concurrency_limit` 1 that is before the next contract
-starts; with more, up to that many contracts run at once and reports land
-in the order they finish. An interrupted batch resumes by skipping ids the
-journal already holds.
+run_batch drives detection across the corpus with a line-JSON journal:
+every report is appended and flushed once its contract finishes. Over HTTP
+up to `concurrency_limit` contracts run at once (two by default), so by
+default journal lines land in the order contracts finish. With a limit of
+1, and always with the mock backend, contracts run one after another in
+manifest order, each journaled before the next starts. An interrupted batch
+still journals every contract that finished, and resumes by skipping ids
+the journal already holds.
 
 Metric conventions: ponzi is the positive class. Reports whose final
 verdict is None (pipeline error or nothing parseable) are excluded from the
@@ -20,13 +22,20 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .detect import DetectionReport, LlmConfig, MODE_FULL, MODES, TemplateSet, detect_contract
+from .detect import (
+    BACKEND_MOCK,
+    DetectionReport,
+    LlmConfig,
+    MODE_FULL,
+    MODES,
+    TemplateSet,
+    detect_contract,
+)
 from .errors import LabelMismatch, PonzilensError
 from .ingest import FetchConfig, SourceUnit, fetch_verified_source, is_address, load_source_unit
 
@@ -160,17 +169,21 @@ def run_batch(
 ) -> list[DetectionReport]:
     """Detect every manifest entry, resuming from the journal when present.
 
-    At most cfg.concurrency_limit contracts run at once, each with its own
-    capped number of two-stage chains in flight (see detect_contract), so a
-    batch has up to concurrency_limit times that cap requests in flight.
-    Failures stay isolated per contract: a contract whose load or pipeline
-    fails yields an error report, and the batch continues. Any other
-    exception out of loading or detect_contract, which is a defect, is
+    Over HTTP at most cfg.concurrency_limit contracts run at once, each
+    with its own capped number of two-stage chains in flight (see
+    detect_contract), so a batch has up to concurrency_limit times that cap
+    requests in flight. The mock backend does no I/O to overlap, so its
+    contracts run one after another on the calling thread, whatever the
+    limit. Failures stay isolated per contract: a contract whose load or
+    pipeline fails yields an error report, and the batch continues. Any
+    other exception out of loading or detect_contract, which is a defect, is
     reported with phase "internal" and its type and message. Each finished
-    report is journaled and flushed to disk before the on_report callback
-    fires, so interrupting the callback can never lose a finished contract.
-    Every contract is prompted from one `templates` set (default: the
-    packaged templates).
+    report is journaled and flushed to disk, on the calling thread, before
+    the on_report callback fires. When the callback or an interrupt raises,
+    the contracts already running finish, every report not yet journaled is
+    journaled without its callback, and the exception propagates, so an
+    interrupt never loses a finished contract. Every contract is prompted
+    from one `templates` set (default: the packaged templates).
 
     Returns reports in manifest order.
     """
@@ -189,14 +202,15 @@ def run_batch(
     if journal_path is not None:
         journal_path.parent.mkdir(parents=True, exist_ok=True)
         journal_fh = journal_path.open("a")
-    journal_lock = threading.Lock()
+
+    def keep(report: DetectionReport) -> None:
+        if journal_fh is not None:
+            journal_fh.write(json.dumps(report.to_dict()) + "\n")
+            journal_fh.flush()
+        done[report.contract_id] = report
 
     def record(report: DetectionReport) -> None:
-        if journal_fh is not None:
-            with journal_lock:
-                journal_fh.write(json.dumps(report.to_dict()) + "\n")
-                journal_fh.flush()
-        done[report.contract_id] = report
+        keep(report)
         if on_report is not None:
             on_report(report)
 
@@ -220,19 +234,25 @@ def run_batch(
             return failed("internal", f"{type(exc).__name__}: {exc}")
 
     try:
-        if cfg.concurrency_limit <= 1:
+        if cfg.concurrency_limit <= 1 or cfg.backend == BACKEND_MOCK:
             for entry in todo:
                 record(work(entry))
         else:
             with ThreadPoolExecutor(max_workers=cfg.concurrency_limit) as pool:
-                pending = {pool.submit(work, e) for e in todo}
+                unrecorded = {pool.submit(work, e) for e in todo}
                 try:
-                    while pending:
-                        finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                    while unrecorded:
+                        finished, _ = wait(unrecorded, return_when=FIRST_COMPLETED)
                         for fut in finished:
+                            unrecorded.discard(fut)
                             record(fut.result())
                 except BaseException:
+                    # The reports of contracts that finished, before or while
+                    # the pool drains, cost requests: journal them for a resume.
                     pool.shutdown(wait=True, cancel_futures=True)
+                    for fut in unrecorded:
+                        if not fut.cancelled() and fut.exception() is None:
+                            keep(fut.result())
                     raise
     finally:
         if journal_fh is not None:

@@ -1,10 +1,13 @@
-"""Shared fixtures: checked-in programs plus a generated batch corpus."""
+"""Shared fixtures: checked-in programs, a generated batch corpus, and a
+check that no test leaves a thread-pool worker running."""
 
 from __future__ import annotations
 
 import csv
 import json
 import random
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,29 @@ import fixutil
 import programs
 
 fixutil.ensure_fixtures()
+
+
+@pytest.fixture(autouse=True)
+def no_pool_worker_outlives_its_test():
+    """Fail a test that leaves a ThreadPoolExecutor worker alive.
+
+    Every pool the package starts, a batch's or a contract's chains', is
+    shut down before the call that started it returns, interrupted or not.
+    A worker gets a short join first, since an exiting thread may still be
+    listed for a moment.
+    """
+    before = set(threading.enumerate())
+    yield
+    started = [
+        t for t in threading.enumerate()
+        if t not in before and t.name.startswith("ThreadPoolExecutor")
+    ]
+    deadline = time.monotonic() + 1.0
+    for t in started:
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    alive = [t.name for t in started if t.is_alive()]
+    if alive:
+        pytest.fail(f"ThreadPoolExecutor workers outlived the test: {alive}")
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import ponzilens
 import ponzilens.cli as cli_mod
 import programs
 from ponzilens.cli import EXIT_OK, EXIT_PIPELINE, EXIT_POSITIVE, EXIT_USAGE, main
-from ponzilens.detect import DetectionReport
+from ponzilens.detect import DetectionReport, LlmConfig
 from ponzilens.ingest import SourceUnit
 
 
@@ -147,6 +147,12 @@ def test_backend_spellings_build_one_http_config():
     ]
     assert configs[0] == configs[1]
     assert configs[0].backend == "http"
+
+
+@pytest.mark.parametrize("command", ["detect", "batch"])
+def test_llm_flag_defaults_are_the_config_defaults(command):
+    args = cli_mod.build_parser().parse_args([command, "c.sol"])
+    assert cli_mod._llm_config(args) == LlmConfig()
 
 
 def test_detect_text_verdict(tmp_path, capsys):

@@ -19,6 +19,7 @@ import pytest
 
 import fixutil
 import ponzilens.detect as detect_mod
+import ponzilens.evaluation as evaluation_mod
 import ponzilens.ingest as ingest
 import ponzilens.transport as transport
 import programs
@@ -75,7 +76,7 @@ from ponzilens.errors import (
     EmptyInput,
     UnparseableVerdict,
 )
-from ponzilens.evaluation import DatasetManifest, ManifestEntry, run_batch
+from ponzilens.evaluation import DatasetManifest, ManifestEntry, read_journal, run_batch
 from ponzilens.ingest import SourceUnit, load_ast
 
 
@@ -1274,23 +1275,109 @@ def test_concurrent_chains_retry_after_jittered_backoff(monkeypatch):
     assert len(set(sleeps)) > 1
 
 
-def test_run_batch_over_http_journal_is_independent_of_concurrency(mock_chat, tmp_path):
-    manifest = DatasetManifest(
+def _fixture_manifest() -> DatasetManifest:
+    return DatasetManifest(
         "fixtures",
         [ManifestEntry(n, str(fixutil.fixture_path(n)), "ponzi") for n in fixutil.FIXTURE_NAMES],
     )
-    journals = []
-    for limit in (1, 2):
+
+
+def _comparable(doc: dict) -> str:
+    return json.dumps(dict(doc, runs=_zero_walls(doc["runs"])), sort_keys=True)
+
+
+def test_run_batch_over_http_journal_is_independent_of_concurrency(mock_chat, tmp_path):
+    manifest = _fixture_manifest()
+    journals, returned = [], []
+    for limit in (1, 2, 4):
         journal = tmp_path / f"journal{limit}.jsonl"
-        run_batch(manifest, _chat(mock_chat, concurrency_limit=limit), repeats=3, journal=journal)
-        lines = []
-        for line in journal.read_text().splitlines():
-            doc = json.loads(line)
-            doc["runs"] = _zero_walls(doc["runs"])
-            lines.append(json.dumps(doc, sort_keys=True))
-        journals.append(sorted(lines))
+        reports = run_batch(
+            manifest, _chat(mock_chat, concurrency_limit=limit), repeats=3, journal=journal
+        )
+        returned.append([_comparable(r.to_dict()) for r in reports])
+        lines = journal.read_text().splitlines()
+        journals.append(sorted(_comparable(json.loads(line)) for line in lines))
     assert len(journals[0]) == len(fixutil.FIXTURE_NAMES)
-    assert journals[0] == journals[1]
+    assert journals[0] == journals[1] == journals[2]
+    # Reports come back in manifest order, whatever order they finished in.
+    assert returned[0] == returned[1] == returned[2]
+
+
+def test_run_batch_over_http_keeps_two_contracts_in_flight_by_default(mock_chat):
+    # With one run per contract, two requests in flight are two contracts.
+    reports = run_batch(_fixture_manifest(), _chat(mock_chat), repeats=1)
+    assert len(reports) == len(fixutil.FIXTURE_NAMES)
+    assert _MockChatHandler.peak >= 2
+
+
+@pytest.mark.parametrize("limit", [2, 4])
+def test_run_batch_over_http_interrupted_journals_every_finished_contract(
+    mock_chat, tmp_path, monkeypatch, limit
+):
+    """The callback raises on the first report. The contracts already in
+    flight still finish, and each one that returned is journaled, though no
+    callback fires for it; the contracts not started are not run."""
+    returned = []
+    real = evaluation_mod.detect_contract
+
+    def counted(*args, **kwargs):
+        report = real(*args, **kwargs)
+        returned.append(report.contract_id)
+        return report
+
+    seen = []
+
+    def interrupt(report):
+        seen.append(report.contract_id)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evaluation_mod, "detect_contract", counted)
+    journal = tmp_path / "journal.jsonl"
+    cfg = _chat(mock_chat, concurrency_limit=limit)
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(_fixture_manifest(), cfg, repeats=1, journal=journal, on_report=interrupt)
+    journaled = [json.loads(line)["contract_id"] for line in journal.read_text().splitlines()]
+    assert 2 <= len(returned) < len(fixutil.FIXTURE_NAMES)
+    assert sorted(journaled) == sorted(returned)
+    assert seen == journaled[:1]
+    # Every pool worker, the batch's and each contract's, was joined.
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
+@pytest.mark.parametrize(
+    "target, hit",
+    [
+        ("load_source_unit", lambda path: path.endswith("simple_ponzi.json")),
+        ("detect_contract", lambda unit: unit.id == "sp"),
+    ],
+    ids=["loading", "detection"],
+)
+def test_run_batch_over_http_reports_an_escaped_exception_as_internal(
+    mock_chat, tmp_path, monkeypatch, target, hit
+):
+    """An exception escaping a pool worker's contract is reported as it is
+    on the calling thread (see test_evaluation's mock cases)."""
+    real = getattr(evaluation_mod, target)
+
+    def flaky(arg, *args, **kwargs):
+        if hit(arg):
+            raise KeyError("lost")
+        return real(arg, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation_mod, target, flaky)
+    manifest = DatasetManifest(
+        "t",
+        [
+            ManifestEntry("sp", str(fixutil.fixture_path("simple_ponzi")), "ponzi"),
+            ManifestEntry("mt", str(fixutil.fixture_path("mini_token")), "non_ponzi"),
+        ],
+    )
+    journal = tmp_path / "journal.jsonl"
+    sp, mt = run_batch(manifest, _chat(mock_chat), repeats=1, journal=journal)
+    assert sp.error == {"phase": "internal", "message": "KeyError: 'lost'"}
+    assert sp.runs == [] and sp.final_verdict is None
+    assert mt.error is None and mt.final_verdict is False
+    assert read_journal(journal)["sp"].to_dict() == sp.to_dict()
 
 
 def test_readme_python_api_block_runs(monkeypatch, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -358,9 +359,24 @@ def test_run_batch_concurrent_matches_serial():
         label = PONZI if i % 2 == 0 else CLEAN
         entries.append(_entry(f"c{i}", name, label))
     manifest = _manifest(*entries)
-    serial = run_batch(manifest, LlmConfig(), repeats=2)
+    serial = run_batch(manifest, LlmConfig(concurrency_limit=1), repeats=2)
     threaded = run_batch(manifest, LlmConfig(concurrency_limit=4), repeats=2)
     assert [r.to_dict() for r in threaded] == [r.to_dict() for r in serial]
+
+
+def test_run_batch_runs_mock_contracts_on_the_calling_thread(monkeypatch):
+    # The mock backend only computes, so a pool would overlap no waiting.
+    threads = []
+    real = evaluation_mod.detect_contract
+
+    def traced(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation_mod, "detect_contract", traced)
+    manifest = _manifest(*(_entry(f"c{i}", "mini_token", CLEAN) for i in range(6)))
+    run_batch(manifest, LlmConfig(concurrency_limit=4), repeats=1)
+    assert threads == [threading.current_thread()] * 6
 
 
 def test_run_batch_rejects_unknown_mode():
@@ -373,8 +389,7 @@ def test_run_batch_rejects_zero_repeats():
         run_batch(_manifest(_entry("sp", "simple_ponzi", PONZI)), LlmConfig(), repeats=0)
 
 
-@pytest.mark.parametrize("limit", [1, 2])
-def test_run_batch_reports_an_escaped_exception_as_internal(tmp_path, monkeypatch, limit):
+def test_run_batch_reports_an_escaped_exception_as_internal(tmp_path, monkeypatch):
     real = evaluation_mod.detect_contract
 
     def flaky(unit, *args, **kwargs):
@@ -385,7 +400,7 @@ def test_run_batch_reports_an_escaped_exception_as_internal(tmp_path, monkeypatc
     monkeypatch.setattr(evaluation_mod, "detect_contract", flaky)
     manifest = _manifest(_entry("sp", "simple_ponzi", PONZI), _entry("mt", "mini_token", CLEAN))
     journal = tmp_path / "journal.jsonl"
-    sp, mt = run_batch(manifest, LlmConfig(concurrency_limit=limit), repeats=1, journal=journal)
+    sp, mt = run_batch(manifest, LlmConfig(), repeats=1, journal=journal)
     assert sp.error == {"phase": "internal", "message": "KeyError: 'lost'"}
     assert sp.runs == [] and sp.final_verdict is None
     assert sp.model == "mock:gpt-3.5-turbo"
@@ -393,8 +408,7 @@ def test_run_batch_reports_an_escaped_exception_as_internal(tmp_path, monkeypatc
     assert read_journal(journal)["sp"].to_dict() == sp.to_dict()
 
 
-@pytest.mark.parametrize("limit", [1, 2])
-def test_run_batch_reports_an_exception_out_of_loading_as_internal(tmp_path, monkeypatch, limit):
+def test_run_batch_reports_an_exception_out_of_loading_as_internal(tmp_path, monkeypatch):
     real = evaluation_mod.load_source_unit
 
     def flaky(path):
@@ -405,7 +419,7 @@ def test_run_batch_reports_an_exception_out_of_loading_as_internal(tmp_path, mon
     monkeypatch.setattr(evaluation_mod, "load_source_unit", flaky)
     manifest = _manifest(_entry("sp", "simple_ponzi", PONZI), _entry("mt", "mini_token", CLEAN))
     journal = tmp_path / "journal.jsonl"
-    sp, mt = run_batch(manifest, LlmConfig(concurrency_limit=limit), repeats=1, journal=journal)
+    sp, mt = run_batch(manifest, LlmConfig(), repeats=1, journal=journal)
     assert sp.error == {"phase": "internal", "message": "KeyError: 'lost'"}
     assert sp.runs == [] and sp.final_verdict is None
     assert mt.final_verdict is False
