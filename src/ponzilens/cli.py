@@ -38,7 +38,6 @@ from .evaluation import (
     load_manifest,
     read_journal,
     run_batch,
-    write_reports,
 )
 from .hypergraph import GraphId, HypernodeGraph
 from .ingest import (
@@ -120,15 +119,6 @@ def _add_llm_flags(p: argparse.ArgumentParser) -> None:
         help="price per 1k output tokens (default: %(default)s)",
     )
     p.add_argument(
-        "--concurrency",
-        type=int,
-        default=LlmConfig.concurrency_limit,
-        metavar="N",
-        help="parallel contracts in an HTTP batch, each with up to "
-        f"min(repeats, {_MAX_CHAINS}) runs in flight, recorded in index order; "
-        "a mock batch runs one contract at a time (default: %(default)s)",
-    )
-    p.add_argument(
         "--max-output-tokens",
         type=int,
         default=LlmConfig.max_output_tokens,
@@ -146,7 +136,7 @@ def _llm_config(args: argparse.Namespace) -> LlmConfig:
         max_output_tokens=args.max_output_tokens,
         price_per_1k_input=args.price_in,
         price_per_1k_output=args.price_out,
-        concurrency_limit=args.concurrency,
+        concurrency_limit=getattr(args, "concurrency", LlmConfig.concurrency_limit),
     )
 
 
@@ -190,6 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("batch", help="detection across a labeled manifest")
     pb.add_argument("manifest", help="CSV or line-JSON manifest (id,path_or_address,label)")
     _add_llm_flags(pb)
+    pb.add_argument(
+        "--concurrency",
+        type=int,
+        default=LlmConfig.concurrency_limit,
+        metavar="N",
+        help="contracts in flight at once over HTTP, each with up to "
+        f"min(repeats, {_MAX_CHAINS}) runs in flight, journaled as they finish; "
+        "a mock batch runs one contract at a time (default: %(default)s)",
+    )
     pb.add_argument("--out", default=".", metavar="DIR", help="output directory (default: %(default)s)")
     pb.add_argument("--json", action="store_true", help="machine-readable stdout")
 

@@ -73,9 +73,9 @@ BACKEND_OPENAI = BACKEND_LOCAL = BACKEND_HTTP
 _VERDICT_RE = re.compile(r"\b(true|false)\b", re.IGNORECASE)
 
 # The most two-stage chains of one contract in flight at once, so a large
-# `repeats` never starts a thread per repeat. An HTTP batch has up to
-# concurrency_limit times min(repeats, _MAX_CHAINS) requests in flight; a
-# mock batch runs one chain at a time.
+# `repeats` never starts a thread per repeat. A mock batch runs one chain at
+# a time; an HTTP batch has up to concurrency_limit times min(repeats,
+# _MAX_CHAINS) requests in flight.
 _MAX_CHAINS = 16
 
 
@@ -218,7 +218,7 @@ class LlmConfig:
     price_per_1k_output: float = 0.0
     max_attempts: int = 3
     backoff: tuple[float, ...] = (0.5, 1.0, 2.0)
-    # Contracts in flight in an HTTP batch (a mock batch runs one at a time).
+    # Contracts in flight in an HTTP batch's pool (a mock batch runs serially).
     # Two kept a 2-vCPU client busy against a server adding 10 ms a call;
     # three or four gained nothing and held more memory.
     concurrency_limit: int = 2
@@ -651,7 +651,7 @@ def detect_contract(
 
     report.runs = runs
     report.final_verdict = majority_verdict(report.runs)
-    if report.final_verdict is None and all(r.verdict is None for r in report.runs):
+    if report.final_verdict is None:
         report.error = {
             "phase": "verdict",
             "message": "no run produced a parseable verdict",

@@ -3,13 +3,12 @@
 A manifest names the corpus: one row per contract with an id, a path (or
 hex address, resolved through the explorer fetcher), and a binary label.
 run_batch drives detection across the corpus with a line-JSON journal:
-every report is appended and flushed once its contract finishes. Over HTTP
-up to `concurrency_limit` contracts run at once (two by default), so by
-default journal lines land in the order contracts finish. With a limit of
-1, and always with the mock backend, contracts run one after another in
-manifest order, each journaled before the next starts. An interrupted batch
-still journals every contract that finished, and resumes by skipping ids
-the journal already holds.
+every report is appended and flushed once its contract finishes. The mock
+backend runs contracts one after another on the calling thread, in manifest
+order. Over HTTP a pool runs up to `concurrency_limit` contracts at once
+(two by default), and journal lines land in the order contracts finish. An
+interrupted batch still journals every contract that finished, and resumes
+by skipping ids the journal already holds.
 
 Metric conventions: ponzi is the positive class. Reports whose final
 verdict is None (pipeline error or nothing parseable) are excluded from the
@@ -22,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -77,7 +76,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     Both formats carry the columns id, path_or_address, label.
     """
     p = Path(path)
-    text = p.read_text()
+    text = p.read_text(encoding="utf-8-sig")
     entries: list[ManifestEntry] = []
     if p.suffix in (".jsonl", ".ndjson") or text.lstrip().startswith("{"):
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -87,6 +86,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{p}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"{p}:{lineno}: manifest row is not a JSON object")
             entries.append(_entry_from_row(row, f"{p}:{lineno}"))
     else:
         reader = csv.DictReader(text.splitlines())
@@ -169,21 +170,22 @@ def run_batch(
 ) -> list[DetectionReport]:
     """Detect every manifest entry, resuming from the journal when present.
 
-    Over HTTP at most cfg.concurrency_limit contracts run at once, each
-    with its own capped number of two-stage chains in flight (see
-    detect_contract), so a batch has up to concurrency_limit times that cap
-    requests in flight. The mock backend does no I/O to overlap, so its
-    contracts run one after another on the calling thread, whatever the
-    limit. Failures stay isolated per contract: a contract whose load or
-    pipeline fails yields an error report, and the batch continues. Any
-    other exception out of loading or detect_contract, which is a defect, is
-    reported with phase "internal" and its type and message. Each finished
-    report is journaled and flushed to disk, on the calling thread, before
-    the on_report callback fires. When the callback or an interrupt raises,
-    the contracts already running finish, every report not yet journaled is
-    journaled without its callback, and the exception propagates, so an
-    interrupt never loses a finished contract. Every contract is prompted
-    from one `templates` set (default: the packaged templates).
+    The mock backend does no I/O to overlap, so its contracts run one after
+    another on the calling thread, whatever the limit. Over HTTP one pool
+    runs at most cfg.concurrency_limit contracts at once, each with its own
+    capped number of two-stage chains in flight (see detect_contract), so a
+    batch has up to concurrency_limit times that cap requests in flight.
+    Failures stay isolated per contract: a contract whose load or pipeline
+    fails yields an error report, and the batch continues. Any other
+    exception out of loading or detect_contract, which is a defect, is
+    reported with phase "internal" and its type and message. Each report is
+    journaled and flushed to disk, on the calling thread, as soon as its
+    contract finishes and before the on_report callback fires. When the
+    callback or an interrupt raises, the contracts already running finish,
+    every report not yet journaled is journaled without its callback, and
+    the exception propagates, so an interrupt never loses a finished
+    contract. Every contract is prompted from one `templates` set (default:
+    the packaged templates).
 
     Returns reports in manifest order.
     """
@@ -234,25 +236,23 @@ def run_batch(
             return failed("internal", f"{type(exc).__name__}: {exc}")
 
     try:
-        if cfg.concurrency_limit <= 1 or cfg.backend == BACKEND_MOCK:
+        if cfg.backend == BACKEND_MOCK:
             for entry in todo:
                 record(work(entry))
         else:
             with ThreadPoolExecutor(max_workers=cfg.concurrency_limit) as pool:
-                unrecorded = {pool.submit(work, e) for e in todo}
+                futures = [pool.submit(work, e) for e in todo]
                 try:
-                    while unrecorded:
-                        finished, _ = wait(unrecorded, return_when=FIRST_COMPLETED)
-                        for fut in finished:
-                            unrecorded.discard(fut)
-                            record(fut.result())
+                    for fut in as_completed(futures):
+                        record(fut.result())
                 except BaseException:
                     # The reports of contracts that finished, before or while
                     # the pool drains, cost requests: journal them for a resume.
                     pool.shutdown(wait=True, cancel_futures=True)
-                    for fut in unrecorded:
+                    for fut in futures:
                         if not fut.cancelled() and fut.exception() is None:
-                            keep(fut.result())
+                            if fut.result().contract_id not in done:
+                                keep(fut.result())
                     raise
     finally:
         if journal_fh is not None:

@@ -281,6 +281,30 @@ def test_batch_bad_label_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_batch_manifest_row_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "bad.jsonl"
+    p.write_text("[1]\n")
+    rc = main(["batch", str(p), "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert "bad.jsonl:1: manifest row is not a JSON object" in capsys.readouterr().err
+
+
+def test_only_batch_takes_concurrency(tmp_path, monkeypatch, capsys):
+    rc = main(["detect", _fx("simple_ponzi"), "--out", str(tmp_path), "--concurrency", "2"])
+    assert rc == EXIT_USAGE
+    assert "--concurrency" in capsys.readouterr().err
+    limits = []
+
+    def fake_run_batch(manifest, cfg, *args, **kwargs):
+        limits.append(cfg.concurrency_limit)
+        return []
+
+    monkeypatch.setattr(cli_mod, "run_batch", fake_run_batch)
+    manifest = _write_manifest(tmp_path)
+    assert main(["batch", manifest, "--out", str(tmp_path), "--concurrency", "3"]) == EXIT_OK
+    assert limits == [3]
+
+
 # --- graph ------------------------------------------------------------------
 
 

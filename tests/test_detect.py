@@ -1310,13 +1310,23 @@ def test_run_batch_over_http_keeps_two_contracts_in_flight_by_default(mock_chat)
     assert _MockChatHandler.peak >= 2
 
 
-@pytest.mark.parametrize("limit", [2, 4])
+def test_run_batch_over_http_at_limit_one_journals_in_manifest_order(mock_chat, tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    cfg = _chat(mock_chat, concurrency_limit=1)
+    run_batch(_fixture_manifest(), cfg, repeats=1, journal=journal)
+    journaled = [json.loads(line)["contract_id"] for line in journal.read_text().splitlines()]
+    assert journaled == [e.id for e in _fixture_manifest().entries]
+    assert _MockChatHandler.peak == 1
+
+
+@pytest.mark.parametrize("limit", [1, 2, 4])
 def test_run_batch_over_http_interrupted_journals_every_finished_contract(
     mock_chat, tmp_path, monkeypatch, limit
 ):
     """The callback raises on the first report. The contracts already in
     flight still finish, and each one that returned is journaled, though no
-    callback fires for it; the contracts not started are not run."""
+    callback fires for it; the contracts not started are not run. At a
+    limit of 1 the next contract may or may not have started by then."""
     returned = []
     real = evaluation_mod.detect_contract
 
@@ -1337,7 +1347,7 @@ def test_run_batch_over_http_interrupted_journals_every_finished_contract(
     with pytest.raises(KeyboardInterrupt):
         run_batch(_fixture_manifest(), cfg, repeats=1, journal=journal, on_report=interrupt)
     journaled = [json.loads(line)["contract_id"] for line in journal.read_text().splitlines()]
-    assert 2 <= len(returned) < len(fixutil.FIXTURE_NAMES)
+    assert min(limit, 2) <= len(returned) < len(fixutil.FIXTURE_NAMES)
     assert sorted(journaled) == sorted(returned)
     assert seen == journaled[:1]
     # Every pool worker, the batch's and each contract's, was joined.

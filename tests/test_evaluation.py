@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -103,6 +104,29 @@ def test_load_manifest_rejects_bad_rows(tmp_path):
     torn.write_text('{"id": "a", "path_or_address": "x", "label": "ponzi"\n')
     with pytest.raises(ValueError, match="invalid JSON"):
         load_manifest(torn)
+
+
+@pytest.mark.parametrize("row", ["[1]", '"x"', "5", "null"])
+def test_load_manifest_refuses_a_row_that_is_not_an_object(tmp_path, row):
+    p = tmp_path / "corpus.jsonl"
+    p.write_text('{"id": "a", "path_or_address": "x", "label": "ponzi"}\n' + row + "\n")
+    with pytest.raises(ValueError, match=r"corpus\.jsonl:2: manifest row is not a JSON object"):
+        load_manifest(p)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("corpus.csv", "id,path_or_address,label\na,x.json,ponzi\n"),
+        ("corpus.jsonl", '{"id": "a", "path_or_address": "x.json", "label": "ponzi"}\n'),
+    ],
+    ids=["csv", "jsonl"],
+)
+def test_load_manifest_accepts_a_utf8_byte_order_mark(tmp_path, name, text):
+    # Spreadsheet exports begin a CSV with one.
+    p = tmp_path / name
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_manifest(p).entries == [ManifestEntry("a", "x.json", PONZI)]
 
 
 # --- journal and report files -------------------------------------------------
@@ -377,6 +401,27 @@ def test_run_batch_runs_mock_contracts_on_the_calling_thread(monkeypatch):
     manifest = _manifest(*(_entry(f"c{i}", "mini_token", CLEAN) for i in range(6)))
     run_batch(manifest, LlmConfig(concurrency_limit=4), repeats=1)
     assert threads == [threading.current_thread()] * 6
+
+
+def test_run_batch_over_http_bookkeeping_stays_linear(monkeypatch):
+    """The calling thread only records reports: for 2,000 contracts of
+    0.5 ms each its CPU time stays far below what rescanning every pending
+    contract after each completion costs (about 1 s on 2 vCPUs)."""
+
+    def stub_detect(unit, cfg, mode, repeats, templates=None):
+        time.sleep(0.0005)
+        return DetectionReport(
+            contract_id=unit.id, mode=mode, model=cfg.model_label, template_version=""
+        )
+
+    monkeypatch.setattr(evaluation_mod, "unit_for_entry", lambda entry, fetch_cfg: entry)
+    monkeypatch.setattr(evaluation_mod, "detect_contract", stub_detect)
+    manifest = _manifest(*(ManifestEntry(f"c{i}", "unused", CLEAN) for i in range(2000)))
+    start = time.thread_time()
+    reports = run_batch(manifest, LlmConfig(backend="http"), repeats=1)
+    spent = time.thread_time() - start
+    assert [r.contract_id for r in reports] == [e.id for e in manifest.entries]
+    assert spent < 0.3
 
 
 def test_run_batch_rejects_unknown_mode():
