@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -268,16 +269,20 @@ def ir_document(models: list[ContractModel]) -> str:
 
 def graph_document(g: HypernodeGraph, taint: TaintSubgraph) -> str:
     """The `--dump-graph` file: every graph's members and edges, and the
-    tainted endpoints, as indented JSON."""
+    tainted endpoints, as indented JSON. Each edge is listed once, under the
+    lowest graph that holds both its endpoints: the longest common prefix
+    of their parents' paths (`commonprefix` compares tuples item by item)."""
     view = g.view()
+    placed: dict[tuple[str, ...], list] = {gid.path: [] for gid in g.graphs()}
+    for a, b in g.all_edges():
+        lowest = os.path.commonprefix([a.path[:-1], b.path[:-1]])
+        placed[lowest].append([_endpoint_json(a), _endpoint_json(b)])
     graph_doc = {
         "graphs": [
             {
                 "id": _endpoint_json(gid),
                 "members": [_endpoint_json(m) for m in g.members(gid)],
-                "edges": [
-                    [_endpoint_json(a), _endpoint_json(b)] for a, b in g.edges(gid)
-                ],
+                "edges": placed[gid.path],
             }
             for gid in g.graphs()
         ],

@@ -447,20 +447,6 @@ class DetectionReport:
     error: dict | None = None  # {"phase": ..., "message": ...}
     slice_stats: dict | None = None
 
-    @property
-    def wall_seconds_total(self) -> float:
-        """Backend time summed over the runs; as runs overlap, this can
-        exceed the time the contract took."""
-        return sum(r.wall_seconds for r in self.runs)
-
-    @property
-    def cost_total(self) -> float:
-        return sum(r.cost for r in self.runs)
-
-    @property
-    def tokens_total(self) -> int:
-        return sum(r.input_tokens + r.output_tokens for r in self.runs)
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -24,7 +24,7 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .detect import (
     BACKEND_MOCK,
@@ -52,7 +52,6 @@ class ManifestEntry:
 
 @dataclass
 class DatasetManifest:
-    name: str
     entries: list[ManifestEntry]
 
     def __post_init__(self) -> None:
@@ -95,7 +94,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             raise ValueError(f"{p}: CSV manifest needs an id,path_or_address,label header")
         for i, row in enumerate(reader, 2):
             entries.append(_entry_from_row(row, f"{p}:{i}"))
-    return DatasetManifest(name=p.stem, entries=entries)
+    return DatasetManifest(entries)
 
 
 def _entry_from_row(row: dict, where: str) -> ManifestEntry:
@@ -132,16 +131,6 @@ def read_journal(path: str | Path) -> dict[str, DetectionReport]:
         except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
             continue
     return done
-
-
-def write_reports(reports: Iterable[DetectionReport], path: str | Path) -> Path:
-    """Write reports as line-JSON, one object per contract."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w") as fh:
-        for r in reports:
-            fh.write(json.dumps(r.to_dict()) + "\n")
-    return p
 
 
 def unit_for_entry(entry: ManifestEntry, fetch_cfg: FetchConfig | None = None) -> SourceUnit:
@@ -372,22 +361,18 @@ def aggregate_overhead(reports: Sequence[DetectionReport]) -> OverheadStats:
     walls: list[float] = []
     costs: list[float] = []
     run_tokens: list[int] = []
-    total_tokens = 0
     for report in reports:
         if not report.runs:
             continue
-        walls.append(report.wall_seconds_total)
-        costs.append(report.cost_total)
-        for run in report.runs:
-            run_tokens.append(run.input_tokens + run.output_tokens)
-        total_tokens += report.tokens_total
-    n = len(walls)
+        walls.append(sum(run.wall_seconds for run in report.runs))
+        costs.append(sum(run.cost for run in report.runs))
+        run_tokens += (run.input_tokens + run.output_tokens for run in report.runs)
     return OverheadStats(
-        contracts=n,
+        contracts=len(walls),
         mean_wall_seconds=statistics.fmean(walls) if walls else 0.0,
         std_wall_seconds=statistics.pstdev(walls) if walls else 0.0,
         mean_tokens_per_run=statistics.fmean(run_tokens) if run_tokens else 0.0,
         mean_cost=statistics.fmean(costs) if costs else 0.0,
         total_cost=sum(costs),
-        total_tokens=total_tokens,
+        total_tokens=sum(run_tokens),
     )

@@ -13,11 +13,9 @@ Identity is by path. NodeId(("C", "x")) is the state variable x declared by
 contract C, shared by every function that touches it, derived contracts
 included; NodeId(("C", "f", "v")) is a local/parameter/builtin v inside C.f;
 GraphId(("C", "f")) is the hypernode of function f. Edges connect any mix of
-basic nodes and hypernodes except hypernode-to-hypernode, and each edge is
-stored in the lowest graph that contains both endpoints, so sibling-function
-flows through shared state naturally land in the contract graph and
-cross-contract flows land at the root. The graph records only the edge
-itself; `edges` finds its storing graph when it first groups the edges.
+basic nodes and hypernodes except hypernode-to-hypernode. The graph keeps
+one edge list, with no graph of its own per edge; `--dump-graph` files each
+edge under the lowest graph that holds both endpoints.
 
 A graph keeps a registry: each endpoint is registered once per path and
 kind, numbered in registration order, and the registry keeps each number's
@@ -157,9 +155,6 @@ class HypernodeGraph:
         self._node_no: dict[tuple[str, ...], int] = {}
         self._edges: set[int] = set()
         self._view: View | None = None
-        # Edges by storing graph number, in order; made on the first
-        # `edges` read after each `finalize`.
-        self._stored_edges: tuple[list[int], list[int]] | None = None
         # Set by `build`: per function hypernode number, the numbers of the
         # nodes its statements reference.
         self._fn_refs: dict[int, tuple[int, ...]] = {}
@@ -244,7 +239,6 @@ class HypernodeGraph:
         edges = list(self._edges)
         succ = _grouped([e & _LOW for e in edges], [e >> _SHIFT for e in edges], size)
         self._view = View(paths, bytes(self._graph), order, rank, members, succ)
-        self._stored_edges = None
         return self
 
     # --- queries ------------------------------------------------------------
@@ -267,51 +261,24 @@ class HypernodeGraph:
         g = self._graph_no[contract, function]
         return g, self._fn_refs.get(g, ())
 
-    def _storing_graph(self, a: int, b: int) -> int:
-        """The number of the lowest graph that contains both endpoints: the
-        graph of their parents' longest common path prefix, since every
-        prefix of a registered path is a registered graph."""
-        parent = self._parent
-        owner, other = parent[a], parent[b]
-        if owner != other:
-            above = []
-            while owner >= 0:
-                above.append(owner)
-                owner = parent[owner]
-            while other not in above:
-                other = parent[other]
-        return other
-
-    def _slice(self, gid: GraphId, grouped: tuple[list[int], list[int]]) -> list[int]:
-        n = self._graph_no.get(gid.path) if isinstance(gid, GraphId) else None
-        if n is None:
-            raise UnknownGraph(f"no graph {gid}")
-        flat, start = grouped
-        return flat[start[n] : start[n + 1]]
-
     def graphs(self) -> tuple[GraphId, ...]:
         view = self.view()
         return tuple(GraphId(view.paths[n]) for n in view.order if view.graph[n])
 
     def members(self, gid: GraphId) -> tuple[Endpoint, ...]:
+        n = self._graph_no.get(gid.path) if isinstance(gid, GraphId) else None
+        if n is None:
+            raise UnknownGraph(f"no graph {gid}")
         view = self.view()
-        return tuple(map(view.endpoint, self._slice(gid, view.members)))
-
-    def edges(self, gid: GraphId) -> tuple[Edge, ...]:
-        view = self.view()
-        if self._stored_edges is None:
-            # By (tail, head) rank, then placed by storing graph.
-            rank, order = view.rank, view.order
-            ranked = sorted(rank[e >> _SHIFT] << _SHIFT | rank[e & _LOW] for e in self._edges)
-            edges = [order[e >> _SHIFT] << _SHIFT | order[e & _LOW] for e in ranked]
-            owner = [self._storing_graph(e >> _SHIFT, e & _LOW) for e in edges]
-            self._stored_edges = _grouped(edges, owner, len(order))
-        endpoint = view.endpoint
-        stored = self._slice(gid, self._stored_edges)
-        return tuple((endpoint(e >> _SHIFT), endpoint(e & _LOW)) for e in stored)
+        flat, start = view.members
+        return tuple(map(view.endpoint, flat[start[n] : start[n + 1]]))
 
     def all_edges(self) -> tuple[Edge, ...]:
-        return tuple(edge for gid in self.graphs() for edge in self.edges(gid))
+        """Every edge, by the endpoint_key order of its tail, then of its head."""
+        view = self.view()
+        rank, order, endpoint = view.rank, view.order, view.endpoint
+        ranked = sorted(rank[e >> _SHIFT] << _SHIFT | rank[e & _LOW] for e in self._edges)
+        return tuple((endpoint(order[e >> _SHIFT]), endpoint(order[e & _LOW])) for e in ranked)
 
     def nodes(self) -> tuple[NodeId, ...]:
         view = self.view()

@@ -100,26 +100,21 @@ def parse_pragma(source_text: str) -> str | None:
 class SourceUnit:
     """One analyzable Solidity input.
 
-    Invariants: at least one of source_text / ast_json is populated, and the
-    `unsupported` flag mirrors whether the pragma (when present) falls outside
-    the supported compiler range. source_text may be empty only when an AST
-    is already attached.
+    Invariant: at least one of source_text / ast_json is populated;
+    source_text may be empty only when an AST is already attached.
     """
 
     id: str
-    path_or_address: str = ""
     source_text: str = ""
     pragma_version: str | None = None
     ast_json: dict | None = None
     compiler_version: str | None = None
-    unsupported: bool = False
 
     def __post_init__(self) -> None:
         if not self.source_text and self.ast_json is None:
             raise ValueError("SourceUnit needs source text or an AST")
         if self.pragma_version is None and self.source_text:
             self.pragma_version = parse_pragma(self.source_text)
-        self.unsupported = not pragma_supported(self.pragma_version)
 
 
 @dataclass
@@ -278,13 +273,6 @@ def compile_source(unit: SourceUnit) -> SourceUnit:
 # --- AST documents ----------------------------------------------------------
 
 
-def serialize_ast(unit: SourceUnit) -> str:
-    """The unit's AST document as canonical JSON text."""
-    if unit.ast_json is None:
-        raise MalformedAst("unit has no AST to serialize")
-    return json.dumps(unit.ast_json, indent=2, sort_keys=False)
-
-
 def source_entry(doc: object) -> tuple[str, dict]:
     """The name and entry of an AST document's one source; MalformedAst
     unless the entry has string content and a SourceUnit root with nodes."""
@@ -336,7 +324,6 @@ def load_ast(document: str | bytes | dict) -> SourceUnit:
         raise MalformedAst("AST document's compiler entry must be an object")
     return SourceUnit(
         id=stem or name,
-        path_or_address=name,
         source_text=entry.get("content", ""),
         ast_json=doc,
         compiler_version=compiler.get("version"),
@@ -348,10 +335,8 @@ def load_source_unit(path: str | Path) -> SourceUnit:
     whose bytes `load_ast` decodes."""
     p = Path(path)
     if p.suffix == ".json":
-        unit = load_ast(p.read_bytes())
-        unit.path_or_address = str(p)
-        return unit
-    return SourceUnit(id=p.stem, path_or_address=str(p), source_text=p.read_text())
+        return load_ast(p.read_bytes())
+    return SourceUnit(id=p.stem, source_text=p.read_text())
 
 
 # --- explorer fetch ---------------------------------------------------------
@@ -523,7 +508,6 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
         source_text = _flatten_explorer_source(raw)
         return SourceUnit(
             id=address,
-            path_or_address=address,
             source_text=source_text,
             compiler_version=(record.get("CompilerVersion") or None),
         )

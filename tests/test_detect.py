@@ -76,7 +76,13 @@ from ponzilens.errors import (
     EmptyInput,
     UnparseableVerdict,
 )
-from ponzilens.evaluation import DatasetManifest, ManifestEntry, read_journal, run_batch
+from ponzilens.evaluation import (
+    DatasetManifest,
+    ManifestEntry,
+    aggregate_overhead,
+    read_journal,
+    run_batch,
+)
 from ponzilens.ingest import SourceUnit, load_ast
 
 
@@ -719,9 +725,10 @@ def test_detection_report_round_trip():
     )
     again = DetectionReport.from_dict(json.loads(json.dumps(report.to_dict())))
     assert again.to_dict() == report.to_dict()
-    assert again.tokens_total == report.tokens_total == 4
-    assert again.cost_total == 0.0
-    assert again.wall_seconds_total == 0.0
+    overhead = aggregate_overhead([again])
+    assert overhead.total_tokens == aggregate_overhead([report]).total_tokens == 4
+    assert overhead.total_cost == 0.0
+    assert overhead.mean_wall_seconds == 0.0
 
 
 # --- end-to-end detection ---------------------------------------------------
@@ -741,7 +748,7 @@ def test_detect_contract_mock_positive():
         "combined_bytes": report.slice_stats["combined_bytes"],
     }
     assert report.slice_stats["combined_bytes"] > 0
-    assert report.wall_seconds_total == 0.0
+    assert [r.wall_seconds for r in report.runs] == [0.0] * 5
 
 
 def test_detect_contract_mock_negative():
@@ -892,8 +899,9 @@ def test_detect_contract_run_accounting():
             run.input_tokens * 0.003 + run.output_tokens * 0.006
         ) / 1000.0
         assert run.cost == pytest.approx(want)
-    assert report.cost_total == pytest.approx(sum(r.cost for r in report.runs))
-    assert report.tokens_total == sum(
+    overhead = aggregate_overhead([report])
+    assert overhead.total_cost == pytest.approx(sum(r.cost for r in report.runs))
+    assert overhead.total_tokens == sum(
         r.input_tokens + r.output_tokens for r in report.runs
     )
 
@@ -1277,7 +1285,6 @@ def test_concurrent_chains_retry_after_jittered_backoff(monkeypatch):
 
 def _fixture_manifest() -> DatasetManifest:
     return DatasetManifest(
-        "fixtures",
         [ManifestEntry(n, str(fixutil.fixture_path(n)), "ponzi") for n in fixutil.FIXTURE_NAMES],
     )
 
@@ -1376,7 +1383,6 @@ def test_run_batch_over_http_reports_an_escaped_exception_as_internal(
 
     monkeypatch.setattr(evaluation_mod, target, flaky)
     manifest = DatasetManifest(
-        "t",
         [
             ManifestEntry("sp", str(fixutil.fixture_path("simple_ponzi")), "ponzi"),
             ManifestEntry("mt", str(fixutil.fixture_path("mini_token")), "non_ponzi"),

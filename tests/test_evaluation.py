@@ -25,7 +25,6 @@ from ponzilens.evaluation import (
     read_journal,
     run_batch,
     unit_for_entry,
-    write_reports,
 )
 from ponzilens.ingest import SourceUnit
 
@@ -40,7 +39,7 @@ def _entry(eid: str, name: str, label: str) -> ManifestEntry:
 
 
 def _manifest(*entries: ManifestEntry) -> DatasetManifest:
-    return DatasetManifest(name="t", entries=list(entries))
+    return DatasetManifest(list(entries))
 
 
 # --- manifests --------------------------------------------------------------
@@ -54,7 +53,6 @@ def test_load_manifest_csv(tmp_path):
         "b,0x" + "ab" * 20 + ",non_ponzi\n"
     )
     m = load_manifest(p)
-    assert m.name == "corpus"
     assert m.entries == [
         ManifestEntry(id="a", path_or_address="contracts/a.json", label=PONZI),
         ManifestEntry(id="b", path_or_address="0x" + "ab" * 20, label=CLEAN),
@@ -163,6 +161,11 @@ def _report(
     )
 
 
+def _write_journal(reports: list[DetectionReport], path) -> None:
+    """A journal as run_batch writes it: one report object per line."""
+    path.write_text("".join(json.dumps(r.to_dict()) + "\n" for r in reports))
+
+
 def test_read_journal_skips_torn_lines(tmp_path):
     p = tmp_path / "journal.jsonl"
     good = _report("a", True)
@@ -206,15 +209,6 @@ def test_read_journal_skips_valid_json_that_is_not_a_report(tmp_path, damaged):
 
 def test_read_journal_missing_file_is_empty(tmp_path):
     assert read_journal(tmp_path / "absent.jsonl") == {}
-
-
-def test_write_reports_round_trip(tmp_path):
-    reports = [_report("a", True), _report("b", None, error={"phase": "x", "message": "y"})]
-    p = write_reports(reports, tmp_path / "out" / "reports.jsonl")
-    lines = p.read_text().splitlines()
-    assert len(lines) == 2
-    assert [json.loads(l)["contract_id"] for l in lines] == ["a", "b"]
-    assert read_journal(p)["b"].error == {"phase": "x", "message": "y"}
 
 
 # --- entry resolution -----------------------------------------------------
@@ -297,7 +291,7 @@ def test_run_batch_resumes_from_journal(tmp_path):
         template_version="tv",
         final_verdict=False,
     )
-    write_reports([precomputed], journal)
+    _write_journal([precomputed], journal)
     reports = run_batch(manifest, LlmConfig(), repeats=1, journal=journal)
     # sp was replayed from the journal, not recomputed.
     assert reports[0].model == "precomputed"
@@ -309,7 +303,7 @@ def test_run_batch_resumes_from_journal(tmp_path):
 def test_run_batch_ignores_stale_journal_ids(tmp_path):
     manifest = _manifest(_entry("sp", "simple_ponzi", PONZI))
     journal = tmp_path / "journal.jsonl"
-    write_reports([_report("ghost", True)], journal)
+    _write_journal([_report("ghost", True)], journal)
     reports = run_batch(manifest, LlmConfig(), repeats=1, journal=journal)
     assert [r.contract_id for r in reports] == ["sp"]
 
@@ -338,7 +332,7 @@ def test_run_batch_ingest_failure_carries_the_batch_model_label(tmp_path):
 def test_run_batch_resume_reads_manifest_labels_once(tmp_path, monkeypatch):
     entries = [_entry(f"c{i}", "hollow", CLEAN) for i in range(6)]
     journal = tmp_path / "journal.jsonl"
-    write_reports([_report(e.id, False) for e in entries[:5]], journal)
+    _write_journal([_report(e.id, False) for e in entries[:5]], journal)
     calls = []
     labels = DatasetManifest.labels
 
@@ -505,11 +499,7 @@ def test_run_batch_lets_an_interrupt_in_detection_through(monkeypatch):
 
 def _labels_manifest(labels: dict[str, str]) -> DatasetManifest:
     return DatasetManifest(
-        name="labels",
-        entries=[
-            ManifestEntry(id=k, path_or_address=f"{k}.json", label=v)
-            for k, v in labels.items()
-        ],
+        [ManifestEntry(id=k, path_or_address=f"{k}.json", label=v) for k, v in labels.items()]
     )
 
 

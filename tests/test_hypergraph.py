@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import pickle
+import random
 
 import pytest
 
 import fixutil
+import oracles
 from astgen import Call, Contract, Fn, Id, SDecl, SExpr, SReturn, StateVar, build_unit
+from ponzilens.cli import graph_document
 from ponzilens.detect import run_static_pipeline
 from ponzilens.errors import UnknownGraph
 from ponzilens.hypergraph import (
@@ -46,9 +50,22 @@ def _function_refs(h: HypernodeGraph, models) -> dict[GraphId, frozenset[NodeId]
     return out
 
 
+def _filed_edges(h: HypernodeGraph, sources=None) -> list[tuple[tuple[str, ...], ...]]:
+    """(tail path, head path, path of the graph the edge is listed under)
+    for every edge of the `--dump-graph` document, repeats kept."""
+    sources = default_sources(h) if sources is None else sources
+    doc = json.loads(graph_document(h, tpa(h, sources)))
+    return [
+        (tuple(a["path"]), tuple(b["path"]), tuple(g["id"]["path"]))
+        for g in doc["graphs"]
+        for a, b in g["edges"]
+    ]
+
+
 def _edge_strs(h: HypernodeGraph) -> set[tuple[str, str, tuple[str, ...]]]:
-    """(tail, head, path of the graph storing the edge) for every edge."""
-    return {(str(a), str(b), gid.path) for gid in h.graphs() for a, b in h.edges(gid)}
+    """(tail, head, path of the graph the dump lists the edge under) for
+    every edge."""
+    return {(".".join(a), ".".join(b), g) for a, b, g in _filed_edges(h)}
 
 
 def test_three_level_nesting():
@@ -124,7 +141,7 @@ def test_edge_owner_is_lowest_common_graph():
 def test_call_argument_edge_targets_hypernode():
     h, _ = _graph("caller")
     arg_edge = (NodeId(("Caller", "take", "msg.value")), GraphId(("Caller", "stash")))
-    assert arg_edge in h.edges(GraphId(("Caller",)))
+    assert arg_edge in h.all_edges()
 
 
 def test_call_result_edge_leaves_hypernode():
@@ -158,7 +175,7 @@ def test_unresolved_call_routes_to_sink_with_diagnostic():
 
 def test_cross_contract_isolation():
     h, _ = _graph("two_contracts")
-    owners = {gid.path for gid in h.graphs() if h.edges(gid)}
+    owners = {graph for _tail, _head, graph in _edge_strs(h)}
     assert owners == {("Alpha",), ("Beta",)}
 
 
@@ -190,15 +207,34 @@ def test_unregistered_parent_or_endpoint_raises():
         h.add_edge(n, NodeId(("A", "ghost")))
     with pytest.raises(UnknownGraph):
         h.members(GraphId(("Z",)))
-    with pytest.raises(UnknownGraph):
-        h.edges(GraphId(("Z",)))
 
 
 def test_graph_of_returns_members_and_edges():
     h, _ = _graph("caller")
-    members, edges = h.members(GraphId(("Caller",))), h.edges(GraphId(("Caller",)))
+    members, edges = h.members(GraphId(("Caller",))), h.all_edges()
     assert GraphId(("Caller", "stash")) in members
     assert edges and all(a.path[0] == b.path[0] == "Caller" for a, b in edges)
+
+
+def test_dump_lists_each_edge_once_under_the_lowest_graph_holding_both():
+    # Brute force: a graph holds an endpoint when its path is a proper
+    # prefix of the endpoint's; the edge belongs to the longest such graph
+    # that holds both endpoints.
+    rng = random.Random(26)
+    for i in range(200):
+        h, _edges, _nodes, sources = oracles.random_hypergraph(rng)
+        graphs = [gid.path for gid in h.graphs()]
+
+        def lowest(a, b):
+            def holds(g, ep):
+                return len(g) < len(ep) and ep[: len(g)] == g
+
+            return max((g for g in graphs if holds(g, a) and holds(g, b)), key=len)
+
+        want = [(a.path, b.path, lowest(a.path, b.path)) for a, b in h.all_edges()]
+        filed = _filed_edges(h, oracles.numbers(h, sources))
+        assert len(want) == len(set(want)), f"graph {i}: an edge repeats"
+        assert sorted(filed) == sorted(want), f"graph {i}: placements differ"
 
 
 def test_rebuild_is_deterministic():

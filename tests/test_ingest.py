@@ -44,7 +44,6 @@ from ponzilens.ingest import (
     parse_pragma,
     pragma_supported,
     resolve_version,
-    serialize_ast,
     version_tuple,
 )
 from ponzilens.evaluation import DatasetManifest, ManifestEntry, run_batch
@@ -95,9 +94,9 @@ def test_source_unit_requires_content():
         SourceUnit(id="empty")
     u = SourceUnit(id="s", source_text="pragma solidity ^0.8.19; contract C {}")
     assert u.pragma_version == "^0.8.19"
-    assert not u.unsupported
+    assert pragma_supported(u.pragma_version)
     old = SourceUnit(id="old", source_text="pragma solidity ^0.4.2; contract C {}")
-    assert old.unsupported
+    assert not pragma_supported(old.pragma_version)
 
 
 def test_resolve_version_policy():
@@ -125,7 +124,7 @@ def test_load_ast_round_trip():
     assert unit.id == "simple_ponzi"
     assert unit.compiler_version == "0.4.26"
     assert unit.source_text.startswith("pragma solidity")
-    again = load_ast(serialize_ast(unit))
+    again = load_ast(json.dumps(unit.ast_json))
     assert again.id == unit.id
     assert again.source_text == unit.source_text
     assert again.ast_json == unit.ast_json
@@ -188,7 +187,6 @@ def test_load_source_unit_sol_and_json(tmp_path):
     sol.write_text("pragma solidity ^0.8.19;\ncontract Toy {}\n")
     unit = load_source_unit(sol)
     assert unit.id == "toy"
-    assert unit.path_or_address == str(sol)
     assert unit.pragma_version == "^0.8.19"
     assert unit.ast_json is None
 
@@ -196,14 +194,7 @@ def test_load_source_unit_sol_and_json(tmp_path):
     js.write_text(json.dumps(fixutil.load_doc("simple_ponzi")))
     unit2 = load_source_unit(js)
     assert unit2.id == "simple_ponzi"
-    assert unit2.path_or_address == str(js)
     assert unit2.ast_json is not None
-
-
-def test_serialize_ast_requires_document():
-    unit = SourceUnit(id="s", source_text="contract C {}")
-    with pytest.raises(MalformedAst):
-        serialize_ast(unit)
 
 
 # --- rate limiter -------------------------------------------------------------
@@ -384,7 +375,6 @@ def test_fetch_happy_path(explorer, monkeypatch):
     _Handler.script = [(200, {}, _ok_body("pragma solidity ^0.8.19; contract A {}"))]
     unit = fetch_verified_source(GOOD_ADDRESS, _cfg(explorer))
     assert unit.id == GOOD_ADDRESS
-    assert unit.path_or_address == GOOD_ADDRESS
     assert unit.source_text.startswith("pragma solidity")
     assert unit.compiler_version == "v0.8.19+commit.7dd6d404"
     assert len(_Handler.seen) == 1
@@ -415,8 +405,7 @@ def test_run_batch_records_too_deep_an_explorer_reply_as_an_ingest_error(explore
     monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
     _Handler.script = [(200, {}, ('{"result": %s}' % DEEP).encode())]
     manifest = DatasetManifest(
-        name="t",
-        entries=[
+        [
             ManifestEntry(id="deep", path_or_address=GOOD_ADDRESS, label="non_ponzi"),
             ManifestEntry(
                 id="sp", path_or_address=str(fixutil.fixture_path("simple_ponzi")), label="ponzi"
@@ -630,8 +619,7 @@ def test_fetch_failure_message_never_carries_the_key(monkeypatch, kind):
 def test_run_batch_journals_no_explorer_key(tmp_path, monkeypatch):
     monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
     manifest = DatasetManifest(
-        name="t",
-        entries=[ManifestEntry(id="gone", path_or_address=GOOD_ADDRESS, label="non_ponzi")],
+        [ManifestEntry(id="gone", path_or_address=GOOD_ADDRESS, label="non_ponzi")],
     )
     journal = tmp_path / "reports.jsonl"
     with _unreachable("refused") as url:
