@@ -27,6 +27,7 @@ from .detect import (
     BACKEND_MOCK,
     LlmConfig,
     MODE_FULL,
+    Settings,
     TemplateSet,
     _MAX_CHAINS,
     detect_contract,
@@ -35,6 +36,7 @@ from .detect import (
 from .errors import PonzilensError
 from .evaluation import (
     aggregate_overhead,
+    check_settings,
     compute_metrics,
     load_manifest,
     read_journal,
@@ -456,6 +458,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         raise FileNotFoundError(f"no reports file {args.reports!r}")
     manifest = load_manifest(args.manifest)
     reports = list(read_journal(args.reports).values())
+    if reports:
+        # Rates over a mix of ablations would score no one setting.
+        check_settings(reports, Settings(reports[0].mode, reports[0].model), args.reports)
     metrics = compute_metrics(manifest, reports)
     overhead = aggregate_overhead(reports)
     payload = {"metrics": metrics.to_dict(), "overhead": overhead.to_dict()}

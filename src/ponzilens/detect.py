@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from string import Template
+from typing import NamedTuple
 
 from . import transport
 from .errors import (
@@ -103,6 +104,13 @@ class TemplateSet:
         self._dir = Path(directory) if directory else None
         self._loaded: dict[str, str] = {}
         self._lock = threading.Lock()  # batch workers share one set
+
+    @staticmethod
+    def version(mode: str) -> str:
+        """The template version a report of `mode` records: the stems of
+        its analysis and detection templates."""
+        analysis = TemplateSet.ANALYSIS_FULL if mode == MODE_FULL else TemplateSet.ANALYSIS_CODE
+        return f"{analysis}+{TemplateSet.DETECTION}"
 
     def load(self, stem: str) -> str:
         with self._lock:
@@ -299,6 +307,9 @@ def _mock_complete(prompt: str) -> Completion:
 def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     """Run one prompt against the configured backend.
 
+    A prompt whose token estimate exceeds cfg.context_window (when set) is
+    ContextOverflow under either backend, before anything is sent.
+
     The HTTP backend sends each request through ponzilens.transport, on a
     new connection, to an http or https endpoint only. It retries on
     transient failures (5xx, 429, transport errors) up to cfg.max_attempts
@@ -310,13 +321,13 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     whose content is not a string, or whose usage is not an object of
     integer counts, is BackendUnavailable.
     """
-    if cfg.backend == BACKEND_MOCK:
-        return _mock_complete(prompt.rendered)
     if cfg.context_window is not None and prompt.token_estimate > cfg.context_window:
         raise ContextOverflow(
             f"prompt estimate {prompt.token_estimate} exceeds context window "
             f"{cfg.context_window}"
         )
+    if cfg.backend == BACKEND_MOCK:
+        return _mock_complete(prompt.rendered)
     if not transport.is_http_url(cfg.endpoint):
         raise BackendUnavailable(f"endpoint {cfg.endpoint!r} is not an http or https URL")
     payload = {
@@ -434,6 +445,25 @@ class RunRecord:
         )
 
 
+class Settings(NamedTuple):
+    """What produced a report: its mode and model label and, for a report
+    with runs, its template version and run count (None without runs). A
+    batch resumes a journaled report only when these match its own."""
+
+    mode: str
+    model: str
+    template_version: str | None = None
+    runs: int | None = None
+
+    def mismatch(self, want: "Settings") -> str | None:
+        """The first field that both record and that differs, as text;
+        None when they agree."""
+        for name, have, need in zip(self._fields, self, want):
+            if None not in (have, need) and have != need:
+                return f"{name} {have!r}, not {need!r}"
+        return None
+
+
 @dataclass
 class DetectionReport:
     """Everything recorded about one contract's detection."""
@@ -446,6 +476,12 @@ class DetectionReport:
     runs: list[RunRecord] = field(default_factory=list)
     error: dict | None = None  # {"phase": ..., "message": ...}
     slice_stats: dict | None = None
+
+    @property
+    def settings(self) -> Settings:
+        if not self.runs:
+            return Settings(self.mode, self.model)
+        return Settings(self.mode, self.model, self.template_version, len(self.runs))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -590,9 +626,7 @@ def detect_contract(
                 bundle = _raw_bundle(unit.source_text)
         analysis_prompt = build_analysis_prompt(bundle, art.dot, mode, templates)
         definition = default_ponzi_definition(templates)
-        report.template_version = (
-            f"{analysis_prompt.template_version}+{TemplateSet.DETECTION}"
-        )
+        report.template_version = TemplateSet.version(mode)
     except PonzilensError as exc:
         report.error = {"phase": phase, "message": str(exc)}
         return report

@@ -7,8 +7,10 @@ every report is appended and flushed once its contract finishes. The mock
 backend runs contracts one after another on the calling thread, in manifest
 order. Over HTTP a pool runs up to `concurrency_limit` contracts at once
 (two by default), and journal lines land in the order contracts finish. An
-interrupted batch still journals every contract that finished, and resumes
-by skipping ids the journal already holds.
+interrupted batch still journals every contract that finished. A resume
+skips the ids the journal already holds, except a report whose backend
+failed (phase `detect`), and refuses a journal whose reports were made with
+other settings (`Settings`).
 
 Metric conventions: ponzi is the positive class. Reports whose final
 verdict is None (pipeline error or nothing parseable) are excluded from the
@@ -24,7 +26,7 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .detect import (
     BACKEND_MOCK,
@@ -32,6 +34,7 @@ from .detect import (
     LlmConfig,
     MODE_FULL,
     MODES,
+    Settings,
     TemplateSet,
     detect_contract,
 )
@@ -98,14 +101,20 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def _entry_from_row(row: dict, where: str) -> ManifestEntry:
-    try:
-        return ManifestEntry(
-            id=str(row["id"]).strip(),
-            path_or_address=str(row["path_or_address"]).strip(),
-            label=str(row["label"]).strip(),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{where}: missing manifest column {exc}") from exc
+    """The entry of one manifest row. Every cell is a string: a line-JSON
+    null or number and a CSV row short of a cell (read as None) are refused
+    by column."""
+    cells = []
+    for column in ("id", "path_or_address", "label"):
+        if column not in row:
+            raise ValueError(f"{where}: missing manifest column {column!r}")
+        cell = row[column]
+        if cell is None:
+            raise ValueError(f"{where}: manifest column {column!r} has no value")
+        if not isinstance(cell, str):
+            raise ValueError(f"{where}: manifest column {column!r} is not a string: {cell!r}")
+        cells.append(cell.strip())
+    return ManifestEntry(*cells)
 
 
 # --- batch driving ----------------------------------------------------------
@@ -131,6 +140,15 @@ def read_journal(path: str | Path) -> dict[str, DetectionReport]:
         except (ValueError, LookupError, TypeError, AttributeError, RecursionError):
             continue
     return done
+
+
+def check_settings(reports: Iterable[DetectionReport], want: Settings, where: object) -> None:
+    """Refuse, with a ValueError naming the report and the field, the first
+    report whose settings differ from `want` (see `Settings.mismatch`)."""
+    for report in reports:
+        wrong = report.settings.mismatch(want)
+        if wrong is not None:
+            raise ValueError(f"{where}: report {report.contract_id!r} has {wrong}")
 
 
 def unit_for_entry(entry: ManifestEntry, fetch_cfg: FetchConfig | None = None) -> SourceUnit:
@@ -176,6 +194,13 @@ def run_batch(
     contract. Every contract is prompted from one `templates` set (default:
     the packaged templates).
 
+    A resume keeps a journaled report of a manifest id unless its backend
+    failed (phase "detect"), and runs that contract again; the new line
+    wins, since read_journal keeps the last line per id. A journaled report
+    made with other settings than the batch's (mode, model label and, when
+    it has runs, template version and run count) is a ValueError naming it
+    and the field, raised before any contract runs.
+
     Returns reports in manifest order.
     """
     if mode not in MODES:
@@ -183,9 +208,13 @@ def run_batch(
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     templates = templates or TemplateSet()
-    done = read_journal(journal) if journal else {}
     labels = manifest.labels()
-    done = {k: v for k, v in done.items() if k in labels}
+    journaled = read_journal(journal).values() if journal else ()
+    journaled = [r for r in journaled if r.contract_id in labels]
+    want = Settings(mode, cfg.model_label, TemplateSet.version(mode), repeats)
+    check_settings(journaled, want, journal)
+    # A backend failure may be gone by now (a key set, a server back up).
+    done = {r.contract_id: r for r in journaled if (r.error or {}).get("phase") != "detect"}
     todo = [e for e in manifest.entries if e.id not in done]
 
     journal_path = Path(journal) if journal else None

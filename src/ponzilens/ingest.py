@@ -27,6 +27,7 @@ import email.utils
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -415,6 +416,13 @@ def _flatten_explorer_source(raw: str) -> str:
     return raw
 
 
+# Before retrying a 5xx reply or a failed request, fetch sleeps a random time
+# between 0 and the attempt's bound here ("full jitter"), so the requests of
+# one batch that failed together do not retry together. Retry-After and a
+# rate-limit reply set the wait themselves.
+_RETRY_BACKOFF = (0.5, 1.0, 2.0)
+
+
 def _retry_after_seconds(value: str | None) -> float:
     """Seconds a Retry-After header asks for, given as delta-seconds or as an
     HTTP date; never negative, and 1.0 when absent or unreadable."""
@@ -439,7 +447,9 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
     redirects are not followed: a 3xx is a NetworkError. Rate limiting is
     enforced client-side on top of honoring explorer rate-limit replies;
     429s, 5xx replies and transport failures are retried up to
-    cfg.max_attempts times. The key never appears in an error message.
+    cfg.max_attempts times, after the wait a 429 or a rate-limit reply asks
+    for, and otherwise after a full-jitter backoff (`_RETRY_BACKOFF`). The
+    key never appears in an error message.
     """
     if not is_address(address):
         raise ValueError(f"malformed address: {address!r}")
@@ -459,7 +469,10 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
     last_error: Exception | None = None
     retry_after: float | None = None
     for attempt in range(cfg.max_attempts):
-        if attempt and retry_after:
+        if attempt:
+            if retry_after is None:
+                bound = _RETRY_BACKOFF[min(attempt, len(_RETRY_BACKOFF)) - 1]
+                retry_after = random.uniform(0, bound)
             time.sleep(min(retry_after, 5.0))
         retry_after = None
         limiter.acquire()

@@ -267,6 +267,33 @@ def test_metrics_command_recomputes(tmp_path, capsys):
     assert payload["overhead"]["contracts"] == 3
 
 
+def test_batch_into_an_out_dir_of_another_mode_is_usage_error(tmp_path, capsys):
+    # A raw journal must not stand in for full-mode reports.
+    out_dir = tmp_path / "out"
+    manifest = _write_manifest(tmp_path)
+    assert main(["batch", manifest, "--out", str(out_dir), "--mode", "raw", "--repeats", "1"]) == 0
+    journal = (out_dir / "reports.jsonl").read_text()
+    capsys.readouterr()
+    rc = main(["batch", manifest, "--out", str(out_dir), "--repeats", "3", "--model", "other"])
+    assert rc == EXIT_USAGE
+    assert "reports.jsonl: report 'sp' has mode 'raw', not 'full'" in capsys.readouterr().err
+    assert (out_dir / "reports.jsonl").read_text() == journal
+
+
+def test_metrics_refuses_a_reports_file_of_mixed_models(tmp_path, capsys):
+    manifest = _write_manifest(tmp_path)
+    for model in ("one", "two"):
+        out = tmp_path / model
+        assert main(["batch", manifest, "--out", str(out), "--repeats", "1", "--model", model]) == 0
+    lines = (tmp_path / "one" / "reports.jsonl").read_text().splitlines()
+    lines[1] = (tmp_path / "two" / "reports.jsonl").read_text().splitlines()[1]
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["metrics", str(mixed), manifest]) == EXIT_USAGE
+    assert "mixed.jsonl: report 'mt' has model 'mock:two', not 'mock:one'" in capsys.readouterr().err
+
+
 def test_metrics_missing_reports_is_usage_error(tmp_path, capsys):
     rc = main(["metrics", str(tmp_path / "none.jsonl"), _write_manifest(tmp_path)])
     assert rc == EXIT_USAGE

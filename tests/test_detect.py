@@ -283,16 +283,28 @@ def test_mock_needs_loop_and_indexed_transfer_together():
         assert hinted is want
 
 
-def test_mock_ignores_endpoint_and_context_window():
-    cfg = LlmConfig(
-        backend=BACKEND_MOCK,
-        endpoint="http://127.0.0.1:1/nowhere",
-        context_window=1,
-    )
+def test_mock_ignores_endpoint():
+    cfg = LlmConfig(backend=BACKEND_MOCK, endpoint="http://127.0.0.1:1/nowhere")
     p = PromptBundle("analysis", "x" * 4000, PromptParts(), "t", 1000)
     out = complete(p, cfg)
     assert isinstance(out, Completion)
     assert out.input_tokens == 1000
+
+
+def test_mock_checks_context_window():
+    # The window binds before the backend is chosen, so a mock run sees the
+    # overflow an HTTP run would.
+    p = PromptBundle("analysis", "x" * 4000, PromptParts(), "t", 1000)
+    with pytest.raises(ContextOverflow, match="prompt estimate 1000 exceeds context window 999"):
+        complete(p, LlmConfig(context_window=999))
+    assert complete(p, LlmConfig(context_window=1000)).input_tokens == 1000
+    # simple_ponzi's full-mode analysis prompt is 618 estimated tokens.
+    report = detect_contract(fixutil.load_unit("simple_ponzi"), LlmConfig(context_window=10))
+    assert report.error == {
+        "phase": "detect",
+        "message": "prompt estimate 618 exceeds context window 10",
+    }
+    assert report.runs == [] and report.final_verdict is None
 
 
 def test_mock_is_deterministic():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 
@@ -12,7 +13,7 @@ import astfuzz
 import fixutil
 import ponzilens.evaluation as evaluation_mod
 import programs
-from ponzilens.detect import DetectionReport, LlmConfig, RunRecord
+from ponzilens.detect import DetectionReport, LlmConfig, RunRecord, TemplateSet
 from ponzilens.errors import LabelMismatch
 from ponzilens.evaluation import (
     DatasetManifest,
@@ -113,6 +114,47 @@ def test_load_manifest_refuses_a_row_that_is_not_an_object(tmp_path, row):
 
 
 @pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "corpus.jsonl",
+            '{"id": null, "path_or_address": "x", "label": "ponzi"}',
+            "corpus.jsonl:1: manifest column 'id' has no value",
+        ),
+        (
+            "corpus.jsonl",
+            '{"id": "a", "path_or_address": {"a": 1}, "label": "ponzi"}',
+            "corpus.jsonl:1: manifest column 'path_or_address' is not a string: {'a': 1}",
+        ),
+        (
+            "corpus.jsonl",
+            '{"id": 7, "path_or_address": "x", "label": "ponzi"}',
+            "corpus.jsonl:1: manifest column 'id' is not a string: 7",
+        ),
+        (
+            "corpus.csv",
+            "id,path_or_address,label\na,x,ponzi\nonly\n",
+            "corpus.csv:3: manifest column 'path_or_address' has no value",
+        ),
+        (
+            "corpus.csv",
+            "id,path_or_address,label\na,x\n",
+            "corpus.csv:2: manifest column 'label' has no value",
+        ),
+    ],
+    ids=["json-null", "json-object", "json-number", "csv-one-cell", "csv-two-cells"],
+)
+def test_load_manifest_names_the_column_of_a_cell_that_is_not_a_string(
+    tmp_path, name, text, message
+):
+    p = tmp_path / name
+    p.write_text(text + "\n")
+    with pytest.raises(ValueError) as refused:
+        load_manifest(p)
+    assert str(refused.value) == str(tmp_path / message)
+
+
+@pytest.mark.parametrize(
     "name, text",
     [
         ("corpus.csv", "id,path_or_address,label\na,x.json,ponzi\n"),
@@ -140,11 +182,13 @@ def _report(
     tokens: tuple[int, int] = (10, 5),
     cost: float = 0.0,
 ) -> DetectionReport:
+    # The settings of a mock full-mode batch with `runs` repeats, so a
+    # journal of these resumes such a batch.
     return DetectionReport(
         contract_id=cid,
         mode="full",
-        model="m",
-        template_version="tv",
+        model=LlmConfig().model_label,
+        template_version=TemplateSet.version("full"),
         runs=[
             RunRecord(
                 verdict=verdict,
@@ -284,20 +328,81 @@ def test_run_batch_resumes_from_journal(tmp_path):
         _entry("mt", "mini_token", CLEAN),
     )
     journal = tmp_path / "journal.jsonl"
-    precomputed = DetectionReport(
-        contract_id="sp",
-        mode="full",
-        model="precomputed",
-        template_version="tv",
-        final_verdict=False,
-    )
+    precomputed = _report("sp", False)
     _write_journal([precomputed], journal)
     reports = run_batch(manifest, LlmConfig(), repeats=1, journal=journal)
-    # sp was replayed from the journal, not recomputed.
-    assert reports[0].model == "precomputed"
-    assert reports[0].final_verdict is False
+    # sp was replayed from the journal, not recomputed: its verdict would be true.
+    assert reports[0].to_dict() == precomputed.to_dict()
     assert reports[1].model == "mock:gpt-3.5-turbo"
     assert len(journal.read_text().splitlines()) == 2
+
+
+def _raw_journal(tmp_path):
+    """A journal of a raw-mode mock batch with one repeat: sp's report has
+    runs, and broken's is an ingest error without runs."""
+    manifest = _manifest(
+        _entry("sp", "simple_ponzi", PONZI),
+        ManifestEntry(id="broken", path_or_address=str(tmp_path / "no.json"), label=CLEAN),
+    )
+    journal = tmp_path / "journal.jsonl"
+    run_batch(manifest, LlmConfig(), "raw", 1, journal=journal)
+    return manifest, journal
+
+
+@pytest.mark.parametrize(
+    "mode, cfg, repeats, wrong",
+    [
+        ("full", LlmConfig(), 1, "report 'sp' has mode 'raw', not 'full'"),
+        (
+            "raw",
+            LlmConfig(model="other"),
+            1,
+            "report 'sp' has model 'mock:gpt-3.5-turbo', not 'mock:other'",
+        ),
+        ("raw", LlmConfig(), 3, "report 'sp' has runs 1, not 3"),
+        ("full", LlmConfig(model="other"), 3, "report 'sp' has mode 'raw', not 'full'"),
+    ],
+    ids=["mode", "model", "runs", "all"],
+)
+def test_run_batch_refuses_a_journal_made_with_other_settings(tmp_path, mode, cfg, repeats, wrong):
+    manifest, journal = _raw_journal(tmp_path)
+    before = journal.read_text()
+    with pytest.raises(ValueError, match=re.escape(f"journal.jsonl: {wrong}")):
+        run_batch(manifest, cfg, mode, repeats, journal=journal)
+    assert journal.read_text() == before
+
+
+def test_run_batch_refuses_a_journaled_report_of_another_template_version(tmp_path):
+    manifest, journal = _raw_journal(tmp_path)
+    journal.write_text(journal.read_text().replace("analysis_code_v1", "analysis_code_v0"))
+    with pytest.raises(ValueError, match="'sp' has template_version 'analysis_code_v0"):
+        run_batch(manifest, LlmConfig(), "raw", 1, journal=journal)
+
+
+def test_run_batch_compares_a_report_without_runs_on_mode_and_model(tmp_path):
+    manifest, journal = _raw_journal(tmp_path)
+    (broken,) = [r for r in read_journal(journal).values() if r.contract_id == "broken"]
+    _write_journal([broken], journal)
+    sp, broken_again = run_batch(manifest, LlmConfig(), "raw", 3, journal=journal)
+    # The ingest error is kept, not run again, whatever the run count.
+    assert broken_again.to_dict() == broken.to_dict()
+    assert len(sp.runs) == 3
+    with pytest.raises(ValueError, match="'broken' has model"):
+        run_batch(manifest, LlmConfig(model="other"), "raw", 3, journal=journal)
+
+
+def test_run_batch_runs_a_backend_failure_again(tmp_path):
+    manifest = _manifest(_entry("sp", "simple_ponzi", PONZI), _entry("mt", "mini_token", CLEAN))
+    journal = tmp_path / "journal.jsonl"
+    failed = _report("sp", None, runs=0, error={"phase": "detect", "message": "HTTP 503"})
+    kept = _report("mt", False)
+    _write_journal([failed, kept], journal)
+    sp, mt = run_batch(manifest, LlmConfig(), repeats=1, journal=journal)
+    assert sp.error is None and sp.final_verdict is True
+    assert mt.to_dict() == kept.to_dict()
+    assert len(journal.read_text().splitlines()) == 3
+    # The new line wins on the next read.
+    assert read_journal(journal)["sp"].to_dict() == sp.to_dict()
 
 
 def test_run_batch_ignores_stale_journal_ids(tmp_path):

@@ -482,6 +482,26 @@ def test_fetch_server_errors_exhaust_attempts(explorer, monkeypatch):
     assert len(_Handler.seen) == 3
 
 
+def test_fetch_waits_a_jittered_backoff_between_server_errors(explorer, monkeypatch):
+    # Without a wait, three attempts land within milliseconds of each other.
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    sleeps: list[float] = []
+    monkeypatch.setattr(ingest.time, "sleep", sleeps.append)
+    ok = (200, {}, _ok_body("contract B {}"))
+    _Handler.script = [(503, {}, b"busy"), (503, {}, b"busy"), ok]
+    unit = fetch_verified_source(GOOD_ADDRESS, _cfg(explorer, max_attempts=3))
+    assert unit.source_text == "contract B {}"
+    assert len(_Handler.seen) == 3
+    assert len(sleeps) == 2
+    bounds = ingest._RETRY_BACKOFF[:2]
+    assert all(0 <= s <= bound for s, bound in zip(sleeps, bounds))
+    # A Retry-After still sets the wait.
+    sleeps.clear()
+    _Handler.script = [(503, {}, b"busy"), (429, {"Retry-After": "3"}, b""), ok]
+    fetch_verified_source(GOOD_ADDRESS, _cfg(explorer, max_attempts=3))
+    assert len(sleeps) == 2 and sleeps[0] <= bounds[0] and sleeps[1] == 3.0
+
+
 def test_fetch_invalid_key_is_fatal(explorer, monkeypatch):
     monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
     body = json.dumps({"status": "0", "result": "Invalid API Key"}).encode()
@@ -572,6 +592,7 @@ def _free_port() -> int:
 
 def test_fetch_tries_a_refused_port_max_attempts_times(monkeypatch):
     monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    monkeypatch.setattr(ingest.time, "sleep", lambda s: None)
     dials: list[tuple] = []
     dial = socket.create_connection
 
@@ -618,6 +639,7 @@ def test_fetch_failure_message_never_carries_the_key(monkeypatch, kind):
 
 def test_run_batch_journals_no_explorer_key(tmp_path, monkeypatch):
     monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    monkeypatch.setattr(ingest.time, "sleep", lambda s: None)
     manifest = DatasetManifest(
         [ManifestEntry(id="gone", path_or_address=GOOD_ADDRESS, label="non_ponzi")],
     )
