@@ -142,7 +142,7 @@ def read_journal(path: str | Path) -> dict[str, DetectionReport]:
     return done
 
 
-def check_settings(reports: Iterable[DetectionReport], want: Settings, where: object) -> None:
+def check_settings(reports: Iterable[DetectionReport], want: Settings, where: str | Path) -> None:
     """Refuse, with a ValueError naming the report and the field, the first
     report whose settings differ from `want` (see `Settings.mismatch`)."""
     for report in reports:
