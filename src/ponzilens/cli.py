@@ -188,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=LlmConfig.concurrency_limit,
         metavar="N",
-        help="contracts in flight at once over HTTP, each with up to "
-        f"min(repeats, {_MAX_CHAINS}) runs in flight, journaled as they finish; "
+        help=f"over HTTP, at most N * min(repeats, {_MAX_CHAINS}) runs in flight, "
+        "shared by N + 1 open contracts, journaled as they finish; "
         "a mock batch runs one contract at a time (default: %(default)s)",
     )
     pb.add_argument("--out", default=".", metavar="DIR", help="output directory (default: %(default)s)")

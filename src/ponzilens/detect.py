@@ -35,6 +35,7 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -75,8 +76,8 @@ _VERDICT_RE = re.compile(r"\b(true|false)\b", re.IGNORECASE)
 
 # The most two-stage chains of one contract in flight at once, so a large
 # `repeats` never starts a thread per repeat. A mock batch runs one chain at
-# a time; an HTTP batch has up to concurrency_limit times min(repeats,
-# _MAX_CHAINS) requests in flight.
+# a time; an HTTP batch's contracts share one budget of concurrency_limit
+# times min(repeats, _MAX_CHAINS) chains in flight.
 _MAX_CHAINS = 16
 
 
@@ -226,9 +227,11 @@ class LlmConfig:
     price_per_1k_output: float = 0.0
     max_attempts: int = 3
     backoff: tuple[float, ...] = (0.5, 1.0, 2.0)
-    # Contracts in flight in an HTTP batch's pool (a mock batch runs serially).
-    # Two kept a 2-vCPU client busy against a server adding 10 ms a call;
-    # three or four gained nothing and held more memory.
+    # An HTTP batch has at most concurrency_limit * min(repeats, 16) runs in
+    # flight, shared by concurrency_limit + 1 open contracts, so one contract
+    # prepares while the others' runs are on the wire (a mock batch runs
+    # serially). Two kept a 2-vCPU client busy against a server adding 10 ms
+    # a call; three or four gained nothing and held more memory.
     concurrency_limit: int = 2
     timeout: float = 60.0
     api_key: str = ""
@@ -315,8 +318,10 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     transient failures (5xx, 429, transport errors) up to cfg.max_attempts
     times. Before each retry it sleeps a random time between 0 and the
     attempt's cfg.backoff entry ("full jitter"), so the concurrent chains
-    of a contract do not retry in lockstep. Auth rejections and context
-    overflows raise immediately. Each token count falls back to its
+    of a contract do not retry in lockstep. Auth rejections, context
+    overflows and a request that http.client refuses to send (a header
+    value with a newline, say) raise immediately; the last names neither
+    the header nor the key. Each token count falls back to its
     estimate when the server reports no usage or a null count. A reply
     whose content is not a string, or whose usage is not an object of
     integer counts, is BackendUnavailable.
@@ -353,6 +358,13 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
         started = time.perf_counter()
         try:
             status, _, reply = transport.request(cfg.endpoint, body, headers, timeout=cfg.timeout)
+        except transport.REFUSED as exc:
+            # Its message can quote the Authorization header, and so the key.
+            raise BackendUnavailable(
+                f"request refused before sending ({type(exc).__name__}): the endpoint "
+                "URL or a header value, such as the API key, holds a character HTTP "
+                "does not allow, e.g. a trailing newline"
+            ) from None
         except transport.ERRORS as exc:
             last_error = exc
             continue
@@ -578,6 +590,7 @@ def detect_contract(
     repeats: int = 5,
     *,
     templates: TemplateSet | None = None,
+    slots: threading.Semaphore | None = None,
 ) -> DetectionReport:
     """Run the full two-stage protocol on one unit.
 
@@ -591,7 +604,10 @@ def detect_contract(
     connection; they are recorded in index order whatever order they finish
     in, and when several fail, the lowest-index failure is the one reported.
     Runs already in flight when one fails still finish, so their requests
-    are spent. The mock backend runs them one after another.
+    are spent. The mock backend runs them one after another. With `slots`,
+    each run holds one of its slots for both its stages, so the contracts
+    that share it share one bound on requests in flight: run_batch gives
+    the contracts of an HTTP batch one.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -631,10 +647,13 @@ def detect_contract(
         report.error = {"phase": phase, "message": str(exc)}
         return report
 
+    held = nullcontext() if slots is None else slots
+
     def chain(_index: int) -> RunRecord:
-        first = complete(analysis_prompt, cfg)
-        detection_prompt = build_detection_prompt(first.text, definition, templates)
-        second = complete(detection_prompt, cfg)
+        with held:
+            first = complete(analysis_prompt, cfg)
+            detection_prompt = build_detection_prompt(first.text, definition, templates)
+            second = complete(detection_prompt, cfg)
         err: str | None = None
         try:
             verdict: bool | None = parse_verdict(second.text)

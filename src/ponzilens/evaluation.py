@@ -5,12 +5,13 @@ hex address, resolved through the explorer fetcher), and a binary label.
 run_batch drives detection across the corpus with a line-JSON journal:
 every report is appended and flushed once its contract finishes. The mock
 backend runs contracts one after another on the calling thread, in manifest
-order. Over HTTP a pool runs up to `concurrency_limit` contracts at once
-(two by default), and journal lines land in the order contracts finish. An
-interrupted batch still journals every contract that finished. A resume
-skips the ids the journal already holds, except a report whose backend
-failed (phase `detect`), and refuses a journal whose reports were made with
-other settings (`Settings`).
+order. Over HTTP a pool keeps `concurrency_limit` + 1 contracts open (the
+limit is two by default), which draw on one budget of `concurrency_limit`
+times min(repeats, 16) two-stage runs in flight, and journal lines land in
+the order contracts finish, at every limit. An interrupted batch still
+journals every contract that finished. A resume skips the ids the journal
+already holds, except a report whose backend failed (phase `detect`), and
+refuses a journal whose reports were made with other settings (`Settings`).
 
 Metric conventions: ponzi is the positive class. Reports whose final
 verdict is None (pipeline error or nothing parseable) are excluded from the
@@ -23,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,6 +38,7 @@ from .detect import (
     MODES,
     Settings,
     TemplateSet,
+    _MAX_CHAINS,
     detect_contract,
 )
 from .errors import LabelMismatch, PonzilensError
@@ -179,9 +182,12 @@ def run_batch(
 
     The mock backend does no I/O to overlap, so its contracts run one after
     another on the calling thread, whatever the limit. Over HTTP one pool
-    runs at most cfg.concurrency_limit contracts at once, each with its own
-    capped number of two-stage chains in flight (see detect_contract), so a
-    batch has up to concurrency_limit times that cap requests in flight.
+    keeps cfg.concurrency_limit + 1 contracts open, so one is loaded,
+    sliced and prompted while the others' runs are on the wire. Every
+    two-stage run of the batch holds one of concurrency_limit times
+    min(repeats, 16) slots for both its stages (see detect_contract), which
+    bounds the requests in flight; at any limit the contract prepared ahead
+    can take a slot first, so the journal is in finishing order.
     Failures stay isolated per contract: a contract whose load or pipeline
     fails yields an error report, and the batch continues. Any other
     exception out of loading or detect_contract, which is a defect, is
@@ -234,7 +240,7 @@ def run_batch(
         if on_report is not None:
             on_report(report)
 
-    def work(entry: ManifestEntry) -> DetectionReport:
+    def work(entry: ManifestEntry, slots: threading.Semaphore | None = None) -> DetectionReport:
         def failed(phase: str, message: str) -> DetectionReport:
             return DetectionReport(
                 contract_id=entry.id,
@@ -249,7 +255,7 @@ def run_batch(
                 unit = unit_for_entry(entry, fetch_cfg)
             except (PonzilensError, OSError, ValueError) as exc:
                 return failed("ingest", str(exc))
-            return detect_contract(unit, cfg, mode, repeats, templates=templates)
+            return detect_contract(unit, cfg, mode, repeats, templates=templates, slots=slots)
         except Exception as exc:  # a defect must not abort the batch; Ctrl-C still does
             return failed("internal", f"{type(exc).__name__}: {exc}")
 
@@ -258,8 +264,9 @@ def run_batch(
             for entry in todo:
                 record(work(entry))
         else:
-            with ThreadPoolExecutor(max_workers=cfg.concurrency_limit) as pool:
-                futures = [pool.submit(work, e) for e in todo]
+            slots = threading.BoundedSemaphore(cfg.concurrency_limit * min(repeats, _MAX_CHAINS))
+            with ThreadPoolExecutor(max_workers=cfg.concurrency_limit + 1) as pool:
+                futures = [pool.submit(work, e, slots) for e in todo]
                 try:
                     for fut in as_completed(futures):
                         record(fut.result())

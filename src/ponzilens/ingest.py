@@ -448,7 +448,8 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
     enforced client-side on top of honoring explorer rate-limit replies;
     429s, 5xx replies and transport failures are retried up to
     cfg.max_attempts times, after the wait a 429 or a rate-limit reply asks
-    for, and otherwise after a full-jitter backoff (`_RETRY_BACKOFF`). The
+    for, and otherwise after a full-jitter backoff (`_RETRY_BACKOFF`). A
+    request that http.client refuses to send is a NetworkError at once. The
     key never appears in an error message.
     """
     if not is_address(address):
@@ -478,9 +479,11 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
         limiter.acquire()
         try:
             status, headers, reply = transport.request(url, timeout=cfg.timeout)
-        except transport.ERRORS as exc:
+        except (*transport.REFUSED, *transport.ERRORS) as exc:
             # An error can quote the request path, and the path holds the key.
             reason = str(exc).replace(quote_plus(api_key), "<apikey>")
+            if isinstance(exc, transport.REFUSED):  # sending it again fails the same way
+                raise NetworkError(f"explorer request failed before sending: {reason}") from None
             last_error = NetworkError(f"explorer request failed: {reason}")
             continue
         if status == 429:

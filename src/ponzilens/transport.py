@@ -12,8 +12,9 @@ only a proxy handler and the http and https handlers:
   * no redirect is followed and no status raises, so every reply comes back
     to the caller as its status, headers and body.
 
-Callers refuse a URL that is_http_url rejects before sending anything, and
-treat ERRORS out of request as a failed exchange.
+Callers refuse a URL that is_http_url rejects before sending anything,
+treat ERRORS out of request as a failed exchange, which may be retried, and
+REFUSED as a request that was never sent and never will be.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ import threading
 import urllib.request
 from urllib.parse import urlsplit
 
-# OSError covers URLError, refused connections and timeouts; a ValueError
-# is a URL or header http.client refuses.
-ERRORS = (OSError, ValueError, http.client.HTTPException)
+# A URL or header http.client refuses before sending, such as an API key
+# ending in a newline; its message can quote the header. Callers test for it
+# before ERRORS, which holds InvalidURL's base class HTTPException.
+REFUSED = (ValueError, http.client.InvalidURL)
+# OSError covers URLError, refused connections and timeouts.
+ERRORS = (OSError, http.client.HTTPException)
 
 
 def is_http_url(url: str) -> bool:

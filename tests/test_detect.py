@@ -1329,13 +1329,78 @@ def test_run_batch_over_http_keeps_two_contracts_in_flight_by_default(mock_chat)
     assert _MockChatHandler.peak >= 2
 
 
-def test_run_batch_over_http_at_limit_one_journals_in_manifest_order(mock_chat, tmp_path):
+@pytest.mark.parametrize("limit, repeats", [(1, 1), (1, 5), (2, 5), (2, 20)])
+def test_run_batch_over_http_keeps_requests_in_flight_within_one_batch_budget(
+    mock_chat, limit, repeats
+):
+    """The contracts of a batch share limit * min(repeats, 16) run slots,
+    although limit + 1 of them are open. Short switch intervals shuffle the
+    threads that wait for a slot."""
+    cfg = _chat(mock_chat, concurrency_limit=limit)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reports = run_batch(_fixture_manifest(), cfg, repeats=repeats)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(reports) == len(fixutil.FIXTURE_NAMES)
+    assert 1 <= _MockChatHandler.peak <= limit * min(repeats, 16)
+
+
+def test_run_batch_over_http_at_limit_one_sends_one_request_at_a_time(
+    mock_chat, tmp_path, monkeypatch
+):
+    """At limit 1 a second contract prepares while the first one's run is
+    on the wire, so the journal is in finishing order; one request is in
+    flight at a time, and the reports come back in manifest order."""
+    inside = []
+    peak_inside = 0
+    lock = threading.Lock()
+    real = evaluation_mod.detect_contract
+
+    def counted(unit, *args, **kwargs):
+        nonlocal peak_inside
+        with lock:
+            inside.append(unit.id)
+            peak_inside = max(peak_inside, len(inside))
+        try:
+            return real(unit, *args, **kwargs)
+        finally:
+            with lock:
+                inside.remove(unit.id)
+
+    monkeypatch.setattr(evaluation_mod, "detect_contract", counted)
     journal = tmp_path / "journal.jsonl"
     cfg = _chat(mock_chat, concurrency_limit=1)
-    run_batch(_fixture_manifest(), cfg, repeats=1, journal=journal)
+    reports = run_batch(_fixture_manifest(), cfg, repeats=1, journal=journal)
+    ids = [e.id for e in _fixture_manifest().entries]
     journaled = [json.loads(line)["contract_id"] for line in journal.read_text().splitlines()]
-    assert journaled == [e.id for e in _fixture_manifest().entries]
+    assert sorted(journaled) == sorted(ids)
+    assert [r.contract_id for r in reports] == ids
     assert _MockChatHandler.peak == 1
+    assert peak_inside == 2
+
+
+def test_a_request_http_client_refuses_fails_at_once_without_the_key(
+    mock_chat, tmp_path, monkeypatch
+):
+    """A key ending in a newline makes a header http.client will not send.
+    The run fails on its first attempt, with no backoff sleep, and neither
+    the report nor the journal quotes the key."""
+    sleeps: list[float] = []
+    monkeypatch.setattr(detect_mod.time, "sleep", sleeps.append)
+    key = "sk-SECRET0123"
+    cfg = _chat(mock_chat, api_key=key + "\n", backoff=(0.5,))
+    manifest = DatasetManifest(
+        [ManifestEntry("sp", str(fixutil.fixture_path("simple_ponzi")), "ponzi")]
+    )
+    journal = tmp_path / "journal.jsonl"
+    (report,) = run_batch(manifest, cfg, repeats=1, journal=journal)
+    assert report.error["phase"] == "detect"
+    assert "before sending" in report.error["message"]
+    assert key not in report.error["message"]
+    assert key not in journal.read_text()
+    assert sleeps == [] and _MockChatHandler.peak == 0
 
 
 @pytest.mark.parametrize("limit", [1, 2, 4])
@@ -1344,8 +1409,8 @@ def test_run_batch_over_http_interrupted_journals_every_finished_contract(
 ):
     """The callback raises on the first report. The contracts already in
     flight still finish, and each one that returned is journaled, though no
-    callback fires for it; the contracts not started are not run. At a
-    limit of 1 the next contract may or may not have started by then."""
+    callback fires for it; the contracts not started are not run. Up to
+    limit + 1 contracts are open, so more than the limit may return."""
     returned = []
     real = evaluation_mod.detect_contract
 

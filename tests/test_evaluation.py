@@ -507,7 +507,7 @@ def test_run_batch_over_http_bookkeeping_stays_linear(monkeypatch):
     0.5 ms each its CPU time stays far below what rescanning every pending
     contract after each completion costs (about 1 s on 2 vCPUs)."""
 
-    def stub_detect(unit, cfg, mode, repeats, templates=None):
+    def stub_detect(unit, cfg, mode, repeats, templates=None, slots=None):
         time.sleep(0.0005)
         return DetectionReport(
             contract_id=unit.id, mode=mode, model=cfg.model_label, template_version=""
@@ -520,6 +520,9 @@ def test_run_batch_over_http_bookkeeping_stays_linear(monkeypatch):
     reports = run_batch(manifest, LlmConfig(backend="http"), repeats=1)
     spent = time.thread_time() - start
     assert [r.contract_id for r in reports] == [e.id for e in manifest.entries]
+    # A stub that no longer fits the call would turn every contract into an
+    # internal error report, and the timing would still pass.
+    assert all(r.error is None for r in reports)
     assert spent < 0.3
 
 

@@ -637,6 +637,30 @@ def test_fetch_failure_message_never_carries_the_key(monkeypatch, kind):
     assert SECRET not in str(failed.value)
 
 
+@pytest.mark.parametrize("refusal", ["bad path", "bad header"])
+def test_fetch_fails_at_once_on_a_request_http_client_refuses(monkeypatch, refusal):
+    """Sending it again would fail the same way: one attempt, no backoff
+    sleep, and a message without the key."""
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    sleeps: list[float] = []
+    monkeypatch.setattr(ingest.time, "sleep", sleeps.append)
+    sent = []
+    real = transport.request
+
+    def request(url, *args, **kwargs):
+        sent.append(url)
+        if refusal == "bad header":
+            raise ValueError(f"Invalid header value for {url!r}")
+        return real(url, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "request", request)
+    with _unreachable("bad path" if refusal == "bad path" else "refused") as url:
+        with pytest.raises(NetworkError, match="explorer request failed before sending") as failed:
+            fetch_verified_source(GOOD_ADDRESS, _cfg(url, api_key=SECRET, max_attempts=3))
+    assert len(sent) == 1 and sleeps == []
+    assert SECRET not in str(failed.value)
+
+
 def test_run_batch_journals_no_explorer_key(tmp_path, monkeypatch):
     monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
     monkeypatch.setattr(ingest.time, "sleep", lambda s: None)
