@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import re
 import threading
 import time
@@ -92,35 +91,35 @@ def estimate_tokens(text: str) -> int:
 class TemplateSet:
     """Versioned prompt templates, from a directory or the packaged set.
 
-    Each template is read at most once per instance, so every contract of
-    a batch sharing one set sees the same text.
+    Every template is read when the set is made: from `directory` when the
+    file is there, else from the package. So every contract of a batch
+    sharing one set sees the same text.
     """
 
     ANALYSIS_FULL = "analysis_full_v1"
     ANALYSIS_CODE = "analysis_code_v1"
     DETECTION = "detection_v1"
     DEFINITION = "ponzi_definition_v1"
+    STEMS = (ANALYSIS_FULL, ANALYSIS_CODE, DETECTION, DEFINITION)
+    # The analysis template each mode prompts with.
+    ANALYSIS = {MODE_FULL: ANALYSIS_FULL, MODE_NO_TAINT: ANALYSIS_CODE, MODE_RAW: ANALYSIS_CODE}
 
     def __init__(self, directory: str | Path | None = None):
-        self._dir = Path(directory) if directory else None
-        self._loaded: dict[str, str] = {}
-        self._lock = threading.Lock()  # batch workers share one set
+        here = Path(directory) if directory else None
+        packaged = resources.files("ponzilens.templates")
+        self._texts = {}
+        for s in self.STEMS:
+            path = here / f"{s}.txt" if here else None
+            self._texts[s] = (path if path and path.exists() else packaged / f"{s}.txt").read_text()
 
     @staticmethod
     def version(mode: str) -> str:
         """The template version a report of `mode` records: the stems of
         its analysis and detection templates."""
-        analysis = TemplateSet.ANALYSIS_FULL if mode == MODE_FULL else TemplateSet.ANALYSIS_CODE
-        return f"{analysis}+{TemplateSet.DETECTION}"
+        return f"{TemplateSet.ANALYSIS[mode]}+{TemplateSet.DETECTION}"
 
     def load(self, stem: str) -> str:
-        with self._lock:
-            if stem not in self._loaded:
-                path = self._dir / f"{stem}.txt" if self._dir is not None else None
-                if path is None or not path.exists():
-                    path = resources.files("ponzilens.templates").joinpath(f"{stem}.txt")
-                self._loaded[stem] = path.read_text()
-            return self._loaded[stem]
+        return self._texts[stem]
 
 
 @dataclass(frozen=True)
@@ -157,43 +156,31 @@ def build_analysis_prompt(
         code = bundle.header + "\n\n" + code
     if not code.strip():
         raise EmptyInput("nothing to analyze: empty code slice")
+    graph = ""
     if mode == MODE_FULL:
         if dot is None:
             raise ValueError("full mode needs a rendered taint graph")
-        stem = TemplateSet.ANALYSIS_FULL
-        rendered = Template(templates.load(stem)).substitute(
-            code=code, graph=dot.text
-        )
-        parts = PromptParts(code=code, taint_dot=dot.text)
-    else:
-        stem = TemplateSet.ANALYSIS_CODE
-        rendered = Template(templates.load(stem)).substitute(code=code)
-        parts = PromptParts(code=code)
+        graph = dot.text
+    stem = TemplateSet.ANALYSIS[mode]
+    rendered = Template(templates.load(stem)).substitute(code=code, graph=graph)
     return PromptBundle(
         stage="analysis",
         rendered=rendered,
-        parts=parts,
+        parts=PromptParts(code=code, taint_dot=graph),
         template_version=stem,
         token_estimate=estimate_tokens(rendered),
     )
 
 
-def default_ponzi_definition(templates: TemplateSet | None = None) -> str:
-    return (templates or TemplateSet()).load(TemplateSet.DEFINITION).strip()
-
-
-def build_detection_prompt(
-    analysis: str,
-    ponzi_definition: str | None = None,
-    templates: TemplateSet | None = None,
-) -> PromptBundle:
-    """Stage-two prompt pairing the prior analysis with a Ponzi definition.
+def build_detection_prompt(analysis: str, templates: TemplateSet | None = None) -> PromptBundle:
+    """Stage-two prompt pairing the prior analysis with the set's Ponzi
+    definition.
 
     The rendered prompt ends with the true/false instruction so the answer
     token lands last.
     """
     templates = templates or TemplateSet()
-    definition = ponzi_definition or default_ponzi_definition(templates)
+    definition = templates.load(TemplateSet.DEFINITION).strip()
     if not analysis.strip():
         raise EmptyInput("empty analysis text")
     if not definition.strip():
@@ -226,7 +213,6 @@ class LlmConfig:
     price_per_1k_input: float = 0.0
     price_per_1k_output: float = 0.0
     max_attempts: int = 3
-    backoff: tuple[float, ...] = (0.5, 1.0, 2.0)
     # An HTTP batch has at most concurrency_limit * min(repeats, 16) runs in
     # flight, shared by concurrency_limit + 1 open contracts, so one contract
     # prepares while the others' runs are on the wire (a mock batch runs
@@ -316,9 +302,9 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     The HTTP backend sends each request through ponzilens.transport, on a
     new connection, to an http or https endpoint only. It retries on
     transient failures (5xx, 429, transport errors) up to cfg.max_attempts
-    times. Before each retry it sleeps a random time between 0 and the
-    attempt's cfg.backoff entry ("full jitter"), so the concurrent chains
-    of a contract do not retry in lockstep. Auth rejections, context
+    times, waiting first by `transport.pause`, as explorer fetches do, so
+    the concurrent chains of a contract do not retry in lockstep. Auth
+    rejections, context
     overflows and a request that http.client refuses to send (a header
     value with a newline, say) raise immediately; the last names neither
     the header nor the key. Each token count falls back to its
@@ -352,9 +338,8 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
 
     last_error: Exception | None = None
     for attempt in range(cfg.max_attempts):
-        if attempt and cfg.backoff:
-            bound = cfg.backoff[min(attempt - 1, len(cfg.backoff) - 1)]
-            time.sleep(random.uniform(0, bound))
+        if attempt:
+            transport.pause(attempt)
         started = time.perf_counter()
         try:
             status, _, reply = transport.request(cfg.endpoint, body, headers, timeout=cfg.timeout)
@@ -641,7 +626,6 @@ def detect_contract(
             if unit.source_text.strip():
                 bundle = _raw_bundle(unit.source_text)
         analysis_prompt = build_analysis_prompt(bundle, art.dot, mode, templates)
-        definition = default_ponzi_definition(templates)
         report.template_version = TemplateSet.version(mode)
     except PonzilensError as exc:
         report.error = {"phase": phase, "message": str(exc)}
@@ -652,7 +636,7 @@ def detect_contract(
     def chain(_index: int) -> RunRecord:
         with held:
             first = complete(analysis_prompt, cfg)
-            detection_prompt = build_detection_prompt(first.text, definition, templates)
+            detection_prompt = build_detection_prompt(first.text, templates)
             second = complete(detection_prompt, cfg)
         err: str | None = None
         try:

@@ -23,17 +23,13 @@ explorer responses).
 
 from __future__ import annotations
 
-import email.utils
 import json
-import math
 import os
-import random
 import re
 import shutil
 import subprocess
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -122,9 +118,9 @@ class SourceUnit:
 class FetchConfig:
     """Explorer API access settings.
 
-    rate_limit is requests per second, enforced over a sliding window (see
-    `RateLimiter`) shared by every thread using the same (api_base_url,
-    rate_limit) pair.
+    rate_limit is requests per second, spaced evenly 1 / rate_limit seconds
+    apart (see `RateLimiter`) across every thread using the same
+    (api_base_url, rate_limit) pair.
     """
 
     api_base_url: str = "https://api.etherscan.io/api"
@@ -344,33 +340,24 @@ def load_source_unit(path: str | Path) -> SourceUnit:
 
 
 class RateLimiter:
-    """Sliding-window limiter for `rate` acquisitions per second: at most
-    capacity = max(1, int(rate)) in any window of capacity / rate seconds,
-    so a fractional rate holds too.
-
-    Thread-safe; acquire() blocks until a slot frees up. The window is
-    tracked with monotonic timestamps so wall-clock jumps cannot break it.
-    """
+    """Spaces acquisitions evenly, 1 / rate seconds apart, on the monotonic
+    clock. Thread-safe: acquire() takes the next free turn and sleeps until
+    it comes."""
 
     def __init__(self, rate: float):
         if rate <= 0:
             raise ValueError("rate must be positive")
-        self._capacity = max(1, int(rate))
-        self._window = self._capacity / rate
-        self._stamps: deque[float] = deque()
+        self._interval = 1.0 / rate
+        self._next = float("-inf")
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                while self._stamps and now - self._stamps[0] >= self._window:
-                    self._stamps.popleft()
-                if len(self._stamps) < self._capacity:
-                    self._stamps.append(now)
-                    return
-                wait = self._stamps[0] + self._window - now
-            time.sleep(max(wait, 0.001))
+        with self._lock:
+            now = time.monotonic()
+            turn = max(now, self._next)
+            self._next = turn + self._interval
+        if turn > now:
+            time.sleep(turn - now)
 
 
 _limiters: dict[tuple[str, float], RateLimiter] = {}
@@ -416,26 +403,6 @@ def _flatten_explorer_source(raw: str) -> str:
     return raw
 
 
-# Before retrying a 5xx reply or a failed request, fetch sleeps a random time
-# between 0 and the attempt's bound here ("full jitter"), so the requests of
-# one batch that failed together do not retry together. Retry-After and a
-# rate-limit reply set the wait themselves.
-_RETRY_BACKOFF = (0.5, 1.0, 2.0)
-
-
-def _retry_after_seconds(value: str | None) -> float:
-    """Seconds a Retry-After header asks for, given as delta-seconds or as an
-    HTTP date; never negative, and 1.0 when absent or unreadable."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        try:
-            seconds = email.utils.parsedate_to_datetime(value).timestamp() - time.time()
-        except (TypeError, ValueError):
-            return 1.0
-    return max(seconds, 0.0) if math.isfinite(seconds) else 1.0
-
-
 def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
     """Fetch verified source for `address` from an explorer API.
 
@@ -447,10 +414,11 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
     redirects are not followed: a 3xx is a NetworkError. Rate limiting is
     enforced client-side on top of honoring explorer rate-limit replies;
     429s, 5xx replies and transport failures are retried up to
-    cfg.max_attempts times, after the wait a 429 or a rate-limit reply asks
-    for, and otherwise after a full-jitter backoff (`_RETRY_BACKOFF`). A
-    request that http.client refuses to send is a NetworkError at once. The
-    key never appears in an error message.
+    cfg.max_attempts times. Each retry waits by `transport.pause`, as a
+    chat retry does: what a 429's Retry-After or a rate-limit reply asks
+    for, else a full-jitter backoff. A request that http.client refuses to
+    send is a NetworkError at once. The key never appears in an error
+    message.
     """
     if not is_address(address):
         raise ValueError(f"malformed address: {address!r}")
@@ -468,14 +436,11 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
     url = base._replace(query=f"{base.query}&{params}" if base.query else params).geturl()
     limiter = _limiter_for(cfg)
     last_error: Exception | None = None
-    retry_after: float | None = None
+    asked: float | None = None
     for attempt in range(cfg.max_attempts):
         if attempt:
-            if retry_after is None:
-                bound = _RETRY_BACKOFF[min(attempt, len(_RETRY_BACKOFF)) - 1]
-                retry_after = random.uniform(0, bound)
-            time.sleep(min(retry_after, 5.0))
-        retry_after = None
+            transport.pause(attempt, asked)
+        asked = None
         limiter.acquire()
         try:
             status, headers, reply = transport.request(url, timeout=cfg.timeout)
@@ -487,8 +452,8 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
             last_error = NetworkError(f"explorer request failed: {reason}")
             continue
         if status == 429:
-            retry_after = _retry_after_seconds(headers.get("Retry-After"))
-            last_error = RateLimited("explorer returned HTTP 429", retry_after)
+            asked = transport.retry_after(headers.get("Retry-After"))
+            last_error = RateLimited("explorer returned HTTP 429", asked)
             continue
         if status >= 500:
             last_error = NetworkError(f"explorer returned HTTP {status}")
@@ -503,8 +468,8 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
         if isinstance(result, str):
             low = result.lower()
             if "rate limit" in low:
-                retry_after = 1.0
-                last_error = RateLimited(result, retry_after)
+                asked = 1.0
+                last_error = RateLimited(result, asked)
                 continue
             if "invalid api key" in low:
                 raise AuthError(result)

@@ -19,10 +19,14 @@ REFUSED as a request that was never sent and never will be.
 
 from __future__ import annotations
 
+import email.utils
 import http.client
+import math
 import os
+import random
 import ssl
 import threading
+import time
 import urllib.request
 from urllib.parse import urlsplit
 
@@ -93,3 +97,31 @@ def request(
     req = urllib.request.Request(url, data=data, headers=headers or {})
     with _get_opener().open(req, timeout=timeout) as resp:
         return resp.status, resp.headers, resp.read()
+
+
+# Before retry n a client sleeps a random time between 0 and the n-th bound
+# here ("full jitter"), so requests that failed together do not retry
+# together. A wait the server names replaces the draw; see pause.
+_BACKOFF = (0.5, 1.0, 2.0)
+
+
+def retry_after(value: str | None) -> float | None:
+    """Seconds a Retry-After header asks for, given as delta-seconds or as an
+    HTTP date; never negative, and None when absent or unreadable."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        try:
+            seconds = email.utils.parsedate_to_datetime(value).timestamp() - time.time()
+        except (TypeError, ValueError):
+            return None
+    return max(seconds, 0.0) if math.isfinite(seconds) else None
+
+
+def pause(attempt: int, asked: float | None = None) -> None:
+    """Sleep before retry `attempt` (1 for the first), as both the chat and
+    the explorer client do: the `asked` seconds when the server named a
+    wait, else a full-jitter draw; at most 5 s either way."""
+    if asked is None:
+        asked = random.uniform(0, _BACKOFF[min(attempt, len(_BACKOFF)) - 1])
+    time.sleep(min(asked, 5.0))

@@ -61,7 +61,6 @@ from ponzilens.detect import (
     build_analysis_prompt,
     build_detection_prompt,
     complete,
-    default_ponzi_definition,
     detect_contract,
     estimate_tokens,
     majority_verdict,
@@ -88,6 +87,14 @@ from ponzilens.ingest import SourceUnit, load_ast
 
 def _artifacts(name: str, mode: str = MODE_FULL):
     return run_static_pipeline(fixutil.load_unit(name), mode)
+
+
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    """Retries draw their jitter from a zero schedule. The schedule, not
+    time.sleep, is patched: the test servers sleep to hold requests in
+    flight."""
+    monkeypatch.setattr(transport, "_BACKOFF", (0.0,))
 
 
 # --- tokens and cost ----------------------------------------------------------
@@ -193,8 +200,9 @@ def test_dollar_signs_in_code_survive_substitution():
     assert "$code ${graph} $$" in p.rendered
 
 
-def test_detection_prompt_pairs_analysis_with_definition():
-    p = build_detection_prompt("The code pools deposits.", "A Ponzi pays old with new.")
+def test_detection_prompt_pairs_analysis_with_definition(tmp_path):
+    (tmp_path / "ponzi_definition_v1.txt").write_text("A Ponzi pays old with new.\n")
+    p = build_detection_prompt("The code pools deposits.", TemplateSet(tmp_path))
     assert p.stage == "detection"
     assert p.template_version == "detection_v1"
     assert p.rendered.startswith("Definition of a Ponzi scheme:")
@@ -206,14 +214,16 @@ def test_detection_prompt_pairs_analysis_with_definition():
 
 def test_detection_prompt_defaults_to_packaged_definition():
     p = build_detection_prompt("some analysis")
-    assert default_ponzi_definition() in p.rendered
+    assert p.parts.ponzi_definition == TemplateSet().load(TemplateSet.DEFINITION).strip()
+    assert p.parts.ponzi_definition in p.rendered
 
 
-def test_detection_prompt_rejects_empty_analysis():
+def test_detection_prompt_rejects_empty_analysis(tmp_path):
     with pytest.raises(EmptyInput):
         build_detection_prompt("   ")
+    (tmp_path / "ponzi_definition_v1.txt").write_text("   \n")
     with pytest.raises(EmptyInput):
-        build_detection_prompt("analysis", "   ")
+        build_detection_prompt("analysis", TemplateSet(tmp_path))
 
 
 # --- verdict parsing ------------------------------------------------------
@@ -254,7 +264,7 @@ def test_mock_routes_stages_by_marker():
     assert "pattern check: participant-funded payout loop detected" in first.text
     assert first.wall_seconds == 0.0
 
-    detection = build_detection_prompt(first.text, "definition text")
+    detection = build_detection_prompt(first.text)
     second = complete(detection, LlmConfig())
     assert parse_verdict(second.text) is True
 
@@ -269,7 +279,7 @@ def test_mock_clean_contract_reads_false():
     )
     first = complete(analysis, LlmConfig())
     assert "no participant-funded payout loop" in first.text
-    second = complete(build_detection_prompt(first.text, "definition"), LlmConfig())
+    second = complete(build_detection_prompt(first.text), LlmConfig())
     assert parse_verdict(second.text) is False
 
 
@@ -426,7 +436,6 @@ def _local(url: str, **kw) -> LlmConfig:
     kw.setdefault("backend", BACKEND_LOCAL)
     kw.setdefault("endpoint", url)
     kw.setdefault("model", "local-model")
-    kw.setdefault("backoff", ())
     return LlmConfig(**kw)
 
 
@@ -463,9 +472,10 @@ def test_retry_on_429_uses_backoff(chat_server, monkeypatch):
     sleeps: list[float] = []
     monkeypatch.setattr(detect_mod.time, "sleep", lambda s: sleeps.append(s))
     # The jittered sleep drawn at its upper bound.
-    monkeypatch.setattr(detect_mod.random, "uniform", lambda low, high: high)
+    monkeypatch.setattr(transport, "_BACKOFF", (0.5, 1.0, 2.0))
+    monkeypatch.setattr(transport.random, "uniform", lambda low, high: high)
     _ChatHandler.script = [(429, b"busy"), (200, _chat_body("ok"))]
-    cfg = _local(chat_server, backoff=(0.5, 1.0, 2.0))
+    cfg = _local(chat_server)
     out = complete(_prompt(), cfg)
     assert out.text == "ok"
     assert sleeps == [0.5]
@@ -513,7 +523,7 @@ def test_malformed_completion_reply_raises(chat_server, monkeypatch):
 def test_keyless_auth_rejection_names_the_key_variable(chat_server, monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     _ChatHandler.script = [(401, b"missing bearer token")]
-    cfg = LlmConfig(backend=BACKEND_OPENAI, endpoint=chat_server, backoff=())
+    cfg = LlmConfig(backend=BACKEND_OPENAI, endpoint=chat_server)
     with pytest.raises(AuthError, match=API_KEY_ENV):
         complete(_prompt(), cfg)
     assert _ChatHandler.auth_headers == [None]
@@ -533,9 +543,7 @@ def test_http_backend_sends_config_key_as_bearer(chat_server, monkeypatch):
 def test_openai_backend_sends_bearer_from_env(chat_server, monkeypatch):
     monkeypatch.setenv(API_KEY_ENV, "sk-env")
     _ChatHandler.script = [(200, _chat_body("fine"))]
-    cfg = LlmConfig(
-        backend=BACKEND_OPENAI, endpoint=chat_server, api_key="sk-cfg", backoff=()
-    )
+    cfg = LlmConfig(backend=BACKEND_OPENAI, endpoint=chat_server, api_key="sk-cfg")
     complete(_prompt(), cfg)
     assert _ChatHandler.auth_headers == ["Bearer sk-env"]
 
@@ -1279,6 +1287,7 @@ def test_concurrent_chains_retry_after_jittered_backoff(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     sleeps: list[float] = []
     monkeypatch.setattr(detect_mod.time, "sleep", lambda s: sleeps.append(s))
+    monkeypatch.setattr(transport, "_BACKOFF", (0.5,))
     real_complete = detect_mod.complete
 
     def routed(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
@@ -1289,7 +1298,7 @@ def test_concurrent_chains_retry_after_jittered_backoff(monkeypatch):
     monkeypatch.setattr(detect_mod, "complete", routed)
     _RefuseOnceHandler.seen = set()
     with _serve(_RefuseOnceHandler) as url:
-        report = detect_contract(fixutil.load_unit("caller"), _local(url, backoff=(0.5,)), repeats=5)
+        report = detect_contract(fixutil.load_unit("caller"), _local(url), repeats=5)
     assert report.error is None and len(report.runs) == 5
     assert len(sleeps) == 5 and all(0 <= s <= 0.5 for s in sleeps)
     assert len(set(sleeps)) > 1
@@ -1390,7 +1399,8 @@ def test_a_request_http_client_refuses_fails_at_once_without_the_key(
     sleeps: list[float] = []
     monkeypatch.setattr(detect_mod.time, "sleep", sleeps.append)
     key = "sk-SECRET0123"
-    cfg = _chat(mock_chat, api_key=key + "\n", backoff=(0.5,))
+    monkeypatch.setattr(transport, "_BACKOFF", (0.5,))
+    cfg = _chat(mock_chat, api_key=key + "\n")
     manifest = DatasetManifest(
         [ManifestEntry("sp", str(fixutil.fixture_path("simple_ponzi")), "ponzi")]
     )

@@ -200,7 +200,7 @@ def test_load_source_unit_sol_and_json(tmp_path):
 # --- rate limiter -------------------------------------------------------------
 
 
-def test_rate_limiter_sliding_window(monkeypatch):
+def test_rate_limiter_spaces_requests_evenly(monkeypatch):
     clock = {"t": 100.0}
     sleeps: list[float] = []
 
@@ -214,15 +214,15 @@ def test_rate_limiter_sliding_window(monkeypatch):
 
     limiter = RateLimiter(2)
     limiter.acquire()
-    limiter.acquire()
     assert sleeps == []
-    limiter.acquire()  # third call in the same instant must wait out the window
-    assert sleeps and abs(sum(sleeps) - 1.0) < 1e-6
-    # After the window slides, a slot is free immediately.
-    before = len(sleeps)
-    clock["t"] += 1.0
+    limiter.acquire()  # a second call in the same instant waits its turn
+    assert sleeps == [pytest.approx(0.5)]
+    # Once a turn has passed unused, the next call goes at once; an idle
+    # spell earns no burst.
+    clock["t"] += 2.0
     limiter.acquire()
-    assert len(sleeps) == before
+    limiter.acquire()
+    assert len(sleeps) == 2 and sleeps[-1] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("rate", [0.5, 2.5])
@@ -493,13 +493,24 @@ def test_fetch_waits_a_jittered_backoff_between_server_errors(explorer, monkeypa
     assert unit.source_text == "contract B {}"
     assert len(_Handler.seen) == 3
     assert len(sleeps) == 2
-    bounds = ingest._RETRY_BACKOFF[:2]
+    bounds = transport._BACKOFF[:2]
     assert all(0 <= s <= bound for s, bound in zip(sleeps, bounds))
     # A Retry-After still sets the wait.
     sleeps.clear()
     _Handler.script = [(503, {}, b"busy"), (429, {"Retry-After": "3"}, b""), ok]
     fetch_verified_source(GOOD_ADDRESS, _cfg(explorer, max_attempts=3))
     assert len(sleeps) == 2 and sleeps[0] <= bounds[0] and sleeps[1] == 3.0
+
+
+def test_fetch_429_without_retry_after_waits_a_jittered_backoff(explorer, monkeypatch):
+    monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
+    sleeps: list[float] = []
+    monkeypatch.setattr(ingest.time, "sleep", sleeps.append)
+    monkeypatch.setattr(transport.random, "uniform", lambda low, high: high)
+    ok = (200, {}, _ok_body("contract W {}"))
+    _Handler.script = [(429, {}, b""), (429, {"Retry-After": "soon"}, b""), ok]
+    fetch_verified_source(GOOD_ADDRESS, _cfg(explorer, max_attempts=3))
+    assert sleeps == list(transport._BACKOFF[:2])
 
 
 def test_fetch_invalid_key_is_fatal(explorer, monkeypatch):
