@@ -517,10 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PonzilensError as exc:

@@ -22,12 +22,14 @@ Backends:
 
 Templates are plain text with $-placeholders ($code, $graph, $analysis,
 $definition), so braces in Solidity code and DOT never collide with the
-substitution syntax. The template version recorded in reports is the file
-stem, e.g. "analysis_full_v1+detection_v1".
+substitution syntax. The template version recorded in reports names the
+analysis and detection templates, e.g. "analysis_full_v1+detection_v1";
+see TemplateSet.version.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -106,20 +108,29 @@ class TemplateSet:
 
     def __init__(self, directory: str | Path | None = None):
         here = Path(directory) if directory else None
+        self._custom = {s for s in self.STEMS if here and (here / f"{s}.txt").exists()}
         packaged = resources.files("ponzilens.templates")
-        self._texts = {}
-        for s in self.STEMS:
-            path = here / f"{s}.txt" if here else None
-            self._texts[s] = (path if path and path.exists() else packaged / f"{s}.txt").read_text()
-
-    @staticmethod
-    def version(mode: str) -> str:
-        """The template version a report of `mode` records: the stems of
-        its analysis and detection templates."""
-        return f"{TemplateSet.ANALYSIS[mode]}+{TemplateSet.DETECTION}"
+        self._texts = {
+            s: ((here if s in self._custom else packaged) / f"{s}.txt").read_text()
+            for s in self.STEMS
+        }
 
     def load(self, stem: str) -> str:
         return self._texts[stem]
+
+    def version(self, mode: str) -> str:
+        """The template version a report of `mode` records: its analysis
+        and detection stems. A part whose text came from the directory (for
+        detection, its template or the definition) is marked with a short
+        sha256 of the text, so a resume tells other templates apart."""
+
+        def part(*stems: str) -> str:
+            if self._custom.isdisjoint(stems):
+                return stems[0]
+            text = "\0".join(self._texts[s] for s in stems)
+            return f"{stems[0]}@{hashlib.sha256(text.encode()).hexdigest()[:12]}"
+
+        return f"{part(self.ANALYSIS[mode])}+{part(self.DETECTION, self.DEFINITION)}"
 
 
 @dataclass(frozen=True)
@@ -302,9 +313,9 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     The HTTP backend sends each request through ponzilens.transport, on a
     new connection, to an http or https endpoint only. It retries on
     transient failures (5xx, 429, transport errors) up to cfg.max_attempts
-    times, waiting first by `transport.pause`, as explorer fetches do, so
-    the concurrent chains of a contract do not retry in lockstep. Auth
-    rejections, context
+    times, waiting first by `transport.pause`: what the reply's Retry-After
+    asks for, else a full-jitter draw, so the concurrent chains of a
+    contract do not retry in lockstep. Auth rejections, context
     overflows and a request that http.client refuses to send (a header
     value with a newline, say) raise immediately; the last names neither
     the header nor the key. Each token count falls back to its
@@ -337,12 +348,16 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
         headers["Authorization"] = f"Bearer {api_key}"
 
     last_error: Exception | None = None
+    asked: float | None = None
     for attempt in range(cfg.max_attempts):
         if attempt:
-            transport.pause(attempt)
+            transport.pause(attempt, asked)
+        asked = None
         started = time.perf_counter()
         try:
-            status, _, reply = transport.request(cfg.endpoint, body, headers, timeout=cfg.timeout)
+            status, reply_headers, reply = transport.request(
+                cfg.endpoint, body, headers, timeout=cfg.timeout
+            )
         except transport.REFUSED as exc:
             # Its message can quote the Authorization header, and so the key.
             raise BackendUnavailable(
@@ -362,6 +377,7 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
                 raise ContextOverflow(text[:300])
             error = BackendUnavailable(f"HTTP {status}: {text[:200]}")
             if status == 429 or status >= 500:
+                asked = transport.retry_after(reply_headers.get("Retry-After"))
                 last_error = error
                 continue
             raise error
@@ -626,7 +642,7 @@ def detect_contract(
             if unit.source_text.strip():
                 bundle = _raw_bundle(unit.source_text)
         analysis_prompt = build_analysis_prompt(bundle, art.dot, mode, templates)
-        report.template_version = TemplateSet.version(mode)
+        report.template_version = templates.version(mode)
     except PonzilensError as exc:
         report.error = {"phase": phase, "message": str(exc)}
         return report

@@ -217,7 +217,7 @@ def run_batch(
     labels = manifest.labels()
     journaled = read_journal(journal).values() if journal else ()
     journaled = [r for r in journaled if r.contract_id in labels]
-    want = Settings(mode, cfg.model_label, TemplateSet.version(mode), repeats)
+    want = Settings(mode, cfg.model_label, templates.version(mode), repeats)
     check_settings(journaled, want, journal)
     # A backend failure may be gone by now (a key set, a server back up).
     done = {r.contract_id: r for r in journaled if (r.error or {}).get("phase") != "detect"}

@@ -211,12 +211,11 @@ def compile_source(unit: SourceUnit) -> SourceUnit:
 
     Raises UnsupportedVersion before touching a compiler when the pragma is
     out of range, CompilerNotFound when no binary satisfies it, and
-    CompileError (diagnostics preserved verbatim) when compilation fails.
+    CompileError when compilation fails: its message quotes the first
+    error verbatim and counts the others, and its diagnostics keep them all.
     """
     if not unit.source_text.strip():
         raise CompileError("empty source text")
-    if unit.pragma_version is None:
-        unit.pragma_version = parse_pragma(unit.source_text)
     if not pragma_supported(unit.pragma_version):
         raise UnsupportedVersion(
             f"pragma {unit.pragma_version!r} outside supported range "
@@ -253,7 +252,8 @@ def compile_source(unit: SourceUnit) -> SourceUnit:
         if e.get("severity") == "error"
     ]
     if diagnostics:
-        raise CompileError("compilation failed", diagnostics)
+        more = f" (and {len(diagnostics) - 1} more error(s))" if len(diagnostics) > 1 else ""
+        raise CompileError(f"compilation failed: {diagnostics[0].rstrip()}{more}", diagnostics)
 
     src_entry = output.get("sources", {}).get(name, {})
     ast = src_entry.get("ast") or src_entry.get("AST")

@@ -139,6 +139,20 @@ def test_template_dir_override_with_fallback(tmp_path):
     assert ts.load(TemplateSet.DETECTION) == TemplateSet().load(TemplateSet.DETECTION)
 
 
+def test_template_version_marks_text_read_from_the_directory(tmp_path):
+    packaged = TemplateSet(tmp_path)
+    assert packaged.version(MODE_FULL) == "analysis_full_v1+detection_v1"
+    assert packaged.version(MODE_RAW) == "analysis_code_v1+detection_v1"
+    (tmp_path / "ponzi_definition_v1.txt").write_text("A Ponzi pays old with new.\n")
+    redefined = TemplateSet(tmp_path)
+    full, raw = redefined.version(MODE_FULL), redefined.version(MODE_RAW)
+    # The definition is part of the detection stage's version.
+    assert full.startswith("analysis_full_v1+detection_v1@")
+    assert full.split("+")[1] == raw.split("+")[1] != "detection_v1"
+    (tmp_path / "ponzi_definition_v1.txt").write_text("Another definition.\n")
+    assert TemplateSet(tmp_path).version(MODE_FULL) != full
+
+
 # --- prompt builders ------------------------------------------------------
 
 
@@ -357,7 +371,7 @@ def test_mock_anchored_payout_pattern_finds_what_the_unanchored_one_did(monkeypa
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
-    script: list[tuple[int, bytes]] = []
+    script: list[tuple] = []  # (status, body) or (status, body, headers)
     bodies: list[dict] = []
     auth_headers: list[str | None] = []
     connection_headers: list[str | None] = []  # of every request answered
@@ -372,9 +386,11 @@ class _ChatHandler(BaseHTTPRequestHandler):
         _ChatHandler.auth_headers.append(self.headers.get("Authorization"))
         self._send(*_ChatHandler.script.pop(0))
 
-    def _send(self, status: int, body: bytes) -> None:
+    def _send(self, status: int, body: bytes, headers: dict | None = None) -> None:
         _ChatHandler.connection_headers.append(self.headers.get("Connection"))
         self.send_response(status)
+        for key, value in (headers or {}).items():
+            self.send_header(key, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -479,6 +495,17 @@ def test_retry_on_429_uses_backoff(chat_server, monkeypatch):
     out = complete(_prompt(), cfg)
     assert out.text == "ok"
     assert sleeps == [0.5]
+    assert len(_ChatHandler.bodies) == 2
+
+
+def test_retry_on_429_honours_retry_after(chat_server, monkeypatch):
+    """A 429 that names its wait gets that wait instead of a jitter draw."""
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    sleeps: list[float] = []
+    monkeypatch.setattr(detect_mod.time, "sleep", sleeps.append)
+    _ChatHandler.script = [(429, b"busy", {"Retry-After": "2"}), (200, _chat_body("ok"))]
+    assert complete(_prompt(), _local(chat_server)).text == "ok"
+    assert sleeps == [2.0]
     assert len(_ChatHandler.bodies) == 2
 
 

@@ -188,7 +188,7 @@ def _report(
         contract_id=cid,
         mode="full",
         model=LlmConfig().model_label,
-        template_version=TemplateSet.version("full"),
+        template_version=TemplateSet().version("full"),
         runs=[
             RunRecord(
                 verdict=verdict,
@@ -377,6 +377,22 @@ def test_run_batch_refuses_a_journaled_report_of_another_template_version(tmp_pa
     journal.write_text(journal.read_text().replace("analysis_code_v1", "analysis_code_v0"))
     with pytest.raises(ValueError, match="'sp' has template_version 'analysis_code_v0"):
         run_batch(manifest, LlmConfig(), "raw", 1, journal=journal)
+
+
+def test_run_batch_refuses_a_journal_made_with_other_template_text(tmp_path):
+    """A template directory is part of the version: a resume with one that
+    rewrites a template does not reuse reports made with the packaged text."""
+    manifest, journal = _raw_journal(tmp_path)
+    before = journal.read_text()
+    tdir = tmp_path / "templates"
+    tdir.mkdir()
+    (tdir / "analysis_code_v1.txt").write_text("Review this contract.\n$code\n")
+    custom = TemplateSet(tdir)
+    assert custom.version("raw").startswith("analysis_code_v1@")
+    assert custom.version("raw").endswith("+detection_v1")
+    with pytest.raises(ValueError, match="'sp' has template_version 'analysis_code_v1\\+"):
+        run_batch(manifest, LlmConfig(), "raw", 1, journal=journal, templates=custom)
+    assert journal.read_text() == before
 
 
 def test_run_batch_compares_a_report_without_runs_on_mode_and_model(tmp_path):

@@ -311,6 +311,34 @@ def test_compile_source_reports_too_deep_compiler_output_as_compile_error(tmp_pa
         compile_source(unit)
 
 
+def test_compile_error_quotes_the_first_diagnostic_and_counts_the_rest(tmp_path, monkeypatch):
+    # A stand-in compiler that rejects the source with two errors.
+    first = "ParserError: Expected ';' but got '}'\n --> e.sol:2:14:\n"
+    errors = [
+        {"severity": "warning", "formattedMessage": "Warning: unused"},
+        {"severity": "error", "formattedMessage": first},
+        {"severity": "error", "formattedMessage": "DeclarationError: Undeclared identifier."},
+    ]
+    solc = tmp_path / "solc"
+    solc.write_text(
+        f"#!{sys.executable}\n"
+        "import sys\n"
+        "if '--version' in sys.argv:\n"
+        "    print('Version: 0.8.19')\n"
+        "else:\n"
+        "    sys.stdin.read()\n"
+        f"    print({json.dumps({'errors': errors})!r})\n"
+    )
+    solc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.delenv("SOLC_BINARY", raising=False)
+    unit = SourceUnit(id="e", source_text="pragma solidity ^0.8.19;\ncontract E { uint x }\n")
+    with pytest.raises(CompileError) as failed:
+        compile_source(unit)
+    assert str(failed.value) == f"compilation failed: {first.rstrip()} (and 1 more error(s))"
+    assert failed.value.diagnostics == [first, "DeclarationError: Undeclared identifier."]
+
+
 # --- fetch over a real local HTTP server --------------------------------------
 
 
