@@ -291,8 +291,9 @@ def test_flatten_too_deep_json_left_alone():
     assert ingest._flatten_explorer_source(raw) == raw
 
 
-def test_compile_source_reports_too_deep_compiler_output_as_compile_error(tmp_path, monkeypatch):
-    # A stand-in compiler that prints its version, then deeply nested JSON.
+def _stand_in_solc(tmp_path, monkeypatch, output: str) -> None:
+    """Put the only compiler on PATH: it prints its version, or `output`
+    for a compile."""
     solc = tmp_path / "solc"
     solc.write_text(
         f"#!{sys.executable}\n"
@@ -301,37 +302,29 @@ def test_compile_source_reports_too_deep_compiler_output_as_compile_error(tmp_pa
         "    print('Version: 0.8.19')\n"
         "else:\n"
         "    sys.stdin.read()\n"
-        f"    print({DEEP!r})\n"
+        f"    print({output!r})\n"
     )
     solc.chmod(0o755)
     monkeypatch.setenv("PATH", str(tmp_path))
     monkeypatch.delenv("SOLC_BINARY", raising=False)
+
+
+def test_compile_source_reports_too_deep_compiler_output_as_compile_error(tmp_path, monkeypatch):
+    _stand_in_solc(tmp_path, monkeypatch, DEEP)
     unit = SourceUnit(id="d", source_text="pragma solidity ^0.8.19;\ncontract D {}\n")
     with pytest.raises(CompileError, match="invalid JSON"):
         compile_source(unit)
 
 
 def test_compile_error_quotes_the_first_diagnostic_and_counts_the_rest(tmp_path, monkeypatch):
-    # A stand-in compiler that rejects the source with two errors.
+    # The compiler rejects the source with two errors and a warning.
     first = "ParserError: Expected ';' but got '}'\n --> e.sol:2:14:\n"
     errors = [
         {"severity": "warning", "formattedMessage": "Warning: unused"},
         {"severity": "error", "formattedMessage": first},
         {"severity": "error", "formattedMessage": "DeclarationError: Undeclared identifier."},
     ]
-    solc = tmp_path / "solc"
-    solc.write_text(
-        f"#!{sys.executable}\n"
-        "import sys\n"
-        "if '--version' in sys.argv:\n"
-        "    print('Version: 0.8.19')\n"
-        "else:\n"
-        "    sys.stdin.read()\n"
-        f"    print({json.dumps({'errors': errors})!r})\n"
-    )
-    solc.chmod(0o755)
-    monkeypatch.setenv("PATH", str(tmp_path))
-    monkeypatch.delenv("SOLC_BINARY", raising=False)
+    _stand_in_solc(tmp_path, monkeypatch, json.dumps({"errors": errors}))
     unit = SourceUnit(id="e", source_text="pragma solidity ^0.8.19;\ncontract E { uint x }\n")
     with pytest.raises(CompileError) as failed:
         compile_source(unit)
