@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=LlmConfig.concurrency_limit,
         metavar="N",
         help=f"over HTTP, at most N * min(repeats, {_MAX_CHAINS}) runs in flight, "
-        "shared by N + 1 open contracts, journaled as they finish; "
+        "on kept-alive connections, shared by N + 1 open contracts, "
+        "journaled as they finish; "
         "a mock batch runs one contract at a time (default: %(default)s)",
     )
     pb.add_argument("--out", default=".", metavar="DIR", help="output directory (default: %(default)s)")
@@ -396,6 +397,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     cfg = _llm_config(args)
+    templates = TemplateSet(args.template_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports_path = out_dir / "reports.jsonl"
@@ -405,7 +407,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         _MODE_ALIASES[args.mode],
         args.repeats,
         journal=reports_path,
-        templates=TemplateSet(args.template_dir),
+        templates=templates,
     )
     metrics = compute_metrics(manifest, reports)
     overhead = aggregate_overhead(reports)

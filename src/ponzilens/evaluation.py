@@ -6,7 +6,7 @@ run_batch drives detection across the corpus with a line-JSON journal:
 every report is appended and flushed once its contract finishes. The mock
 backend runs contracts one after another on the calling thread, in manifest
 order. Over HTTP a pool keeps `concurrency_limit` + 1 contracts open (the
-limit is two by default), which draw on one budget of `concurrency_limit`
+limit is three by default), which draw on one budget of `concurrency_limit`
 times min(repeats, 16) two-stage runs in flight, and journal lines land in
 the order contracts finish, at every limit. An interrupted batch still
 journals every contract that finished. A resume skips the ids the journal

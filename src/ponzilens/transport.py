@@ -1,8 +1,7 @@
 """HTTP for the package: explorer downloads and chat completions.
 
-Every request goes through one urllib opener, built at the first request,
-and on a new connection: urllib sends `Connection: close`. The opener holds
-only a proxy handler and the http and https handlers:
+Every request goes through one urllib opener, built at the first request.
+The opener holds only a proxy handler and the http and https handlers:
 
   * proxies come from HTTP_PROXY/HTTPS_PROXY, read when the opener is
     built, and from NO_PROXY, read per request;
@@ -12,6 +11,21 @@ only a proxy handler and the http and https handlers:
   * no redirect is followed and no status raises, so every reply comes back
     to the caller as its status, headers and body.
 
+Connections are kept alive (HTTP/1.1, RFC 9112 section 9.3). Both handlers
+take a connection from one process-wide LIFO stack of idle ones, per
+connection class, host and tunnel host, and put it back once its reply has
+been read in full, unless the reply closes it or anything raised; idle
+connections are closed at exit. One in use belongs to one request, so
+concurrent requests never share one. A connection the server closed while
+idle is dropped before reuse, and a request that still finds its reused
+connection closed or reset is sent once more, at once, on a new one; the
+caller sees one exchange. http.client sets TCP_NODELAY on each new socket,
+and the client asks for TCP_QUICKACK after each request where the platform
+has it: a server that writes a reply's headers and body in two sends with
+Nagle's algorithm on (any http.server handler by default) otherwise holds
+the body back on a reused connection until the client's delayed ACK, about
+40 ms.
+
 Callers refuse a URL that is_http_url rejects before sending anything,
 treat ERRORS out of request as a failed exchange, which may be retried, and
 REFUSED as a request that was never sent and never will be.
@@ -19,14 +33,18 @@ REFUSED as a request that was never sent and never will be.
 
 from __future__ import annotations
 
+import atexit
 import email.utils
 import http.client
 import math
 import os
 import random
+import select
+import socket
 import ssl
 import threading
 import time
+import urllib.error
 import urllib.request
 from urllib.parse import urlsplit
 
@@ -44,7 +62,116 @@ def is_http_url(url: str) -> bool:
     return urlsplit(url).scheme in ("http", "https")
 
 
-class _HTTPSHandler(urllib.request.HTTPSHandler):
+class _IdleConnections:
+    """Kept-alive connections not in use: a LIFO stack per key of
+    (connection class, host, tunnel host)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._stacks: dict[tuple, list[http.client.HTTPConnection]] = {}
+
+    def take(self, key: tuple) -> http.client.HTTPConnection | None:
+        """The newest idle connection for `key` that the server has not
+        closed, or None; the closed ones on top of it are dropped."""
+        while True:
+            with self._lock:
+                stack = self._stacks.get(key)
+                if not stack:
+                    return None
+                conn = stack.pop()
+            if not _dropped(conn.sock):
+                return conn
+            conn.close()
+
+    def put(self, key: tuple, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            self._stacks.setdefault(key, []).append(conn)
+
+    def close(self) -> None:
+        with self._lock:
+            stacks, self._stacks = self._stacks, {}
+        for stack in stacks.values():
+            for conn in stack:
+                conn.close()
+
+
+def _dropped(sock) -> bool:
+    """Whether an idle connection is readable at once: the server closed it,
+    or sent what no request asked for (urllib3's is_connection_dropped)."""
+    try:
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):  # closed, or a descriptor select cannot watch
+        return True
+
+
+_idle = _IdleConnections()
+atexit.register(_idle.close)
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only, see tcp(7)
+
+
+class _KeepAliveHandler(urllib.request.AbstractHTTPHandler):
+    """do_open for the http and https handlers, on kept-alive connections."""
+
+    def do_open(self, http_class, req, **conn_args):
+        if not req.host:
+            raise urllib.error.URLError("no host given")
+        headers = dict(req.unredirected_hdrs)
+        headers.update({k: v for k, v in req.headers.items() if k not in headers})
+        headers = {name.title(): value for name, value in headers.items()}
+        tunnel_headers = {}
+        if req._tunnel_host and "Proxy-Authorization" in headers:
+            # For the proxy only, not the origin.
+            tunnel_headers["Proxy-Authorization"] = headers.pop("Proxy-Authorization")
+        key = (http_class, req.host, req._tunnel_host)
+        conn = _idle.take(key)
+        if conn is not None:
+            conn.timeout = req.timeout
+            conn.sock.settimeout(req.timeout)
+            try:
+                return _exchange(key, conn, req, headers)
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
+                pass  # the server closed it while it was idle
+        conn = http_class(req.host, timeout=req.timeout, **conn_args)
+        if req._tunnel_host:
+            conn.set_tunnel(req._tunnel_host, headers=tunnel_headers)
+        return _exchange(key, conn, req, headers)
+
+
+def _exchange(
+    key: tuple, conn: http.client.HTTPConnection, req: urllib.request.Request, headers: dict
+) -> tuple[int, http.client.HTTPMessage, bytes]:
+    """Send `req` on `conn` and read the whole reply; `conn` goes back on the
+    idle stack if the reply leaves it open, and is closed otherwise."""
+    resp = None
+    try:
+        conn.request(
+            req.get_method(),
+            req.selector,
+            req.data,
+            headers,
+            encode_chunked=req.has_header("Transfer-encoding"),
+        )
+        if _QUICKACK is not None:  # the kernel clears it, so per request
+            conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        resp = conn.getresponse()
+        reply = resp.status, resp.headers, resp.read()
+    except BaseException:
+        if resp is not None:
+            resp.close()
+        conn.close()
+        raise
+    if resp.will_close:
+        conn.close()
+    else:
+        _idle.put(key, conn)
+    return reply
+
+
+class _HTTPHandler(_KeepAliveHandler, urllib.request.HTTPHandler):
+    pass
+
+
+class _HTTPSHandler(_KeepAliveHandler, urllib.request.HTTPSHandler):
     """Verifies TLS against the CA bundle, loaded at the first https
     request."""
 
@@ -83,7 +210,7 @@ def _get_opener() -> urllib.request.OpenerDirector:
         if _opener is None:
             opener = urllib.request.OpenerDirector()
             opener.add_handler(urllib.request.ProxyHandler())
-            opener.add_handler(urllib.request.HTTPHandler())
+            opener.add_handler(_HTTPHandler())
             opener.add_handler(_HTTPSHandler())
             _opener = opener
         return _opener
@@ -95,8 +222,7 @@ def request(
     """GET `url`, or POST `data` to it; the status, the reply headers and
     the whole reply body."""
     req = urllib.request.Request(url, data=data, headers=headers or {})
-    with _get_opener().open(req, timeout=timeout) as resp:
-        return resp.status, resp.headers, resp.read()
+    return _get_opener().open(req, timeout=timeout)
 
 
 # Before retry n a client sleeps a random time between 0 and the n-th bound

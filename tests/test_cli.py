@@ -254,6 +254,20 @@ def test_batch_honors_template_dir(tmp_path):
     assert texts["custom"] != texts["packaged"]
 
 
+@pytest.mark.parametrize("command", ["detect", "batch"])
+@pytest.mark.parametrize("kind", ["missing", "empty"])
+def test_template_dir_without_a_template_is_a_usage_error(tmp_path, capsys, command, kind):
+    tdir = tmp_path / "templates"
+    if kind == "empty":
+        tdir.mkdir()
+    target = _fx("simple_ponzi") if command == "detect" else _write_manifest(tmp_path)
+    out_dir = tmp_path / "out"
+    rc = main([command, target, "--out", str(out_dir), "--template-dir", str(tdir)])
+    assert rc == EXIT_USAGE
+    assert f"error: template directory {tdir} " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_metrics_command_recomputes(tmp_path, capsys):
     out_dir = tmp_path / "out"
     main(["batch", _write_manifest(tmp_path), "--out", str(out_dir), "--repeats", "1"])

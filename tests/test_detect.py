@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import random
@@ -13,7 +12,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -41,6 +40,7 @@ from astgen import (
     StateVar,
     build_unit,
 )
+from loopback import idle, serve
 from ponzilens.detect import (
     API_KEY_ENV,
     BACKEND_LOCAL,
@@ -139,8 +139,23 @@ def test_template_dir_override_with_fallback(tmp_path):
     assert ts.load(TemplateSet.DETECTION) == TemplateSet().load(TemplateSet.DETECTION)
 
 
+@pytest.mark.parametrize("kind", ["missing", "empty", "misnamed", "a file"])
+def test_template_dir_without_a_template_is_refused(tmp_path, kind):
+    """Such a directory would leave every prompt packaged without a word."""
+    directory = tmp_path / "templates"
+    if kind == "a file":
+        directory.write_text("$code")
+    elif kind != "missing":
+        directory.mkdir()
+        if kind == "misnamed":
+            (directory / "analysis_full.txt").write_text("$code $graph")
+    held = "is not a directory" if kind in ("missing", "a file") else "holds none of"
+    with pytest.raises(ValueError, match=re.escape(f"template directory {directory} {held}")):
+        TemplateSet(directory)
+
+
 def test_template_version_marks_text_read_from_the_directory(tmp_path):
-    packaged = TemplateSet(tmp_path)
+    packaged = TemplateSet()
     assert packaged.version(MODE_FULL) == "analysis_full_v1+detection_v1"
     assert packaged.version(MODE_RAW) == "analysis_code_v1+detection_v1"
     (tmp_path / "ponzi_definition_v1.txt").write_text("A Ponzi pays old with new.\n")
@@ -407,34 +422,13 @@ def _chat_body(text: str, usage: dict | None = None) -> bytes:
     return json.dumps(doc).encode()
 
 
-class _Server(ThreadingHTTPServer):
-    request_queue_size = 64  # the chains of a contract connect at once
-
-
-@contextlib.contextmanager
-def _serve(handler: type[BaseHTTPRequestHandler]):
-    """A loopback server running `handler`; yields its base URL."""
-    server = _Server(("127.0.0.1", 0), handler)
-    thread = threading.Thread(
-        target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
-    )
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
-    assert not thread.is_alive()
-
-
 @pytest.fixture()
 def chat_server():
     _ChatHandler.script = []
     _ChatHandler.bodies = []
     _ChatHandler.auth_headers = []
     _ChatHandler.connection_headers = []
-    with _serve(_ChatHandler) as url:
+    with serve(_ChatHandler) as url:
         yield url + "/v1/chat/completions"
 
 
@@ -583,11 +577,11 @@ def test_context_window_precheck_blocks_request(chat_server, monkeypatch):
     assert _ChatHandler.bodies == []
 
 
-def test_every_request_asks_to_close_its_connection(chat_server, monkeypatch):
+def test_no_request_asks_to_close_its_connection(chat_server, monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     _ChatHandler.script = [(500, b"busy"), (429, b"busy"), (200, _chat_body("ok"))]
     assert complete(_prompt(), _local(chat_server)).text == "ok"
-    assert _ChatHandler.connection_headers == ["close"] * 3
+    assert _ChatHandler.connection_headers == [None] * 3
 
 
 @pytest.mark.parametrize(
@@ -685,7 +679,7 @@ def proxied(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     monkeypatch.setattr(transport, "_opener", None)
     _ProxyHandler.request_lines = []
-    with _serve(_ProxyHandler) as url:
+    with serve(_ProxyHandler) as url:
         monkeypatch.setenv("HTTP_PROXY", url)
         yield monkeypatch
 
@@ -1182,13 +1176,16 @@ def test_detect_contract_null_usage_counts_fall_back_to_estimates(chat_server, m
 
 
 class _MockChatHandler(_ChatHandler):
-    """Answers as the mock backend does, after a short random delay, and
-    keeps the most requests it had in flight at once. A request to
+    """Answers as the mock backend does, after a short random delay, on
+    kept-alive connections, and keeps the most requests it had in flight at
+    once and the client ports they came from. A request to
     /fail/<chain>/<k> is refused with HTTP 418 once k others have been."""
 
+    protocol_version = "HTTP/1.1"
     lock = threading.Condition()
     in_flight = 0
     peak = 0
+    ports: set[int] = set()
     refused: list[str] = []
 
     def do_POST(self):  # noqa: N802
@@ -1197,6 +1194,7 @@ class _MockChatHandler(_ChatHandler):
         with cls.lock:
             cls.in_flight += 1
             cls.peak = max(cls.peak, cls.in_flight)
+            cls.ports.add(self.client_address[1])
         try:
             if self.path.startswith("/fail/"):
                 _, _, chain, k = self.path.split("/")
@@ -1221,9 +1219,10 @@ def mock_chat(monkeypatch):
     """The base URL of a `_MockChatHandler` server."""
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     _MockChatHandler.in_flight = _MockChatHandler.peak = 0
+    _MockChatHandler.ports = set()
     _MockChatHandler.refused = []
     _ChatHandler.connection_headers = []
-    with _serve(_MockChatHandler) as url:
+    with serve(_MockChatHandler) as url:
         yield url
 
 
@@ -1243,10 +1242,12 @@ def test_detect_contract_over_http_equals_mock(mock_chat, name, mode):
     assert over_http.error is None
     assert _zero_walls(over_http.to_dict()["runs"]) == offline.to_dict()["runs"]
     assert over_http.final_verdict is offline.final_verdict
-    # The chains were in flight together, each request on a connection of
-    # its own.
+    # The chains were in flight together, so on separate connections, and
+    # each chain's detection request reused a connection an analysis
+    # request had opened: at most five for ten requests.
     assert _MockChatHandler.peak >= 2
-    assert _ChatHandler.connection_headers == ["close"] * 10
+    assert _ChatHandler.connection_headers == [None] * 10
+    assert 2 <= len(_MockChatHandler.ports) <= 5
 
 
 def test_detect_contract_over_http_caps_chains_in_flight(mock_chat):
@@ -1324,7 +1325,7 @@ def test_concurrent_chains_retry_after_jittered_backoff(monkeypatch):
     monkeypatch.setattr(detect_mod, "ThreadPoolExecutor", _IndexedPool)
     monkeypatch.setattr(detect_mod, "complete", routed)
     _RefuseOnceHandler.seen = set()
-    with _serve(_RefuseOnceHandler) as url:
+    with serve(_RefuseOnceHandler) as url:
         report = detect_contract(fixutil.load_unit("caller"), _local(url), repeats=5)
     assert report.error is None and len(report.runs) == 5
     assert len(sleeps) == 5 and all(0 <= s <= 0.5 for s in sleeps)
@@ -1381,6 +1382,19 @@ def test_run_batch_over_http_keeps_requests_in_flight_within_one_batch_budget(
         sys.setswitchinterval(interval)
     assert len(reports) == len(fixutil.FIXTURE_NAMES)
     assert 1 <= _MockChatHandler.peak <= limit * min(repeats, 16)
+
+
+@pytest.mark.parametrize("limit, repeats", [(1, 1), (2, 3), (3, 5), (1, 20)])
+def test_run_batch_over_http_keep_alive_holds_at_most_its_slots(mock_chat, limit, repeats):
+    """A connection is opened only when no idle one is left and each one in
+    use carries one run's request, so a batch opens at most its
+    limit * min(repeats, 16) slots' worth, and they all end idle."""
+    cfg = _chat(mock_chat, concurrency_limit=limit)
+    reports = run_batch(_fixture_manifest(), cfg, repeats=repeats)
+    assert all(r.error is None for r in reports)
+    slots = limit * min(repeats, 16)
+    assert 1 <= len(_MockChatHandler.ports) <= slots
+    assert len(idle(mock_chat)) == len(_MockChatHandler.ports)
 
 
 def test_run_batch_over_http_at_limit_one_sends_one_request_at_a_time(

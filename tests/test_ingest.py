@@ -9,9 +9,8 @@ import os
 import socket
 import subprocess
 import sys
-import threading
 from datetime import datetime, timedelta, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
@@ -21,6 +20,7 @@ import fixutil
 import ponzilens.ingest as ingest
 import ponzilens.transport as transport
 import programs
+from loopback import serve
 from ponzilens.detect import LlmConfig
 from ponzilens.errors import (
     AuthError,
@@ -353,28 +353,11 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@contextlib.contextmanager
-def _serve(handler: type[BaseHTTPRequestHandler]):
-    """A loopback server running `handler`; yields its base URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(
-        target=lambda: server.serve_forever(poll_interval=0.02), daemon=True
-    )
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        thread.join(timeout=5)
-        server.server_close()
-    assert not thread.is_alive()
-
-
 @pytest.fixture()
 def explorer():
     _Handler.script = []
     _Handler.seen = []
-    with _serve(_Handler) as url:
+    with serve(_Handler) as url:
         yield url + "/api"
 
 
@@ -733,7 +716,7 @@ def test_no_proxy_bypasses_the_http_proxy(explorer, monkeypatch):
         monkeypatch.delenv(name.upper(), raising=False)
     monkeypatch.setattr(transport, "_opener", None)
     _ProxyHandler.request_lines = []
-    with _serve(_ProxyHandler) as proxy:
+    with serve(_ProxyHandler) as proxy:
         monkeypatch.setenv("HTTP_PROXY", proxy)
         assert fetch_verified_source(GOOD_ADDRESS, _cfg(explorer)).source_text == "contract P {}"
         # A proxy is sent the absolute URI; the explorer itself saw nothing.
