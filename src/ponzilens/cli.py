@@ -189,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=LlmConfig.concurrency_limit,
         metavar="N",
         help=f"over HTTP, at most N * min(repeats, {_MAX_CHAINS}) runs in flight, "
-        "on kept-alive connections, shared by N + 1 open contracts, "
-        "journaled as they finish; "
+        "shared by N + 1 open contracts and journaled as they finish, with at "
+        "most as many kept-alive connections, each carrying one request at a time; "
         "a mock batch runs one contract at a time (default: %(default)s)",
     )
     pb.add_argument("--out", default=".", metavar="DIR", help="output directory (default: %(default)s)")

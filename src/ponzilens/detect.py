@@ -12,9 +12,9 @@ Backends:
     GPT-3.5-turbo) or self-hosted (keyless, e.g. LLaMA 3 or Mistral), and
     read choices[0].message.content plus usage token counts. The API key is
     sent as a bearer token exactly when one is set. Each request goes
-    through the package's one transport (ponzilens.transport): urllib on
-    kept-alive connections, http or https endpoints only, proxies from the
-    environment, no redirects followed;
+    through the package's one transport (ponzilens.transport): one HTTP/1.1
+    exchange on a kept-alive connection, http or https endpoints only,
+    proxies from the environment, no redirects followed;
   * mock: a deterministic offline stand-in whose reply is a pure function
     of the prompt text; it exists so end-to-end behavior is testable
     byte-for-byte without network access. Its heuristic is matched to the
@@ -323,13 +323,13 @@ def complete(prompt: PromptBundle, cfg: LlmConfig) -> Completion:
     transient failures (5xx, 429, transport errors) up to cfg.max_attempts
     times, waiting first by `transport.pause`: what the reply's Retry-After
     asks for, else a full-jitter draw, so the concurrent chains of a
-    contract do not retry in lockstep. Auth rejections, context
-    overflows and a request that http.client refuses to send (a header
-    value with a newline, say) raise immediately; the last names neither
-    the header nor the key. Each token count falls back to its
-    estimate when the server reports no usage or a null count. A reply
-    whose content is not a string, or whose usage is not an object of
-    integer counts, is BackendUnavailable.
+    contract do not retry in lockstep. A malformed reply is a transport
+    error and retried too. Auth rejections, context overflows and a request
+    the transport refuses to send (a header value with a newline, say)
+    raise immediately; the last names neither the header nor the key. Each
+    token count falls back to its estimate when the server reports no usage
+    or a null count. A reply whose content is not a string, or whose usage
+    is not an object of integer counts, is BackendUnavailable.
     """
     if cfg.context_window is not None and prompt.token_estimate > cfg.context_window:
         raise ContextOverflow(

@@ -416,7 +416,7 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
     429s, 5xx replies and transport failures are retried up to
     cfg.max_attempts times. Each retry waits by `transport.pause`, as a
     chat retry does: what a 429's Retry-After or a rate-limit reply asks
-    for, else a full-jitter backoff. A request that http.client refuses to
+    for, else a full-jitter backoff. A request the transport refuses to
     send is a NetworkError at once. The key never appears in an error
     message.
     """

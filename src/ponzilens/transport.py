@@ -1,30 +1,37 @@
 """HTTP for the package: explorer downloads and chat completions.
 
-Every request goes through one urllib opener, built at the first request.
-The opener holds only a proxy handler and the http and https handlers:
+Every request is one HTTP/1.1 exchange (RFC 9112) on a kept-alive socket,
+written here on the standard library's sockets and TLS:
 
-  * proxies come from HTTP_PROXY/HTTPS_PROXY, read when the opener is
-    built, and from NO_PROXY, read per request;
+  * the request line, the header fields and the body go out in one send.
+    The fields are Host, Accept-Encoding: identity, Content-Length when
+    there is a body and User-Agent: Python-urllib/<version>, then the
+    caller's;
+  * the reply's status line and header fields are split by hand, and its
+    body is read by Content-Length, in chunks, or up to the close;
+  * proxies come from HTTP_PROXY/HTTPS_PROXY, read at the first request,
+    and from NO_PROXY, read per request while a proxy is set. A proxy is
+    reached over plain TCP. An http request is sent to it with the absolute
+    URI, an https one goes through a CONNECT tunnel, and the user and
+    password of a proxy URL go to the proxy alone, as Proxy-Authorization;
   * https is verified against certifi's CA bundle, or REQUESTS_CA_BUNDLE/
     CURL_CA_BUNDLE when set, loaded at the first https request, so a
     process that only talks to http endpoints never loads it;
   * no redirect is followed and no status raises, so every reply comes back
     to the caller as its status, headers and body.
 
-Connections are kept alive (HTTP/1.1, RFC 9112 section 9.3). Both handlers
-take a connection from one process-wide LIFO stack of idle ones, per
-connection class, host and tunnel host, and put it back once its reply has
-been read in full, unless the reply closes it or anything raised; idle
-connections are closed at exit. One in use belongs to one request, so
-concurrent requests never share one. A connection the server closed while
+Idle sockets wait on one process-wide LIFO stack per scheme, host:port and
+proxy. A socket goes back once its reply has been read in full, unless the
+reply is not HTTP/1.1, asks to close, ends at the close, or anything
+raised; idle sockets are closed at exit. One in use belongs to one request,
+so concurrent requests never share one. A socket the server closed while
 idle is dropped before reuse, and a request that still finds its reused
-connection closed or reset is sent once more, at once, on a new one; the
-caller sees one exchange. http.client sets TCP_NODELAY on each new socket,
-and the client asks for TCP_QUICKACK after each request where the platform
-has it: a server that writes a reply's headers and body in two sends with
-Nagle's algorithm on (any http.server handler by default) otherwise holds
-the body back on a reused connection until the client's delayed ACK, about
-40 ms.
+socket closed or reset is sent once more, at once, on a new one; the caller
+sees one exchange. Each new socket sets TCP_NODELAY, and the client asks
+for TCP_QUICKACK after each send where the platform has it: a server that
+writes a reply's headers and body in two sends with Nagle's algorithm on
+(any http.server handler by default) otherwise holds the body back on a
+reused connection until the client's delayed ACK, about 40 ms.
 
 Callers refuse a URL that is_http_url rejects before sending anything,
 treat ERRORS out of request as a failed exchange, which may be retried, and
@@ -34,195 +41,407 @@ REFUSED as a request that was never sent and never will be.
 from __future__ import annotations
 
 import atexit
+import base64
 import email.utils
+import functools
 import http.client
 import math
 import os
 import random
+import re
 import select
 import socket
 import ssl
+import sys
 import threading
 import time
-import urllib.error
 import urllib.request
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
 
-# A URL or header http.client refuses before sending, such as an API key
-# ending in a newline; its message can quote the header. Callers test for it
-# before ERRORS, which holds InvalidURL's base class HTTPException.
+# A URL holding a control character, a space or a non-ASCII character, or a
+# header field whose value holds a CR or LF, such as an API key ending in a
+# newline; no message quotes a header value. Callers test for it before
+# ERRORS, which holds InvalidURL's base class HTTPException.
 REFUSED = (ValueError, http.client.InvalidURL)
-# OSError covers URLError, refused connections and timeouts.
+# OSError covers refused connections, resets, timeouts and TLS failures;
+# HTTPException a malformed reply.
 ERRORS = (OSError, http.client.HTTPException)
+
+_PORTS = {"http": 80, "https": 443}
+_USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
+_URL_REFUSED = re.compile(r"[^!-~]")
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_READ = 16384  # bytes per recv; 64 KiB reads raised a batch's peak RSS
+_MAX_LINE = 65536  # bytes of a reply's head, or of a chunk's size line
+_HEAD_END = re.compile(rb"\n\r?\n")
+_HEX = re.compile(rb"[0-9A-Fa-f]+")
 
 
 def is_http_url(url: str) -> bool:
-    """Whether `url` is http or https; urllib would open file:, ftp: and
-    data: URLs too."""
-    return urlsplit(url).scheme in ("http", "https")
+    """Whether `url` is http or https, the only schemes request speaks."""
+    return urlsplit(url).scheme in _PORTS
 
 
 class _IdleConnections:
-    """Kept-alive connections not in use: a LIFO stack per key of
-    (connection class, host, tunnel host)."""
+    """Kept-alive sockets not in use: a LIFO stack per key of (scheme,
+    host:port, proxy URL or None)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._stacks: dict[tuple, list[http.client.HTTPConnection]] = {}
+        self._stacks: dict[tuple, list[socket.socket]] = {}
 
-    def take(self, key: tuple) -> http.client.HTTPConnection | None:
-        """The newest idle connection for `key` that the server has not
-        closed, or None; the closed ones on top of it are dropped."""
+    def take(self, key: tuple) -> socket.socket | None:
+        """The newest idle socket for `key` that the server has not closed,
+        or None; the closed ones on top of it are dropped."""
         while True:
             with self._lock:
                 stack = self._stacks.get(key)
                 if not stack:
                     return None
-                conn = stack.pop()
-            if not _dropped(conn.sock):
-                return conn
-            conn.close()
+                sock = stack.pop()
+            if not _dropped(sock):
+                return sock
+            sock.close()
 
-    def put(self, key: tuple, conn: http.client.HTTPConnection) -> None:
+    def put(self, key: tuple, sock: socket.socket) -> None:
         with self._lock:
-            self._stacks.setdefault(key, []).append(conn)
+            self._stacks.setdefault(key, []).append(sock)
 
     def close(self) -> None:
         with self._lock:
             stacks, self._stacks = self._stacks, {}
         for stack in stacks.values():
-            for conn in stack:
-                conn.close()
+            for sock in stack:
+                sock.close()
 
 
 def _dropped(sock) -> bool:
-    """Whether an idle connection is readable at once: the server closed it,
-    or sent what no request asked for (urllib3's is_connection_dropped)."""
+    """Whether an idle socket is readable at once: the server closed it, or
+    sent what no request asked for (urllib3's is_connection_dropped). poll
+    watches any descriptor, select only those below 1024."""
     try:
+        if _POLL:
+            poller = select.poll()
+            poller.register(sock, select.POLLIN)
+            return bool(poller.poll(0))
         return bool(select.select([sock], [], [], 0)[0])
     except (OSError, ValueError):  # closed, or a descriptor select cannot watch
         return True
 
 
+_POLL = hasattr(select, "poll")  # not on Windows
 _idle = _IdleConnections()
 atexit.register(_idle.close)
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only, see tcp(7)
 
 
-class _KeepAliveHandler(urllib.request.AbstractHTTPHandler):
-    """do_open for the http and https handlers, on kept-alive connections."""
+class Headers(dict):
+    """A reply's header fields by lower-cased name, looked up in any case; a
+    field sent more than once holds its values joined by ", "."""
 
-    def do_open(self, http_class, req, **conn_args):
-        if not req.host:
-            raise urllib.error.URLError("no host given")
-        headers = dict(req.unredirected_hdrs)
-        headers.update({k: v for k, v in req.headers.items() if k not in headers})
-        headers = {name.title(): value for name, value in headers.items()}
-        tunnel_headers = {}
-        if req._tunnel_host and "Proxy-Authorization" in headers:
-            # For the proxy only, not the origin.
-            tunnel_headers["Proxy-Authorization"] = headers.pop("Proxy-Authorization")
-        key = (http_class, req.host, req._tunnel_host)
-        conn = _idle.take(key)
-        if conn is not None:
-            conn.timeout = req.timeout
-            conn.sock.settimeout(req.timeout)
-            try:
-                return _exchange(key, conn, req, headers)
-            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
-                pass  # the server closed it while it was idle
-        conn = http_class(req.host, timeout=req.timeout, **conn_args)
-        if req._tunnel_host:
-            conn.set_tunnel(req._tunnel_host, headers=tunnel_headers)
-        return _exchange(key, conn, req, headers)
+    def __getitem__(self, name: str) -> str:
+        return super().__getitem__(name.lower())
 
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and super().__contains__(name.lower())
 
-def _exchange(
-    key: tuple, conn: http.client.HTTPConnection, req: urllib.request.Request, headers: dict
-) -> tuple[int, http.client.HTTPMessage, bytes]:
-    """Send `req` on `conn` and read the whole reply; `conn` goes back on the
-    idle stack if the reply leaves it open, and is closed otherwise."""
-    resp = None
-    try:
-        conn.request(
-            req.get_method(),
-            req.selector,
-            req.data,
-            headers,
-            encode_chunked=req.has_header("Transfer-encoding"),
-        )
-        if _QUICKACK is not None:  # the kernel clears it, so per request
-            conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-        resp = conn.getresponse()
-        reply = resp.status, resp.headers, resp.read()
-    except BaseException:
-        if resp is not None:
-            resp.close()
-        conn.close()
-        raise
-    if resp.will_close:
-        conn.close()
-    else:
-        _idle.put(key, conn)
-    return reply
-
-
-class _HTTPHandler(_KeepAliveHandler, urllib.request.HTTPHandler):
-    pass
-
-
-class _HTTPSHandler(_KeepAliveHandler, urllib.request.HTTPSHandler):
-    """Verifies TLS against the CA bundle, loaded at the first https
-    request."""
-
-    def __init__(self) -> None:
-        # Not HTTPSHandler.__init__: from Python 3.12 on it loads a default
-        # context at once.
-        urllib.request.AbstractHTTPHandler.__init__(self)
-        self._context: ssl.SSLContext | None = None
-        self._lock = threading.Lock()
-
-    def https_open(self, req: urllib.request.Request):
-        with self._lock:
-            if self._context is None:
-                self._context = _tls_context()
-        return self.do_open(http.client.HTTPSConnection, req, context=self._context)
-
-
-def _tls_context() -> ssl.SSLContext:
-    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-    if not bundle:
-        import certifi
-
-        bundle = certifi.where()
-    if os.path.isdir(bundle):
-        return ssl.create_default_context(capath=bundle)
-    return ssl.create_default_context(cafile=bundle)
-
-
-_opener: urllib.request.OpenerDirector | None = None
-_opener_lock = threading.Lock()
-
-
-def _get_opener() -> urllib.request.OpenerDirector:
-    global _opener
-    with _opener_lock:
-        if _opener is None:
-            opener = urllib.request.OpenerDirector()
-            opener.add_handler(urllib.request.ProxyHandler())
-            opener.add_handler(_HTTPHandler())
-            opener.add_handler(_HTTPSHandler())
-            _opener = opener
-        return _opener
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
 
 
 def request(
     url: str, data: bytes | None = None, headers: dict[str, str] | None = None, *, timeout: float
-) -> tuple[int, http.client.HTTPMessage, bytes]:
+) -> tuple[int, Headers, bytes]:
     """GET `url`, or POST `data` to it; the status, the reply headers and
     the whole reply body."""
-    req = urllib.request.Request(url, data=data, headers=headers or {})
-    return _get_opener().open(req, timeout=timeout)
+    bad = _URL_REFUSED.search(url)
+    if bad is not None:
+        raise http.client.InvalidURL(
+            f"URL can't contain control characters, spaces or non-ASCII (found {bad[0]!r})"
+        )
+    parts = urlsplit(url)
+    scheme, host = parts.scheme, parts.netloc.rpartition("@")[2]
+    if scheme not in _PORTS:
+        raise http.client.InvalidURL(f"not an http or https URL: {scheme!r}")
+    if not parts.hostname:
+        raise OSError("no host given")
+    proxy = _proxy_for(scheme, host)
+    fields = {"Host": host, "Accept-Encoding": "identity"}
+    if data is not None:
+        fields["Content-Length"] = str(len(data))
+    fields["User-Agent"] = _USER_AGENT
+    if proxy is not None and scheme == "http":
+        target = url.partition("#")[0]
+        auth = _proxy_route(proxy)[2]
+        if auth:
+            fields["Proxy-Authorization"] = auth
+    else:
+        target = (parts.path or "/") + ("?" + parts.query if parts.query else "")
+    for name, value in (headers or {}).items():
+        if not _TOKEN.fullmatch(name) or "\r" in value or "\n" in value:
+            raise ValueError(f"header field {name!r} is not a token or its value holds CR or LF")
+        fields[name.title()] = value
+    lines = [f"{name}: {value}\r\n" for name, value in fields.items()]
+    message = f"{'GET' if data is None else 'POST'} {target} HTTP/1.1\r\n{''.join(lines)}\r\n"
+    message = message.encode("latin-1") + (data or b"")
+    key = (scheme, host, proxy)
+    sock = _idle.take(key)
+    if sock is not None:
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
+        try:
+            return _exchange(key, sock, message)
+        except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
+            pass  # the server closed it while it was idle
+    sock = _connect(scheme, parts.hostname, parts.port or _PORTS[scheme], proxy, timeout)
+    return _exchange(key, sock, message)
+
+
+def _exchange(key: tuple, sock: socket.socket, message: bytes) -> tuple[int, Headers, bytes]:
+    """Send `message` on `sock` in one send and read the whole reply; `sock`
+    goes back on the idle stack if the reply leaves it open, and is closed
+    otherwise."""
+    try:
+        sock.sendall(message)
+        if _QUICKACK is not None:  # the kernel clears it, so per request
+            sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+        status, headers, body, reusable = _read_reply(_Reader(sock))
+    except BaseException:
+        sock.close()
+        raise
+    if reusable:
+        _idle.put(key, sock)
+    else:
+        sock.close()
+    return status, headers, body
+
+
+class _Reader:
+    """What has come in on one socket: buf[pos:] is read but not used."""
+
+    __slots__ = ("sock", "buf", "pos")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.buf = b""
+        self.pos = 0
+
+    def _fill(self) -> bool:
+        data = self.sock.recv(_READ)
+        self.buf = self.buf[self.pos :] + data
+        self.pos = 0
+        return bool(data)
+
+    def head(self) -> str:
+        """The status line and header fields, up to the empty line."""
+        while (end := _HEAD_END.search(self.buf, self.pos)) is None:
+            if len(self.buf) - self.pos > _MAX_LINE:
+                raise http.client.LineTooLong("reply head")
+            if not self._fill():
+                if self.buf:
+                    raise http.client.IncompleteRead(self.buf)
+                raise http.client.RemoteDisconnected("closed without a reply")
+        head = self.buf[self.pos : end.start()]
+        self.pos = end.end()
+        return head.decode("latin-1")
+
+    def line(self) -> bytes:
+        """The next line, without its line end."""
+        while (end := self.buf.find(b"\n", self.pos)) < 0:
+            if len(self.buf) - self.pos > _MAX_LINE:
+                raise http.client.LineTooLong("chunk size or trailer line")
+            if not self._fill():
+                raise http.client.IncompleteRead(self.buf)
+        line = self.buf[self.pos : end]
+        self.pos = end + 1
+        return line.rstrip(b"\r")
+
+    def exact(self, n: int) -> bytes:
+        """The next `n` bytes."""
+        end = self.pos + n
+        if len(self.buf) >= end:
+            self.pos = end
+            return self.buf[end - n : end]
+        parts = [self.buf[self.pos :]]
+        left = n - len(parts[0])
+        self.buf, self.pos = b"", 0
+        while left:
+            data = self.sock.recv(min(left, _READ))
+            if not data:
+                raise http.client.IncompleteRead(b"".join(parts), left)
+            parts.append(data)
+            left -= len(data)
+        return b"".join(parts)
+
+    def rest(self) -> bytes:
+        """Everything up to the close."""
+        parts = [self.buf[self.pos :]]
+        self.buf, self.pos = b"", 0
+        while data := self.sock.recv(_READ):
+            parts.append(data)
+        return b"".join(parts)
+
+
+def _read_reply(reader: _Reader) -> tuple[int, Headers, bytes, bool]:
+    """The status, header fields and body of the next reply, and whether its
+    socket may carry another request (RFC 9112 sections 6.3 and 9.3)."""
+    version, status, headers = _parse_head(reader.head())
+    while status < 200:  # an interim reply, such as 100 Continue
+        version, status, headers = _parse_head(reader.head())
+    connection = headers.get("connection", "").lower()
+    reusable = version == "HTTP/1.1" and "close" not in map(str.strip, connection.split(","))
+    coding = headers.get("transfer-encoding")
+    length = headers.get("content-length")
+    if status in (204, 304):
+        body = b""
+    elif coding is not None:
+        if coding.lower().rpartition(",")[2].strip() == "chunked":
+            body = _read_chunked(reader)
+        else:
+            body, reusable = reader.rest(), False
+    elif length is not None:
+        if not (length.isascii() and length.isdigit()):
+            raise http.client.HTTPException(f"malformed Content-Length {length[:40]!r}")
+        body = reader.exact(int(length))
+    else:
+        body, reusable = reader.rest(), False
+    return status, headers, body, reusable and reader.pos == len(reader.buf)
+
+
+def _parse_head(head: str) -> tuple[str, int, Headers]:
+    """The version, status and header fields of a reply head."""
+    lines = head.split("\n")
+    status_line = lines[0].rstrip("\r")
+    version, _, rest = status_line.partition(" ")
+    code = rest[:3]
+    if not (
+        version.startswith("HTTP/") and code.isascii() and code.isdigit() and rest[3:4] in ("", " ")
+    ):
+        raise http.client.BadStatusLine(status_line[:80])
+    fields: dict[str, str] = {}
+    name = None
+    for line in lines[1:]:
+        if line[:1] in (" ", "\t"):  # a folded line continues the field before
+            if name is not None:
+                fields[name] += " " + line.strip()
+            continue
+        name, colon, value = line.partition(":")
+        if not colon:
+            name = None
+            continue
+        name, value = name.strip().lower(), value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    return version, int(code), Headers(fields)
+
+
+def _read_chunked(reader: _Reader) -> bytes:
+    """A chunked body (RFC 9112 section 7.1); chunk extensions and trailer
+    fields are read and dropped."""
+    parts = []
+    while True:
+        line = reader.line()
+        size = line.partition(b";")[0].strip()
+        if not _HEX.fullmatch(size):
+            raise http.client.HTTPException(f"malformed chunk size {line[:40]!r}")
+        n = int(size, 16)
+        if not n:
+            break
+        parts.append(reader.exact(n))
+        if reader.line():
+            raise http.client.HTTPException("chunk longer than its size")
+    while reader.line():  # trailer fields, up to the empty line
+        pass
+    return b"".join(parts)
+
+
+_proxies: dict[str, str] | None = None
+
+
+def _proxy_for(scheme: str, host: str) -> str | None:
+    """The proxy URL for a request to `host`, or None. The proxy variables
+    are read at the first request only, since getproxies scans the whole
+    environment, at more than an exchange costs; NO_PROXY is read per
+    request, as urllib does, but only while a proxy is set."""
+    global _proxies
+    if _proxies is None:
+        _proxies = urllib.request.getproxies()
+    proxy = _proxies.get(scheme)
+    if proxy is None or urllib.request.proxy_bypass(host):
+        return None
+    return proxy
+
+
+@functools.lru_cache(maxsize=8)
+def _proxy_route(proxy: str) -> tuple[str, int, str | None]:
+    """The host and port of a proxy URL, or of a bare host:port, and the
+    Proxy-Authorization value for its user and password. A proxy is spoken
+    to over plain TCP, whatever its URL's scheme."""
+    parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if not parts.hostname:
+        raise OSError("the proxy URL has no host")
+    auth = None
+    if parts.username and parts.password:
+        creds = f"{unquote(parts.username)}:{unquote(parts.password)}".encode()
+        auth = "Basic " + base64.b64encode(creds).decode("ascii")
+    return parts.hostname, parts.port or 80, auth
+
+
+def _connect(scheme: str, host: str, port: int, proxy: str | None, timeout: float):
+    """A new socket to host:port for `scheme`, through `proxy` when set; an
+    https request tunnels through its proxy."""
+    context = _tls_context() if scheme == "https" else None
+    if proxy is None:
+        sock = socket.create_connection((host, port), timeout)
+    else:
+        proxy_host, proxy_port, auth = _proxy_route(proxy)
+        sock = socket.create_connection((proxy_host, proxy_port), timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if context is not None:
+            if proxy is not None:
+                _tunnel(sock, host, port, auth)
+            sock = context.wrap_socket(sock, server_hostname=host)
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
+def _tunnel(sock: socket.socket, host: str, port: int, auth: str | None) -> None:
+    """Ask the proxy at the other end of `sock` for a tunnel to host:port
+    (RFC 9110 section 9.3.6); a refusal is an OSError."""
+    authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+    fields = f"Host: {authority}\r\n"
+    if auth:
+        fields += f"Proxy-Authorization: {auth}\r\n"
+    sock.sendall(f"CONNECT {authority} HTTP/1.1\r\n{fields}\r\n".encode("ascii"))
+    reader = _Reader(sock)
+    _version, status, _headers = _parse_head(reader.head())
+    if not 200 <= status < 300:
+        raise OSError(f"Tunnel connection failed: HTTP {status}")
+    if reader.pos < len(reader.buf):
+        raise http.client.HTTPException("the proxy sent bytes after its CONNECT reply")
+
+
+_tls: ssl.SSLContext | None = None
+_tls_lock = threading.Lock()
+
+
+def _tls_context() -> ssl.SSLContext:
+    """The one TLS context, built at the first https request."""
+    global _tls
+    with _tls_lock:
+        if _tls is None:
+            bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            if not bundle:
+                import certifi
+
+                bundle = certifi.where()
+            if os.path.isdir(bundle):
+                _tls = ssl.create_default_context(capath=bundle)
+            else:
+                _tls = ssl.create_default_context(cafile=bundle)
+        return _tls
 
 
 # Before retry n a client sleeps a random time between 0 and the n-th bound

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import contextlib
-import http.client
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
@@ -35,8 +35,15 @@ def serve(handler: type[BaseHTTPRequestHandler]):
     assert not thread.is_alive()
 
 
-def idle(url: str) -> list[http.client.HTTPConnection]:
-    """The idle kept-alive connections the client holds to the server of the
-    http `url`."""
-    key = (http.client.HTTPConnection, urlsplit(url).netloc, None)
+def idle(url: str) -> list[socket.socket]:
+    """The idle kept-alive sockets the client holds to the server of the
+    http `url`, reached without a proxy."""
+    key = ("http", urlsplit(url).netloc, None)
     return transport._idle._stacks.get(key, [])
+
+
+def free_port() -> int:
+    """A loopback port that nothing listens on, at least for now."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]

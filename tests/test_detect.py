@@ -40,7 +40,7 @@ from astgen import (
     StateVar,
     build_unit,
 )
-from loopback import idle, serve
+from loopback import free_port, idle, serve
 from ponzilens.detect import (
     API_KEY_ENV,
     BACKEND_LOCAL,
@@ -633,12 +633,6 @@ def test_non_http_endpoint_is_refused_and_nothing_opened(tmp_path, monkeypatch, 
         complete(_prompt(), _local(endpoint, max_attempts=3))
 
 
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def test_refused_connection_is_tried_max_attempts_times(monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     dials: list[tuple] = []
@@ -649,7 +643,7 @@ def test_refused_connection_is_tried_max_attempts_times(monkeypatch):
         return dial(address, *args, **kwargs)
 
     monkeypatch.setattr(socket, "create_connection", counted)
-    port = _free_port()
+    port = free_port()
     with pytest.raises(BackendUnavailable, match="after 4 attempts"):
         complete(_prompt(), _local(f"http://127.0.0.1:{port}/v1", max_attempts=4))
     assert dials == [("127.0.0.1", port)] * 4
@@ -672,12 +666,13 @@ class _ProxyHandler(_ChatHandler):
 @pytest.fixture()
 def proxied(monkeypatch):
     """A loopback proxy set as HTTP_PROXY, with every other proxy variable
-    cleared and the transport's opener rebuilt from that environment."""
+    cleared and the transport's proxy table read afresh from that
+    environment."""
     for name in _PROXY_VARIABLES:
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
     monkeypatch.delenv(API_KEY_ENV, raising=False)
-    monkeypatch.setattr(transport, "_opener", None)
+    monkeypatch.setattr(transport, "_proxies", None)
     _ProxyHandler.request_lines = []
     with serve(_ProxyHandler) as url:
         monkeypatch.setenv("HTTP_PROXY", url)
@@ -704,14 +699,14 @@ def test_tls_context_is_built_at_the_first_https_request(chat_server, monkeypatc
     for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE", *_PROXY_VARIABLES):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
-    monkeypatch.setattr(transport, "_opener", None)
+    monkeypatch.setattr(transport, "_proxies", None)
+    monkeypatch.setattr(transport, "_tls", None)
     _ChatHandler.script = [(200, _chat_body("plain"))]
     complete(_prompt(), _local(chat_server))
-    (tls,) = [h for h in transport._opener.handlers if isinstance(h, transport._HTTPSHandler)]
-    assert tls._context is None
+    assert transport._tls is None
     with pytest.raises(BackendUnavailable):
-        complete(_prompt(), _local(f"https://127.0.0.1:{_free_port()}/v1"))
-    assert tls._context.verify_mode is ssl.CERT_REQUIRED and tls._context.check_hostname
+        complete(_prompt(), _local(f"https://127.0.0.1:{free_port()}/v1"))
+    assert transport._tls.verify_mode is ssl.CERT_REQUIRED and transport._tls.check_hostname
 
 
 def test_llm_config_validation():

@@ -20,7 +20,7 @@ import fixutil
 import ponzilens.ingest as ingest
 import ponzilens.transport as transport
 import programs
-from loopback import serve
+from loopback import free_port, serve
 from ponzilens.detect import LlmConfig
 from ponzilens.errors import (
     AuthError,
@@ -599,12 +599,6 @@ def test_fetch_refuses_a_file_base_and_sends_nothing(tmp_path, monkeypatch):
         fetch_verified_source(GOOD_ADDRESS, _cfg(reply.as_uri(), max_attempts=3))
 
 
-def _free_port() -> int:
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def test_fetch_tries_a_refused_port_max_attempts_times(monkeypatch):
     monkeypatch.delenv(ETHERSCAN_KEY_ENV, raising=False)
     monkeypatch.setattr(ingest.time, "sleep", lambda s: None)
@@ -616,7 +610,7 @@ def test_fetch_tries_a_refused_port_max_attempts_times(monkeypatch):
         return dial(address, *args, **kwargs)
 
     monkeypatch.setattr(socket, "create_connection", counted)
-    port = _free_port()
+    port = free_port()
     with pytest.raises(NetworkError, match="explorer request failed"):
         fetch_verified_source(GOOD_ADDRESS, _cfg(f"http://127.0.0.1:{port}/api", max_attempts=4))
     assert dials == [("127.0.0.1", port)] * 4
@@ -636,7 +630,7 @@ def _unreachable(kind: str):
             listener.listen(4)
             yield f"http://127.0.0.1:{listener.getsockname()[1]}/api"
     else:
-        port = _free_port()
+        port = free_port()
         yield f"http://127.0.0.1:{port}/" + ("api" if kind == "refused" else "my api")
 
 
@@ -714,7 +708,7 @@ def test_no_proxy_bypasses_the_http_proxy(explorer, monkeypatch):
     for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
-    monkeypatch.setattr(transport, "_opener", None)
+    monkeypatch.setattr(transport, "_proxies", None)
     _ProxyHandler.request_lines = []
     with serve(_ProxyHandler) as proxy:
         monkeypatch.setenv("HTTP_PROXY", proxy)

@@ -1,9 +1,11 @@
-"""Kept-alive connections in ponzilens.transport, against loopback HTTP/1.1
-servers."""
+"""Kept-alive connections, reply framing, proxies and request headers in
+ponzilens.transport, against loopback HTTP/1.1 servers."""
 
 from __future__ import annotations
 
+import base64
 import json
+import os
 import socket
 import sys
 import threading
@@ -15,27 +17,60 @@ import pytest
 
 import ponzilens.detect as detect_mod
 import ponzilens.transport as transport
-from loopback import idle, serve
-from ponzilens.detect import API_KEY_ENV, BACKEND_HTTP, LlmConfig, PromptBundle, PromptParts
+from loopback import free_port, idle, serve
+from ponzilens.detect import (
+    API_KEY_ENV,
+    BACKEND_HTTP,
+    BackendUnavailable,
+    LlmConfig,
+    PromptBundle,
+    PromptParts,
+)
 
 
 class _EchoHandler(BaseHTTPRequestHandler):
     """Answers each POST with a chat completion whose content is the request
     body, keeping the connection open. Like any http.server handler by
     default, it writes the headers and the body in two sends with Nagle's
-    algorithm on. It keeps the client port of every request. /close answers
-    with `Connection: close`, /hangup closes the connection after answering
-    without saying so, and /stall sends one byte of its body and waits for
-    `release`."""
+    algorithm on. It keeps the client port and the header fields of every
+    request. /close answers with `Connection: close`, /hangup closes the
+    connection after answering without saying so, and /stall sends one byte
+    of its body and waits for `release`. /chunked answers in chunks, with a
+    chunk extension and a trailer; /eof gives neither a length nor chunking
+    and closes the connection to end the body. While `raw` holds replies,
+    each request is answered with the first, as it is, and the connection
+    closed."""
 
     protocol_version = "HTTP/1.1"
     ports: list[int] = []
+    fields: list[list[tuple[str, str]]] = []
     release = threading.Event()
+    raw: list[bytes] = []
+
+    def do_GET(self):  # noqa: N802
+        self.do_POST()
 
     def do_POST(self):  # noqa: N802
         raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
         _EchoHandler.ports.append(self.client_address[1])
+        _EchoHandler.fields.append(list(self.headers.items()))
         body = json.dumps({"choices": [{"message": {"content": raw.decode()}}]}).encode()
+        if _EchoHandler.raw:
+            self.wfile.write(_EchoHandler.raw.pop(0))
+            self.close_connection = True
+            return
+        if self.path == "/chunked":
+            half = len(body) // 2
+            self.wfile.write(
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"%x;name=value\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
+                % (half, body[:half], len(body) - half, body[half:])
+            )
+            return
+        if self.path == "/eof":
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + body)
+            self.close_connection = True
+            return
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         if self.path == "/close":
@@ -61,6 +96,8 @@ class _Http10Handler(_EchoHandler):
 @pytest.fixture()
 def echo():
     _EchoHandler.ports = []
+    _EchoHandler.fields = []
+    _EchoHandler.raw = []
     _EchoHandler.release = threading.Event()
     try:
         with serve(_EchoHandler) as url:
@@ -80,8 +117,8 @@ def test_keep_alive_serves_sequential_requests_on_one_connection(echo):
         assert _post(echo + "/", f"request {i}") == f"request {i}"
     assert len(set(_EchoHandler.ports)) == 1
     assert len(idle(echo)) == 1
-    (conn,) = idle(echo)
-    assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    (sock,) = idle(echo)
+    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 def test_keep_alive_never_shares_a_connection_between_concurrent_requests(echo):
@@ -122,9 +159,9 @@ def test_keep_alive_pools_no_connection_whose_body_read_timed_out(echo):
 
 def _closed_by_server(url: str) -> None:
     """Wait until the server has closed the one idle connection to `url`."""
-    (conn,) = idle(url)
+    (sock,) = idle(url)
     deadline = time.monotonic() + 5
-    while not transport._dropped(conn.sock):
+    while not transport._dropped(sock):
         assert time.monotonic() < deadline, "the server kept the connection"
         time.sleep(0.005)
 
@@ -164,3 +201,209 @@ def test_keep_alive_avoids_the_delayed_ack_stall(echo):
         _post(echo + "/", "x" * 2000)
     assert time.perf_counter() - started < 0.5
     assert len(set(_EchoHandler.ports)) == 1
+
+
+def test_a_request_is_one_send(echo, monkeypatch):
+    """The request line, the header fields and the body leave in one
+    sendall, on a new connection and on a reused one."""
+    sent = []
+    real = socket.socket.sendall
+    port = int(echo.rsplit(":", 1)[1])
+
+    def sendall(self, data, *args):
+        if self.getpeername()[1] == port:  # the client's, not the server's
+            sent.append(bytes(data))
+        return real(self, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", sendall)
+    assert [_post(echo + "/", "one"), _post(echo + "/", "two")] == ["one", "two"]
+    assert [message.split(b"\r\n", 1)[0] for message in sent] == [b"POST / HTTP/1.1"] * 2
+    assert [message.split(b"\r\n\r\n", 1)[1] for message in sent] == [b"one", b"two"]
+    assert len(set(_EchoHandler.ports)) == 1
+
+
+def test_dropped_watches_a_descriptor_above_1023(echo):
+    """select.select cannot watch a descriptor of 1024 or more; a pooled
+    connection there must still be reused, and still be seen closed."""
+    resource = pytest.importorskip("resource")
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1600:
+        pytest.skip("RLIMIT_NOFILE below 1600")
+    try:
+        os.fstat(1500)
+        pytest.skip("descriptor 1500 is in use")
+    except OSError:
+        pass
+    assert _post(echo + "/") == "hi"
+    stack = idle(echo)
+    (sock,) = stack
+    stack[0] = socket.socket(fileno=os.dup2(sock.fileno(), 1500))
+    sock.close()
+    assert not transport._dropped(stack[0])
+    assert _post(echo + "/hangup", "again") == "again"
+    assert len(set(_EchoHandler.ports)) == 1
+    (high,) = idle(echo)
+    assert high.fileno() == 1500
+    _closed_by_server(echo)
+
+
+def test_a_chunked_reply_is_read_whole_and_its_connection_pooled(echo):
+    assert [_post(echo + "/chunked", f"chunk {i}") for i in range(3)] == [
+        "chunk 0",
+        "chunk 1",
+        "chunk 2",
+    ]
+    assert len(set(_EchoHandler.ports)) == 1
+    assert len(idle(echo)) == 1
+
+
+def test_a_reply_without_length_is_read_to_close_and_not_pooled(echo):
+    assert [_post(echo + "/eof", "one"), _post(echo + "/eof", "two")] == ["one", "two"]
+    assert len(set(_EchoHandler.ports)) == 2
+    assert len(idle(echo)) == 0
+
+
+@pytest.mark.parametrize("attempts", [1, 2])
+def test_a_garbage_status_line_is_a_transport_error_and_retried(echo, monkeypatch, attempts):
+    """It costs an attempt, like any failed exchange, and is not a request
+    refused before sending."""
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    pauses = []
+    monkeypatch.setattr(transport, "pause", lambda attempt, asked=None: pauses.append(attempt))
+    _EchoHandler.raw = [b"garbage\r\n\r\n"]
+    cfg = LlmConfig(backend=BACKEND_HTTP, endpoint=echo + "/", max_attempts=attempts)
+    prompt = PromptBundle("analysis", "say hi", PromptParts(), "t", 2)
+    if attempts == 1:
+        with pytest.raises(BackendUnavailable, match="after 1 attempts") as failed:
+            detect_mod.complete(prompt, cfg)
+        assert "before sending" not in str(failed.value)
+        assert pauses == []
+    else:
+        reply = detect_mod.complete(prompt, cfg)
+        assert json.loads(reply.text)["messages"] == [{"role": "user", "content": "say hi"}]
+        assert pauses == [1]
+    assert len(_EchoHandler.ports) == attempts
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        b"HTTP/1.1 2x0 OK\r\nContent-Length: 0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 0x10\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x5\r\nhello\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nhello\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+        b"HTTP/1.1 200 OK\r\nContent-Le",
+    ],
+)
+def test_a_malformed_reply_is_an_http_exception_never_a_value_error(echo, reply):
+    """ValueError means a request refused before sending; a reply that
+    breaks framing is a failed exchange instead."""
+    _EchoHandler.raw = [reply]
+    with pytest.raises(transport.ERRORS) as failed:
+        _post(echo + "/")
+    assert not isinstance(failed.value, transport.REFUSED)
+    assert len(idle(echo)) == 0
+
+
+def _names(fields: list[tuple[str, str]]) -> list[str]:
+    return sorted(name for name, _ in fields)
+
+
+def test_a_plain_request_carries_exactly_the_default_header_fields(echo, monkeypatch):
+    """A GET carries Host, Accept-Encoding and User-Agent; a chat POST adds
+    the body's length and type and the key."""
+    monkeypatch.setenv(API_KEY_ENV, "sk-test")
+    status, _headers, _body = transport.request(echo + "/get?x=1", timeout=5)
+    assert status == 200
+    cfg = LlmConfig(backend=BACKEND_HTTP, endpoint=echo + "/", max_attempts=1)
+    detect_mod.complete(PromptBundle("analysis", "say hi", PromptParts(), "t", 2), cfg)
+    get, post = _EchoHandler.fields
+    assert _names(get) == ["Accept-Encoding", "Host", "User-Agent"]
+    assert _names(post) == [
+        "Accept-Encoding",
+        "Authorization",
+        "Content-Length",
+        "Content-Type",
+        "Host",
+        "User-Agent",
+    ]
+    netloc = echo.split("//", 1)[1]
+    version = "%d.%d" % sys.version_info[:2]
+    for fields in (get, post):
+        assert dict(fields)["Host"] == netloc
+        assert dict(fields)["Accept-Encoding"] == "identity"
+        assert dict(fields)["User-Agent"] == f"Python-urllib/{version}"
+    assert dict(post)["Authorization"] == "Bearer sk-test"
+
+
+class _ProxyHandler(BaseHTTPRequestHandler):
+    """A forward proxy that keeps each request line and its header fields,
+    refuses every CONNECT and answers every other request itself."""
+
+    seen: list[tuple[str, list[tuple[str, str]]]] = []
+
+    def do_CONNECT(self):  # noqa: N802
+        _ProxyHandler.seen.append((self.requestline, list(self.headers.items())))
+        self.send_response(403)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def do_POST(self):  # noqa: N802
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        _ProxyHandler.seen.append((self.requestline, list(self.headers.items())))
+        body = json.dumps({"choices": [{"message": {"content": raw.decode()}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+_BASIC = "Basic " + base64.b64encode(b"user:p w").decode()
+
+
+@pytest.fixture()
+def proxy(monkeypatch):
+    """A loopback proxy with user `user` and password `p w`; the proxy
+    variables are cleared and the transport reads them afresh."""
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setattr(transport, "_proxies", None)
+    monkeypatch.setattr(transport, "pause", lambda *a: None)
+    monkeypatch.setenv(API_KEY_ENV, "sk-SECRET0123")
+    _ProxyHandler.seen = []
+    with serve(_ProxyHandler) as url:
+        yield url.replace("http://", "http://user:p%20w@")
+
+
+def test_an_https_request_tunnels_through_the_proxy_with_its_credentials(proxy, monkeypatch):
+    """The proxy is asked to CONNECT with its own credentials and never sees
+    the bearer key; a refused tunnel is a failed exchange."""
+    monkeypatch.setenv("HTTPS_PROXY", proxy)
+    port = free_port()
+    cfg = LlmConfig(
+        backend=BACKEND_HTTP, endpoint=f"https://127.0.0.1:{port}/v1", max_attempts=2
+    )
+    with pytest.raises(BackendUnavailable, match="after 2 attempts"):
+        detect_mod.complete(PromptBundle("analysis", "say hi", PromptParts(), "t", 2), cfg)
+    assert len(_ProxyHandler.seen) == 2
+    for line, fields in _ProxyHandler.seen:
+        assert line == f"CONNECT 127.0.0.1:{port} HTTP/1.1"
+        assert dict(fields)["Proxy-Authorization"] == _BASIC
+        assert "Authorization" not in dict(fields)
+        assert "sk-SECRET0123" not in repr(fields)
+
+
+def test_an_http_request_goes_to_the_proxy_with_its_credentials(proxy, monkeypatch):
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    port = free_port()
+    endpoint = f"http://127.0.0.1:{port}/v1"
+    assert _post(endpoint, "via proxy") == "via proxy"
+    ((line, fields),) = _ProxyHandler.seen
+    assert line == f"POST {endpoint} HTTP/1.1"
+    assert dict(fields)["Proxy-Authorization"] == _BASIC
+    assert dict(fields)["Host"] == f"127.0.0.1:{port}"
