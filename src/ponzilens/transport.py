@@ -10,8 +10,9 @@ written here on the standard library's sockets and TLS:
   * the reply's status line and header fields are split by hand, and its
     body is read by Content-Length, in chunks, or up to the close;
   * proxies come from HTTP_PROXY/HTTPS_PROXY, read at the first request,
-    and from NO_PROXY, read per request while a proxy is set. A proxy is
-    reached over plain TCP. An http request is sent to it with the absolute
+    and from NO_PROXY, read per request while a proxy is set. An https://
+    proxy is spoken to over TLS (port 443 unless given), an http:// one over
+    plain TCP (port 80). An http request is sent to it with the absolute
     URI, an https one goes through a CONNECT tunnel, and the user and
     password of a proxy URL go to the proxy alone, as Proxy-Authorization;
   * https is verified against certifi's CA bundle, or REQUESTS_CA_BUNDLE/
@@ -135,15 +136,9 @@ atexit.register(_idle.close)
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)  # Linux only, see tcp(7)
 
 
-class Headers(dict):
-    """A reply's header fields by lower-cased name, looked up in any case; a
-    field sent more than once holds its values joined by ", "."""
-
-    def __getitem__(self, name: str) -> str:
-        return super().__getitem__(name.lower())
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and super().__contains__(name.lower())
+class _Headers(dict):
+    """A reply's header fields by lower-cased name, which get looks up in any
+    case; a field sent more than once holds its values joined by ", "."""
 
     def get(self, name: str, default=None):
         return super().get(name.lower(), default)
@@ -151,7 +146,7 @@ class Headers(dict):
 
 def request(
     url: str, data: bytes | None = None, headers: dict[str, str] | None = None, *, timeout: float
-) -> tuple[int, Headers, bytes]:
+) -> tuple[int, _Headers, bytes]:
     """GET `url`, or POST `data` to it; the status, the reply headers and
     the whole reply body."""
     bad = _URL_REFUSED.search(url)
@@ -172,7 +167,7 @@ def request(
     fields["User-Agent"] = _USER_AGENT
     if proxy is not None and scheme == "http":
         target = url.partition("#")[0]
-        auth = _proxy_route(proxy)[2]
+        auth = _proxy_route(proxy)[3]
         if auth:
             fields["Proxy-Authorization"] = auth
     else:
@@ -197,7 +192,7 @@ def request(
     return _exchange(key, sock, message)
 
 
-def _exchange(key: tuple, sock: socket.socket, message: bytes) -> tuple[int, Headers, bytes]:
+def _exchange(key: tuple, sock: socket.socket, message: bytes) -> tuple[int, _Headers, bytes]:
     """Send `message` on `sock` in one send and read the whole reply; `sock`
     goes back on the idle stack if the reply leaves it open, and is closed
     otherwise."""
@@ -282,7 +277,7 @@ class _Reader:
         return b"".join(parts)
 
 
-def _read_reply(reader: _Reader) -> tuple[int, Headers, bytes, bool]:
+def _read_reply(reader: _Reader) -> tuple[int, _Headers, bytes, bool]:
     """The status, header fields and body of the next reply, and whether its
     socket may carry another request (RFC 9112 sections 6.3 and 9.3)."""
     version, status, headers = _parse_head(reader.head())
@@ -308,7 +303,7 @@ def _read_reply(reader: _Reader) -> tuple[int, Headers, bytes, bool]:
     return status, headers, body, reusable and reader.pos == len(reader.buf)
 
 
-def _parse_head(head: str) -> tuple[str, int, Headers]:
+def _parse_head(head: str) -> tuple[str, int, _Headers]:
     """The version, status and header fields of a reply head."""
     lines = head.split("\n")
     status_line = lines[0].rstrip("\r")
@@ -331,7 +326,7 @@ def _parse_head(head: str) -> tuple[str, int, Headers]:
             continue
         name, value = name.strip().lower(), value.strip()
         fields[name] = f"{fields[name]}, {value}" if name in fields else value
-    return version, int(code), Headers(fields)
+    return version, int(code), _Headers(fields)
 
 
 def _read_chunked(reader: _Reader) -> bytes:
@@ -372,39 +367,106 @@ def _proxy_for(scheme: str, host: str) -> str | None:
 
 
 @functools.lru_cache(maxsize=8)
-def _proxy_route(proxy: str) -> tuple[str, int, str | None]:
-    """The host and port of a proxy URL, or of a bare host:port, and the
-    Proxy-Authorization value for its user and password. A proxy is spoken
-    to over plain TCP, whatever its URL's scheme."""
+def _proxy_route(proxy: str) -> tuple[str, int, bool, str | None]:
+    """The host and port of a proxy URL, or of a bare host:port, whether it
+    is spoken to over TLS (an https:// URL, port 443 unless given), and the
+    Proxy-Authorization value for its user and password."""
     parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if parts.scheme not in _PORTS:
+        raise OSError(f"unsupported proxy scheme {parts.scheme!r}")
     if not parts.hostname:
         raise OSError("the proxy URL has no host")
     auth = None
     if parts.username and parts.password:
         creds = f"{unquote(parts.username)}:{unquote(parts.password)}".encode()
         auth = "Basic " + base64.b64encode(creds).decode("ascii")
-    return parts.hostname, parts.port or 80, auth
+    port = parts.port or _PORTS[parts.scheme]
+    return parts.hostname, port, parts.scheme == "https", auth
 
 
 def _connect(scheme: str, host: str, port: int, proxy: str | None, timeout: float):
     """A new socket to host:port for `scheme`, through `proxy` when set; an
-    https request tunnels through its proxy."""
-    context = _tls_context() if scheme == "https" else None
+    https request tunnels through its proxy. TLS to an https:// proxy is set
+    up before anything is sent to it, so its credentials never go in clear."""
     if proxy is None:
-        sock = socket.create_connection((host, port), timeout)
+        address, proxy_tls = (host, port), False
     else:
-        proxy_host, proxy_port, auth = _proxy_route(proxy)
-        sock = socket.create_connection((proxy_host, proxy_port), timeout)
+        proxy_host, proxy_port, proxy_tls, auth = _proxy_route(proxy)
+        address = (proxy_host, proxy_port)
+    context = _tls_context() if scheme == "https" or proxy_tls else None
+    sock = socket.create_connection(address, timeout)
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        if context is not None:
-            if proxy is not None:
-                _tunnel(sock, host, port, auth)
+        if proxy_tls:
+            sock = context.wrap_socket(sock, server_hostname=proxy_host)
+        if proxy is not None and scheme == "https":
+            _tunnel(sock, host, port, auth)
+        if scheme == "https":
+            if proxy_tls:  # an SSLSocket cannot wrap another
+                return _InnerTls(sock, context, host)
             sock = context.wrap_socket(sock, server_hostname=host)
     except BaseException:
         sock.close()
         raise
     return sock
+
+
+class _InnerTls:
+    """TLS to the server through a CONNECT tunnel inside TLS to the proxy.
+    The inner TLS runs on memory buffers over the outer SSLSocket; this
+    offers what _exchange, _Reader and _dropped use of a socket."""
+
+    def __init__(self, outer: ssl.SSLSocket, context: ssl.SSLContext, host: str) -> None:
+        self._outer = outer
+        self._in, self._out = ssl.MemoryBIO(), ssl.MemoryBIO()
+        self._tls = context.wrap_bio(self._in, self._out, server_hostname=host)
+        self._run(self._tls.do_handshake)
+
+    def _run(self, step, *args):
+        """`step` of the inner TLS, fed from and flushed to the outer socket."""
+        while True:
+            try:
+                result = step(*args)
+            except ssl.SSLWantReadError:
+                self._flush()
+                data = self._outer.recv(_READ)
+                if data:
+                    self._in.write(data)
+                else:
+                    self._in.write_eof()
+                continue
+            self._flush()
+            return result
+
+    def _flush(self) -> None:
+        if self._out.pending:
+            self._outer.sendall(self._out.read())
+
+    def sendall(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[self._run(self._tls.write, view) :]
+
+    def recv(self, n: int) -> bytes:
+        try:
+            return self._run(self._tls.read, n)
+        except (ssl.SSLZeroReturnError, ssl.SSLEOFError):  # closed, as SSLSocket reads it
+            return b""
+
+    def fileno(self) -> int:
+        return self._outer.fileno()
+
+    def gettimeout(self) -> float | None:
+        return self._outer.gettimeout()
+
+    def settimeout(self, timeout: float | None) -> None:
+        self._outer.settimeout(timeout)
+
+    def setsockopt(self, *args) -> None:
+        self._outer.setsockopt(*args)
+
+    def close(self) -> None:
+        self._outer.close()
 
 
 def _tunnel(sock: socket.socket, host: str, port: int, auth: str | None) -> None:

@@ -4,9 +4,12 @@ ponzilens.transport, against loopback HTTP/1.1 servers."""
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import os
+import select
 import socket
+import ssl
 import sys
 import threading
 import time
@@ -17,7 +20,7 @@ import pytest
 
 import ponzilens.detect as detect_mod
 import ponzilens.transport as transport
-from loopback import free_port, idle, serve
+from loopback import free_port, idle, serve, trust_cert
 from ponzilens.detect import (
     API_KEY_ENV,
     BACKEND_HTTP,
@@ -341,6 +344,7 @@ class _ProxyHandler(BaseHTTPRequestHandler):
     """A forward proxy that keeps each request line and its header fields,
     refuses every CONNECT and answers every other request itself."""
 
+    protocol_version = "HTTP/1.1"
     seen: list[tuple[str, list[tuple[str, str]]]] = []
 
     def do_CONNECT(self):  # noqa: N802
@@ -362,12 +366,43 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _RelayHandler(_ProxyHandler):
+    """A forward proxy that keeps each request line and its header fields,
+    grants every CONNECT and relays the tunnel's bytes both ways until
+    either end closes."""
+
+    def do_CONNECT(self):  # noqa: N802
+        _ProxyHandler.seen.append((self.requestline, list(self.headers.items())))
+        host, _, port = self.path.rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as upstream:
+            self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
+            _relay(self.connection, upstream)
+        self.close_connection = True
+
+
+def _relay(a: socket.socket, b: socket.socket) -> None:
+    """Copy bytes between `a` and `b` until one closes; an SSLSocket may
+    hold decrypted bytes that select does not see."""
+    ends = [a, b]
+    while True:
+        ready = [end for end in ends if isinstance(end, ssl.SSLSocket) and end.pending()]
+        ready = ready or select.select(ends, [], [], 10)[0]
+        if not ready:
+            return
+        for end in ready:
+            data = end.recv(16384)
+            if not data:
+                return
+            (b if end is a else a).sendall(data)
+
+
 _BASIC = "Basic " + base64.b64encode(b"user:p w").decode()
 
 
-@pytest.fixture()
-def proxy(monkeypatch):
-    """A loopback proxy with user `user` and password `p w`; the proxy
+@contextlib.contextmanager
+def _proxy(monkeypatch, handler=_ProxyHandler, *, tls=False):
+    """A loopback proxy running `handler`, over TLS when `tls`, with user
+    `user` and password `p w`; yields its URL with them. The proxy
     variables are cleared and the transport reads them afresh."""
     for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
         monkeypatch.delenv(name, raising=False)
@@ -376,8 +411,25 @@ def proxy(monkeypatch):
     monkeypatch.setattr(transport, "pause", lambda *a: None)
     monkeypatch.setenv(API_KEY_ENV, "sk-SECRET0123")
     _ProxyHandler.seen = []
-    with serve(_ProxyHandler) as url:
-        yield url.replace("http://", "http://user:p%20w@")
+    with serve(handler, tls=tls) as url:
+        yield url.replace("://", "://user:p%20w@")
+
+
+@pytest.fixture()
+def proxy(monkeypatch):
+    with _proxy(monkeypatch) as url:
+        yield url
+
+
+@pytest.fixture()
+def tls_echo(monkeypatch):
+    """The echo server over TLS, with the client trusting its certificate."""
+    trust_cert(monkeypatch)
+    _EchoHandler.ports = []
+    _EchoHandler.fields = []
+    _EchoHandler.raw = []
+    with serve(_EchoHandler, tls=True) as url:
+        yield url
 
 
 def test_an_https_request_tunnels_through_the_proxy_with_its_credentials(proxy, monkeypatch):
@@ -398,12 +450,83 @@ def test_an_https_request_tunnels_through_the_proxy_with_its_credentials(proxy, 
         assert "sk-SECRET0123" not in repr(fields)
 
 
-def test_an_http_request_goes_to_the_proxy_with_its_credentials(proxy, monkeypatch):
-    monkeypatch.setenv("HTTP_PROXY", proxy)
-    port = free_port()
-    endpoint = f"http://127.0.0.1:{port}/v1"
-    assert _post(endpoint, "via proxy") == "via proxy"
+@pytest.mark.parametrize("proxy_scheme", ["http", "https"])
+def test_an_http_request_goes_to_the_proxy_with_its_credentials(monkeypatch, proxy_scheme):
+    """An https:// proxy is spoken to over TLS, which the loopback proxy
+    alone speaks then, so its credentials never travel in clear."""
+    with _proxy(monkeypatch, tls=proxy_scheme == "https") as proxy_url:
+        if proxy_scheme == "https":
+            trust_cert(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", proxy_url)
+        port = free_port()
+        endpoint = f"http://127.0.0.1:{port}/v1"
+        assert [_post(endpoint, "via proxy"), _post(endpoint, "again")] == ["via proxy", "again"]
+        assert len(idle(endpoint, proxy_url)) == 1
+    for line, fields in _ProxyHandler.seen:
+        assert line == f"POST {endpoint} HTTP/1.1"
+        assert dict(fields)["Proxy-Authorization"] == _BASIC
+        assert dict(fields)["Host"] == f"127.0.0.1:{port}"
+    assert len(_ProxyHandler.seen) == 2
+
+
+def test_an_https_reply_is_read_and_its_tls_socket_pooled(tls_echo):
+    """Requests share one verified TLS connection; one the server closed
+    while idle is seen closed and replaced, at no cost to the caller."""
+    assert [_post(tls_echo + "/", f"request {i}") for i in range(3)] == [
+        "request 0",
+        "request 1",
+        "request 2",
+    ]
+    assert _post(tls_echo + "/chunked", "chunked") == "chunked"
+    (sock,) = idle(tls_echo)
+    assert isinstance(sock, ssl.SSLSocket) and not transport._dropped(sock)
+    assert len(set(_EchoHandler.ports)) == 1
+    assert _post(tls_echo + "/hangup", "last") == "last"
+    _closed_by_server(tls_echo)
+    assert _post(tls_echo + "/", "new") == "new"
+    assert len(set(_EchoHandler.ports)) == 2
+
+
+def test_an_https_server_is_verified(monkeypatch):
+    """Without its certificate in the CA bundle, the server is refused."""
+    monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+    monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+    monkeypatch.setattr(transport, "_tls", None)
+    with serve(_EchoHandler, tls=True) as url:
+        with pytest.raises(ssl.SSLCertVerificationError):
+            _post(url + "/")
+        assert len(idle(url)) == 0
+
+
+@pytest.mark.parametrize("proxy_scheme", ["http", "https"])
+def test_an_https_request_runs_tls_through_the_tunnel(tls_echo, monkeypatch, proxy_scheme):
+    """Through an http:// proxy the tunnel is plain TCP, through an https://
+    one TLS to the proxy, with the server's TLS inside either way. The
+    tunnel is pooled: one CONNECT carries every request, the proxy's
+    credentials go to the proxy alone, and the bearer key to the server
+    alone."""
+    with _proxy(monkeypatch, _RelayHandler, tls=proxy_scheme == "https") as proxy_url:
+        monkeypatch.setenv("HTTPS_PROXY", proxy_url)
+        cfg = LlmConfig(backend=BACKEND_HTTP, endpoint=tls_echo + "/v1", max_attempts=1)
+        for _ in range(3):
+            reply = detect_mod.complete(PromptBundle("analysis", "hi", PromptParts(), "t", 2), cfg)
+            assert json.loads(reply.text)["messages"] == [{"role": "user", "content": "hi"}]
+        (sock,) = idle(tls_echo, proxy_url)
+        inner = sock._tls if proxy_scheme == "https" else sock
+        assert inner.getpeercert()["subjectAltName"]  # empty when unverified
     ((line, fields),) = _ProxyHandler.seen
-    assert line == f"POST {endpoint} HTTP/1.1"
+    assert line == f"CONNECT {tls_echo.split('//')[1]} HTTP/1.1"
     assert dict(fields)["Proxy-Authorization"] == _BASIC
-    assert dict(fields)["Host"] == f"127.0.0.1:{port}"
+    assert "sk-SECRET0123" not in repr(fields)
+    assert len(_EchoHandler.fields) == 3 and len(set(_EchoHandler.ports)) == 1
+    for fields in _EchoHandler.fields:
+        assert dict(fields)["Authorization"] == "Bearer sk-SECRET0123"
+        assert "Proxy-Authorization" not in dict(fields)
+
+
+def test_a_proxy_url_names_its_port_by_its_scheme():
+    assert transport._proxy_route("https://p.example")[:3] == ("p.example", 443, True)
+    assert transport._proxy_route("http://p.example")[:3] == ("p.example", 80, False)
+    assert transport._proxy_route("p.example:3128")[:3] == ("p.example", 3128, False)
+    with pytest.raises(OSError, match="unsupported proxy scheme"):
+        transport._proxy_route("socks5://p.example:1080")
