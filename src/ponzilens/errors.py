@@ -49,10 +49,6 @@ class NotVerified(PonzilensError):
 class RateLimited(PonzilensError):
     """The explorer refused the request for rate reasons after all retries."""
 
-    def __init__(self, message: str, retry_after: float | None = None):
-        super().__init__(message)
-        self.retry_after = retry_after
-
 
 class NetworkError(PonzilensError):
     """Transport-level failure (timeout, connection refused) after retries."""

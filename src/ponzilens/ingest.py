@@ -453,7 +453,7 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
             continue
         if status == 429:
             asked = transport.retry_after(headers.get("Retry-After"))
-            last_error = RateLimited("explorer returned HTTP 429", asked)
+            last_error = RateLimited("explorer returned HTTP 429")
             continue
         if status >= 500:
             last_error = NetworkError(f"explorer returned HTTP {status}")
@@ -469,7 +469,7 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
             low = result.lower()
             if "rate limit" in low:
                 asked = 1.0
-                last_error = RateLimited(result, asked)
+                last_error = RateLimited(result)
                 continue
             if "invalid api key" in low:
                 raise AuthError(result)
@@ -492,6 +492,4 @@ def fetch_verified_source(address: str, cfg: FetchConfig) -> SourceUnit:
             source_text=source_text,
             compiler_version=(record.get("CompilerVersion") or None),
         )
-    if isinstance(last_error, (RateLimited, NetworkError)):
-        raise last_error
-    raise NetworkError(f"fetch failed after {cfg.max_attempts} attempts: {last_error}")
+    raise last_error

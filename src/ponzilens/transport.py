@@ -7,15 +7,20 @@ written here on the standard library's sockets and TLS:
     The fields are Host, Accept-Encoding: identity, Content-Length when
     there is a body and User-Agent: Python-urllib/<version>, then the
     caller's;
-  * the reply's status line and header fields are split by hand, and its
-    body is read by Content-Length, in chunks, or up to the close;
+  * the reply is received by one loop into one buffer: its head and a
+    chunked body's trailers line by line, its body by Content-Length, in
+    chunks, or up to the close. A status line not HTTP/1.x, a status below
+    100 or a 101 is malformed, other 1xx replies are skipped, and a field
+    whose name is not a token is dropped;
   * proxies come from HTTP_PROXY/HTTPS_PROXY, read at the first request,
     and from NO_PROXY, read per request while a proxy is set. An https://
     proxy is spoken to over TLS (port 443 unless given), an http:// one over
     plain TCP (port 80). An http request is sent to it with the absolute
     URI, an https one goes through a CONNECT tunnel, and the user and
     password of a proxy URL go to the proxy alone, as Proxy-Authorization;
-  * https is verified against certifi's CA bundle, or REQUESTS_CA_BUNDLE/
+  * every TLS session, to the server or to an https:// proxy, runs on
+    memory buffers over the layer under it, the socket or the proxy's TLS.
+    It is verified against certifi's CA bundle, or REQUESTS_CA_BUNDLE/
     CURL_CA_BUNDLE when set, loaded at the first https request, so a
     process that only talks to http endpoints never loads it;
   * no redirect is followed and no status raises, so every reply comes back
@@ -23,16 +28,17 @@ written here on the standard library's sockets and TLS:
 
 Idle sockets wait on one process-wide LIFO stack per scheme, host:port and
 proxy. A socket goes back once its reply has been read in full, unless the
-reply is not HTTP/1.1, asks to close, ends at the close, or anything
-raised; idle sockets are closed at exit. One in use belongs to one request,
-so concurrent requests never share one. A socket the server closed while
-idle is dropped before reuse, and a request that still finds its reused
-socket closed or reset is sent once more, at once, on a new one; the caller
-sees one exchange. Each new socket sets TCP_NODELAY, and the client asks
-for TCP_QUICKACK after each send where the platform has it: a server that
-writes a reply's headers and body in two sends with Nagle's algorithm on
-(any http.server handler by default) otherwise holds the body back on a
-reused connection until the client's delayed ACK, about 40 ms.
+reply is not HTTP/1.1, asks to close or ends at the close, anything raised,
+or a byte past the reply has come in; idle ones are closed at exit. One in
+use belongs to one request, so concurrent requests never share one. An idle
+socket is taken only while no TLS layer holds a byte and its descriptor is
+quiet, so one the server closed or sent stray bytes on is dropped; a
+request that still finds its reused socket closed or reset is sent once
+more, at once, on a new one. Each new socket sets TCP_NODELAY, and the
+client asks for TCP_QUICKACK after each send where the platform has it: a
+server that writes a reply's headers and body in two sends with Nagle's
+algorithm on (any http.server handler by default) otherwise holds the body
+back on a reused connection until the client's delayed ACK, about 40 ms.
 
 Callers refuse a URL that is_http_url rejects before sending anything,
 treat ERRORS out of request as a failed exchange, which may be retried, and
@@ -73,8 +79,7 @@ _USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
 _URL_REFUSED = re.compile(r"[^!-~]")
 _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 _READ = 16384  # bytes per recv; 64 KiB reads raised a batch's peak RSS
-_MAX_LINE = 65536  # bytes of a reply's head, or of a chunk's size line
-_HEAD_END = re.compile(rb"\n\r?\n")
+_MAX_LINE = 65536  # bytes of a line, however it arrives, and of a field section
 _HEX = re.compile(rb"[0-9A-Fa-f]+")
 
 
@@ -117,9 +122,12 @@ class _IdleConnections:
 
 
 def _dropped(sock) -> bool:
-    """Whether an idle socket is readable at once: the server closed it, or
-    sent what no request asked for (urllib3's is_connection_dropped). poll
-    watches any descriptor, select only those below 1024."""
+    """Whether an idle socket may not carry another request: a TLS layer
+    holds bytes or the descriptor is readable at once, as the server closed
+    it or sent what no request asked for (urllib3's is_connection_dropped).
+    poll watches any descriptor, select only those below 1024."""
+    if isinstance(sock, _Tls) and sock.pending():
+        return True
     try:
         if _POLL:
             poller = select.poll()
@@ -192,10 +200,10 @@ def request(
     return _exchange(key, sock, message)
 
 
-def _exchange(key: tuple, sock: socket.socket, message: bytes) -> tuple[int, _Headers, bytes]:
+def _exchange(key: tuple, sock, message: bytes) -> tuple[int, _Headers, bytes]:
     """Send `message` on `sock` in one send and read the whole reply; `sock`
-    goes back on the idle stack if the reply leaves it open, and is closed
-    otherwise."""
+    goes back on the idle stack if the reply leaves it open and no byte past
+    the reply has come in, and is closed otherwise."""
     try:
         sock.sendall(message)
         if _QUICKACK is not None:  # the kernel clears it, so per request
@@ -204,7 +212,7 @@ def _exchange(key: tuple, sock: socket.socket, message: bytes) -> tuple[int, _He
     except BaseException:
         sock.close()
         raise
-    if reusable:
+    if reusable and not (isinstance(sock, _Tls) and sock.pending()):
         _idle.put(key, sock)
     else:
         sock.close()
@@ -212,77 +220,74 @@ def _exchange(key: tuple, sock: socket.socket, message: bytes) -> tuple[int, _He
 
 
 class _Reader:
-    """What has come in on one socket: buf[pos:] is read but not used."""
+    """What has come in on one socket: buf[pos:] is received but not used."""
 
     __slots__ = ("sock", "buf", "pos")
 
-    def __init__(self, sock: socket.socket) -> None:
+    def __init__(self, sock) -> None:
         self.sock = sock
-        self.buf = b""
+        self.buf = bytearray()
         self.pos = 0
 
-    def _fill(self) -> bool:
+    def _fill(self, to_close: bool = False) -> bool:
+        """Receive more; False at the close when reading `to_close`, which
+        breaks any other read: before the first byte as RemoteDisconnected,
+        which request reads as a reused socket the server had closed."""
         data = self.sock.recv(_READ)
-        self.buf = self.buf[self.pos :] + data
-        self.pos = 0
-        return bool(data)
-
-    def head(self) -> str:
-        """The status line and header fields, up to the empty line."""
-        while (end := _HEAD_END.search(self.buf, self.pos)) is None:
-            if len(self.buf) - self.pos > _MAX_LINE:
-                raise http.client.LineTooLong("reply head")
-            if not self._fill():
-                if self.buf:
-                    raise http.client.IncompleteRead(self.buf)
+        if not data:
+            if to_close:
+                return False
+            if not self.buf:
                 raise http.client.RemoteDisconnected("closed without a reply")
-        head = self.buf[self.pos : end.start()]
-        self.pos = end.end()
-        return head.decode("latin-1")
+            raise http.client.IncompleteRead(bytes(self.buf[self.pos :]))
+        del self.buf[: self.pos]
+        self.pos = 0
+        self.buf += data
+        return True
 
-    def line(self) -> bytes:
+    def line(self) -> bytearray:
         """The next line, without its line end."""
-        while (end := self.buf.find(b"\n", self.pos)) < 0:
+        while (end := self.buf.find(b"\n", self.pos, self.pos + _MAX_LINE + 1)) < 0:
             if len(self.buf) - self.pos > _MAX_LINE:
-                raise http.client.LineTooLong("chunk size or trailer line")
-            if not self._fill():
-                raise http.client.IncompleteRead(self.buf)
+                raise http.client.LineTooLong("reply line")
+            self._fill()
         line = self.buf[self.pos : end]
         self.pos = end + 1
         return line.rstrip(b"\r")
 
+    def section(self) -> list[str]:
+        """The lines up to the next empty one: a reply head, or the trailer
+        section of a chunked body, which share one field syntax (RFC 9112
+        section 7.1.2)."""
+        lines, size = [], 0
+        while line := self.line():
+            size += len(line)
+            if size > _MAX_LINE:
+                raise http.client.LineTooLong("reply head or trailer section")
+            lines.append(line.decode("latin-1"))
+        return lines
+
     def exact(self, n: int) -> bytes:
         """The next `n` bytes."""
-        end = self.pos + n
-        if len(self.buf) >= end:
-            self.pos = end
-            return self.buf[end - n : end]
-        parts = [self.buf[self.pos :]]
-        left = n - len(parts[0])
-        self.buf, self.pos = b"", 0
-        while left:
-            data = self.sock.recv(min(left, _READ))
-            if not data:
-                raise http.client.IncompleteRead(b"".join(parts), left)
-            parts.append(data)
-            left -= len(data)
-        return b"".join(parts)
+        while len(self.buf) - self.pos < n:
+            self._fill()
+        self.pos += n
+        return bytes(self.buf[self.pos - n : self.pos])
 
     def rest(self) -> bytes:
         """Everything up to the close."""
-        parts = [self.buf[self.pos :]]
-        self.buf, self.pos = b"", 0
-        while data := self.sock.recv(_READ):
-            parts.append(data)
-        return b"".join(parts)
+        while self._fill(to_close=True):
+            pass
+        return self.exact(len(self.buf) - self.pos)
 
 
 def _read_reply(reader: _Reader) -> tuple[int, _Headers, bytes, bool]:
     """The status, header fields and body of the next reply, and whether its
-    socket may carry another request (RFC 9112 sections 6.3 and 9.3)."""
-    version, status, headers = _parse_head(reader.head())
+    socket may carry another request: the reply leaves it open (RFC 9112
+    sections 6.3 and 9.3) and the reader holds no byte past it."""
+    version, status, headers = _parse_head(reader.section())
     while status < 200:  # an interim reply, such as 100 Continue
-        version, status, headers = _parse_head(reader.head())
+        version, status, headers = _parse_head(reader.section())
     connection = headers.get("connection", "").lower()
     reusable = version == "HTTP/1.1" and "close" not in map(str.strip, connection.split(","))
     coding = headers.get("transfer-encoding")
@@ -295,7 +300,8 @@ def _read_reply(reader: _Reader) -> tuple[int, _Headers, bytes, bool]:
         else:
             body, reusable = reader.rest(), False
     elif length is not None:
-        if not (length.isascii() and length.isdigit()):
+        # int() raises ValueError, read as "never sent", at 4,300 digits
+        if not (length.isascii() and length.isdigit() and len(length) <= 20):
             raise http.client.HTTPException(f"malformed Content-Length {length[:40]!r}")
         body = reader.exact(int(length))
     else:
@@ -303,30 +309,32 @@ def _read_reply(reader: _Reader) -> tuple[int, _Headers, bytes, bool]:
     return status, headers, body, reusable and reader.pos == len(reader.buf)
 
 
-def _parse_head(head: str) -> tuple[str, int, _Headers]:
-    """The version, status and header fields of a reply head."""
-    lines = head.split("\n")
-    status_line = lines[0].rstrip("\r")
+def _parse_head(lines: list[str]) -> tuple[str, int, _Headers]:
+    """The version, status and header fields of a reply head. A field whose
+    name is not a token, such as one with whitespace before its colon, is
+    dropped (RFC 9112 section 5.1), as http.client drops it."""
+    status_line, *field_lines = lines or [""]
     version, _, rest = status_line.partition(" ")
     code = rest[:3]
-    if not (
-        version.startswith("HTTP/") and code.isascii() and code.isdigit() and rest[3:4] in ("", " ")
-    ):
+    status = int(code) if code.isascii() and code.isdigit() and rest[3:4] in ("", " ") else 0
+    # A status below 100 is none, and a client that never asks to switch
+    # protocols reads 101 as an error (RFC 9110 section 15.2.2).
+    if not version.startswith("HTTP/1.") or status < 100 or status == 101:
         raise http.client.BadStatusLine(status_line[:80])
     fields: dict[str, str] = {}
     name = None
-    for line in lines[1:]:
+    for line in field_lines:
         if line[:1] in (" ", "\t"):  # a folded line continues the field before
             if name is not None:
-                fields[name] += " " + line.strip()
+                fields[name] += " " + line.strip(" \t")
             continue
         name, colon, value = line.partition(":")
-        if not colon:
+        if not (colon and _TOKEN.fullmatch(name)):
             name = None
             continue
-        name, value = name.strip().lower(), value.strip()
+        name, value = name.lower(), value.strip(" \t")
         fields[name] = f"{fields[name]}, {value}" if name in fields else value
-    return version, int(code), _Headers(fields)
+    return version, status, _Headers(fields)
 
 
 def _read_chunked(reader: _Reader) -> bytes:
@@ -337,15 +345,14 @@ def _read_chunked(reader: _Reader) -> bytes:
         line = reader.line()
         size = line.partition(b";")[0].strip()
         if not _HEX.fullmatch(size):
-            raise http.client.HTTPException(f"malformed chunk size {line[:40]!r}")
+            raise http.client.HTTPException(f"malformed chunk size {bytes(line[:40])!r}")
         n = int(size, 16)
         if not n:
             break
         parts.append(reader.exact(n))
         if reader.line():
             raise http.client.HTTPException("chunk longer than its size")
-    while reader.line():  # trailer fields, up to the empty line
-        pass
+    reader.section()  # the trailer fields
     return b"".join(parts)
 
 
@@ -398,38 +405,37 @@ def _connect(scheme: str, host: str, port: int, proxy: str | None, timeout: floa
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if proxy_tls:
-            sock = context.wrap_socket(sock, server_hostname=proxy_host)
+            sock = _Tls(sock, context, proxy_host)
         if proxy is not None and scheme == "https":
             _tunnel(sock, host, port, auth)
         if scheme == "https":
-            if proxy_tls:  # an SSLSocket cannot wrap another
-                return _InnerTls(sock, context, host)
-            sock = context.wrap_socket(sock, server_hostname=host)
+            sock = _Tls(sock, context, host)
     except BaseException:
         sock.close()
         raise
     return sock
 
 
-class _InnerTls:
-    """TLS to the server through a CONNECT tunnel inside TLS to the proxy.
-    The inner TLS runs on memory buffers over the outer SSLSocket; this
-    offers what _exchange, _Reader and _dropped use of a socket."""
+class _Tls:
+    """TLS to `host` over a socket, or over another _Tls inside a tunnel
+    through an https:// proxy, on memory buffers, so pending sees every byte
+    received and not yet read. It offers sendall and recv, and hands every
+    other socket call to the layer under it."""
 
-    def __init__(self, outer: ssl.SSLSocket, context: ssl.SSLContext, host: str) -> None:
-        self._outer = outer
+    def __init__(self, raw, context: ssl.SSLContext, host: str) -> None:
+        self._raw = raw
         self._in, self._out = ssl.MemoryBIO(), ssl.MemoryBIO()
         self._tls = context.wrap_bio(self._in, self._out, server_hostname=host)
         self._run(self._tls.do_handshake)
 
     def _run(self, step, *args):
-        """`step` of the inner TLS, fed from and flushed to the outer socket."""
+        """`step` of the TLS session, fed from and flushed to the raw side."""
         while True:
             try:
                 result = step(*args)
             except ssl.SSLWantReadError:
                 self._flush()
-                data = self._outer.recv(_READ)
+                data = self._raw.recv(_READ)
                 if data:
                     self._in.write(data)
                 else:
@@ -440,12 +446,12 @@ class _InnerTls:
 
     def _flush(self) -> None:
         if self._out.pending:
-            self._outer.sendall(self._out.read())
+            self._raw.sendall(self._out.read())
 
     def sendall(self, data: bytes) -> None:
         view = memoryview(data)
-        while view:
-            view = view[self._run(self._tls.write, view) :]
+        while view:  # at most _READ bytes at a time, so a large body is not encrypted whole
+            view = view[self._run(self._tls.write, view[:_READ]) :]
 
     def recv(self, n: int) -> bytes:
         try:
@@ -453,23 +459,16 @@ class _InnerTls:
         except (ssl.SSLZeroReturnError, ssl.SSLEOFError):  # closed, as SSLSocket reads it
             return b""
 
-    def fileno(self) -> int:
-        return self._outer.fileno()
+    def pending(self) -> int:
+        """The bytes received and not yet read, here and in layers under."""
+        below = self._raw.pending() if isinstance(self._raw, _Tls) else 0
+        return self._in.pending + self._tls.pending() + below
 
-    def gettimeout(self) -> float | None:
-        return self._outer.gettimeout()
-
-    def settimeout(self, timeout: float | None) -> None:
-        self._outer.settimeout(timeout)
-
-    def setsockopt(self, *args) -> None:
-        self._outer.setsockopt(*args)
-
-    def close(self) -> None:
-        self._outer.close()
+    def __getattr__(self, name: str):  # fileno, the timeouts, setsockopt, close
+        return getattr(self._raw, name)
 
 
-def _tunnel(sock: socket.socket, host: str, port: int, auth: str | None) -> None:
+def _tunnel(sock, host: str, port: int, auth: str | None) -> None:
     """Ask the proxy at the other end of `sock` for a tunnel to host:port
     (RFC 9110 section 9.3.6); a refusal is an OSError."""
     authority = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
@@ -478,7 +477,7 @@ def _tunnel(sock: socket.socket, host: str, port: int, auth: str | None) -> None
         fields += f"Proxy-Authorization: {auth}\r\n"
     sock.sendall(f"CONNECT {authority} HTTP/1.1\r\n{fields}\r\n".encode("ascii"))
     reader = _Reader(sock)
-    _version, status, _headers = _parse_head(reader.head())
+    _version, status, _headers = _parse_head(reader.section())
     if not 200 <= status < 300:
         raise OSError(f"Tunnel connection failed: HTTP {status}")
     if reader.pos < len(reader.buf):

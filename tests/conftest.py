@@ -1,11 +1,15 @@
-"""Shared fixtures: checked-in programs, a generated batch corpus, and a
-check that no test leaves a thread-pool worker running."""
+"""Shared fixtures: checked-in programs, a generated batch corpus, a check
+that no test leaves a thread-pool worker running, and one Hypothesis
+profile for the suite."""
 
 from __future__ import annotations
 
+import atexit
 import csv
 import json
 import random
+import shutil
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -16,6 +20,22 @@ import fixutil
 import programs
 
 fixutil.ensure_fixtures()
+
+try:
+    from hypothesis import settings
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Every run draws the same examples, so a CI failure replays locally,
+    # and no run keeps an example database. What else Hypothesis stores, a
+    # cache of the constants in the package's source, goes to a temporary
+    # directory, so no run writes .hypothesis/ into the checkout.
+    settings.register_profile("ponzilens", derandomize=True, database=None)
+    settings.load_profile("ponzilens")
+    _hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(_hypothesis_home)
+    atexit.register(shutil.rmtree, _hypothesis_home, ignore_errors=True)
 
 
 @pytest.fixture(autouse=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import http.client
 import json
 import os
 import select
@@ -40,14 +41,18 @@ class _EchoHandler(BaseHTTPRequestHandler):
     connection after answering without saying so, and /stall sends one byte
     of its body and waits for `release`. /chunked answers in chunks, with a
     chunk extension and a trailer; /eof gives neither a length nor chunking
-    and closes the connection to end the body. While `raw` holds replies,
-    each request is answered with the first, as it is, and the connection
-    closed."""
+    and closes the connection to end the body. /stray answers with its
+    head, then, a moment later, its 5-byte body followed by a whole second
+    reply that no request asked for, in one send; /stray2 sends the body and
+    that reply in two; both set `strayed` once sent. While `raw` holds
+    replies, each request is answered with the first, as it is, and the
+    connection closed."""
 
     protocol_version = "HTTP/1.1"
     ports: list[int] = []
     fields: list[list[tuple[str, str]]] = []
     release = threading.Event()
+    strayed = threading.Event()
     raw: list[bytes] = []
 
     def do_GET(self):  # noqa: N802
@@ -69,6 +74,14 @@ class _EchoHandler(BaseHTTPRequestHandler):
                 b"%x;name=value\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n"
                 % (half, body[:half], len(body) - half, body[half:])
             )
+            return
+        if self.path.startswith("/stray"):
+            self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n")
+            time.sleep(0.05)
+            stray = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nstray"
+            for data in [b"first" + stray] if self.path == "/stray" else [b"first", stray]:
+                self.wfile.write(data)
+            _EchoHandler.strayed.set()
             return
         if self.path == "/eof":
             self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + body)
@@ -102,6 +115,7 @@ def echo():
     _EchoHandler.fields = []
     _EchoHandler.raw = []
     _EchoHandler.release = threading.Event()
+    _EchoHandler.strayed = threading.Event()
     try:
         with serve(_EchoHandler) as url:
             yield url
@@ -309,6 +323,31 @@ def test_a_malformed_reply_is_an_http_exception_never_a_value_error(echo, reply)
     assert len(idle(echo)) == 0
 
 
+@pytest.mark.parametrize("status_line", [b"HTTP/2 200 OK", b"HTTP/1.1 099 Odd", b"HTTP/1.1 101 Up"])
+def test_a_status_line_of_no_http_1_reply_is_malformed(echo, status_line):
+    """Not HTTP/1.x, a status below 100, or 101, which answers no request of
+    a client that never asks to switch protocols; none is read past."""
+    _EchoHandler.raw = [status_line + b"\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"]
+    with pytest.raises(http.client.BadStatusLine):
+        transport.request(echo + "/", timeout=5)
+
+
+def test_a_field_name_with_space_before_its_colon_is_ignored(echo):
+    """It is no field (RFC 9112 section 5.1), so no length: the body runs
+    to the close, as http.client reads it, and is not cut short."""
+    _EchoHandler.raw = [b"HTTP/1.1 200 OK\r\nContent-Length : 3\r\n\r\nhello"]
+    status, headers, body = transport.request(echo + "/", timeout=5)
+    assert (status, headers, body) == (200, {}, b"hello")
+    assert len(idle(echo)) == 0
+
+
+@pytest.mark.parametrize("interim", [b"100 Continue\r\n", b"103 Early Hints\r\nLink: </s>\r\n"])
+def test_an_interim_reply_is_skipped(echo, interim):
+    final = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"
+    _EchoHandler.raw = [b"HTTP/1.1 " + interim + b"\r\n" + final]
+    assert transport.request(echo + "/", timeout=5)[::2] == (200, b"hi")
+
+
 def _names(fields: list[tuple[str, str]]) -> list[str]:
     return sorted(name for name, _ in fields)
 
@@ -369,26 +408,31 @@ class _ProxyHandler(BaseHTTPRequestHandler):
 class _RelayHandler(_ProxyHandler):
     """A forward proxy that keeps each request line and its header fields,
     grants every CONNECT and relays the tunnel's bytes both ways until
-    either end closes."""
+    either end closes. Once bytes are ready it waits `gather` seconds before
+    reading them, so that sends close together go on in one write."""
+
+    gather = 0.0
 
     def do_CONNECT(self):  # noqa: N802
         _ProxyHandler.seen.append((self.requestline, list(self.headers.items())))
         host, _, port = self.path.rpartition(":")
         with socket.create_connection((host, int(port)), timeout=10) as upstream:
             self.wfile.write(b"HTTP/1.1 200 Connection established\r\n\r\n")
-            _relay(self.connection, upstream)
+            _relay(self.connection, upstream, self.gather)
         self.close_connection = True
 
 
-def _relay(a: socket.socket, b: socket.socket) -> None:
-    """Copy bytes between `a` and `b` until one closes; an SSLSocket may
-    hold decrypted bytes that select does not see."""
+def _relay(a: socket.socket, b: socket.socket, gather: float) -> None:
+    """Copy bytes between `a` and `b` until one closes, `gather` seconds
+    after they are ready; an SSLSocket may hold decrypted bytes that select
+    does not see."""
     ends = [a, b]
     while True:
         ready = [end for end in ends if isinstance(end, ssl.SSLSocket) and end.pending()]
         ready = ready or select.select(ends, [], [], 10)[0]
         if not ready:
             return
+        time.sleep(gather)
         for end in ready:
             data = end.recv(16384)
             if not data:
@@ -428,6 +472,7 @@ def tls_echo(monkeypatch):
     _EchoHandler.ports = []
     _EchoHandler.fields = []
     _EchoHandler.raw = []
+    _EchoHandler.strayed = threading.Event()
     with serve(_EchoHandler, tls=True) as url:
         yield url
 
@@ -479,7 +524,7 @@ def test_an_https_reply_is_read_and_its_tls_socket_pooled(tls_echo):
     ]
     assert _post(tls_echo + "/chunked", "chunked") == "chunked"
     (sock,) = idle(tls_echo)
-    assert isinstance(sock, ssl.SSLSocket) and not transport._dropped(sock)
+    assert isinstance(sock, transport._Tls) and not transport._dropped(sock)
     assert len(set(_EchoHandler.ports)) == 1
     assert _post(tls_echo + "/hangup", "last") == "last"
     _closed_by_server(tls_echo)
@@ -512,8 +557,7 @@ def test_an_https_request_runs_tls_through_the_tunnel(tls_echo, monkeypatch, pro
             reply = detect_mod.complete(PromptBundle("analysis", "hi", PromptParts(), "t", 2), cfg)
             assert json.loads(reply.text)["messages"] == [{"role": "user", "content": "hi"}]
         (sock,) = idle(tls_echo, proxy_url)
-        inner = sock._tls if proxy_scheme == "https" else sock
-        assert inner.getpeercert()["subjectAltName"]  # empty when unverified
+        assert sock._tls.getpeercert()["subjectAltName"]  # empty when unverified
     ((line, fields),) = _ProxyHandler.seen
     assert line == f"CONNECT {tls_echo.split('//')[1]} HTTP/1.1"
     assert dict(fields)["Proxy-Authorization"] == _BASIC
@@ -522,6 +566,56 @@ def test_an_https_request_runs_tls_through_the_tunnel(tls_echo, monkeypatch, pro
     for fields in _EchoHandler.fields:
         assert dict(fields)["Authorization"] == "Bearer sk-SECRET0123"
         assert "Proxy-Authorization" not in dict(fields)
+
+
+@pytest.mark.parametrize(
+    "route, path",
+    [("direct", "/stray"), ("proxy", "/stray"), ("proxy", "/stray2"), ("direct", "/stray2")],
+)
+def test_a_tls_socket_that_holds_a_stray_reply_is_not_reused(tls_echo, monkeypatch, route, path):
+    """The server sends a second reply no request asked for right after the
+    first, in the first's TLS record or in a record of its own; through the
+    relay proxy, the two records of /stray2 go on in one TLS record to the
+    client. However it comes, the next request must read its own reply, on
+    a new connection."""
+    with _proxy(monkeypatch, _RelayHandler, tls=True) as proxy_url:
+        monkeypatch.setattr(_RelayHandler, "gather", 0.05)
+        if route == "proxy":
+            monkeypatch.setenv("HTTPS_PROXY", proxy_url)
+        else:
+            proxy_url = None
+        status, _headers, body = transport.request(tls_echo + path, timeout=5)
+        assert (status, body) == (200, b"first")
+        if (route, path) != ("direct", "/stray2"):  # the stray reply came with the body
+            assert not idle(tls_echo, proxy_url)
+        assert _EchoHandler.strayed.wait(timeout=5)
+        # Wait until the stray reply is in, which the pooled socket, if any,
+        # then shows; where nothing shows it, the wait ends unseen.
+        deadline = time.monotonic() + 2
+        while idle(tls_echo, proxy_url) and time.monotonic() < deadline:
+            if transport._dropped(idle(tls_echo, proxy_url)[0]):
+                break
+            time.sleep(0.01)
+        _status, _headers, body = transport.request(tls_echo + "/", b"second", timeout=5)
+        assert body != b"stray", "the next request read the stray reply"
+        assert json.loads(body)["choices"][0]["message"]["content"] == "second"
+        assert len(set(_EchoHandler.ports)) == 2
+
+
+@pytest.mark.parametrize("layer", ["server", "proxy"])
+def test_a_byte_in_a_pooled_tls_buffer_drops_the_socket(tls_echo, monkeypatch, layer):
+    """A byte in the incoming buffer of the TLS to the server, or of the TLS
+    to an https:// proxy under it."""
+    with _proxy(monkeypatch, _RelayHandler, tls=True) as proxy_url:
+        if layer == "server":
+            proxy_url = None
+        else:
+            monkeypatch.setenv("HTTPS_PROXY", proxy_url)
+        assert _post(tls_echo + "/") == "hi"
+        (sock,) = idle(tls_echo, proxy_url)
+        assert not transport._dropped(sock)
+        (sock if layer == "server" else sock._raw)._in.write(b"x")
+        assert transport._dropped(sock)
 
 
 def test_a_proxy_url_names_its_port_by_its_scheme():
